@@ -17,7 +17,6 @@ from pathlib import Path
 
 from mtstreams._version import VERSION
 from mtstreams.mt19937 import MtState
-from mtstreams.stats import walks
 from mtstreams.stats.battery import Battery, battery_sha256, dump_battery
 from mtstreams.stats.families import TestResult, run_test
 from mtstreams.stats.stream import StreamView
@@ -26,7 +25,11 @@ from mtstreams.statusfile import STATUS_SUFFIX, StatusFormatError, file_sha256, 
 MODES = ("int", "real")
 DEFAULT_EXPECTED_FAIL_IDS = frozenset({"linearcomp.r0", "linearcomp.r29"})
 
-_STATUS_NAME = re.compile(r"^(split|random|indexed)_(\d{5})" + re.escape(STATUS_SUFFIX) + "$")
+# The names partition.status_filename writes: the index zero-padded to five
+# digits, wider from 100000 on.
+_STATUS_NAME = re.compile(
+    r"^(split|random|indexed)_(\d{5}|[1-9]\d{5,})" + re.escape(STATUS_SUFFIX) + "$"
+)
 
 
 @dataclass(frozen=True)
@@ -104,7 +107,8 @@ def parse_status_filename(name: str) -> tuple[str, int]:
     if not m:
         raise StatusFormatError(
             f"status filename {name!r} must match <technique>_<index>{STATUS_SUFFIX} "
-            "with technique in {split, random, indexed} and a 5-digit index"
+            "with technique in {split, random, indexed} and the index zero-padded "
+            "to 5 digits (no leading zero beyond 5 digits)"
         )
     return m.group(1), int(m.group(2))
 
@@ -151,21 +155,9 @@ def _run_unit(unit: tuple[int, str]) -> tuple[int, str, list[TestResult]]:
     return entry_i, mode, results
 
 
-def _warm_null_caches(battery: Battery) -> None:
-    # Compute walk null distributions once in the parent so forked workers
-    # inherit them instead of redoing the O(l^3) DPs.
-    for t in battery.tests:
-        if t.family == "RandomWalk1":
-            steps = int(t.params["steps"])
-            walks.h_null(steps)
-            walks.m_null(steps)
-            walks.r_null(steps)
-
-
 def run_campaign(entries: list[StatusEntry], config: CampaignConfig) -> CampaignReport:
     eps = config.eps
     units = [(i, mode) for i in range(len(entries)) for mode in config.modes]
-    _warm_null_caches(config.battery)
     global _WORK
     _WORK = {"entries": entries, "battery": config.battery, "eps": eps}
     if config.jobs > 1 and len(units) > 1:
@@ -319,7 +311,13 @@ def write_results_jsonl(creport: CampaignReport, path: Path | str) -> None:
 
 
 def read_results_jsonl(path: Path | str) -> CampaignReport:
-    """Rebuild a CampaignReport (test results in file order, no details)."""
+    """Rebuild a CampaignReport (test results in file order, no details).
+
+    The file must be complete and consistent with its meta record: exactly
+    one row per meta status, meta mode and meta test id. Anything else (a
+    truncated file, a duplicated row, a row for an unknown status or mode)
+    raises ValueError rather than being classified.
+    """
     path = Path(path)
     lines = path.read_text(encoding="ascii").splitlines()
     if not lines:
@@ -327,25 +325,39 @@ def read_results_jsonl(path: Path | str) -> CampaignReport:
     meta = json.loads(lines[0])
     if meta.get("type") != "meta":
         raise ValueError(f"{path}: first line is not the meta record")
-    grouped: dict[tuple[str, int, str], list[TestResult]] = {}
-    for lineno, line in enumerate(lines[1:], start=2):
-        rec = json.loads(line)
-        if rec.get("type") != "result":
-            raise ValueError(f"{path}:{lineno}: unknown record type")
-        key = (rec["technique"], rec["index"], rec["mode"])
-        grouped.setdefault(key, []).append(
-            TestResult(
+    try:
+        test_ids = set(meta["test_ids"])
+        grouped: dict[tuple[str, int, str], dict[str, TestResult]] = {
+            (s["technique"], s["index"], mode): {}
+            for s in meta["statuses"]
+            for mode in meta["modes"]
+        }
+        for lineno, line in enumerate(lines[1:], start=2):
+            rec = json.loads(line)
+            if rec.get("type") != "result":
+                raise ValueError(f"{path}:{lineno}: unknown record type")
+            unit = grouped.get((rec["technique"], rec["index"], rec["mode"]))
+            if unit is None:
+                raise ValueError(f"{path}:{lineno}: status or mode not in meta")
+            if rec["test_id"] not in test_ids:
+                raise ValueError(f"{path}:{lineno}: test id {rec['test_id']!r} not in meta")
+            if rec["test_id"] in unit:
+                raise ValueError(f"{path}:{lineno}: duplicate row")
+            unit[rec["test_id"]] = TestResult(
                 test_id=rec["test_id"],
                 family="",
                 p_values=dict(rec["p_values"]),
                 verdict=rec["verdict"],
                 draws=rec["draws"],
             )
-        )
-    reports = [
-        StatusReport(technique, index, mode, results)
-        for (technique, index, mode), results in sorted(grouped.items())
-    ]
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"{path}: malformed record ({exc!r})") from exc
+    reports = []
+    for (technique, index, mode), unit in sorted(grouped.items()):
+        missing = sorted(test_ids - set(unit))
+        if missing:
+            raise ValueError(f"{path}: {technique}/{index} {mode} lacks rows for {missing}")
+        reports.append(StatusReport(technique, index, mode, list(unit.values())))
     return CampaignReport(meta=meta, reports=reports)
 
 

@@ -3,7 +3,7 @@
 Submodules:
 
 - ``stream``: int/real output pathways over a generator status.
-- ``pvalues``: chi-square, Poisson, and Kolmogorov-Smirnov p-value machinery.
+- ``pvalues``: chi-square and Poisson p-value machinery.
 - ``complexity``: Berlekamp-Massey linear complexity and its exact null law.
 - ``walks``: exact null distributions of random-walk statistics.
 - ``families``: the test families and their result records.

@@ -1,13 +1,11 @@
 """P-value machinery shared by the test families.
 
 Conventions: chi-square p-values are right tails; the Poisson helper returns
-both tails, each including the observed atom; the KS helper is the two-sided
-asymptotic test against Uniform[0, 1].
+both tails, each including the observed atom.
 """
 from __future__ import annotations
 
 import math
-from typing import Sequence
 
 import numpy as np
 from scipy.special import gammaincc
@@ -68,54 +66,6 @@ def poisson_two_sided_pvalue(observed: int, lam: float) -> tuple[float, float]:
         right = _poisson_upper_tail(observed, lam)
         left = 1.0 - _poisson_upper_tail(observed + 1, lam)
     return left, right
-
-
-def kolmogorov_sf(t: float) -> float:
-    """Q(t) = P(K > t) for the asymptotic Kolmogorov distribution.
-
-    Uses the theta-series form for small t and the alternating series for
-    large t; both converge to well under 1e-10 at the switch point.
-    """
-    if t <= 0.0:
-        return 1.0
-    if t < 1.0:
-        # 1 - (sqrt(2*pi)/t) * sum exp(-(2j-1)^2 * pi^2 / (8 t^2))
-        a = math.pi * math.pi / (8.0 * t * t)
-        total = 0.0
-        j = 1
-        while True:
-            term = math.exp(-((2 * j - 1) ** 2) * a)
-            total += term
-            if term < 1e-20 * max(total, 1e-300):
-                break
-            j += 1
-        return min(1.0, max(0.0, 1.0 - math.sqrt(2.0 * math.pi) / t * total))
-    total = 0.0
-    sign = 1.0
-    j = 1
-    while True:
-        term = math.exp(-2.0 * j * j * t * t)
-        total += sign * term
-        if term < 1e-20:
-            break
-        sign = -sign
-        j += 1
-    return min(1.0, max(0.0, 2.0 * total))
-
-
-def ks_uniform_pvalue(samples: Sequence[float]) -> float:
-    """Two-sided KS p-value of the samples against Uniform[0, 1]."""
-    u = np.sort(np.asarray(samples, dtype=np.float64))
-    n = u.size
-    if n < 10:
-        raise ValueError(f"need >= 10 samples, got {n}")
-    if u[0] < 0.0 or u[-1] > 1.0:
-        raise ValueError("samples must lie in [0, 1]")
-    grid = np.arange(1, n + 1, dtype=np.float64) / n
-    d_plus = np.max(grid - u)
-    d_minus = np.max(u - (grid - 1.0 / n))
-    d = max(d_plus, d_minus)
-    return kolmogorov_sf(math.sqrt(n) * d)
 
 
 def merged_chi2_pvalue(

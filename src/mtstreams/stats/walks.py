@@ -7,15 +7,22 @@ S_0 = 0, ..., S_l. The tested statistics are
 - M: max(0, max_j S_j) over the whole walk including S_0,
 - R: number of j in [1, l] with S_j = 0.
 
-Each null distribution is computed by dynamic programming over walk states
-(position, statistic) in float64; all intermediate values at l <= 16 are
-dyadic rationals below 2^53 so the DP is exact there, which is what the
-exhaustive-enumeration oracle checks. Distributions are cached per l; the
-2-D DPs cost O(l^3) element operations (seconds at l = 1024, computed once).
+All three laws have closed forms over the 2^l equally likely walks
+(Feller, An Introduction to Probability Theory and Its Applications,
+Vol. 1, ch. III; L'Ecuyer and Simard, TestU01, ACM TOMS 33(4), 2007):
+
+- P(H = h) = C(l, h) / 2^l (binomial),
+- P(M = m) = P(S_l = m) + P(S_l = m + 1) = C(l, (l + m + 1) // 2) / 2^l
+  (reflection principle; only one of the two terms has the parity of l),
+- P(R = r) = C(l - r, l/2) * 2^r / 2^l.
+
+Numerators are exact integers, and each probability is rounded once to the
+nearest binary64 by integer true division. Distributions are cached per l.
 """
 from __future__ import annotations
 
 from functools import lru_cache
+from math import comb
 
 import numpy as np
 
@@ -25,7 +32,10 @@ def _check_steps(l: int) -> None:
         raise ValueError(f"walk length must be even and >= 2, got {l}")
 
 
-def _freeze(arr: np.ndarray) -> np.ndarray:
+def _law(counts: list[int], l: int) -> np.ndarray:
+    """Frozen array of counts[i] / 2^l, each correctly rounded."""
+    total = 1 << l
+    arr = np.array([c / total for c in counts])
     arr.flags.writeable = False
     return arr
 
@@ -34,66 +44,21 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
 def h_null(l: int) -> np.ndarray:
     """P(H = h) for h = 0..l."""
     _check_steps(l)
-    dp = np.zeros(l + 1)
-    dp[0] = 1.0
-    for _ in range(l):
-        dp[1:] = 0.5 * (dp[1:] + dp[:-1])
-        dp[0] = 0.5 * dp[0]
-    return _freeze(dp)
+    return _law([comb(l, h) for h in range(l + 1)], l)
 
 
 @lru_cache(maxsize=None)
 def m_null(l: int) -> np.ndarray:
-    """P(M = m) for m = 0..l.
-
-    DP state: (running max m, position p), p <= m. A step up from the
-    diagonal p = m is the only transition that raises the max.
-    """
+    """P(M = m) for m = 0..l."""
     _check_steps(l)
-    off = l
-    shape = (l + 1, 2 * l + 1)
-    dp = np.zeros(shape)
-    new = np.zeros(shape)
-    dp[0, off] = 1.0
-    # below_max[m, off + p] marks states with p < m (an up step keeps m).
-    cols = np.arange(-l, l + 1)
-    below_max = cols[np.newaxis, :] < np.arange(l + 1)[:, np.newaxis]
-    diag_m = np.arange(l)
-    diag_c = off + diag_m
-    for _ in range(l):
-        new[:] = 0.0
-        new[:, :-1] += 0.5 * dp[:, 1:]
-        new[:, 1:] += 0.5 * np.where(below_max[:, :-1], dp[:, :-1], 0.0)
-        new[diag_m + 1, diag_c + 1] += 0.5 * dp[diag_m, diag_c]
-        dp, new = new, dp
-    return _freeze(dp.sum(axis=1))
+    return _law([comb(l, (l + m + 1) // 2) for m in range(l + 1)], l)
 
 
 @lru_cache(maxsize=None)
 def r_null(l: int) -> np.ndarray:
-    """P(R = r) for r = 0..l/2.
-
-    DP state: (returns so far r, position p); any step landing on p = 0
-    increments r. A walk of length l returns at most l/2 times.
-    """
+    """P(R = r) for r = 0..l/2; a walk of length l returns at most l/2 times."""
     _check_steps(l)
-    off = l
-    rmax = l // 2
-    shape = (rmax + 1, 2 * l + 1)
-    dp = np.zeros(shape)
-    new = np.zeros(shape)
-    dp[0, off] = 1.0
-    for _ in range(l):
-        new[:] = 0.0
-        new[:, :-1] += 0.5 * dp[:, 1:]
-        new[:, 1:] += 0.5 * dp[:, :-1]
-        # Crossings into the origin belong to the next return count. The
-        # top row cannot spill: r = rmax before the final step is impossible.
-        landed = new[:, off].copy()
-        new[:, off] = 0.0
-        new[1:, off] = landed[:-1]
-        dp, new = new, dp
-    return _freeze(dp.sum(axis=1))
+    return _law([comb(l - r, l // 2) << r for r in range(l // 2 + 1)], l)
 
 
 def walk_statistics(bits: np.ndarray, walks: int, steps: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

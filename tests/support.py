@@ -118,6 +118,53 @@ def returns_r_law(l: int) -> list[Fraction]:
     return [Fraction(math.comb(l - r, l // 2), 2 ** (l - r)) for r in range(l // 2 + 1)]
 
 
+def dp_walk_laws(l: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(H, M, R) laws by float64 dynamic programming over walk states.
+
+    Shares no formula with the closed forms: each step moves the mass of
+    every (statistic, position) state half up and half down. O(l^3).
+    """
+    h = np.zeros(l + 1)
+    h[0] = 1.0
+    for _ in range(l):
+        h[1:] = 0.5 * (h[1:] + h[:-1])
+        h[0] = 0.5 * h[0]
+
+    # M: state (running max m, position p), p <= m. A step up from the
+    # diagonal p = m is the only transition that raises the max.
+    off = l
+    dp = np.zeros((l + 1, 2 * l + 1))
+    new = np.zeros_like(dp)
+    dp[0, off] = 1.0
+    cols = np.arange(-l, l + 1)
+    below_max = cols[np.newaxis, :] < np.arange(l + 1)[:, np.newaxis]
+    diag_m = np.arange(l)
+    diag_c = off + diag_m
+    for _ in range(l):
+        new[:] = 0.0
+        new[:, :-1] += 0.5 * dp[:, 1:]
+        new[:, 1:] += 0.5 * np.where(below_max[:, :-1], dp[:, :-1], 0.0)
+        new[diag_m + 1, diag_c + 1] += 0.5 * dp[diag_m, diag_c]
+        dp, new = new, dp
+    m = dp.sum(axis=1)
+
+    # R: state (returns so far r, position p); a step landing on p = 0
+    # moves the mass to the next return count.
+    dp = np.zeros((l // 2 + 1, 2 * l + 1))
+    new = np.zeros_like(dp)
+    dp[0, off] = 1.0
+    for _ in range(l):
+        new[:] = 0.0
+        new[:, :-1] += 0.5 * dp[:, 1:]
+        new[:, 1:] += 0.5 * dp[:, :-1]
+        landed = new[:, off].copy()
+        new[:, off] = 0.0
+        new[1:, off] = landed[:-1]
+        dp, new = new, dp
+    r = dp.sum(axis=1)
+    return h, m, r
+
+
 def chi2_sf_oracle(x: float, df: int) -> float:
     """Right-tail chi-square probability by adaptive quadrature (mpmath)."""
     from mpmath import gamma, mp, mpf, quad
@@ -185,6 +232,23 @@ def toy_overlap_frequency(
     wrap = period - (starts[:, -1] - starts[:, 0])
     min_gap = np.minimum(gaps.min(axis=1), wrap)
     return float(np.mean(min_gap < length))
+
+
+def damaged_results(path) -> dict[str, str]:
+    """Copies of a valid results file, each broken in one way a reader must
+    reject: a lost last line, a repeated row, a row for a status or a mode
+    the meta record does not list."""
+    lines = open(path, encoding="ascii").read().splitlines(keepends=True)
+    meta = json.loads(lines[0])
+    unknown = json.loads(lines[1])
+    unknown["index"] = 1 + max(s["index"] for s in meta["statuses"])
+    one_mode = dict(meta, modes=meta["modes"][:1])
+    return {
+        "truncated": "".join(lines[:-1]),
+        "duplicated": "".join(lines + lines[-1:]),
+        "unknown_status": "".join(lines + [json.dumps(unknown) + "\n"]),
+        "unknown_mode": "".join([json.dumps(one_mode) + "\n"] + lines[1:]),
+    }
 
 
 def recompute_tables_from_jsonl(path, expected_fail_ids) -> dict:

@@ -23,12 +23,18 @@ from mtstreams.campaign import (
     write_results_jsonl,
 )
 from mtstreams.mt19937 import init_genrand
-from mtstreams.partition import generate_indexed, generate_sequence_splitting, write_status_set
+from mtstreams.partition import (
+    Technique,
+    generate_indexed,
+    generate_sequence_splitting,
+    status_filename,
+    write_status_set,
+)
 from mtstreams.stats.battery import Battery, TestDefinition, battery_sha256
 from mtstreams.stats.families import TestResult
 from mtstreams.statusfile import StatusFormatError
 
-from support import recompute_tables_from_jsonl
+from support import damaged_results, recompute_tables_from_jsonl
 
 FAST = Battery(
     name="fast-unit",
@@ -175,6 +181,17 @@ def test_read_results_rejects_malformed_files(tmp_path):
         read_results_jsonl(bad_head)
 
 
+def test_read_results_rejects_incomplete_or_inconsistent_files(tmp_path):
+    path = tmp_path / "results.jsonl"
+    write_results_jsonl(run_campaign(_entries(2), CampaignConfig(battery=FAST)), path)
+    read_results_jsonl(path)
+    for name, text in damaged_results(path).items():
+        damaged = tmp_path / f"{name}.jsonl"
+        damaged.write_text(text)
+        with pytest.raises(ValueError):
+            read_results_jsonl(damaged)
+
+
 def test_classify_subset_rule():
     good = StatusReport(
         "indexed", 0, "int", [TestResult("linearcomp.r0", "", {"p": 0.0}, "Fail", 1)]
@@ -268,9 +285,25 @@ def test_write_registry_files(tmp_path):
 def test_parse_status_filename():
     assert parse_status_filename("indexed_00042.mts") == ("indexed", 42)
     assert parse_status_filename("split_99999.mts") == ("split", 99999)
-    for bad in ("indexed_42.mts", "other_00042.mts", "indexed_00042.txt", "indexed00042.mts"):
+    assert parse_status_filename("indexed_123456.mts") == ("indexed", 123456)
+    # status_filename never writes a leading zero beyond five digits.
+    for bad in (
+        "indexed_42.mts",
+        "other_00042.mts",
+        "indexed_00042.txt",
+        "indexed00042.mts",
+        "indexed_000001.mts",
+        "indexed_0100000.mts",
+    ):
         with pytest.raises(StatusFormatError):
             parse_status_filename(bad)
+
+
+def test_status_filename_round_trips_through_parse():
+    for technique in Technique:
+        for index in (0, 99999, 100000, 123456):
+            name = status_filename(technique, index)
+            assert parse_status_filename(name) == (technique.slug, index)
 
 
 def test_load_status_entries_from_dirs_and_files(tmp_path):

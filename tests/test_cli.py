@@ -6,6 +6,8 @@ import pytest
 from mtstreams.cli import main
 from mtstreams.stats.battery import Battery, TestDefinition, dump_battery
 
+from support import damaged_results
+
 
 @pytest.fixture()
 def fast_battery_file(tmp_path):
@@ -258,6 +260,17 @@ def test_report_table_selection_and_errors(campaign_results, tmp_path, capsys):
     malformed = tmp_path / "m.jsonl"
     malformed.write_text("{}\n")
     assert main(["report", "--results", str(malformed)]) == 2
+    capsys.readouterr()
+
+
+def test_report_and_registry_reject_damaged_results(campaign_results, tmp_path, capsys):
+    for name, text in damaged_results(campaign_results).items():
+        damaged = tmp_path / f"{name}.jsonl"
+        damaged.write_text(text)
+        assert main(["report", "--results", str(damaged)]) == 2, name
+        reg = tmp_path / "reg.txt"
+        assert main(["registry", "--results", str(damaged), "--out", str(reg)]) == 2, name
+        assert not reg.exists()
     capsys.readouterr()
 
 

@@ -3,12 +3,9 @@ import math
 
 import numpy as np
 import pytest
-import scipy.special
 
 from mtstreams.stats.pvalues import (
     chi2_pvalue,
-    kolmogorov_sf,
-    ks_uniform_pvalue,
     merged_chi2_pvalue,
     poisson_two_sided_pvalue,
 )
@@ -121,42 +118,6 @@ def test_poisson_rejects_bad_arguments():
         poisson_two_sided_pvalue(-1, 4.0)
     with pytest.raises(ValueError):
         poisson_two_sided_pvalue(2, 0.0)
-
-
-def test_kolmogorov_sf_matches_scipy():
-    for t in [0.2, 0.4, 0.5, 0.8, 1.0, 1.2, 1.5, 2.0, 3.0]:
-        assert kolmogorov_sf(t) == pytest.approx(
-            float(scipy.special.kolmogorov(t)), abs=1e-12
-        ), t
-    assert kolmogorov_sf(0.0) == 1.0
-    assert kolmogorov_sf(50.0) == 0.0
-
-
-def test_ks_uniform_pvalue_midpoint_grid_is_near_one():
-    n = 200
-    samples = (np.arange(n) + 0.5) / n
-    p = ks_uniform_pvalue(samples)
-    # D = 1/(2n) gives sqrt(n) * D = 1/(2 sqrt(n)), deep in the left tail.
-    assert p > 0.999999
-
-
-def test_ks_uniform_pvalue_degenerate_fails_hard():
-    assert ks_uniform_pvalue([0.5] * 100 ) < 1e-10
-
-
-def test_ks_uniform_pvalue_calibrated_on_trusted_uniforms():
-    rng = np.random.default_rng(20240817)
-    pvals = [ks_uniform_pvalue(rng.random(100)) for _ in range(200)]
-    # The p-values of a correct KS test on true uniforms are themselves
-    # near-uniform; a double KS with a loose bound guards against sign or
-    # scaling mistakes without flaking.
-    assert ks_uniform_pvalue(pvals) > 1e-6
-    assert 0.2 < np.mean(pvals) < 0.8
-
-
-def test_ks_uniform_pvalue_requires_enough_samples():
-    with pytest.raises(ValueError):
-        ks_uniform_pvalue([0.1] * 9)
 
 
 def test_merged_chi2_merges_small_cells():

@@ -1,4 +1,4 @@
-"""Walk statistics and their exact null laws (DP vs closed forms vs brute force)."""
+"""Walk statistics and their exact null laws (closed forms vs DP vs brute force)."""
 import itertools
 from fractions import Fraction
 
@@ -7,7 +7,7 @@ import pytest
 
 from mtstreams.stats.walks import h_null, m_null, r_null, walk_statistics
 
-from support import binomial_h_law, reflection_m_law, returns_r_law
+from support import binomial_h_law, dp_walk_laws, reflection_m_law, returns_r_law
 
 
 def _enumerate_walks(l):
@@ -43,22 +43,29 @@ def test_l2_nulls_by_hand():
 
 
 def test_nulls_match_exhaustive_enumeration_exactly_l16():
-    h_exact, m_exact, r_exact = _enumerate_walks(16)
-    # Probabilities are dyadic rationals with small numerators, so the DP in
-    # float64 must agree bit for bit, not merely within tolerance.
-    assert np.array_equal(h_null(16), h_exact)
-    assert np.array_equal(m_null(16), m_exact)
-    assert np.array_equal(r_null(16), r_exact)
+    # Probabilities are dyadic rationals with small numerators, so the laws
+    # and the DP oracle in float64 must agree bit for bit, not merely within
+    # tolerance.
+    for l in range(2, 17, 2):
+        exact = _enumerate_walks(l)
+        for law, dp, enum in zip((h_null(l), m_null(l), r_null(l)), dp_walk_laws(l), exact):
+            assert np.array_equal(law, enum), l
+            assert np.array_equal(dp, enum), l
 
 
 def test_nulls_match_closed_forms_l128():
-    l = 128
-    h_frac = binomial_h_law(l)
-    m_frac = reflection_m_law(l)
-    r_frac = returns_r_law(l)
-    assert np.allclose(h_null(l), [float(x) for x in h_frac], rtol=1e-9, atol=0)
-    assert np.allclose(m_null(l), [float(x) for x in m_frac], rtol=1e-9, atol=0)
-    assert np.allclose(r_null(l), [float(x) for x in r_frac], rtol=1e-9, atol=0)
+    # Both sides round each exact probability once, so they agree bit for bit.
+    for l in (128, 256):
+        assert np.array_equal(h_null(l), [float(x) for x in binomial_h_law(l)])
+        assert np.array_equal(m_null(l), [float(x) for x in reflection_m_law(l)])
+        assert np.array_equal(r_null(l), [float(x) for x in returns_r_law(l)])
+
+
+def test_nulls_match_dynamic_programming_l128():
+    h_dp, m_dp, r_dp = dp_walk_laws(128)
+    assert np.allclose(h_null(128), h_dp, rtol=1e-12, atol=0)
+    assert np.allclose(m_null(128), m_dp, rtol=1e-12, atol=0)
+    assert np.allclose(r_null(128), r_dp, rtol=1e-12, atol=0)
 
 
 def test_nulls_are_normalized():
