@@ -1,10 +1,14 @@
 """Deterministic battery campaigns over sets of statuses.
 
-A campaign runs every battery test on every (status, mode) unit, each test
-on a fresh view of the status. Work units are pure computations, so the
-worker count changes wall time only: results are merged by sorting on
-(technique, index, mode, test id) and serialized with fixed formatting,
-making output bytes independent of scheduling.
+A work unit is one status. It generates the status's first
+max(analytic_draws) words once, as a read-only array, and runs every
+battery test once on a zero-copy prefix of it. The real map w * 2^-32 is
+checked to give back every one of those words, so the same results stand
+for the int and the real pathway, and the unit yields one report per
+requested mode. Work units are pure computations, so the worker count
+changes wall time only: results are merged by sorting on (technique,
+index, mode, test id) and serialized with fixed formatting, making output
+bytes independent of scheduling.
 """
 from __future__ import annotations
 
@@ -16,11 +20,19 @@ from multiprocessing import get_context
 from pathlib import Path
 
 from mtstreams._version import VERSION
-from mtstreams.mt19937 import MtState
+import numpy as np
+
+from mtstreams.mt19937 import MtState, MtStream
 from mtstreams.stats.battery import Battery, battery_sha256, dump_battery
 from mtstreams.stats.families import TestResult, run_test
-from mtstreams.stats.stream import StreamView
-from mtstreams.statusfile import STATUS_SUFFIX, StatusFormatError, file_sha256, load_status
+from mtstreams.stats.stream import StreamView, WordPrefix, analytic_draws, check_real_map_lossless
+from mtstreams.statusfile import (
+    STATUS_SUFFIX,
+    StatusFormatError,
+    file_sha256,
+    load_status,
+    write_bytes_atomic,
+)
 
 MODES = ("int", "real")
 DEFAULT_EXPECTED_FAIL_IDS = frozenset({"linearcomp.r0", "linearcomp.r29"})
@@ -136,30 +148,41 @@ def load_status_entries(paths: list[Path | str]) -> list[StatusEntry]:
     return entries
 
 
-def run_battery_on_status(state: MtState, mode: str, battery: Battery, eps: float) -> list[TestResult]:
-    """Every battery test in order, each on a fresh view of the status."""
-    results = []
-    for definition in battery.tests:
-        view = StreamView(state, mode)
-        results.append(run_test(definition, view, eps))
-    return results
+def status_words(state: MtState, battery: Battery) -> np.ndarray:
+    """The first max(analytic_draws) words of the status, read-only.
+
+    Raises ArithmeticError if the real map does not give back every word.
+    """
+    words = MtStream(state).take(max(analytic_draws(t.family, t.params) for t in battery.tests))
+    words.flags.writeable = False
+    check_real_map_lossless(words)
+    return words
+
+
+def run_battery_on_status(
+    state: MtState, modes: tuple[str, ...], battery: Battery, eps: float
+) -> list[TestResult]:
+    """Every battery test once, in order, each on a prefix of one word array.
+
+    The results hold for every mode in ``modes``; the views carry the first.
+    """
+    words = status_words(state, battery)
+    return [run_test(t, StreamView(WordPrefix(words), modes[0]), eps) for t in battery.tests]
 
 
 _WORK: dict = {}
 
 
-def _run_unit(unit: tuple[int, str]) -> tuple[int, str, list[TestResult]]:
-    entry_i, mode = unit
+def _run_unit(entry_i: int) -> list[TestResult]:
     entry: StatusEntry = _WORK["entries"][entry_i]
-    results = run_battery_on_status(entry.state, mode, _WORK["battery"], _WORK["eps"])
-    return entry_i, mode, results
+    return run_battery_on_status(entry.state, _WORK["modes"], _WORK["battery"], _WORK["eps"])
 
 
 def run_campaign(entries: list[StatusEntry], config: CampaignConfig) -> CampaignReport:
     eps = config.eps
-    units = [(i, mode) for i in range(len(entries)) for mode in config.modes]
     global _WORK
-    _WORK = {"entries": entries, "battery": config.battery, "eps": eps}
+    _WORK = {"entries": entries, "modes": config.modes, "battery": config.battery, "eps": eps}
+    units = range(len(entries))
     if config.jobs > 1 and len(units) > 1:
         ctx = get_context("fork")
         with ctx.Pool(config.jobs) as pool:
@@ -167,8 +190,9 @@ def run_campaign(entries: list[StatusEntry], config: CampaignConfig) -> Campaign
     else:
         outcomes = [_run_unit(u) for u in units]
     reports = [
-        StatusReport(entries[i].technique, entries[i].index, mode, results)
-        for i, mode, results in outcomes
+        StatusReport(entry.technique, entry.index, mode, results)
+        for entry, results in zip(entries, outcomes)
+        for mode in config.modes
     ]
     reports.sort(key=lambda r: (r.technique, r.index, r.mode))
     meta = {
@@ -307,7 +331,7 @@ def write_results_jsonl(creport: CampaignReport, path: Path | str) -> None:
     for r in sorted(creport.reports, key=lambda r: (r.technique, r.index, r.mode)):
         for t in sorted(r.results, key=lambda t: t.test_id):
             lines.append(_result_line(r, t))
-    Path(path).write_bytes(("\n".join(lines) + "\n").encode("ascii"))
+    write_bytes_atomic(path, ("\n".join(lines) + "\n").encode("ascii"))
 
 
 def read_results_jsonl(path: Path | str) -> CampaignReport:
@@ -369,7 +393,7 @@ def write_registry(registry: QualityRegistry, text_path: Path | str, json_path: 
         f"# modes: {','.join(registry.modes)}",
     ]
     lines.extend(f"{t} {i} {sha}" for t, i, sha in registry.entries)
-    Path(text_path).write_bytes(("\n".join(lines) + "\n").encode("ascii"))
+    write_bytes_atomic(text_path, ("\n".join(lines) + "\n").encode("ascii"))
     doc = {
         "fingerprint": registry.fingerprint,
         "expected_fail_ids": list(registry.expected_fail_ids),
@@ -378,6 +402,4 @@ def write_registry(registry: QualityRegistry, text_path: Path | str, json_path: 
             {"technique": t, "index": i, "sha256": sha} for t, i, sha in registry.entries
         ],
     }
-    Path(json_path).write_bytes(
-        (json.dumps(doc, sort_keys=True, indent=2) + "\n").encode("ascii")
-    )
+    write_bytes_atomic(json_path, (json.dumps(doc, sort_keys=True, indent=2) + "\n").encode("ascii"))

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from mtstreams.mt19937 import N, WORD_MASK, MtState, MtStream, advance, init_genrand
-from mtstreams.statusfile import STATUS_SUFFIX, file_sha256, save_status
+from mtstreams.statusfile import STATUS_SUFFIX, file_sha256, save_status, write_bytes_atomic
 
 MANIFEST_NAME = "manifest.txt"
 
@@ -135,7 +135,7 @@ def write_status_set(sset: StatusSet, out_dir: Path | str) -> str:
     for name, index in names:
         lines.append(f"{name} {file_sha256(out_dir / name)} {sset.technique.slug} {index}")
     manifest = "\n".join(lines) + "\n"
-    (out_dir / MANIFEST_NAME).write_bytes(manifest.encode("ascii"))
+    write_bytes_atomic(out_dir / MANIFEST_NAME, manifest.encode("ascii"))
     return hashlib.sha256(manifest.encode("ascii")).hexdigest()
 
 

@@ -2,7 +2,7 @@
 
 Submodules:
 
-- ``stream``: int/real output pathways over a generator status.
+- ``stream``: views of words, uniforms and bits over a generator status.
 - ``pvalues``: chi-square and Poisson p-value machinery.
 - ``complexity``: Berlekamp-Massey linear complexity and its exact null law.
 - ``walks``: exact null distributions of random-walk statistics.

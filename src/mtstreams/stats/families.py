@@ -1,9 +1,10 @@
 """The five test families and the dispatch that runs them.
 
-Every family consumes a fresh :class:`~mtstreams.stats.stream.StreamView`,
-produces named sub-statistic p-values, and gets a two-sided verdict: Fail
-iff any sub-p-value p satisfies p < eps or p > 1 - eps (strict, so p = eps
-passes). All families are pure functions of (state, mode, params, eps).
+Every family reads a :class:`~mtstreams.stats.stream.StreamView` from its
+first draw, produces named sub-statistic p-values, and gets a two-sided
+verdict: Fail iff any sub-p-value p satisfies p < eps or p > 1 - eps
+(strict, so p = eps passes). All families are pure functions of (state,
+params, eps).
 """
 from __future__ import annotations
 
@@ -170,7 +171,7 @@ _RUNNERS = {
 
 
 def run_test(definition, view: StreamView, eps: float) -> TestResult:
-    """Run one battery entry on a fresh view; verdict per the two-sided rule."""
+    """Run one battery entry on a view at its first draw; verdict per the two-sided rule."""
     try:
         params = validate_params(definition.family, definition.params)
         outcome = _RUNNERS[definition.family](view, params, eps)

@@ -1,15 +1,17 @@
 """Test-facing views over generator output.
 
-A view fixes one of two derivation pathways:
+Words are the primary draws: uniforms in [0, 1) are derived as
+w * 2^-32 and bits are read from each word most-significant-bit first. A
+view's mode names the pathway its results are reported under:
 
-- ``Mode.INT``: the raw 32-bit outputs are primary; uniforms are derived as
-  value * 2^-32 and bits are read from each word most-significant-bit first.
-- ``Mode.REAL``: the binary64 uniforms in [0, 1) are primary; words are
-  derived back as floor(u * 2^32) and bits come from those words.
+- ``Mode.INT``: statistics of the raw 32-bit outputs;
+- ``Mode.REAL``: statistics of the binary64 uniforms, with words derived
+  back as floor(u * 2^32).
 
-For a 32-bit generator the real map is lossless, so the two pathways produce
-identical numbers; they stay separate code paths because they are distinct
-derivations and are reported as distinct test runs.
+For a 32-bit generator the real map is lossless (every w * 2^-32 is exact
+in binary64), so both pathways read the same numbers and a test runs once
+for both. The campaign checks that claim on every word it reads with
+:func:`check_real_map_lossless` before it reports real rows.
 """
 from __future__ import annotations
 
@@ -29,12 +31,48 @@ class Mode(enum.Enum):
     REAL = "real"
 
 
+def to_uniforms(words: np.ndarray) -> np.ndarray:
+    """The generator's real-output function: each word scaled into [0, 1)."""
+    return words * _TWO_NEG32
+
+
+def check_real_map_lossless(words: np.ndarray) -> None:
+    """Raise ArithmeticError unless floor(to_uniforms(w) * 2^32) == w for every word."""
+    back = to_uniforms(words)
+    back *= _TWO_POS32
+    np.floor(back, out=back)
+    if not np.array_equal(back, words):
+        raise ArithmeticError("the real map does not give back every word; real rows cannot reuse int results")
+
+
+class WordPrefix:
+    """Zero-copy reader over a word array, from its start.
+
+    Each ``take`` returns the next slice of the array itself. A read past
+    the end raises IndexError; it never returns a short array.
+    """
+
+    def __init__(self, words: np.ndarray) -> None:
+        self._words = words
+        self._pos = 0
+
+    def take(self, n: int) -> np.ndarray:
+        end = self._pos + n
+        if end > self._words.size:
+            raise IndexError(
+                f"read of {n} words at draw {self._pos} passes the end of a {self._words.size}-word prefix"
+            )
+        out = self._words[self._pos : end]
+        self._pos = end
+        return out
+
+
 class StreamView:
     """Sequential reader of words, uniforms, or bits from one source.
 
-    ``source`` is an :class:`MtState` (the normal case) or any object with a
-    ``take(n) -> uint32 array`` method (used by test fixtures). The cursor
-    counts 32-bit draws consumed.
+    ``source`` is an :class:`MtState` or any object with a
+    ``take(n) -> uint32 array`` method (a :class:`WordPrefix` in campaigns,
+    fixtures in tests). The cursor counts 32-bit draws consumed.
     """
 
     def __init__(self, source: MtState | object, mode: Mode | str) -> None:
@@ -50,23 +88,15 @@ class StreamView:
     def draws(self) -> int:
         return self._draws
 
-    def _take_raw(self, n: int) -> np.ndarray:
+    def take_words(self, n: int) -> np.ndarray:
+        """n 32-bit words as uint32."""
         out = self._stream.take(n)
         self._draws += n
         return out
 
     def take_uniforms(self, n: int) -> np.ndarray:
         """n uniforms in [0, 1) as float64."""
-        if self.mode is Mode.INT:
-            return self._take_raw(n) * _TWO_NEG32
-        return self._real_outputs(n)
-
-    def take_words(self, n: int) -> np.ndarray:
-        """n 32-bit words as uint32."""
-        if self.mode is Mode.INT:
-            return self._take_raw(n)
-        u = self._real_outputs(n)
-        return np.floor(u * _TWO_POS32).astype(np.uint32)
+        return to_uniforms(self.take_words(n))
 
     def take_bits(self, n_bits: int) -> np.ndarray:
         """n_bits bits (uint8 values 0/1), each word read MSB first.
@@ -85,13 +115,13 @@ class StreamView:
         words = self.take_words(n)
         return ((words >> np.uint32(31 - bit_offset)) & np.uint32(1)).astype(np.uint8)
 
-    def _real_outputs(self, n: int) -> np.ndarray:
-        # The generator's real-output function: each draw scaled into [0, 1).
-        return self._take_raw(n) * _TWO_NEG32
-
 
 def analytic_draws(family: str, params: dict) -> int:
-    """Draws a family consumes for given parameters (accounting contract)."""
+    """Draws a family consumes for given parameters.
+
+    This is the accounting contract the campaign sizes each status's shared
+    word prefix by: a test that reads more than this raises.
+    """
     if family == "LinearComp":
         return int(params["n_bits"])
     if family == "CollisionOver":

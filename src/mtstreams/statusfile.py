@@ -12,6 +12,7 @@ byte for byte; that is what makes `diff -r`-style verification meaningful.
 from __future__ import annotations
 
 import hashlib
+import os
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -60,6 +61,27 @@ def parse_status(text: str) -> MtState:
         return MtState(np.array(words, dtype=np.uint32), mti)
     except ZeroStateError as exc:
         raise StatusFormatError(str(exc)) from exc
+
+
+def write_bytes_atomic(path: Path | str, data: bytes) -> None:
+    """Write data through a temporary file beside path, then rename it over.
+
+    Readers see the old file or the new one, never a part; a write that
+    fails leaves an existing file as it was. A path that exists but is not a
+    regular file (a device, a pipe) is written in place.
+    """
+    path = Path(path)
+    if path.exists() and not path.is_file():
+        path.write_bytes(data)
+        return
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(data)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def save_status(path: Path | str, state: MtState) -> None:

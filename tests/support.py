@@ -61,6 +61,40 @@ class PresetStream:
         return out
 
 
+class RealDerivedStream:
+    """Words of another source taken the long way round: each word w becomes
+    the binary64 uniform w / 2^32, and is recovered as floor(u * 2^32).
+
+    An independent route to the real pathway's words, for checking that
+    real-mode results equal int-mode results.
+    """
+
+    def __init__(self, source) -> None:
+        self._source = source
+
+    def take(self, n: int) -> np.ndarray:
+        u = self._source.take(n).astype(np.float64) / 4294967296.0
+        return np.floor(u * 4294967296.0).astype(np.uint32)
+
+
+class HalfWriteThenFail:
+    """Stand-in for ``open`` whose file writes half the data, then fails
+    with a full disk: a write that stops partway."""
+
+    def __init__(self, path, mode="r") -> None:
+        self._fh = open(path, mode)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self._fh.close()
+
+    def write(self, data) -> int:
+        self._fh.write(data[: len(data) // 2])
+        raise OSError(28, "No space left on device")
+
+
 def textbook_bm(bits) -> int:
     """Berlekamp-Massey from the textbook polynomial formulation."""
     bits = [int(b) for b in bits]

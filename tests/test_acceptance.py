@@ -150,6 +150,7 @@ def test_criterion_03_null_distribution_oracles():
         assert right == pytest.approx(oracle_right, abs=1e-10)
 
 
+@pytest.mark.slow
 def test_criterion_04_calibration_500_statuses():
     entries = [
         StatusEntry("indexed", i, init_genrand(i), "0" * 64) for i in range(500)
@@ -188,6 +189,7 @@ def test_criterion_05_sequence_splitting_continuity():
         assert np.array_equal(segment, long_run[i * spacing : (i + 1) * spacing]), i
 
 
+@pytest.mark.slow
 def test_criterion_06_bitwise_repeatability_across_worker_counts(tmp_path):
     assert main(["gen", "--technique", "indexed", "--count", "16", "--seed", "0", "--out", str(tmp_path / "set")]) == 0
     blobs = []
@@ -253,6 +255,7 @@ def test_criterion_09_overlap_estimator_against_monte_carlo():
                 assert overlap_probability(p_hi, k, length) <= overlap_probability(p_lo, k, length)
 
 
+@pytest.mark.slow
 def test_criterion_10_report_reconciliation_64_status_campaign(tmp_path):
     assert main(["gen", "--technique", "indexed", "--count", "22", "--seed", "0", "--out", str(tmp_path / "i")]) == 0
     assert main(["gen", "--technique", "random", "--count", "21", "--seed", "11", "--out", str(tmp_path / "r")]) == 0

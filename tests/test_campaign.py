@@ -1,8 +1,11 @@
 """Campaign orchestration: determinism, aggregation, registry, JSONL."""
 import json
 
+import numpy as np
 import pytest
 
+import mtstreams.campaign as campaign
+import mtstreams.stats.stream as stream
 from mtstreams.campaign import (
     CampaignConfig,
     CampaignReport,
@@ -18,11 +21,12 @@ from mtstreams.campaign import (
     per_test_frequency,
     read_results_jsonl,
     run_campaign,
+    status_words,
     technique_summary,
     write_registry,
     write_results_jsonl,
 )
-from mtstreams.mt19937 import init_genrand
+from mtstreams.mt19937 import MtStream, init_genrand
 from mtstreams.partition import (
     Technique,
     generate_indexed,
@@ -31,10 +35,11 @@ from mtstreams.partition import (
     write_status_set,
 )
 from mtstreams.stats.battery import Battery, TestDefinition, battery_sha256
-from mtstreams.stats.families import TestResult
+from mtstreams.stats.families import TestResult, run_test
+from mtstreams.stats.stream import StreamView
 from mtstreams.statusfile import StatusFormatError
 
-from support import damaged_results, recompute_tables_from_jsonl
+from support import HalfWriteThenFail, damaged_results, recompute_tables_from_jsonl
 
 FAST = Battery(
     name="fast-unit",
@@ -136,6 +141,40 @@ def test_worker_count_does_not_change_output_bytes(tmp_path):
     assert blobs[0] == blobs[1] == blobs[2] == blobs[3]
 
 
+def test_one_pass_per_status_matches_a_fresh_stream_per_test_and_mode():
+    entries = _entries(2)
+    creport = run_campaign(entries, CampaignConfig(battery=FAST, modes=("int", "real")))
+    assert len(creport.reports) == 4
+    for report in creport.reports:
+        state = entries[report.index].state
+        for definition, result in zip(FAST.tests, report.results):
+            fresh = run_test(definition, StreamView(state, report.mode), FAST.threshold)
+            assert (result.test_id, result.p_values, result.draws) == (fresh.test_id, fresh.p_values, fresh.draws)
+
+
+def test_status_words_are_the_longest_prefix_and_read_only():
+    state = init_genrand(5)
+    words = status_words(state, FAST)
+    assert words.size == 20480  # serial.s reads the most
+    assert np.array_equal(words, MtStream(state).take(20480))
+    assert not words.flags.writeable
+    with pytest.raises(ValueError):
+        words[0] = 0
+
+
+def test_campaign_refuses_real_rows_from_a_lossy_real_map(monkeypatch):
+    monkeypatch.setattr(stream, "to_uniforms", lambda w: (w * 2.0**-32).astype(np.float32).astype(np.float64))
+    with pytest.raises(ArithmeticError):
+        run_campaign(_entries(1), CampaignConfig(battery=FAST))
+
+
+def test_campaign_raises_on_a_read_past_the_shared_prefix(monkeypatch):
+    short = lambda family, params: stream.analytic_draws(family, params) - 1  # noqa: E731
+    monkeypatch.setattr(campaign, "analytic_draws", short)
+    with pytest.raises(IndexError, match="passes the end"):
+        run_campaign(_entries(1), CampaignConfig(battery=FAST, modes=("int",)))
+
+
 def test_results_jsonl_roundtrip(tmp_path):
     report = run_campaign(_entries(2), CampaignConfig(battery=FAST, modes=("int",)))
     path = tmp_path / "results.jsonl"
@@ -190,6 +229,26 @@ def test_read_results_rejects_incomplete_or_inconsistent_files(tmp_path):
         damaged.write_text(text)
         with pytest.raises(ValueError):
             read_results_jsonl(damaged)
+
+
+def test_failed_writes_leave_existing_artifacts_intact(tmp_path, monkeypatch):
+    import mtstreams.statusfile as statusfile
+
+    creport = run_campaign(_entries(2), CampaignConfig(battery=FAST))
+    paths = [tmp_path / "results.jsonl", tmp_path / "registry.txt", tmp_path / "registry.json"]
+    for path in paths:
+        path.write_bytes(b"old\n")
+    monkeypatch.setattr(statusfile, "open", HalfWriteThenFail, raising=False)
+    with pytest.raises(OSError):
+        write_results_jsonl(creport, paths[0])
+    with pytest.raises(OSError):
+        write_registry(build_registry(creport, frozenset()), paths[1], paths[2])
+    for path in paths:
+        assert path.read_bytes() == b"old\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(p.name for p in paths)
+    monkeypatch.undo()
+    write_results_jsonl(creport, paths[0])
+    assert read_results_jsonl(paths[0]).meta == creport.meta
 
 
 def test_classify_subset_rule():

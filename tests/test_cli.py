@@ -6,7 +6,7 @@ import pytest
 from mtstreams.cli import main
 from mtstreams.stats.battery import Battery, TestDefinition, dump_battery
 
-from support import damaged_results
+from support import HalfWriteThenFail, damaged_results
 
 
 @pytest.fixture()
@@ -62,6 +62,29 @@ def test_gen_split_zero_spacing_is_usage_error(tmp_path, capsys):
     code = _gen(tmp_path / "s", technique="split", extra=("--spacing", "0"))
     assert code == 1
     assert "usage error" in capsys.readouterr().err
+
+
+def test_gen_split_warns_before_hours_of_advance(tmp_path, capsys, monkeypatch):
+    import mtstreams.partition as partition
+
+    advanced = []
+
+    def fake_advance(state, n):
+        advanced.append(n)
+        return state
+
+    monkeypatch.setattr(partition, "advance", fake_advance)
+    spacing = 10**12
+    assert _gen(tmp_path / "far", technique="split", count=3, extra=("--spacing", str(spacing))) == 0
+    captured = capsys.readouterr()
+    assert advanced == [spacing, spacing]
+    assert captured.out.splitlines()[0] == f"split x3 -> {tmp_path / 'far'}"
+    assert captured.out.splitlines()[1].startswith("fingerprint ")
+    assert len(captured.out.splitlines()) == 2
+    assert "warning: split advances 2000000000000 draws, about 90000 s (25.0 h)" in captured.err
+
+    assert _gen(tmp_path / "near", technique="split", count=3, extra=("--spacing", "1000")) == 0
+    assert capsys.readouterr().err == ""
 
 
 def test_gen_flag_validation(tmp_path, capsys):
@@ -272,6 +295,18 @@ def test_report_and_registry_reject_damaged_results(campaign_results, tmp_path, 
         assert main(["registry", "--results", str(damaged), "--out", str(reg)]) == 2, name
         assert not reg.exists()
     capsys.readouterr()
+
+
+def test_failed_report_write_leaves_the_old_file(campaign_results, tmp_path, capsys, monkeypatch):
+    import mtstreams.statusfile as statusfile
+
+    out = tmp_path / "report.md"
+    out.write_bytes(b"old\n")
+    monkeypatch.setattr(statusfile, "open", HalfWriteThenFail, raising=False)
+    assert main(["report", "--results", str(campaign_results), "--out", str(out)]) == 2
+    assert "No space left" in capsys.readouterr().err
+    assert out.read_bytes() == b"old\n"
+    assert not [p for p in tmp_path.iterdir() if p.name.endswith(".tmp")]
 
 
 # --- registry --------------------------------------------------------------------

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from mtstreams.mt19937 import init_genrand
+from mtstreams.mt19937 import MtStream, init_genrand
 from mtstreams.stats.battery import TestDefinition
 from mtstreams.stats.families import (
     _verdict,
@@ -13,9 +13,23 @@ from mtstreams.stats.families import (
     run_test,
     validate_params,
 )
-from mtstreams.stats.stream import Mode, StreamView, analytic_draws
+from mtstreams.stats.stream import (
+    Mode,
+    StreamView,
+    WordPrefix,
+    analytic_draws,
+    check_real_map_lossless,
+    to_uniforms,
+)
 
-from support import ConstantStream, PresetStream, SplitMix32, brute_force_collisions, brute_force_min_toroidal_distance
+from support import (
+    ConstantStream,
+    PresetStream,
+    RealDerivedStream,
+    SplitMix32,
+    brute_force_collisions,
+    brute_force_min_toroidal_distance,
+)
 
 EPS = 1e-10
 
@@ -227,14 +241,59 @@ def test_draws_match_analytic_formulas():
 
 
 def test_int_and_real_modes_agree_on_mt():
+    # The real view reads words recovered from binary64 uniforms, so the
+    # word and bit families (LinearComp, RandomWalk1) go through the real
+    # derivation too.
     for family, params in [
         ("CollisionOver", {"n": 1024, "d": 64, "t": 2}),
         ("ClosePairs", {"n": 256, "t": 2}),
         ("SerialUniformity", {"n": 1000, "cells": 10}),
+        ("LinearComp", {"n_bits": 2000, "bit_offset": 29}),
+        ("RandomWalk1", {"walks": 1000, "steps": 128}),
     ]:
-        a = run_test(TestDefinition("u.i", family, params), _view(3, Mode.INT), EPS)
-        b = run_test(TestDefinition("u.r", family, params), _view(3, Mode.REAL), EPS)
+        definition = TestDefinition("u.t", family, params)
+        a = run_test(definition, _view(3, Mode.INT), EPS)
+        b = run_test(definition, StreamView(RealDerivedStream(MtStream(init_genrand(3))), Mode.REAL), EPS)
         assert a.p_values == b.p_values, family
+        assert a.details == b.details, family
+        assert a.draws == b.draws, family
+
+
+def test_real_map_gives_back_every_word():
+    rng = np.random.default_rng(7)
+    edges = np.array([0, 1, 2**31 - 1, 2**31, 2**32 - 2, 2**32 - 1], dtype=np.uint32)
+    words = np.concatenate([edges, rng.integers(0, 2**32, size=10**5, dtype=np.uint32)])
+    u = to_uniforms(words)
+    assert u.dtype == np.float64
+    assert u.min() >= 0.0 and u.max() < 1.0
+    assert np.array_equal(np.floor(u * 2.0**32).astype(np.uint32), words)
+    check_real_map_lossless(words)
+
+
+def test_real_map_check_rejects_a_lossy_map(monkeypatch):
+    import mtstreams.stats.stream as stream
+
+    monkeypatch.setattr(stream, "to_uniforms", lambda w: (w * 2.0**-32).astype(np.float32).astype(np.float64))
+    with pytest.raises(ArithmeticError):
+        check_real_map_lossless(np.array([0, 1, 2**32 - 1], dtype=np.uint32))
+
+
+def test_word_prefix_serves_zero_copy_slices_and_never_a_short_read():
+    words = np.arange(10, dtype=np.uint32)
+    words.flags.writeable = False
+    prefix = WordPrefix(words)
+    first = prefix.take(4)
+    assert np.shares_memory(first, words)
+    assert first.tolist() == [0, 1, 2, 3]
+    assert prefix.take(6).tolist() == [4, 5, 6, 7, 8, 9]
+    with pytest.raises(IndexError, match="passes the end"):
+        prefix.take(1)
+    with pytest.raises(ValueError):
+        first[0] = 1
+    view = StreamView(WordPrefix(words), "real")
+    assert view.take_words(3).tolist() == [0, 1, 2]
+    with pytest.raises(IndexError):
+        view.take_uniforms(8)
 
 
 def test_validation_errors_carry_test_id():

@@ -15,7 +15,7 @@ from mtstreams.partition import (
 )
 from mtstreams.statusfile import verify_sets
 
-from support import toy_overlap_frequency
+from support import HalfWriteThenFail, toy_overlap_frequency
 
 
 def test_sequence_splitting_status_zero_is_fresh_state():
@@ -105,6 +105,18 @@ def test_manifest_contents(tmp_path):
     assert len(sha) == 64
     assert slug == "split"
     assert index == "0"
+
+
+def test_failed_manifest_write_leaves_the_old_manifest(tmp_path, monkeypatch):
+    import mtstreams.statusfile as statusfile
+
+    write_status_set(generate_indexed(0, 2), tmp_path)
+    before = (tmp_path / MANIFEST_NAME).read_bytes()
+    monkeypatch.setattr(statusfile, "open", HalfWriteThenFail, raising=False)
+    with pytest.raises(OSError):
+        write_status_set(generate_indexed(0, 3), tmp_path)
+    assert (tmp_path / MANIFEST_NAME).read_bytes() == before
+    assert not [p for p in tmp_path.iterdir() if p.name.endswith(".tmp")]
 
 
 def test_overlap_probability_edge_cases():

@@ -12,7 +12,10 @@ from mtstreams.statusfile import (
     save_status,
     serialize_status,
     verify_sets,
+    write_bytes_atomic,
 )
+
+from support import HalfWriteThenFail
 
 
 def random_state(rng):
@@ -141,3 +144,31 @@ def test_verify_sets_reflexive_and_detects_flip(tmp_path):
 def test_verify_sets_missing_directory(tmp_path):
     with pytest.raises(FileNotFoundError):
         verify_sets(tmp_path / "nope", tmp_path)
+
+
+def test_write_bytes_atomic_replaces_whole_files(tmp_path):
+    path = tmp_path / "out.txt"
+    write_bytes_atomic(path, b"first\n")
+    write_bytes_atomic(path, b"second\n")
+    assert path.read_bytes() == b"second\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
+
+
+def test_write_bytes_atomic_failure_leaves_the_old_file(tmp_path, monkeypatch):
+    import mtstreams.statusfile as statusfile
+
+    path = tmp_path / "out.txt"
+    path.write_bytes(b"old\n")
+    monkeypatch.setattr(statusfile, "open", HalfWriteThenFail, raising=False)
+    with pytest.raises(OSError):
+        write_bytes_atomic(path, b"new contents\n" * 100)
+    monkeypatch.undo()
+
+    def no_rename(src, dst):
+        raise OSError("rename failed")
+
+    monkeypatch.setattr(statusfile.os, "replace", no_rename)
+    with pytest.raises(OSError):
+        write_bytes_atomic(path, b"new contents\n")
+    assert path.read_bytes() == b"old\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]

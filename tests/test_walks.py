@@ -1,5 +1,6 @@
 """Walk statistics and their exact null laws (closed forms vs DP vs brute force)."""
 import itertools
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -59,6 +60,17 @@ def test_nulls_match_closed_forms_l128():
         assert np.array_equal(h_null(l), [float(x) for x in binomial_h_law(l)])
         assert np.array_equal(m_null(l), [float(x) for x in reflection_m_law(l)])
         assert np.array_equal(r_null(l), [float(x) for x in returns_r_law(l)])
+
+
+@pytest.mark.parametrize("l", [8, 128, 1024, 4096])
+def test_nulls_equal_math_comb_forms_exactly(l):
+    # The laws come from multiplicative recurrences over the binomial row;
+    # each entry must still be the one correctly rounded value of the
+    # closed form, up to the largest steps validate_params allows.
+    total = 1 << l
+    assert np.array_equal(h_null(l), [math.comb(l, h) / total for h in range(l + 1)])
+    assert np.array_equal(m_null(l), [math.comb(l, (l + m + 1) // 2) / total for m in range(l + 1)])
+    assert np.array_equal(r_null(l), [(math.comb(l - r, l // 2) << r) / total for r in range(l // 2 + 1)])
 
 
 def test_nulls_match_dynamic_programming_l128():
@@ -122,6 +134,24 @@ def test_walk_statistics_alternating_returns_every_other_step():
 def test_walk_statistics_shape_validation():
     with pytest.raises(ValueError):
         walk_statistics(np.zeros(10, dtype=np.uint8), walks=1, steps=8)
+    with pytest.raises(ValueError, match="int16"):
+        walk_statistics(np.zeros(2**15, dtype=np.uint8), walks=1, steps=2**15)
+
+
+@pytest.mark.parametrize("steps", [8, 1024, 4096])
+def test_walk_statistics_match_a_plain_int64_walk(steps):
+    rng = np.random.default_rng(steps)
+    walks = 64
+    bits = rng.integers(0, 2, size=walks * steps, dtype=np.uint8)
+    # The extremes: a walk that only climbs and one that only falls.
+    bits[:steps] = 1
+    bits[steps : 2 * steps] = 0
+    s = np.cumsum(bits.reshape(walks, steps).astype(np.int64) * 2 - 1, axis=1)
+    h, m, r = walk_statistics(bits, walks, steps)
+    assert h.tolist() == bits.reshape(walks, steps).sum(axis=1).tolist()
+    assert m.tolist() == np.maximum(s.max(axis=1), 0).tolist()
+    assert r.tolist() == (s == 0).sum(axis=1).tolist()
+    assert m[0] == steps and h[1] == 0
 
 
 def test_returns_law_l4_by_fraction():
