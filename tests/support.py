@@ -46,21 +46,6 @@ class ConstantStream:
         return np.full(n, self._value, dtype=np.uint32)
 
 
-class PresetStream:
-    """Word source that replays a fixed array of 32-bit values."""
-
-    def __init__(self, words) -> None:
-        self._words = np.asarray(words, dtype=np.uint32)
-        self._pos = 0
-
-    def take(self, n: int) -> np.ndarray:
-        if self._pos + n > self._words.size:
-            raise ValueError("preset stream exhausted")
-        out = self._words[self._pos : self._pos + n]
-        self._pos += n
-        return out
-
-
 class RealDerivedStream:
     """Words of another source taken the long way round: each word w becomes
     the binary64 uniform w / 2^32, and is recovered as floor(u * 2^32).

@@ -24,7 +24,6 @@ from mtstreams.stats.stream import (
 
 from support import (
     ConstantStream,
-    PresetStream,
     RealDerivedStream,
     SplitMix32,
     brute_force_collisions,
@@ -99,8 +98,8 @@ def test_collisionover_tiny_case_matches_brute_force():
     # The sparse-regime precondition bars n=8 from the dispatch layer, so the
     # occupancy logic is exercised directly at full-rate collisions.
     words = np.arange(8, dtype=np.uint64) * (2**32 // 8) % 2**32
-    view = StreamView(PresetStream(words), Mode.INT)
-    twin = StreamView(PresetStream(words), Mode.INT)
+    view = StreamView(WordPrefix(np.asarray(words, dtype=np.uint32)), Mode.INT)
+    twin = StreamView(WordPrefix(np.asarray(words, dtype=np.uint32)), Mode.INT)
     out = collision_over_test(view, 8, 4, 1, EPS)
     uniforms = twin.take_uniforms(8)
     assert out["details"]["count"] == brute_force_collisions(uniforms, 8, 4, 1) == 4
@@ -132,7 +131,7 @@ def test_closepairs_antipodal_pair_distance():
     # toroidal maximum, so D = sqrt(1/2). The n >= 256 precondition lives in
     # the dispatch layer; the geometry is exercised directly.
     words = [0, 0, 2**31, 2**31]
-    view = StreamView(PresetStream(words), Mode.INT)
+    view = StreamView(WordPrefix(np.asarray(words, dtype=np.uint32)), Mode.INT)
     out = close_pairs_test(view, 2, 2, EPS)
     assert out["details"]["min_distance"] == pytest.approx(math.sqrt(0.5), rel=1e-15)
 
@@ -200,7 +199,7 @@ def test_randomwalk_draws_round_up_to_whole_words():
 def test_serial_perfectly_balanced_counts_fail_as_too_good():
     cells, n = 16, 160
     words = [(i % cells) * (2**32 // cells) for i in range(n)]
-    view = StreamView(PresetStream(words), Mode.INT)
+    view = StreamView(WordPrefix(np.asarray(words, dtype=np.uint32)), Mode.INT)
     result = run_test(
         TestDefinition("unit.s", "SerialUniformity", {"n": n, "cells": cells}), view, EPS
     )
