@@ -222,60 +222,6 @@ def check_expected_ids(creport: CampaignReport, expected_fail_ids) -> None:
         raise ValueError(f"expected-fail ids not in battery: {sorted(unknown)}")
 
 
-def technique_summary(
-    creport: CampaignReport, expected_fail_ids=DEFAULT_EXPECTED_FAIL_IDS
-) -> dict[tuple[str, str], tuple[int, int, float]]:
-    """Per (technique, mode): (suspect count, status count, suspect fraction)."""
-    check_expected_ids(creport, expected_fail_ids)
-    totals: dict[tuple[str, str], int] = {}
-    suspects: dict[tuple[str, str], int] = {}
-    for r in creport.reports:
-        key = (r.technique, r.mode)
-        totals[key] = totals.get(key, 0) + 1
-        if classify_status(r, expected_fail_ids) == "Suspect":
-            suspects[key] = suspects.get(key, 0) + 1
-    return {
-        key: (suspects.get(key, 0), total, suspects.get(key, 0) / total)
-        for key, total in sorted(totals.items())
-    }
-
-
-def failure_histogram(
-    creport: CampaignReport,
-    expected_fail_ids=DEFAULT_EXPECTED_FAIL_IDS,
-    technique: str | None = None,
-    mode: str | None = None,
-) -> dict[int, int]:
-    """Histogram over Suspect units of the number of failed tests each."""
-    check_expected_ids(creport, expected_fail_ids)
-    hist: dict[int, int] = {}
-    for r in creport.reports:
-        if technique is not None and r.technique != technique:
-            continue
-        if mode is not None and r.mode != mode:
-            continue
-        if classify_status(r, expected_fail_ids) == "Suspect":
-            hist[r.n_failed] = hist.get(r.n_failed, 0) + 1
-    return dict(sorted(hist.items()))
-
-
-def per_test_frequency(creport: CampaignReport) -> dict[str, dict[tuple[str, str], float]]:
-    """Per test id and (technique, mode): fraction of statuses failing it."""
-    totals: dict[tuple[str, str], int] = {}
-    fails: dict[str, dict[tuple[str, str], int]] = {t: {} for t in creport.meta["test_ids"]}
-    for r in creport.reports:
-        key = (r.technique, r.mode)
-        totals[key] = totals.get(key, 0) + 1
-        for res in r.results:
-            fails.setdefault(res.test_id, {})
-            if res.failed:
-                fails[res.test_id][key] = fails[res.test_id].get(key, 0) + 1
-    return {
-        test_id: {key: fails[test_id].get(key, 0) / total for key, total in sorted(totals.items())}
-        for test_id in sorted(fails)
-    }
-
-
 def build_registry(
     creport: CampaignReport, expected_fail_ids=DEFAULT_EXPECTED_FAIL_IDS
 ) -> QualityRegistry:

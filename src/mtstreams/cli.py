@@ -127,8 +127,6 @@ def _cmd_gen(args: argparse.Namespace) -> int:
         raise UsageError(f"--count must be >= 1, got {args.count}")
     try:
         if args.technique == "split":
-            if args.spacing < 1:
-                raise UsageError(f"--spacing must be > 0 for split, got {args.spacing}")
             draws = (args.count - 1) * args.spacing
             if draws > WARN_ADVANCE_DRAWS:
                 secs = draws * ADVANCE_S_PER_DRAW

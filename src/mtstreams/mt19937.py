@@ -18,9 +18,6 @@ UPPER_MASK = 0x80000000
 LOWER_MASK = 0x7FFFFFFF
 WORD_MASK = 0xFFFFFFFF
 
-#: Serialized word payload: 624 words x 4 bytes.
-STATE_PAYLOAD_BYTES = N * 4
-
 _U1 = np.uint32(1)
 _MATRIX_A = np.uint32(MATRIX_A)
 _UPPER = np.uint32(UPPER_MASK)

@@ -50,18 +50,16 @@ def _check_seed(seed: int, name: str) -> None:
         raise ValueError(f"{name} must be an unsigned 32-bit integer, got {seed}")
 
 
-def generate_sequence_splitting(
-    base_seed: int, spacing: int, count: int, strict: bool = True
-) -> StatusSet:
+def generate_sequence_splitting(base_seed: int, spacing: int, count: int) -> StatusSet:
     """Status i = the base stream advanced by i * spacing draws.
 
-    Status 0 is the freshly seeded state. strict rejects spacing = 0 (all
-    statuses would coincide).
+    Status 0 is the freshly seeded state. Spacing must be >= 1: at 0 all
+    statuses would coincide.
     """
     _check_seed(base_seed, "base_seed")
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
-    if spacing < 0 or (strict and spacing == 0):
+    if spacing < 1:
         raise ValueError(f"spacing must be > 0, got {spacing}")
     state = init_genrand(base_seed)
     statuses = [(0, state)]

@@ -1,63 +1,74 @@
-"""Render campaign aggregates as markdown, CSV, or JSON tables.
+"""Build the campaign tables and render them as markdown, CSV, or JSON.
 
 Three tables mirror the full-scale reference report shapes: `summary`
 (suspect counts per technique and mode), `histogram` (failed-test counts
 over suspect statuses), and `pertest` (per-test failure frequency, sorted
-descending). All renderings come from the same aggregates, in the same
-order, so the numbers agree across formats byte-for-byte deterministically.
+descending). `build_tables` computes the rows of all three in one pass over
+the unit reports, classifying each unit once; every format renders those
+same rows, so the numbers agree across formats byte for byte.
 """
 from __future__ import annotations
 
 import csv
 import io
 import json
+from collections import Counter
 
 from mtstreams.campaign import (
     DEFAULT_EXPECTED_FAIL_IDS,
     CampaignReport,
-    failure_histogram,
-    per_test_frequency,
-    technique_summary,
+    check_expected_ids,
+    classify_status,
 )
 
 TABLES = ("summary", "histogram", "pertest")
 
 
-def summary_rows(creport: CampaignReport, expected_fail_ids) -> list[dict]:
-    summary = technique_summary(creport, expected_fail_ids)
-    return [
+def build_tables(
+    creport: CampaignReport, expected_fail_ids=DEFAULT_EXPECTED_FAIL_IDS
+) -> dict[str, list[dict]]:
+    """The summary, histogram and pertest rows, from one pass over the units."""
+    check_expected_ids(creport, expected_fail_ids)
+    statuses: Counter = Counter()  # (technique, mode)
+    suspects: Counter = Counter()  # (technique, mode)
+    histogram: Counter = Counter()  # (technique, mode, n_failed)
+    fails: Counter = Counter()  # (test_id, technique, mode)
+    for r in creport.reports:
+        statuses[r.technique, r.mode] += 1
+        if classify_status(r, expected_fail_ids) == "Suspect":
+            suspects[r.technique, r.mode] += 1
+            histogram[r.technique, r.mode, r.n_failed] += 1
+        for t in r.results:
+            fails[t.test_id, r.technique, r.mode] += t.failed
+    test_ids = set(creport.meta["test_ids"]) | {test_id for test_id, _, _ in fails}
+    pertest = [
         {
+            "test_id": test_id,
             "technique": technique,
             "mode": mode,
-            "statuses": total,
-            "suspects": suspects,
-            "fraction": fraction,
+            "fraction": fails[test_id, technique, mode] / n,
         }
-        for (technique, mode), (suspects, total, fraction) in summary.items()
+        for test_id in test_ids
+        for (technique, mode), n in statuses.items()
     ]
-
-
-def histogram_rows(creport: CampaignReport, expected_fail_ids) -> list[dict]:
-    keys = sorted({(r.technique, r.mode) for r in creport.reports})
-    rows = []
-    for technique, mode in keys:
-        hist = failure_histogram(creport, expected_fail_ids, technique=technique, mode=mode)
-        rows.extend(
-            {"technique": technique, "mode": mode, "n_failed": n, "count": c}
-            for n, c in hist.items()
-        )
-    return rows
-
-
-def pertest_rows(creport: CampaignReport) -> list[dict]:
-    freq = per_test_frequency(creport)
-    rows = [
-        {"test_id": test_id, "technique": technique, "mode": mode, "fraction": fraction}
-        for test_id, by_key in freq.items()
-        for (technique, mode), fraction in by_key.items()
-    ]
-    rows.sort(key=lambda r: (-r["fraction"], r["test_id"], r["technique"], r["mode"]))
-    return rows
+    pertest.sort(key=lambda r: (-r["fraction"], r["test_id"], r["technique"], r["mode"]))
+    return {
+        "summary": [
+            {
+                "technique": technique,
+                "mode": mode,
+                "statuses": n,
+                "suspects": suspects[technique, mode],
+                "fraction": suspects[technique, mode] / n,
+            }
+            for (technique, mode), n in sorted(statuses.items())
+        ],
+        "histogram": [
+            {"technique": technique, "mode": mode, "n_failed": n_failed, "count": count}
+            for (technique, mode, n_failed), count in sorted(histogram.items())
+        ],
+        "pertest": pertest,
+    }
 
 
 def _display(row: dict) -> dict:
@@ -110,20 +121,15 @@ def render_report(
     unknown = [t for t in tables if t not in TABLES]
     if unknown:
         raise ValueError(f"unknown tables: {unknown}; choose from {TABLES}")
-    builders = {
-        "summary": lambda: summary_rows(creport, expected_fail_ids),
-        "histogram": lambda: histogram_rows(creport, expected_fail_ids),
-        "pertest": lambda: pertest_rows(creport),
-    }
-    built = {name: builders[name]() for name in tables}
+    rows = build_tables(creport, expected_fail_ids)
     if fmt == "json":
-        return json.dumps(built, sort_keys=True, indent=2) + "\n"
+        return json.dumps({name: rows[name] for name in tables}, sort_keys=True, indent=2) + "\n"
     if fmt == "csv":
-        return "".join(_csv_table(name, _TABLE_HEADERS[name], built[name]) for name in tables)
+        return "".join(_csv_table(name, _TABLE_HEADERS[name], rows[name]) for name in tables)
     if fmt == "md":
         parts = []
         for name in tables:
             parts.append(f"## {_TABLE_TITLES[name]}\n")
-            parts.append(_md_table(_TABLE_HEADERS[name], built[name]))
+            parts.append(_md_table(_TABLE_HEADERS[name], rows[name]))
         return "\n".join(parts)
     raise ValueError(f"unknown format {fmt!r}; choose from md, csv, json")

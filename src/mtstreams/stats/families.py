@@ -1,10 +1,10 @@
 """The five test families and the dispatch that runs them.
 
 Every family reads a :class:`~mtstreams.stats.stream.StreamView` from its
-first draw, produces named sub-statistic p-values, and gets a two-sided
-verdict: Fail iff any sub-p-value p satisfies p < eps or p > 1 - eps
-(strict, so p = eps passes). All families are pure functions of (state,
-params, eps).
+first draw and produces named sub-statistic p-values; families are pure
+functions of (view, params). `run_test` gives the two-sided verdict: Fail
+iff any sub-p-value p satisfies p < eps or p > 1 - eps (strict, so
+p = eps passes).
 """
 from __future__ import annotations
 
@@ -12,14 +12,11 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.spatial import cKDTree
 
-from mtstreams.stats import walks
 from mtstreams.stats.complexity import berlekamp_massey, linear_complexity_pvalue
 from mtstreams.stats.pvalues import chi2_pvalue, merged_chi2_pvalue, poisson_two_sided_pvalue
 from mtstreams.stats.stream import StreamView
-
-FAMILIES = ("LinearComp", "CollisionOver", "ClosePairs", "RandomWalk1", "SerialUniformity")
+from mtstreams.stats.walks import h_null, m_null, r_null, walk_statistics
 
 
 @dataclass
@@ -92,7 +89,7 @@ def validate_params(family: str, params: dict) -> dict:
     raise ValueError(f"unknown family: {family}")
 
 
-def linear_comp_test(view: StreamView, n_bits: int, bit_offset: int, eps: float) -> dict:
+def linear_comp_test(view: StreamView, n_bits: int, bit_offset: int) -> dict:
     """Saturation test on the linear complexity of one output bit lane."""
     bits = view.take_word_bits(n_bits, bit_offset)
     complexity = berlekamp_massey(bits)
@@ -100,7 +97,7 @@ def linear_comp_test(view: StreamView, n_bits: int, bit_offset: int, eps: float)
     return {"p_values": {"saturation": p}, "details": {"complexity": complexity}}
 
 
-def collision_over_test(view: StreamView, n: int, d: int, t: int, eps: float) -> dict:
+def collision_over_test(view: StreamView, n: int, d: int, t: int) -> dict:
     """Collision count of n overlapping t-tuples in a d^t-cell grid."""
     u = view.take_uniforms(n + t - 1)
     idx = np.minimum((u * d).astype(np.int64), d - 1)
@@ -116,8 +113,10 @@ def collision_over_test(view: StreamView, n: int, d: int, t: int, eps: float) ->
     }
 
 
-def close_pairs_test(view: StreamView, n: int, t: int, eps: float) -> dict:
+def close_pairs_test(view: StreamView, n: int, t: int) -> dict:
     """Minimal pairwise distance of n points in the unit torus [0,1)^t."""
+    from scipy.spatial import cKDTree  # deferred: SciPy costs ~0.4 s to import
+
     points = view.take_uniforms(n * t).reshape(n, t)
     tree = cKDTree(points, boxsize=1.0)
     dist, _ = tree.query(points, k=2)
@@ -131,26 +130,26 @@ def close_pairs_test(view: StreamView, n: int, t: int, eps: float) -> dict:
     }
 
 
-def random_walk_test(view: StreamView, walks_n: int, steps: int, eps: float) -> dict:
+def random_walk_test(view: StreamView, walks: int, steps: int) -> dict:
     """Chi-square of H, M, R walk statistics against their exact null laws."""
-    bits = view.take_bits(walks_n * steps)
-    h, m, r = walks.walk_statistics(bits, walks_n, steps)
+    bits = view.take_bits(walks * steps)
+    h, m, r = walk_statistics(bits, walks, steps)
     p_values: dict[str, float] = {}
     details: dict[str, float] = {}
     for name, values, null in (
-        ("H", h, walks.h_null(steps)),
-        ("M", m, walks.m_null(steps)),
-        ("R", r, walks.r_null(steps)),
+        ("H", h, h_null(steps)),
+        ("M", m, m_null(steps)),
+        ("R", r, r_null(steps)),
     ):
         observed = np.bincount(values, minlength=null.size)
-        p, chi2, df = merged_chi2_pvalue(observed, walks_n * null)
+        p, chi2, df = merged_chi2_pvalue(observed, walks * null)
         p_values[name] = p
         details[f"chi2_{name}"] = chi2
         details[f"df_{name}"] = df
     return {"p_values": p_values, "details": details}
 
 
-def serial_uniformity_test(view: StreamView, n: int, cells: int, eps: float) -> dict:
+def serial_uniformity_test(view: StreamView, n: int, cells: int) -> dict:
     """Chi-square of cell counts of floor(u * cells) against uniformity."""
     u = view.take_uniforms(n)
     idx = np.minimum((u * cells).astype(np.int64), cells - 1)
@@ -162,11 +161,11 @@ def serial_uniformity_test(view: StreamView, n: int, cells: int, eps: float) -> 
 
 
 _RUNNERS = {
-    "LinearComp": lambda view, p, eps: linear_comp_test(view, p["n_bits"], p["bit_offset"], eps),
-    "CollisionOver": lambda view, p, eps: collision_over_test(view, p["n"], p["d"], p["t"], eps),
-    "ClosePairs": lambda view, p, eps: close_pairs_test(view, p["n"], p["t"], eps),
-    "RandomWalk1": lambda view, p, eps: random_walk_test(view, p["walks"], p["steps"], eps),
-    "SerialUniformity": lambda view, p, eps: serial_uniformity_test(view, p["n"], p["cells"], eps),
+    "LinearComp": linear_comp_test,
+    "CollisionOver": collision_over_test,
+    "ClosePairs": close_pairs_test,
+    "RandomWalk1": random_walk_test,
+    "SerialUniformity": serial_uniformity_test,
 }
 
 
@@ -174,7 +173,7 @@ def run_test(definition, view: StreamView, eps: float) -> TestResult:
     """Run one battery entry on a view at its first draw; verdict per the two-sided rule."""
     try:
         params = validate_params(definition.family, definition.params)
-        outcome = _RUNNERS[definition.family](view, params, eps)
+        outcome = _RUNNERS[definition.family](view, **params)
     except (KeyError, ValueError) as exc:
         raise ValueError(f"test {definition.id}: {exc}") from exc
     p_values = outcome["p_values"]

@@ -8,7 +8,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.special import gammaincc
 
 
 def chi2_pvalue(x: float, df: int) -> float:
@@ -17,6 +16,8 @@ def chi2_pvalue(x: float, df: int) -> float:
         raise ValueError(f"statistic must be >= 0, got {x}")
     if df < 1:
         raise ValueError(f"degrees of freedom must be >= 1, got {df}")
+    from scipy.special import gammaincc  # deferred: SciPy costs ~0.4 s to import
+
     return float(gammaincc(df / 2.0, x / 2.0))
 
 

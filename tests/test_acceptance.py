@@ -26,7 +26,6 @@ from mtstreams.campaign import (
 )
 from mtstreams.mt19937 import (
     N,
-    STATE_PAYLOAD_BYTES,
     MtState,
     MtStream,
     advance,
@@ -49,7 +48,7 @@ from mtstreams.stats.pvalues import (
 )
 from mtstreams.stats.stream import Mode, StreamView
 from mtstreams.stats.walks import h_null, m_null, r_null
-from mtstreams.statusfile import parse_status, serialize_status
+from mtstreams.statusfile import load_status, parse_status, serialize_status
 
 from support import (
     SplitMix32,
@@ -217,9 +216,23 @@ def test_criterion_07_status_format_roundtrip_and_verify(tmp_path):
             mti=int(rng.integers(0, N + 1)),
         )
         assert parse_status(serialize_status(state)) == state
-        assert state.mt.nbytes == STATE_PAYLOAD_BYTES == 2496
     assert main(["gen", "--technique", "random", "--count", "4", "--seed", "5", "--out", str(tmp_path / "a")]) == 0
     assert main(["gen", "--technique", "random", "--count", "4", "--seed", "5", "--out", str(tmp_path / "b")]) == 0
+    # Every status file gen ships is the ASCII format: a header, 624 canonical
+    # decimal words and mti, each line LF-terminated, and a fixed point of
+    # serialize(load(f)).
+    statuses = [f"random_{i:05d}.mts" for i in range(4)]
+    assert sorted(p.name for p in (tmp_path / "a").iterdir()) == ["manifest.txt"] + statuses
+    for name in statuses:
+        data = (tmp_path / "a" / name).read_bytes()
+        assert data.endswith(b"\n") and b"\r" not in data, name
+        lines = data.decode("ascii").split("\n")[:-1]
+        assert len(lines) == 1 + N + 1, name
+        assert lines[0] == "MT19937-STATUS v1", name
+        for line in lines[1:]:
+            assert line.isdigit() and str(int(line)) == line and int(line) < 2**32, (name, line)
+        assert int(lines[-1]) == N, name  # random spacing: the next draw twists
+        assert serialize_status(load_status(tmp_path / "a" / name)).encode("ascii") == data, name
     assert main(["verify", "--dir", str(tmp_path / "a"), "--dir", str(tmp_path / "b")]) == 0
 
 

@@ -15,14 +15,11 @@ from mtstreams.campaign import (
     campaign_fingerprint,
     check_expected_ids,
     classify_status,
-    failure_histogram,
     load_status_entries,
     parse_status_filename,
-    per_test_frequency,
     read_results_jsonl,
     run_campaign,
     status_words,
-    technique_summary,
     write_registry,
     write_results_jsonl,
 )
@@ -34,6 +31,7 @@ from mtstreams.partition import (
     status_filename,
     write_status_set,
 )
+from mtstreams.reports import build_tables
 from mtstreams.stats.battery import Battery, TestDefinition, battery_sha256
 from mtstreams.stats.families import TestResult, run_test
 from mtstreams.stats.stream import StreamView
@@ -62,6 +60,27 @@ def _entries(count=3, technique="indexed"):
     return [
         StatusEntry(technique, i, init_genrand(i), f"{i:064x}") for i in range(count)
     ]
+
+
+def _summary(tables):
+    """{(technique, mode): (suspects, statuses, fraction)}, the oracle's shape."""
+    return {
+        (r["technique"], r["mode"]): (r["suspects"], r["statuses"], r["fraction"])
+        for r in tables["summary"]
+    }
+
+
+def _histogram(tables):
+    """{(technique, mode): {n_failed: count}}, the oracle's shape."""
+    out: dict = {}
+    for r in tables["histogram"]:
+        out.setdefault((r["technique"], r["mode"]), {})[r["n_failed"]] = r["count"]
+    return out
+
+
+def _pertest(tables):
+    """{(test_id, technique, mode): fraction}, the oracle's shape."""
+    return {(r["test_id"], r["technique"], r["mode"]): r["fraction"] for r in tables["pertest"]}
 
 
 def _fabricated(rows):
@@ -280,22 +299,25 @@ def test_aggregation_on_fabricated_campaign():
         ("split", 1, "int", {"a": "Pass", "b": "Fail"}),
     ]
     creport = _fabricated(rows)
-    summary = technique_summary(creport, expected_fail_ids=frozenset())
-    assert summary[("indexed", "int")] == (2, 3, 2 / 3)
-    assert summary[("split", "int")] == (1, 2, 0.5)
-    hist = failure_histogram(creport, expected_fail_ids=frozenset())
-    assert hist == {1: 2, 2: 1}
-    hist_indexed = failure_histogram(creport, expected_fail_ids=frozenset(), technique="indexed")
-    assert hist_indexed == {1: 1, 2: 1}
-    freq = per_test_frequency(creport)
-    assert freq["a"][("indexed", "int")] == 2 / 3
-    assert freq["a"][("split", "int")] == 0.0
-    assert freq["b"][("split", "int")] == 0.5
-    # With "a" expected, only failures beyond it make a unit Suspect.
-    summary_a = technique_summary(creport, expected_fail_ids=frozenset({"a"}))
-    assert summary_a[("indexed", "int")] == (1, 3, 1 / 3)
-    hist_a = failure_histogram(creport, expected_fail_ids=frozenset({"a"}))
-    assert hist_a == {1: 1, 2: 1}
+    tables = build_tables(creport, expected_fail_ids=frozenset())
+    assert tables["summary"] == [
+        {"technique": "indexed", "mode": "int", "statuses": 3, "suspects": 2, "fraction": 2 / 3},
+        {"technique": "split", "mode": "int", "statuses": 2, "suspects": 1, "fraction": 0.5},
+    ]
+    assert _histogram(tables) == {("indexed", "int"): {1: 1, 2: 1}, ("split", "int"): {1: 1}}
+    assert _pertest(tables) == {
+        ("a", "indexed", "int"): 2 / 3,
+        ("a", "split", "int"): 0.0,
+        ("b", "indexed", "int"): 1 / 3,
+        ("b", "split", "int"): 0.5,
+    }
+    # With "a" expected, only failures beyond it make a unit Suspect; the
+    # per-test frequencies count every failure either way.
+    tables_a = build_tables(creport, expected_fail_ids=frozenset({"a"}))
+    assert _summary(tables_a)[("indexed", "int")] == (1, 3, 1 / 3)
+    assert _summary(tables_a)[("split", "int")] == (1, 2, 0.5)
+    assert _histogram(tables_a) == {("indexed", "int"): {2: 1}, ("split", "int"): {1: 1}}
+    assert tables_a["pertest"] == tables["pertest"]
 
 
 def test_expected_ids_must_exist_in_battery():
@@ -303,7 +325,9 @@ def test_expected_ids_must_exist_in_battery():
     with pytest.raises(ValueError, match="not in battery"):
         check_expected_ids(creport, frozenset({"zzz"}))
     with pytest.raises(ValueError, match="not in battery"):
-        technique_summary(creport, expected_fail_ids=frozenset({"zzz"}))
+        build_tables(creport, expected_fail_ids=frozenset({"zzz"}))
+    with pytest.raises(ValueError, match="not in battery"):
+        build_registry(creport, expected_fail_ids=frozenset({"zzz"}))
 
 
 def test_registry_requires_good_in_every_mode():
@@ -420,16 +444,10 @@ def test_reconciliation_matches_independent_recomputation(tmp_path):
     assert verdicts == {"Pass", "Fail"}
     path = tmp_path / "results.jsonl"
     write_results_jsonl(report, path)
-    tables = recompute_tables_from_jsonl(path, expected_fail_ids=frozenset())
-    summary = technique_summary(report, expected_fail_ids=frozenset())
-    assert tables["summary"] == summary
-    assert sum(s for s, _, _ in summary.values()) > 0
-    for key in summary:
-        technique, mode = key
-        assert tables["histogram"].get(key, {}) == failure_histogram(
-            report, expected_fail_ids=frozenset(), technique=technique, mode=mode
-        )
-    freq = per_test_frequency(report)
-    assert tables["pertest"], "no per-test rows recomputed"
-    for (test_id, technique, mode), fraction in tables["pertest"].items():
-        assert freq[test_id][(technique, mode)] == fraction
+    oracle = recompute_tables_from_jsonl(path, expected_fail_ids=frozenset())
+    tables = build_tables(report, expected_fail_ids=frozenset())
+    assert _summary(tables) == oracle["summary"]
+    assert sum(s for s, _, _ in oracle["summary"].values()) > 0
+    assert _histogram(tables) == oracle["histogram"]
+    assert oracle["pertest"], "no per-test rows recomputed"
+    assert _pertest(tables) == oracle["pertest"]

@@ -1,5 +1,9 @@
 """CLI end-to-end: subcommands, exit codes, determinism, help text."""
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -59,9 +63,11 @@ def test_gen_rerun_is_byte_identical_via_verify(tmp_path, capsys):
 
 
 def test_gen_split_zero_spacing_is_usage_error(tmp_path, capsys):
-    code = _gen(tmp_path / "s", technique="split", extra=("--spacing", "0"))
-    assert code == 1
-    assert "usage error" in capsys.readouterr().err
+    for spacing in ("0", "-1"):
+        code = _gen(tmp_path / "s", technique="split", extra=("--spacing", spacing))
+        assert code == 1
+        assert f"usage error: spacing must be > 0, got {spacing}" in capsys.readouterr().err
+        assert not (tmp_path / "s").exists()
 
 
 def test_gen_split_warns_before_hours_of_advance(tmp_path, capsys, monkeypatch):
@@ -439,3 +445,16 @@ def test_help_documents_battery_and_threshold_defaults(capsys):
             main([command, "--help"])
         assert exc.value.code == 0
         capsys.readouterr()
+
+
+# --- start-up --------------------------------------------------------------------
+
+
+def test_cli_import_loads_no_scipy():
+    # SciPy costs ~0.4 s to import; only the families that use it load it.
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    code = "import sys, mtstreams.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    ).stdout
+    assert out.strip() == "[]"

@@ -100,7 +100,7 @@ def test_collisionover_tiny_case_matches_brute_force():
     words = np.arange(8, dtype=np.uint64) * (2**32 // 8) % 2**32
     view = StreamView(WordPrefix(np.asarray(words, dtype=np.uint32)), Mode.INT)
     twin = StreamView(WordPrefix(np.asarray(words, dtype=np.uint32)), Mode.INT)
-    out = collision_over_test(view, 8, 4, 1, EPS)
+    out = collision_over_test(view, 8, 4, 1)
     uniforms = twin.take_uniforms(8)
     assert out["details"]["count"] == brute_force_collisions(uniforms, 8, 4, 1) == 4
 
@@ -132,7 +132,7 @@ def test_closepairs_antipodal_pair_distance():
     # the dispatch layer; the geometry is exercised directly.
     words = [0, 0, 2**31, 2**31]
     view = StreamView(WordPrefix(np.asarray(words, dtype=np.uint32)), Mode.INT)
-    out = close_pairs_test(view, 2, 2, EPS)
+    out = close_pairs_test(view, 2, 2)
     assert out["details"]["min_distance"] == pytest.approx(math.sqrt(0.5), rel=1e-15)
 
 

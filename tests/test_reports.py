@@ -6,13 +6,7 @@ import json
 import pytest
 
 from mtstreams.campaign import CampaignReport, StatusReport
-from mtstreams.reports import (
-    TABLES,
-    histogram_rows,
-    pertest_rows,
-    render_report,
-    summary_rows,
-)
+from mtstreams.reports import TABLES, build_tables, render_report
 from mtstreams.stats.families import TestResult
 
 
@@ -51,7 +45,7 @@ EXPECTED = frozenset()
 
 
 def test_summary_rows_values():
-    rows = summary_rows(_creport(), EXPECTED)
+    rows = build_tables(_creport(), EXPECTED)["summary"]
     assert rows == [
         {"technique": "indexed", "mode": "int", "statuses": 4, "suspects": 3, "fraction": 0.75},
         {"technique": "split", "mode": "int", "statuses": 2, "suspects": 1, "fraction": 0.5},
@@ -59,7 +53,7 @@ def test_summary_rows_values():
 
 
 def test_histogram_rows_values():
-    rows = histogram_rows(_creport(), EXPECTED)
+    rows = build_tables(_creport(), EXPECTED)["histogram"]
     assert rows == [
         {"technique": "indexed", "mode": "int", "n_failed": 1, "count": 2},
         {"technique": "indexed", "mode": "int", "n_failed": 2, "count": 1},
@@ -68,7 +62,7 @@ def test_histogram_rows_values():
 
 
 def test_pertest_rows_sorted_descending():
-    rows = pertest_rows(_creport())
+    rows = build_tables(_creport(), EXPECTED)["pertest"]
     assert rows[0] == {"test_id": "a", "technique": "indexed", "mode": "int", "fraction": 0.5}
     assert rows[1] == {"test_id": "a", "technique": "split", "mode": "int", "fraction": 0.5}
     assert rows[2] == {"test_id": "b", "technique": "indexed", "mode": "int", "fraction": 0.5}
@@ -124,6 +118,25 @@ def test_expected_fail_filter_applies():
     # With "a" expected, only failures of "b" make a unit Suspect.
     assert doc["summary"][0]["suspects"] == 2
     assert doc["summary"][1]["suspects"] == 1
+
+
+def test_expected_ids_checked_once_per_render_whichever_tables(monkeypatch):
+    import mtstreams.reports as reports
+
+    calls = []
+    real_check = reports.check_expected_ids
+
+    def counting_check(creport, expected_fail_ids):
+        calls.append(expected_fail_ids)
+        real_check(creport, expected_fail_ids)
+
+    monkeypatch.setattr(reports, "check_expected_ids", counting_check)
+    for tables in (list(TABLES), ["pertest"], ["histogram", "histogram"]):
+        calls.clear()
+        render_report(_creport(), tables, "md", EXPECTED)
+        assert len(calls) == 1, tables
+        with pytest.raises(ValueError, match="not in battery"):
+            render_report(_creport(), tables, "md", frozenset({"zzz"}))
 
 
 def test_unknown_table_or_format_raise():
