@@ -24,7 +24,7 @@ import numpy as np
 
 from mtstreams.mt19937 import MtState, MtStream
 from mtstreams.stats.battery import Battery, battery_sha256, dump_battery
-from mtstreams.stats.families import TestResult, run_test
+from mtstreams.stats.families import TestResult, _verdict, import_family_dependencies, run_test
 from mtstreams.stats.stream import StreamView, WordPrefix, analytic_draws, check_real_map_lossless
 from mtstreams.statusfile import (
     STATUS_SUFFIX,
@@ -184,6 +184,7 @@ def run_campaign(entries: list[StatusEntry], config: CampaignConfig) -> Campaign
     _WORK = {"entries": entries, "modes": config.modes, "battery": config.battery, "eps": eps}
     units = range(len(entries))
     if config.jobs > 1 and len(units) > 1:
+        import_family_dependencies()  # once here, shared by every forked worker
         ctx = get_context("fork")
         with ctx.Pool(config.jobs) as pool:
             outcomes = pool.map(_run_unit, units)
@@ -284,9 +285,12 @@ def read_results_jsonl(path: Path | str) -> CampaignReport:
     """Rebuild a CampaignReport (test results in file order, no details).
 
     The file must be complete and consistent with its meta record: exactly
-    one row per meta status, meta mode and meta test id. Anything else (a
-    truncated file, a duplicated row, a row for an unknown status or mode)
-    raises ValueError rather than being classified.
+    one row per meta status, meta mode and meta test id, each with the
+    verdict, Pass or Fail, that its p-values give at the meta threshold
+    (exact, since p-values are written with 17 significant digits).
+    Anything else (a truncated file, a duplicated row, a row for an unknown
+    status or mode, any other verdict) raises ValueError rather than being
+    classified.
     """
     path = Path(path)
     lines = path.read_text(encoding="ascii").splitlines()
@@ -313,11 +317,15 @@ def read_results_jsonl(path: Path | str) -> CampaignReport:
                 raise ValueError(f"{path}:{lineno}: test id {rec['test_id']!r} not in meta")
             if rec["test_id"] in unit:
                 raise ValueError(f"{path}:{lineno}: duplicate row")
+            p_values = dict(rec["p_values"])
+            verdict = _verdict(p_values, meta["threshold"])
+            if rec["verdict"] != verdict:
+                raise ValueError(f"{path}:{lineno}: verdict {rec['verdict']!r}, p-values give {verdict}")
             unit[rec["test_id"]] = TestResult(
                 test_id=rec["test_id"],
                 family="",
-                p_values=dict(rec["p_values"]),
-                verdict=rec["verdict"],
+                p_values=p_values,
+                verdict=verdict,
                 draws=rec["draws"],
             )
     except (KeyError, TypeError) as exc:

@@ -20,8 +20,26 @@ from typing import Sequence
 import numpy as np
 
 
+# Bits of the discrepancy integer searched before falling back to a search
+# of the whole integer: the next discrepancy is usually this close.
+_WINDOW = (1 << 256) - 1
+
+
 def berlekamp_massey(bits: Sequence[int] | np.ndarray) -> int:
-    """Linear complexity of a 0/1 sequence; bit-packed, O(n^2 / word)."""
+    """Linear complexity of a 0/1 sequence (Massey 1969), on packed integers.
+
+    ``sc`` holds the discrepancies still to come, bit 0 being the position
+    after the last discrepancy ``i``; ``sb`` is the sequence kept from the
+    last length change. A discrepancy costs one shift and one XOR of these
+    n-bit integers. The loop relies on one invariant: every bit of ``sc``
+    below the next discrepancy is zero, so that discrepancy is the lowest
+    set bit of ``sc``. It is found in a 256-bit window of ``sc``, or in the
+    whole integer when the window is empty, which skips a run of zero
+    discrepancies of any length at once. Bits at or past position n belong
+    to no element of the sequence, so the loop stops there, or when ``sc``
+    is 0: for an LFSR sequence of complexity L every discrepancy after
+    position 2L is zero, and the rest costs one search.
+    """
     arr = np.asarray(bits, dtype=np.uint8)
     n = arr.size
     if n < 1:
@@ -33,17 +51,18 @@ def berlekamp_massey(bits: Sequence[int] | np.ndarray) -> int:
     sb = s
     sc = s
     deg_c = 0
-    m = 0
-    for i in range(n):
-        disc = (sc >> m) & 1
-        m += 1
-        if disc:
-            sc >>= m
-            m = 0
-            if 2 * deg_c <= i:
-                sb, sc = sc, sb
-                deg_c = i + 1 - deg_c
-            sc ^= sb
+    i = -1
+    while sc:
+        low = sc & _WINDOW or sc  # the whole of sc only when the window is empty
+        step = (low & -low).bit_length()
+        i += step
+        if i >= n:
+            break
+        sc >>= step
+        if 2 * deg_c <= i:
+            sb, sc = sc, sb
+            deg_c = i + 1 - deg_c
+        sc ^= sb
     return deg_c
 
 

@@ -160,6 +160,16 @@ def serial_uniformity_test(view: StreamView, n: int, cells: int) -> dict:
     return {"p_values": {"chi2": p}, "details": {"statistic": chi2, "df": cells - 1}}
 
 
+def import_family_dependencies() -> None:
+    """Import the SciPy modules the families load on first use.
+
+    A process about to fork workers calls this, so the workers share one
+    copy of the modules instead of each importing its own.
+    """
+    import scipy.spatial  # noqa: F401  (close_pairs_test)
+    import scipy.special  # noqa: F401  (pvalues.chi2_pvalue)
+
+
 _RUNNERS = {
     "LinearComp": linear_comp_test,
     "CollisionOver": collision_over_test,

@@ -104,6 +104,33 @@ def textbook_bm(bits) -> int:
     return deg
 
 
+def bit_by_bit_bm(bits) -> int:
+    """Berlekamp-Massey on packed integers, reading one discrepancy per step.
+
+    Each step shifts the whole discrepancy integer to read one bit, so it
+    shares no run skipping with the package's function. An oracle for
+    sequences too long for :func:`textbook_bm`.
+    """
+    arr = np.asarray(bits, dtype=np.uint8)
+    n = arr.size
+    s = int.from_bytes(np.packbits(arr, bitorder="little").tobytes(), "little")
+    sb = s
+    sc = s
+    deg_c = 0
+    m = 0
+    for i in range(n):
+        disc = (sc >> m) & 1
+        m += 1
+        if disc:
+            sc >>= m
+            m = 0
+            if 2 * deg_c <= i:
+                sb, sc = sc, sb
+                deg_c = i + 1 - deg_c
+            sc ^= sb
+    return deg_c
+
+
 def lfsr_count_exact(l: int, n: int) -> int:
     """Number of length-n binary sequences with linear complexity exactly l."""
     if l == 0:
@@ -256,17 +283,26 @@ def toy_overlap_frequency(
 def damaged_results(path) -> dict[str, str]:
     """Copies of a valid results file, each broken in one way a reader must
     reject: a lost last line, a repeated row, a row for a status or a mode
-    the meta record does not list."""
+    the meta record does not list, a verdict that is neither Pass nor Fail,
+    and a verdict its own p-values contradict."""
     lines = open(path, encoding="ascii").read().splitlines(keepends=True)
     meta = json.loads(lines[0])
-    unknown = json.loads(lines[1])
-    unknown["index"] = 1 + max(s["index"] for s in meta["statuses"])
+    first = json.loads(lines[1])
+    unknown = dict(first, index=1 + max(s["index"] for s in meta["statuses"]))
     one_mode = dict(meta, modes=meta["modes"][:1])
+    bad_verdict = dict(first, verdict=first["verdict"].lower())
+    flipped = dict(first, verdict={"Pass": "Fail", "Fail": "Pass"}[first["verdict"]])
+
+    def with_first_row(rec: dict) -> str:
+        return "".join([lines[0], json.dumps(rec) + "\n"] + lines[2:])
+
     return {
         "truncated": "".join(lines[:-1]),
         "duplicated": "".join(lines + lines[-1:]),
         "unknown_status": "".join(lines + [json.dumps(unknown) + "\n"]),
         "unknown_mode": "".join([json.dumps(one_mode) + "\n"] + lines[1:]),
+        "bad_verdict": with_first_row(bad_verdict),
+        "flipped_verdict": with_first_row(flipped),
     }
 
 

@@ -129,13 +129,18 @@ def test_run_campaign_meta_and_ordering():
         assert [t.test_id for t in r.results] == list(FAST.test_ids)
 
 
-def test_threshold_override_changes_eps_and_fingerprint():
+def test_threshold_override_changes_eps_and_fingerprint(tmp_path):
     config = CampaignConfig(battery=FAST, modes=("int",), threshold=1e-6)
     assert config.eps == 1e-6
     report = run_campaign(_entries(1), config)
     assert report.meta["threshold"] == 1e-6
     assert report.meta["fingerprint"] == campaign_fingerprint(FAST, 1e-6, ("int",))
     assert report.meta["fingerprint"] != campaign_fingerprint(FAST, 1e-10, ("int",))
+    # The reader checks verdicts at the file's threshold, not the battery's.
+    report = run_campaign(_entries(1), CampaignConfig(battery=FAST, modes=("int",), threshold=0.5))
+    path = tmp_path / "half.jsonl"
+    write_results_jsonl(report, path)
+    assert read_results_jsonl(path).reports[0].n_failed == len(FAST.tests)
 
 
 def test_config_validation():
@@ -158,6 +163,15 @@ def test_worker_count_does_not_change_output_bytes(tmp_path):
         write_results_jsonl(report, path)
         blobs.append(path.read_bytes())
     assert blobs[0] == blobs[1] == blobs[2] == blobs[3]
+
+
+def test_family_dependencies_are_imported_once_before_the_pool_forks(monkeypatch):
+    calls = []
+    monkeypatch.setattr(campaign, "import_family_dependencies", lambda: calls.append("import"))
+    run_campaign(_entries(2), CampaignConfig(battery=FAST, modes=("int",), jobs=2))
+    assert calls == ["import"]
+    run_campaign(_entries(2), CampaignConfig(battery=FAST, modes=("int",), jobs=1))
+    assert calls == ["import"]  # no pool, nothing to share
 
 
 def test_one_pass_per_status_matches_a_fresh_stream_per_test_and_mode():

@@ -12,7 +12,7 @@ from mtstreams.stats.complexity import (
 )
 from mtstreams.stats.stream import Mode, StreamView
 
-from support import SplitMix32, lfsr_count_exact, textbook_bm
+from support import SplitMix32, bit_by_bit_bm, lfsr_count_exact, textbook_bm
 
 
 def test_all_zero_sequence_has_complexity_zero():
@@ -46,6 +46,63 @@ def test_matches_textbook_formulation_on_random_sequences():
         assert berlekamp_massey(bits) == textbook_bm(bits.tolist())
 
 
+def _lfsr_sequence(rng, length: int, n: int) -> np.ndarray:
+    """n bits of a random LFSR of the given length: complexity <= length,
+    and every discrepancy after position 2 * length is zero."""
+    taps = rng.integers(0, 2, size=length).astype(np.uint8)
+    taps[-1] = 1
+    bits = np.zeros(n, dtype=np.uint8)
+    bits[:length] = rng.integers(0, 2, size=length)
+    for i in range(length, n):
+        bits[i] = np.bitwise_and(taps, bits[i - length : i][::-1]).sum() & 1
+    return bits
+
+
+def _past_the_window(rng, n: int) -> list[np.ndarray]:
+    """Two random sequences, then three kinds whose discrepancies can have
+    zero runs longer than the 256-bit search window: sparse sequences, LFSR
+    output and random prefixes followed by all-zero tails."""
+    cases = [rng.integers(0, 2, size=n).astype(np.uint8) for _ in range(2)]
+    sparse = np.zeros(n, dtype=np.uint8)
+    sparse[np.sort(rng.choice(n, size=3, replace=False))] = 1
+    cases.append(sparse)
+    gaps = np.zeros(n, dtype=np.uint8)
+    gaps[::300] = 1
+    cases.append(gaps)
+    cases.append(_lfsr_sequence(rng, 64, n))
+    for prefix in (40, 150):
+        tail = np.zeros(n, dtype=np.uint8)
+        tail[:prefix] = rng.integers(0, 2, size=prefix)
+        cases.append(tail)
+    return cases
+
+
+def test_matches_textbook_formulation_past_the_search_window():
+    rng = np.random.default_rng(8128)
+    for n in (300, 450, 600):
+        for bits in _past_the_window(rng, n):
+            expected = textbook_bm(bits.tolist())
+            assert berlekamp_massey(bits) == bit_by_bit_bm(bits) == expected, n
+
+
+def test_matches_bit_by_bit_loop_on_long_sequences():
+    rng = np.random.default_rng(1969)
+    for n in (5000, 50000):
+        for bits in _past_the_window(rng, n):
+            assert berlekamp_massey(bits) == bit_by_bit_bm(bits), n
+
+
+def test_single_one_needs_a_register_reaching_it():
+    # k zeros then a 1: no register shorter than k + 1 makes it, and one of
+    # length k + 1 with zero feedback does, whatever follows.
+    for position in (255, 256, 257, 1000):
+        for n in (position + 1, position + 2, 2000):
+            bits = np.zeros(n, dtype=np.uint8)
+            bits[position] = 1
+            oracle = textbook_bm(bits.tolist()) if n <= 600 else bit_by_bit_bm(bits)
+            assert berlekamp_massey(bits) == oracle == position + 1, (position, n)
+
+
 def test_complexity_census_matches_exhaustive_enumeration_n10():
     n = 10
     census = {l: 0 for l in range(n + 1)}
@@ -65,9 +122,9 @@ def test_complexity_count_boundaries():
 
 
 def test_mt_bit_lane_saturates_at_19937():
-    view = StreamView(init_genrand(0), Mode.INT)
-    bits = view.take_word_bits(50000, 0)
-    assert berlekamp_massey(bits) == 19937
+    for bit_offset in (0, 29):  # the lanes of linearcomp.r0 and linearcomp.r29
+        bits = StreamView(init_genrand(0), Mode.INT).take_word_bits(50000, bit_offset)
+        assert berlekamp_massey(bits) == bit_by_bit_bm(bits) == 19937, bit_offset
 
 
 def test_mt_short_sample_looks_random():
