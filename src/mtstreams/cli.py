@@ -41,10 +41,10 @@ EXIT_QUALITY = 3
 
 DEFAULT_EXPECTED = ",".join(sorted(DEFAULT_EXPECTED_FAIL_IDS))
 
-# advance() is linear in the draws it skips: 0.45 s per 10^7 draws on a
+# advance() is linear in the draws it skips: 0.049 s per 10^7 draws on a
 # 2-core x86-64 host (Python 3.11, NumPy 2.4). Above WARN_ADVANCE_DRAWS,
 # gen --technique split says on stderr how long it expects to take.
-ADVANCE_S_PER_DRAW = 0.45e-7
+ADVANCE_S_PER_DRAW = 0.049e-7
 WARN_ADVANCE_DRAWS = 10**9
 
 

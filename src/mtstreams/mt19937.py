@@ -2,8 +2,12 @@
 
 A generator status is 624 unsigned 32-bit words plus an index; it is held
 in an immutable value object, and every operation returns a fresh status.
-The recurrence, tempering, and 2002 seeding match the canonical reference
-implementation word for word (verified against frozen reference outputs).
+Twisting, drawing and skipping run on NumPy's C MT19937
+(``numpy.random.MT19937``), whose state is this status: key = the words,
+pos = the index. Seeding (the 2002 ``init_genrand``) and scalar tempering
+are written out here. The frozen reference outputs of the canonical
+implementation and an independent twist in the test suite's oracles check
+every operation word for word.
 """
 from __future__ import annotations
 
@@ -17,11 +21,6 @@ MATRIX_A = 0x9908B0DF
 UPPER_MASK = 0x80000000
 LOWER_MASK = 0x7FFFFFFF
 WORD_MASK = 0xFFFFFFFF
-
-_U1 = np.uint32(1)
-_MATRIX_A = np.uint32(MATRIX_A)
-_UPPER = np.uint32(UPPER_MASK)
-_LOWER = np.uint32(LOWER_MASK)
 
 
 class ZeroStateError(ValueError):
@@ -74,29 +73,23 @@ def init_genrand(seed: int) -> MtState:
     return MtState(np.array(mt, dtype=np.uint32), N)
 
 
-def _twist_words(mt: np.ndarray) -> None:
-    """Regenerate all 624 words in place via the MT19937 recurrence.
+def _engine(mt: np.ndarray, pos: int) -> np.random.MT19937:
+    """A fresh C generator whose next draw is word ``pos`` of ``mt``."""
+    engine = np.random.MT19937(0)  # the seed's state is replaced at once
+    engine.state = {"bit_generator": "MT19937", "state": {"key": mt.tolist(), "pos": pos}}
+    return engine
 
-    Segment bounds follow the in-place data dependencies of the reference
-    loop: words [227, 454) and [454, 623) read freshly written words.
-    """
-    y = np.empty(N, dtype=np.uint32)
-    y[: N - 1] = (mt[: N - 1] & _UPPER) | (mt[1:] & _LOWER)
-    f = (y[: N - 1] >> _U1) ^ np.where(y[: N - 1] & _U1, _MATRIX_A, 0).astype(np.uint32)
-    upper_last = mt[N - 1] & _UPPER
 
-    mt[: N - M] = mt[M:] ^ f[: N - M]
-    mt[N - M : 2 * (N - M)] = mt[: N - M] ^ f[N - M : 2 * (N - M)]
-    mt[2 * (N - M) : N - 1] = mt[N - M : M - 1] ^ f[2 * (N - M) : N - 1]
-    y_last = upper_last | (mt[0] & _LOWER)
-    mt[N - 1] = mt[M - 1] ^ (y_last >> _U1) ^ (_MATRIX_A if y_last & _U1 else np.uint32(0))
+def _state_of(engine: np.random.MT19937) -> MtState:
+    state = engine.state["state"]
+    return MtState(state["key"], state["pos"])
 
 
 def twist(state: MtState) -> MtState:
     """One full state regeneration; the returned status has mti = 0."""
-    mt = np.array(state.mt, dtype=np.uint32, copy=True)
-    _twist_words(mt)
-    return MtState(mt, 0)
+    engine = _engine(state.mt, N)
+    engine.random_raw(1, output=False)
+    return MtState(engine.state["state"]["key"], 0)
 
 
 def temper(y: int) -> int:
@@ -118,16 +111,6 @@ def untemper(y: int) -> int:
     y = x & WORD_MASK
     y ^= (y >> 11) ^ (y >> 22)
     return y & WORD_MASK
-
-
-def temper_words(words: np.ndarray) -> np.ndarray:
-    """Vectorized tempering of a uint32 array (returns a new array)."""
-    y = words.astype(np.uint32, copy=True)
-    y ^= y >> 11
-    y ^= (y << 7) & np.uint32(0x9D2C5680)
-    y ^= (y << 15) & np.uint32(0xEFC60000)
-    y ^= y >> 18
-    return y
 
 
 def untemper_words(words: np.ndarray) -> np.ndarray:
@@ -160,19 +143,16 @@ def next_real(state: MtState) -> tuple[float, MtState]:
 def advance(state: MtState, n: int) -> MtState:
     """Status after n draws, outputs discarded.
 
-    Skips by whole-block twists; observable behavior is identical to n
-    calls of :func:`next_u32`.
+    Observable behavior is identical to n calls of :func:`next_u32`: the
+    twist that a block's end calls for waits for the next draw.
     """
     if n < 0:
         raise ValueError(f"draw count must be >= 0, got {n}")
-    if n <= N - state.mti:
-        return MtState(state.mt, state.mti + n) if n else state
-    remaining = n - (N - state.mti)
-    mt = np.array(state.mt, dtype=np.uint32, copy=True)
-    twists = (remaining - 1) // N + 1
-    for _ in range(twists):
-        _twist_words(mt)
-    return MtState(mt, remaining - (twists - 1) * N)
+    if n == 0:
+        return state
+    engine = _engine(state.mt, state.mti)
+    engine.random_raw(n, output=False)
+    return _state_of(engine)
 
 
 class MtStream:
@@ -183,25 +163,14 @@ class MtStream:
     """
 
     def __init__(self, state: MtState) -> None:
-        self._mt = np.array(state.mt, dtype=np.uint32, copy=True)
-        self._mti = state.mti
+        self._engine = _engine(state.mt, state.mti)
 
     def take(self, n: int) -> np.ndarray:
         """Next n tempered 32-bit outputs as a uint32 array."""
         if n < 0:
             raise ValueError(f"draw count must be >= 0, got {n}")
-        out = np.empty(n, dtype=np.uint32)
-        pos = 0
-        while pos < n:
-            if self._mti == N:
-                _twist_words(self._mt)
-                self._mti = 0
-            k = min(N - self._mti, n - pos)
-            out[pos : pos + k] = self._mt[self._mti : self._mti + k]
-            self._mti += k
-            pos += k
-        return temper_words(out)
+        return self._engine.random_raw(n).astype(np.uint32)
 
     @property
     def state(self) -> MtState:
-        return MtState(self._mt, self._mti)
+        return _state_of(self._engine)

@@ -66,15 +66,6 @@ def berlekamp_massey(bits: Sequence[int] | np.ndarray) -> int:
     return deg_c
 
 
-def complexity_count(l: int, n: int) -> int:
-    """Number of length-n bit sequences with linear complexity exactly l."""
-    if not 0 <= l <= n:
-        raise ValueError(f"complexity must be in [0, {n}], got {l}")
-    if l == 0:
-        return 1
-    return 1 << min(2 * l - 1, 2 * (n - l))
-
-
 def _count_le(l: int, n: int) -> int:
     """Number of length-n sequences with complexity <= l (exact)."""
     if l < 0:

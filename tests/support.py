@@ -13,6 +13,51 @@ from fractions import Fraction
 import numpy as np
 
 
+_U1 = np.uint32(1)
+_MATRIX_A = np.uint32(0x9908B0DF)
+_UPPER = np.uint32(0x80000000)
+_LOWER = np.uint32(0x7FFFFFFF)
+
+
+def twist_words(mt: np.ndarray) -> None:
+    """Regenerate all 624 MT19937 words in place, vectorized with NumPy.
+
+    Segment bounds follow the in-place data dependencies of the reference
+    loop: words [227, 454) and [454, 623) read freshly written words.
+    """
+    N, M = 624, 397
+    y = np.empty(N, dtype=np.uint32)
+    y[: N - 1] = (mt[: N - 1] & _UPPER) | (mt[1:] & _LOWER)
+    f = (y[: N - 1] >> _U1) ^ np.where(y[: N - 1] & _U1, _MATRIX_A, 0).astype(np.uint32)
+    upper_last = mt[N - 1] & _UPPER
+
+    mt[: N - M] = mt[M:] ^ f[: N - M]
+    mt[N - M : 2 * (N - M)] = mt[: N - M] ^ f[N - M : 2 * (N - M)]
+    mt[2 * (N - M) : N - 1] = mt[N - M : M - 1] ^ f[2 * (N - M) : N - 1]
+    y_last = upper_last | (mt[0] & _LOWER)
+    mt[N - 1] = mt[M - 1] ^ (y_last >> _U1) ^ (_MATRIX_A if y_last & _U1 else np.uint32(0))
+
+
+def untempered_draws(words: np.ndarray, mti: int, n: int) -> tuple[np.ndarray, np.ndarray, int]:
+    """n draws from the MT19937 status (words, mti), before tempering.
+
+    A block is twisted by :func:`twist_words` only when a draw needs it.
+    Returns the drawn words and the status after them as (words, mti).
+    """
+    mt = np.array(words, dtype=np.uint32, copy=True)
+    out = np.empty(n, dtype=np.uint32)
+    pos = 0
+    while pos < n:
+        if mti == 624:
+            twist_words(mt)
+            mti = 0
+        k = min(624 - mti, n - pos)
+        out[pos : pos + k] = mt[mti : mti + k]
+        mti += k
+        pos += k
+    return out, mt, mti
+
+
 class SplitMix32:
     """Nonlinear control generator: 64-bit SplitMix mixer, top 32 bits.
 
@@ -131,11 +176,13 @@ def bit_by_bit_bm(bits) -> int:
     return deg_c
 
 
-def lfsr_count_exact(l: int, n: int) -> int:
-    """Number of length-n binary sequences with linear complexity exactly l."""
+def complexity_count(l: int, n: int) -> int:
+    """Number of length-n bit sequences with linear complexity exactly l."""
+    if not 0 <= l <= n:
+        raise ValueError(f"complexity must be in [0, {n}], got {l}")
     if l == 0:
         return 1
-    return 2 ** min(2 * l - 1, 2 * (n - l))
+    return 1 << min(2 * l - 1, 2 * (n - l))
 
 
 def binomial_h_law(l: int) -> list[Fraction]:

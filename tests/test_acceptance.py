@@ -40,7 +40,7 @@ from mtstreams.partition import (
 )
 from mtstreams.reports import TABLES, render_report
 from mtstreams.stats.battery import MINI_CRUSH_V1, TestDefinition
-from mtstreams.stats.complexity import berlekamp_massey, complexity_count
+from mtstreams.stats.complexity import berlekamp_massey
 from mtstreams.stats.families import run_test
 from mtstreams.stats.pvalues import (
     chi2_pvalue,
@@ -53,6 +53,7 @@ from mtstreams.statusfile import load_status, parse_status, serialize_status
 from support import (
     SplitMix32,
     chi2_sf_oracle,
+    complexity_count,
     poisson_tails_oracle,
     recompute_tables_from_jsonl,
     toy_overlap_frequency,

@@ -87,7 +87,7 @@ def test_gen_split_warns_before_hours_of_advance(tmp_path, capsys, monkeypatch):
     assert captured.out.splitlines()[0] == f"split x3 -> {tmp_path / 'far'}"
     assert captured.out.splitlines()[1].startswith("fingerprint ")
     assert len(captured.out.splitlines()) == 2
-    assert "warning: split advances 2000000000000 draws, about 90000 s (25.0 h)" in captured.err
+    assert "warning: split advances 2000000000000 draws, about 9800 s (2.7 h)" in captured.err
 
     assert _gen(tmp_path / "near", technique="split", count=3, extra=("--spacing", "1000")) == 0
     assert capsys.readouterr().err == ""

@@ -5,14 +5,10 @@ import numpy as np
 import pytest
 
 from mtstreams.mt19937 import init_genrand
-from mtstreams.stats.complexity import (
-    berlekamp_massey,
-    complexity_count,
-    linear_complexity_pvalue,
-)
+from mtstreams.stats.complexity import berlekamp_massey, linear_complexity_pvalue
 from mtstreams.stats.stream import Mode, StreamView
 
-from support import SplitMix32, bit_by_bit_bm, lfsr_count_exact, textbook_bm
+from support import SplitMix32, bit_by_bit_bm, complexity_count, textbook_bm
 
 
 def test_all_zero_sequence_has_complexity_zero():
@@ -110,7 +106,7 @@ def test_complexity_census_matches_exhaustive_enumeration_n10():
         bits = np.array([(value >> i) & 1 for i in range(n)], dtype=np.uint8)
         census[berlekamp_massey(bits)] += 1
     for l in range(n + 1):
-        assert census[l] == complexity_count(l, n) == lfsr_count_exact(l, n), l
+        assert census[l] == complexity_count(l, n), l
     assert sum(census.values()) == 1 << n
 
 

@@ -17,11 +17,12 @@ from mtstreams.mt19937 import (
     next_real,
     next_u32,
     temper,
-    temper_words,
     twist,
     untemper,
     untemper_words,
 )
+
+from support import twist_words, untempered_draws
 
 FIXTURES = Path(__file__).parent / "fixtures" / "reference_outputs.json"
 REFERENCE = {int(k): v for k, v in json.loads(FIXTURES.read_text()).items()}
@@ -93,10 +94,13 @@ def test_untemper_inverts_temper(y):
 
 def test_vectorized_tempering_matches_scalar():
     rng = np.random.default_rng(99)
-    words = rng.integers(0, 2**32, size=4096, dtype=np.uint32)
-    tempered = temper_words(words)
-    assert [temper(int(w)) for w in words[:64]] == tempered[:64].tolist()
-    assert np.array_equal(untemper_words(tempered), words)
+    words = rng.integers(0, 2**32, size=N, dtype=np.uint32)
+    s = MtState(words, N)
+    block = MtStream(s).take(N)
+    twisted = twist(s).mt
+    assert np.array_equal(untemper_words(block), twisted)
+    assert [temper(int(w)) for w in twisted] == block.tolist()
+    assert all(untemper(temper(int(w))) == w == temper(untemper(int(w))) for w in words)
 
 
 def test_mtstate_rejects_all_zero():
@@ -171,6 +175,24 @@ def test_advance_matches_naive_loop():
     assert advance(base, 1000) == state
     value, _ = next_u32(state)
     assert value == MtStream(base).take(1001)[-1]
+
+
+def test_engine_matches_support_twist_oracle():
+    # Random statuses at and around block ends, against the support twist
+    # plus the scalar temper: outputs, the status after them, and twist.
+    rng = np.random.default_rng(2026)
+    for mti in (0, 1, 100, 623, 624):
+        s = MtState(rng.integers(0, 2**32, size=N, dtype=np.uint32), mti)
+        twisted = np.array(s.mt)
+        twist_words(twisted)
+        assert twist(s) == MtState(twisted, 0), mti
+        for n in (0, 1, 623, 624, 625, 1247, 1248, 10**5 + 7):
+            raw, words, after = untempered_draws(s.mt, mti, n)
+            expected = MtState(words, after)
+            assert advance(s, n) == expected, (mti, n)
+            stream = MtStream(s)
+            assert stream.take(n).tolist() == [temper(int(w)) for w in raw], (mti, n)
+            assert stream.state == expected, (mti, n)
 
 
 def test_advance_rejects_negative():
