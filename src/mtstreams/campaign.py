@@ -186,7 +186,7 @@ def run_campaign(entries: list[StatusEntry], config: CampaignConfig) -> Campaign
     if config.jobs > 1 and len(units) > 1:
         import_family_dependencies()  # once here, shared by every forked worker
         ctx = get_context("fork")
-        with ctx.Pool(config.jobs) as pool:
+        with ctx.Pool(min(config.jobs, len(units))) as pool:
             outcomes = pool.map(_run_unit, units)
     else:
         outcomes = [_run_unit(u) for u in units]

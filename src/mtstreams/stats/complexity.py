@@ -14,7 +14,6 @@ at the state dimension.
 """
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
@@ -23,6 +22,8 @@ import numpy as np
 # Bits of the discrepancy integer searched before falling back to a search
 # of the whole integer: the next discrepancy is usually this close.
 _WINDOW = (1 << 256) - 1
+# Positions between two trims of the bits past the sequence's end.
+_TRIM = 1024
 
 
 def berlekamp_massey(bits: Sequence[int] | np.ndarray) -> int:
@@ -39,6 +40,12 @@ def berlekamp_massey(bits: Sequence[int] | np.ndarray) -> int:
     to no element of the sequence, so the loop stops there, or when ``sc``
     is 0: for an LFSR sequence of complexity L every discrepancy after
     position 2L is zero, and the rest costs one search.
+
+    Bit j of ``sc``, and of ``sb`` once XORed into it, stands for position
+    i + 1 + j. Shifts and XORs never move a bit to a lower position, so the
+    bits at or past position n never reach a live one. Every ``_TRIM``
+    positions both integers drop them, keeping their low n - i - 1 bits:
+    the integers shrink with the positions still to come.
     """
     arr = np.asarray(bits, dtype=np.uint8)
     n = arr.size
@@ -52,6 +59,7 @@ def berlekamp_massey(bits: Sequence[int] | np.ndarray) -> int:
     sc = s
     deg_c = 0
     i = -1
+    trim_at = _TRIM
     while sc:
         low = sc & _WINDOW or sc  # the whole of sc only when the window is empty
         step = (low & -low).bit_length()
@@ -59,6 +67,11 @@ def berlekamp_massey(bits: Sequence[int] | np.ndarray) -> int:
         if i >= n:
             break
         sc >>= step
+        if i >= trim_at:
+            live = (1 << (n - i - 1)) - 1
+            sc &= live
+            sb &= live
+            trim_at = i + _TRIM
         if 2 * deg_c <= i:
             sb, sc = sc, sb
             deg_c = i + 1 - deg_c
@@ -92,6 +105,7 @@ def linear_complexity_pvalue(l: int, n: int) -> float:
     if not 0 <= l <= n:
         raise ValueError(f"complexity must be in [0, {n}], got {l}")
     denom = 1 << n
-    p_left = float(Fraction(_count_le(l, n), denom))
-    p_right = float(Fraction(denom - _count_le(l - 1, n), denom))
+    # Integer true division is correctly rounded.
+    p_left = _count_le(l, n) / denom
+    p_right = (denom - _count_le(l - 1, n)) / denom
     return min(p_left, p_right)

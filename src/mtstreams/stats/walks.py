@@ -20,6 +20,17 @@ Numerators are exact integers, each law one linear pass of a multiplicative
 recurrence over the binomial row, and each probability is rounded once to
 the nearest binary64 by integer true division. Distributions are cached per
 l.
+
+``walk_statistics`` reads the walks a byte of 8 steps at a time. Three
+256-entry tables, built once at import, give each byte's net step, its
+highest prefix level and, for each entry level in [-9, 9], how many of its
+prefixes end at 0. A cumulative sum of the net steps gives each byte's entry
+level, so M is the largest entry level plus highest prefix, and R sums the
+zero counts at each byte's entry level clipped to [-9, 9]. H is
+(S_l + l) / 2. Packing pads each walk with pad = -l % 8 zero bits, that is,
+pad falling steps after S_l. They raise no maximum, move the last level to
+S_l - pad, and pass 0 exactly once when 1 <= S_l <= pad, a return that R
+then subtracts.
 """
 from __future__ import annotations
 
@@ -81,19 +92,47 @@ def r_null(l: int) -> np.ndarray:
     return _law(counts, l)
 
 
+# A byte moves at most 8 levels, so from an entry level beyond +-8 it never
+# reaches 0, and +-9 stands for all of those levels. Clipping to +-8 would
+# count a false 0 for a byte that falls 8 levels from 10.
+_REACH = 9
+
+
+def _byte_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """For each byte b, read MSB first as 8 steps: its net step, its highest
+    prefix level, and how many of its prefixes end at 0 when it enters at
+    level e in [-_REACH, _REACH], the last flattened at (e + _REACH) * 256 + b.
+    """
+    steps = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1)
+    prefix = np.cumsum(steps.astype(np.int8) * 2 - 1, axis=1, dtype=np.int8)
+    entry = np.arange(-_REACH, _REACH + 1, dtype=np.int8)
+    zeros = np.count_nonzero(entry[:, None, None] + prefix == 0, axis=2)
+    return prefix[:, -1].copy(), prefix.max(axis=1), zeros.astype(np.int8).ravel()
+
+
+_DELTA, _MAXPREF, _ZEROS = _byte_tables()
+
+
 def walk_statistics(bits: np.ndarray, walks: int, steps: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per-walk H, M, R for a (walks * steps)-bit array of 0/1 values.
 
-    Steps are int8 and partial sums int16, which holds every |S_j| <= steps.
+    Each walk is packed 8 steps to a byte and read through the byte tables
+    (see the module docstring). Partial sums are int16, which holds every
+    level down to -(steps + pad).
     """
     if steps > _INT16_MAX:
         raise ValueError(f"steps must be <= {_INT16_MAX} for int16 partial sums, got {steps}")
-    b = bits.reshape(walks, steps)
-    step = b.astype(np.int8)
-    step *= 2
-    step -= 1
-    s = np.cumsum(step, axis=1, dtype=np.int16)
-    h = np.count_nonzero(b, axis=1).astype(np.int64)
-    m = np.maximum(s.max(axis=1), 0).astype(np.int64)
-    r = np.count_nonzero(s == 0, axis=1).astype(np.int64)
+    pad = -steps % 8
+    packed = np.packbits(bits.reshape(walks, steps), axis=1)
+    delta = _DELTA[packed]
+    entry = np.cumsum(delta, axis=1, dtype=np.int16)
+    s_l = entry[:, -1].astype(np.int64) + pad
+    entry -= delta
+    h = (s_l + steps) // 2
+    m = np.maximum((entry + _MAXPREF[packed]).max(axis=1), 0).astype(np.int64)
+    np.clip(entry, -_REACH, _REACH, out=entry)
+    entry += _REACH
+    entry <<= 8
+    entry |= packed
+    r = _ZEROS[entry].sum(axis=1, dtype=np.int64) - ((1 <= s_l) & (s_l <= pad))
     return h, m, r

@@ -174,6 +174,34 @@ def test_family_dependencies_are_imported_once_before_the_pool_forks(monkeypatch
     assert calls == ["import"]  # no pool, nothing to share
 
 
+def test_pool_has_no_more_workers_than_statuses(monkeypatch):
+    sizes = []
+
+    class SerialPool:
+        def __init__(self, processes):
+            sizes.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return [fn(x) for x in items]
+
+    class NoFork:
+        Pool = SerialPool
+
+    monkeypatch.setattr(campaign, "get_context", lambda method: NoFork)
+    entries = _entries(3)
+    serial = run_campaign(entries, CampaignConfig(battery=FAST, modes=("int",)))
+    for jobs in (2, 3, 64):
+        report = run_campaign(entries, CampaignConfig(battery=FAST, modes=("int",), jobs=jobs))
+        assert report == serial
+    assert sizes == [2, 3, 3]
+
+
 def test_one_pass_per_status_matches_a_fresh_stream_per_test_and_mode():
     entries = _entries(2)
     creport = run_campaign(entries, CampaignConfig(battery=FAST, modes=("int", "real")))

@@ -1,11 +1,12 @@
 """Berlekamp-Massey and the shortest-LFSR length null distribution."""
 import itertools
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from mtstreams.mt19937 import init_genrand
-from mtstreams.stats.complexity import berlekamp_massey, linear_complexity_pvalue
+from mtstreams.stats.complexity import _TRIM, berlekamp_massey, linear_complexity_pvalue
 from mtstreams.stats.stream import Mode, StreamView
 
 from support import SplitMix32, bit_by_bit_bm, complexity_count, textbook_bm
@@ -83,7 +84,7 @@ def test_matches_textbook_formulation_past_the_search_window():
 
 def test_matches_bit_by_bit_loop_on_long_sequences():
     rng = np.random.default_rng(1969)
-    for n in (5000, 50000):
+    for n in (_TRIM - 1, _TRIM + 1, 5000, 50000):
         for bits in _past_the_window(rng, n):
             assert berlekamp_massey(bits) == bit_by_bit_bm(bits), n
 
@@ -91,8 +92,9 @@ def test_matches_bit_by_bit_loop_on_long_sequences():
 def test_single_one_needs_a_register_reaching_it():
     # k zeros then a 1: no register shorter than k + 1 makes it, and one of
     # length k + 1 with zero feedback does, whatever follows.
-    for position in (255, 256, 257, 1000):
-        for n in (position + 1, position + 2, 2000):
+    # The positions around a trim of the bits past the sequence's end.
+    for position in (255, 256, 257, 1000, _TRIM - 1, _TRIM, _TRIM + 1, 2 * _TRIM):
+        for n in (position + 1, position + 2, 3 * _TRIM):
             bits = np.zeros(n, dtype=np.uint8)
             bits[position] = 1
             oracle = textbook_bm(bits.tolist()) if n <= 600 else bit_by_bit_bm(bits)
@@ -150,6 +152,29 @@ def test_pvalue_is_exact_fraction_arithmetic():
     assert linear_complexity_pvalue(1, n) == 3 / 16
     # P(L <= 0) = 1/16 on the low side, exact dyadic in binary64.
     assert linear_complexity_pvalue(0, n) == 1 / 16
+
+
+@pytest.mark.parametrize("n", [1000, 50000])
+def test_pvalue_equals_the_rounded_fraction(n):
+    # Both tails, the centre, the 1e-10 verdict bounds, a saturated MT lane
+    # (19937 of 50000) and a tail deep enough to underflow to 0.0.
+    half = n // 2
+    lengths = {0, 1, 2, half - 40, half - 18, half - 1, half, half + 1, half + 18, half + 40,
+               n - 2, n - 1, n}
+    lengths |= {19937, 24000} if n == 50000 else {100, 900}
+    total = 1 << n
+    below = 0  # number of sequences with complexity < l
+    underflows = 0
+    for l in range(n + 1):
+        if l in lengths:
+            at_or_below = below + complexity_count(l, n)
+            expected = min(float(Fraction(at_or_below, total)), float(Fraction(total - below, total)))
+            assert linear_complexity_pvalue(l, n) == expected, (l, n)
+            underflows += expected == 0.0
+        below += complexity_count(l, n)
+    # 2^-1000 is still a normal binary64; at n = 50000 the eight tail
+    # lengths at least 1000 from the centre underflow.
+    assert underflows == (8 if n == 50000 else 0)
 
 
 def test_pvalue_median_is_not_significant():

@@ -138,20 +138,50 @@ def test_walk_statistics_shape_validation():
         walk_statistics(np.zeros(2**15, dtype=np.uint8), walks=1, steps=2**15)
 
 
-@pytest.mark.parametrize("steps", [8, 1024, 4096])
+def _walk_ending_at(rng, steps, level):
+    """A random walk of the given length whose last level is ``level``."""
+    bits = np.zeros(steps, dtype=np.uint8)
+    bits[: (steps + level) // 2] = 1
+    rng.shuffle(bits)
+    return bits
+
+
+def _walk_within(rng, steps, bound):
+    """A random walk that never leaves [-bound, bound]."""
+    bits = np.empty(steps, dtype=np.uint8)
+    level = 0
+    for j in range(steps):
+        up = rng.integers(0, 2) if abs(level) < bound else level < 0
+        bits[j] = up
+        level += 1 if up else -1
+    return bits
+
+
+@pytest.mark.parametrize("steps", [8, 10, 14, 1024, 4094, 4096])
 def test_walk_statistics_match_a_plain_int64_walk(steps):
     rng = np.random.default_rng(steps)
     walks = 64
     bits = rng.integers(0, 2, size=walks * steps, dtype=np.uint8)
+    rows = bits.reshape(walks, steps)
     # The extremes: a walk that only climbs and one that only falls.
-    bits[:steps] = 1
-    bits[steps : 2 * steps] = 0
-    s = np.cumsum(bits.reshape(walks, steps).astype(np.int64) * 2 - 1, axis=1)
+    rows[0] = 1
+    rows[1] = 0
+    # Walks ending just below, in and just above the levels 1..pad that the
+    # zero padding of the last byte crosses on its way down.
+    pad = -steps % 8
+    ends = range(-2, pad + 3, 2)
+    for row, level in enumerate(ends, start=2):
+        rows[row] = _walk_ending_at(rng, steps, level)
+    # Walks whose every byte enters at a level the zero table holds.
+    for row in range(2 + len(ends), 2 + len(ends) + 4):
+        rows[row] = _walk_within(rng, steps, 9)
+    s = np.cumsum(rows.astype(np.int64) * 2 - 1, axis=1)
     h, m, r = walk_statistics(bits, walks, steps)
-    assert h.tolist() == bits.reshape(walks, steps).sum(axis=1).tolist()
+    assert h.tolist() == rows.sum(axis=1).tolist()
     assert m.tolist() == np.maximum(s.max(axis=1), 0).tolist()
     assert r.tolist() == (s == 0).sum(axis=1).tolist()
     assert m[0] == steps and h[1] == 0
+    assert s[2 : 2 + len(ends), -1].tolist() == list(ends)
 
 
 def test_returns_law_l4_by_fraction():
