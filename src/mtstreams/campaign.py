@@ -170,26 +170,20 @@ def run_battery_on_status(
     return [run_test(t, StreamView(WordPrefix(words), modes[0]), eps) for t in battery.tests]
 
 
-_WORK: dict = {}
-
-
-def _run_unit(entry_i: int) -> list[TestResult]:
-    entry: StatusEntry = _WORK["entries"][entry_i]
-    return run_battery_on_status(entry.state, _WORK["modes"], _WORK["battery"], _WORK["eps"])
+def _run_unit(work: tuple[MtState, tuple[str, ...], Battery, float]) -> list[TestResult]:
+    return run_battery_on_status(*work)
 
 
 def run_campaign(entries: list[StatusEntry], config: CampaignConfig) -> CampaignReport:
     eps = config.eps
-    global _WORK
-    _WORK = {"entries": entries, "modes": config.modes, "battery": config.battery, "eps": eps}
-    units = range(len(entries))
-    if config.jobs > 1 and len(units) > 1:
+    work = [(e.state, config.modes, config.battery, eps) for e in entries]
+    if config.jobs > 1 and len(work) > 1:
         import_family_dependencies()  # once here, shared by every forked worker
         ctx = get_context("fork")
-        with ctx.Pool(min(config.jobs, len(units))) as pool:
-            outcomes = pool.map(_run_unit, units)
+        with ctx.Pool(min(config.jobs, len(work))) as pool:
+            outcomes = pool.map(_run_unit, work)
     else:
-        outcomes = [_run_unit(u) for u in units]
+        outcomes = [_run_unit(w) for w in work]
     reports = [
         StatusReport(entry.technique, entry.index, mode, results)
         for entry, results in zip(entries, outcomes)

@@ -31,7 +31,7 @@ from mtstreams.partition import (
     write_status_set,
 )
 from mtstreams.reports import TABLES, render_report
-from mtstreams.statusfile import StatusFormatError, verify_sets, write_bytes_atomic
+from mtstreams.statusfile import verify_sets, write_bytes_atomic
 from mtstreams.stats.battery import load_battery
 
 EXIT_OK = 0
@@ -251,10 +251,7 @@ def main(argv: list[str] | None = None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (StatusFormatError, FileNotFoundError, NotADirectoryError, PermissionError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except (OSError, UnicodeDecodeError, ValueError) as exc:
+    except (OSError, ValueError) as exc:  # StatusFormatError and UnicodeDecodeError too
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
 

@@ -16,10 +16,6 @@ from dataclasses import dataclass
 import numpy as np
 
 N = 624
-M = 397
-MATRIX_A = 0x9908B0DF
-UPPER_MASK = 0x80000000
-LOWER_MASK = 0x7FFFFFFF
 WORD_MASK = 0xFFFFFFFF
 
 
@@ -111,19 +107,6 @@ def untemper(y: int) -> int:
     y = x & WORD_MASK
     y ^= (y >> 11) ^ (y >> 22)
     return y & WORD_MASK
-
-
-def untemper_words(words: np.ndarray) -> np.ndarray:
-    """Vectorized inverse tempering."""
-    y = words.astype(np.uint32, copy=True)
-    y ^= y >> 18
-    y ^= (y << 15) & np.uint32(0xEFC60000)
-    x = y.copy()
-    for _ in range(4):
-        x = y ^ ((x << 7) & np.uint32(0x9D2C5680))
-    y = x
-    y ^= (y >> 11) ^ (y >> 22)
-    return y
 
 
 def next_u32(state: MtState) -> tuple[int, MtState]:

@@ -167,7 +167,7 @@ def import_family_dependencies() -> None:
     copy of the modules instead of each importing its own.
     """
     import scipy.spatial  # noqa: F401  (close_pairs_test)
-    import scipy.special  # noqa: F401  (pvalues.chi2_pvalue)
+    import scipy.special  # noqa: F401  (pvalues: chi-square and Poisson tails)
 
 
 _RUNNERS = {

@@ -1,11 +1,12 @@
 """P-value machinery shared by the test families.
 
 Conventions: chi-square p-values are right tails; the Poisson helper returns
-both tails, each including the observed atom.
+both tails, each including the observed atom. Both come from SciPy's
+regularized incomplete gamma functions P(a, x) and Q(a, x) = 1 - P(a, x):
+a chi-square right tail is Q(df/2, x/2), and the Poisson tails are
+Q(k + 1, lam) and P(k, lam).
 """
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
@@ -21,51 +22,20 @@ def chi2_pvalue(x: float, df: int) -> float:
     return float(gammaincc(df / 2.0, x / 2.0))
 
 
-def _poisson_logpmf(k: int, lam: float) -> float:
-    return -lam + k * math.log(lam) - math.lgamma(k + 1)
-
-
-def _poisson_cdf(k: int, lam: float) -> float:
-    """P(X <= k), summed in log space against the largest term."""
-    if k < 0:
-        return 0.0
-    peak = min(k, int(lam))
-    log_peak = _poisson_logpmf(peak, lam)
-    total = 0.0
-    for i in range(k + 1):
-        total += math.exp(_poisson_logpmf(i, lam) - log_peak)
-    return min(1.0, math.exp(log_peak + math.log(total)))
-
-
-def _poisson_upper_tail(k: int, lam: float) -> float:
-    """P(X >= k) for k > lam, by direct scaled summation of the tail."""
-    log_first = _poisson_logpmf(k, lam)
-    term = 1.0
-    total = 1.0
-    i = k
-    while term > total * 1e-20:
-        i += 1
-        term *= lam / i
-        total += term
-    log_total = log_first + math.log(total)
-    return math.exp(log_total) if log_total > -745.0 else 0.0
-
-
 def poisson_two_sided_pvalue(observed: int, lam: float) -> tuple[float, float]:
     """(left, right) = (P(X <= observed), P(X >= observed)) under Poisson(lam).
 
-    Both tails include the observed atom, so left + right >= 1.
+    Both tails include the observed atom, so left + right >= 1. They are
+    P(X <= k) = Q(k + 1, lam) and, for k >= 1, P(X >= k) = P(k, lam).
     """
     if observed < 0:
         raise ValueError(f"observed count must be >= 0, got {observed}")
     if not lam > 0:
         raise ValueError(f"mean must be > 0, got {lam}")
-    if observed <= lam:
-        left = _poisson_cdf(observed, lam)
-        right = 1.0 - _poisson_cdf(observed - 1, lam)
-    else:
-        right = _poisson_upper_tail(observed, lam)
-        left = 1.0 - _poisson_upper_tail(observed + 1, lam)
+    from scipy.special import gammainc, gammaincc
+
+    left = float(gammaincc(observed + 1, lam))
+    right = float(gammainc(observed, lam)) if observed > 0 else 1.0
     return left, right
 
 

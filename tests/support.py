@@ -38,6 +38,19 @@ def twist_words(mt: np.ndarray) -> None:
     mt[N - 1] = mt[M - 1] ^ (y_last >> _U1) ^ (_MATRIX_A if y_last & _U1 else np.uint32(0))
 
 
+def untemper_words(words: np.ndarray) -> np.ndarray:
+    """Inverse tempering of a uint32 array, vectorized with NumPy."""
+    y = words.astype(np.uint32, copy=True)
+    y ^= y >> 18
+    y ^= (y << 15) & np.uint32(0xEFC60000)
+    x = y.copy()
+    for _ in range(4):
+        x = y ^ ((x << 7) & np.uint32(0x9D2C5680))
+    y = x
+    y ^= (y >> 11) ^ (y >> 22)
+    return y
+
+
 def untempered_draws(words: np.ndarray, mti: int, n: int) -> tuple[np.ndarray, np.ndarray, int]:
     """n draws from the MT19937 status (words, mti), before tempering.
 

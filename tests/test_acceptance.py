@@ -126,7 +126,8 @@ def test_criterion_03_null_distribution_oracles():
         census[berlekamp_massey(bits)] += 1
     assert census == {length: complexity_count(length, n) for length in range(n + 1)}
 
-    # Tail probabilities within 1e-10 of high-precision oracles, 22 points each.
+    # Tail probabilities against high-precision oracles: chi-square within
+    # 1e-10 absolute at 22 points, Poisson within 1e-13 relative at 28 points.
     chi2_grid = [
         (1, 0.5), (1, 4.0), (1, 25.0), (2, 1.0), (2, 10.0), (3, 0.25),
         (3, 7.81), (4, 13.3), (5, 1.0), (5, 11.07), (7, 30.0), (10, 3.94),
@@ -141,13 +142,15 @@ def test_criterion_03_null_distribution_oracles():
         (4.0, 4), (8.0, 15), (16.0, 5), (32.0, 32), (32.0, 12), (32.0, 60),
         (64.0, 64), (128.0, 96), (128.0, 128), (128.0, 170), (200.0, 150),
         (512.0, 512), (512.0, 400), (1000.0, 1100), (10000.0, 9900),
+        (127.9921875, 64), (127.9921875, 128), (127.9921875, 200),
+        (31.99609375, 8), (31.99609375, 32), (31.99609375, 70),
     ]
     assert len(poisson_grid) >= 20
     for lam, observed in poisson_grid:
         left, right = poisson_two_sided_pvalue(observed, lam)
         oracle_left, oracle_right = poisson_tails_oracle(observed, lam)
-        assert left == pytest.approx(oracle_left, abs=1e-10)
-        assert right == pytest.approx(oracle_right, abs=1e-10)
+        assert left == pytest.approx(oracle_left, rel=1e-13)
+        assert right == pytest.approx(oracle_right, rel=1e-13)
 
 
 @pytest.mark.slow

@@ -1,5 +1,6 @@
 """Campaign orchestration: determinism, aggregation, registry, JSONL."""
 import json
+import threading
 
 import numpy as np
 import pytest
@@ -200,6 +201,26 @@ def test_pool_has_no_more_workers_than_statuses(monkeypatch):
         report = run_campaign(entries, CampaignConfig(battery=FAST, modes=("int",), jobs=jobs))
         assert report == serial
     assert sizes == [2, 3, 3]
+
+
+def test_concurrent_campaigns_do_not_share_inputs():
+    config = CampaignConfig(battery=FAST, modes=("int",))
+    others = [StatusEntry("random", i, init_genrand(100 + i), f"{i:064x}") for i in range(4)]
+    sets = [_entries(4), others]
+    lone = [run_campaign(entries, config) for entries in sets]
+    start = threading.Barrier(len(sets))
+    got = [None] * len(sets)
+
+    def run(i):
+        start.wait()
+        got[i] = run_campaign(sets[i], config)
+
+    threads = [threading.Thread(target=run, args=(i,)) for i in range(len(sets))]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join()
+    assert got == lone
 
 
 def test_one_pass_per_status_matches_a_fresh_stream_per_test_and_mode():

@@ -12,14 +12,14 @@ import pytest
 from mtstreams.cli import main
 
 DIGESTS = {
-    "results.jsonl": "6c2853adfccb4fffb0bedad5b6d5fafe46b0fd07d7feff546e1c50b002165dcc",
+    "results.jsonl": "5623079bba2a1431553d282f5fb47aba3480baf3cb83998816b1efe2585432d8",
     "report.md": "f8b6ae37e663b6b93360228d55be10c5c97bd8b2c8b79e3c373326c7cd774118",
     "report.csv": "e6bea84edfb93d621cfda15670e5cc74aa84e00badda48cbe47c4a9cd325bda3",
     "report.json": "4d3d60e89ace09845825c425a4144545d9abc648b6636acf15e10a91279e01bd",
     "registry.txt": "66900656788515599e0f7fe0e09273fa1e93d6068a25dc1cbeac11b90b391bf1",
     "registry.json": "b83e491803659b1e5af6460887f3adfb224a9b7f7c6b3d2d6bd185925d5c7ae2",
 }
-REAL_ONLY_RESULTS = "9d9b2026cfe6f854c6082fdfeaed76177fbc29e2806e4959421b86195a8c8fe8"
+REAL_ONLY_RESULTS = "6a91e5598112dc52c619cabf0943b6d6298a9e2a64c628a252488ef8d1fbe0e4"
 
 
 def _sha(path) -> str:

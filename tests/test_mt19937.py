@@ -19,10 +19,9 @@ from mtstreams.mt19937 import (
     temper,
     twist,
     untemper,
-    untemper_words,
 )
 
-from support import twist_words, untempered_draws
+from support import twist_words, untemper_words, untempered_draws
 
 FIXTURES = Path(__file__).parent / "fixtures" / "reference_outputs.json"
 REFERENCE = {int(k): v for k, v in json.loads(FIXTURES.read_text()).items()}

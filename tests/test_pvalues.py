@@ -82,6 +82,13 @@ POISSON_GRID = [
     (512.0, 400),
     (1000.0, 1100),
     (10000.0, 9900),
+    # The battery's own means: CollisionOver a and b.
+    (127.9921875, 64),
+    (127.9921875, 128),
+    (127.9921875, 200),
+    (31.99609375, 8),
+    (31.99609375, 32),
+    (31.99609375, 70),
 ]
 
 
@@ -89,8 +96,8 @@ POISSON_GRID = [
 def test_poisson_tails_match_summation_oracle(lam, observed):
     left, right = poisson_two_sided_pvalue(observed, lam)
     oracle_left, oracle_right = poisson_tails_oracle(observed, lam)
-    assert left == pytest.approx(oracle_left, abs=1e-10)
-    assert right == pytest.approx(oracle_right, abs=1e-10)
+    assert left == pytest.approx(oracle_left, rel=1e-13)
+    assert right == pytest.approx(oracle_right, rel=1e-13)
 
 
 def test_poisson_tails_trivial_points():
