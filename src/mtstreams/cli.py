@@ -4,6 +4,12 @@ Subcommands: gen, test, report, registry, verify. Every invocation is
 deterministic: identical inputs and flags yield identical output bytes and
 exit codes. Exit codes: 0 success; 1 usage; 2 I/O or parse failure;
 3 strict-mode quality failure or verify difference.
+
+Each command loads only what it runs. ``report``, ``registry`` and
+``verify`` need the standard library alone (``results``, ``reports`` and
+``statusfile``); ``gen`` imports ``partition`` and with it NumPy; ``test``
+imports ``campaign`` and the battery, which bring NumPy and the test
+families, and the families load SciPy when they first need it.
 """
 from __future__ import annotations
 
@@ -13,26 +19,16 @@ import sys
 from pathlib import Path
 
 from mtstreams._version import VERSION
-from mtstreams.campaign import (
+from mtstreams.reports import TABLES, render_report
+from mtstreams.results import (
     DEFAULT_EXPECTED_FAIL_IDS,
-    CampaignConfig,
     build_registry,
     classify_status,
-    load_status_entries,
     read_results_jsonl,
-    run_campaign,
     write_registry,
     write_results_jsonl,
 )
-from mtstreams.partition import (
-    generate_indexed,
-    generate_random_spacing,
-    generate_sequence_splitting,
-    write_status_set,
-)
-from mtstreams.reports import TABLES, render_report
 from mtstreams.statusfile import verify_sets, write_bytes_atomic
-from mtstreams.stats.battery import load_battery
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -123,6 +119,13 @@ def _build_parser() -> _Parser:
 
 
 def _cmd_gen(args: argparse.Namespace) -> int:
+    from mtstreams.partition import (
+        generate_indexed,
+        generate_random_spacing,
+        generate_sequence_splitting,
+        write_status_set,
+    )
+
     if args.count < 1:
         raise UsageError(f"--count must be >= 1, got {args.count}")
     try:
@@ -166,6 +169,9 @@ def _resolve_expected(raw: str | None, available_ids) -> frozenset[str]:
 
 
 def _cmd_test(args: argparse.Namespace) -> int:
+    from mtstreams.campaign import CampaignConfig, load_status_entries, run_campaign
+    from mtstreams.stats.battery import load_battery
+
     inputs = list(args.dir) + list(args.status)
     if not inputs:
         raise UsageError("give at least one --dir or --status")

@@ -52,6 +52,10 @@ class MtState:
     def __hash__(self) -> int:
         return hash((self.mti, self.mt.tobytes()))
 
+    def __reduce__(self):
+        # Unpickle through the constructor, which copies, checks and freezes the words.
+        return MtState, (self.mt, self.mti)
+
     def __repr__(self) -> str:
         return f"MtState(mt=[{int(self.mt[0])}, ...], mti={self.mti})"
 

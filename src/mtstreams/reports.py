@@ -14,7 +14,7 @@ import io
 import json
 from collections import Counter
 
-from mtstreams.campaign import (
+from mtstreams.results import (
     DEFAULT_EXPECTED_FAIL_IDS,
     CampaignReport,
     check_expected_ids,

@@ -6,9 +6,10 @@ Submodules:
 - ``pvalues``: chi-square and Poisson p-value machinery.
 - ``complexity``: Berlekamp-Massey linear complexity and its exact null law.
 - ``walks``: exact null distributions of random-walk statistics.
-- ``families``: the test families and their result records.
+- ``families``: the test families and their dispatch.
 - ``battery``: ordered test batteries, including the built-in mini-crush-v1.
 """
+from mtstreams.results import TestResult
 from mtstreams.stats.battery import (
     MINI_CRUSH_V1,
     Battery,
@@ -17,7 +18,7 @@ from mtstreams.stats.battery import (
     dump_battery,
     load_battery,
 )
-from mtstreams.stats.families import TestResult, run_test
+from mtstreams.stats.families import run_test
 from mtstreams.stats.stream import Mode, StreamView
 
 __all__ = [

@@ -9,39 +9,14 @@ p = eps passes).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
+from mtstreams.results import TestResult, _verdict
 from mtstreams.stats.complexity import berlekamp_massey, linear_complexity_pvalue
 from mtstreams.stats.pvalues import chi2_pvalue, merged_chi2_pvalue, poisson_two_sided_pvalue
 from mtstreams.stats.stream import StreamView
 from mtstreams.stats.walks import h_null, m_null, r_null, walk_statistics
-
-
-@dataclass
-class TestResult:
-    """Outcome of one test on one stream view."""
-
-    __test__ = False  # not a pytest collection target
-
-    test_id: str
-    family: str
-    p_values: dict[str, float]
-    verdict: str
-    draws: int
-    details: dict = field(default_factory=dict)
-
-    @property
-    def failed(self) -> bool:
-        return self.verdict == "Fail"
-
-
-def _verdict(p_values: dict[str, float], eps: float) -> str:
-    for p in p_values.values():
-        if p < eps or p > 1.0 - eps:
-            return "Fail"
-    return "Pass"
 
 
 def validate_params(family: str, params: dict) -> dict:

@@ -8,6 +8,10 @@ Format (ASCII, LF line endings, no trailing whitespace):
 
 Canonical form is enforced on parse so that serialize(parse(f)) == f holds
 byte for byte; that is what makes `diff -r`-style verification meaningful.
+
+The module loads only the standard library: ``parse_status`` imports the
+generator core, and with it NumPy, when it first builds a status, so
+``verify`` and the results and report writers never load NumPy.
 """
 from __future__ import annotations
 
@@ -16,10 +20,10 @@ import os
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-import numpy as np
-
-from mtstreams.mt19937 import N, WORD_MASK, MtState, ZeroStateError
+if TYPE_CHECKING:
+    from mtstreams.mt19937 import MtState
 
 HEADER = "MT19937-STATUS v1"
 STATUS_SUFFIX = ".mts"
@@ -39,6 +43,8 @@ def serialize_status(state: MtState) -> str:
 
 
 def parse_status(text: str) -> MtState:
+    from mtstreams.mt19937 import N, WORD_MASK, MtState, ZeroStateError  # deferred: loads NumPy
+
     if not text.endswith("\n") or "\r" in text:
         raise StatusFormatError("file must use LF endings and end with a newline")
     lines = text[:-1].split("\n")
@@ -58,7 +64,7 @@ def parse_status(text: str) -> MtState:
     if mti > N:
         raise StatusFormatError(f"mti must be in [0, {N}], got {mti}")
     try:
-        return MtState(np.array(words, dtype=np.uint32), mti)
+        return MtState(words, mti)
     except ZeroStateError as exc:
         raise StatusFormatError(str(exc)) from exc
 

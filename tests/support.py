@@ -344,7 +344,8 @@ def damaged_results(path) -> dict[str, str]:
     """Copies of a valid results file, each broken in one way a reader must
     reject: a lost last line, a repeated row, a row for a status or a mode
     the meta record does not list, a verdict that is neither Pass nor Fail,
-    and a verdict its own p-values contradict."""
+    a verdict its own p-values contradict, and a meta line or a row that is
+    valid JSON but not an object."""
     lines = open(path, encoding="ascii").read().splitlines(keepends=True)
     meta = json.loads(lines[0])
     first = json.loads(lines[1])
@@ -363,6 +364,9 @@ def damaged_results(path) -> dict[str, str]:
         "unknown_mode": "".join([json.dumps(one_mode) + "\n"] + lines[1:]),
         "bad_verdict": with_first_row(bad_verdict),
         "flipped_verdict": with_first_row(flipped),
+        "meta_not_object": "".join(["[]\n"] + lines[1:]),
+        "row_list": "".join(lines[:1] + ["[1, 2]\n"] + lines[1:]),
+        "row_string": "".join(lines + ['"x"\n']),
     }
 
 

@@ -18,12 +18,7 @@ import pytest
 import scipy.stats
 
 from mtstreams.cli import main
-from mtstreams.campaign import (
-    CampaignConfig,
-    StatusEntry,
-    read_results_jsonl,
-    run_campaign,
-)
+from mtstreams.campaign import CampaignConfig, StatusEntry, run_campaign
 from mtstreams.mt19937 import (
     N,
     MtState,
@@ -39,6 +34,7 @@ from mtstreams.partition import (
     write_status_set,
 )
 from mtstreams.reports import TABLES, render_report
+from mtstreams.results import read_results_jsonl
 from mtstreams.stats.battery import MINI_CRUSH_V1, TestDefinition
 from mtstreams.stats.complexity import berlekamp_massey
 from mtstreams.stats.families import run_test

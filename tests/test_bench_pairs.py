@@ -1,0 +1,67 @@
+"""The pair runner's summary: fixed numbers in, known quartiles and counts out."""
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+_PATH = Path(__file__).resolve().parents[1] / "tools" / "bench_pairs.py"
+_SPEC = importlib.util.spec_from_file_location("bench_pairs", _PATH)
+bench_pairs = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(bench_pairs)
+
+
+def _run(wall, rss, failed=0, correct=True):
+    return {
+        "correct": correct,
+        "attempted": 50,
+        "failed": failed,
+        "metrics": {
+            "wall_s": {"value": wall, "unit": "s"},
+            "units_per_s": {"value": 1.0 / wall, "unit": "1/s"},
+            "peak_rss_mb": {"value": rss, "unit": "MB"},
+        },
+    }
+
+
+def test_parse_seeds():
+    assert bench_pairs.parse_seeds("401-405") == [401, 402, 403, 404, 405]
+    assert bench_pairs.parse_seeds("7") == [7]
+    with pytest.raises(ValueError):
+        bench_pairs.parse_seeds("5-4")
+
+
+def test_summarize_fixed_numbers():
+    parent_wall = [4.0, 4.4, 3.6, 4.2, 3.8]
+    change_wall = [3.0, 3.2, 3.7, 3.1, 3.3]
+    pairs = [
+        {"parent": _run(p, 80.0), "change": _run(c, 80.0 + (i - 2) * 0.5, failed=i == 4)}
+        for i, (p, c) in enumerate(zip(parent_wall, change_wall))
+    ]
+    out = bench_pairs.summarize(
+        pairs, {"wall_s": "lower", "units_per_s": "higher", "peak_rss_mb": "lower"}
+    )
+    assert out["runs_correct"] is True
+    assert out["failed_operations"] == 1
+    assert out["attempted_operations"] == 500
+    wall = out["metrics"]["wall_s"]
+    assert wall["unit"] == "s"
+    # Inclusive quartiles of 3.6, 3.8, 4.0, 4.2, 4.4 and of 3.0, 3.1, 3.2, 3.3, 3.7.
+    assert wall["parent"] == {"q1": 3.8, "median": 4.0, "q3": 4.2}
+    assert wall["change"] == {"q1": 3.1, "median": 3.2, "q3": 3.3}
+    assert wall["parent_iqr"] == 0.4
+    assert wall["median_change_ratio"] == -0.2
+    # The third pair (3.6 -> 3.7) is the only one the change loses.
+    assert (wall["change_better_pairs"], wall["change_worse_pairs"]) == (4, 1)
+    assert wall["parent_runs"] == parent_wall and wall["change_runs"] == change_wall
+    # A higher-is-better rate of the same runs wins and loses the same pairs.
+    rate = out["metrics"]["units_per_s"]
+    assert (rate["change_better_pairs"], rate["change_worse_pairs"]) == (4, 1)
+    rss = out["metrics"]["peak_rss_mb"]
+    # Change RSS 79.0, 79.5, 80.0, 80.5, 81.0 against a flat 80.0: two wins, one tie.
+    assert (rss["change_better_pairs"], rss["change_worse_pairs"]) == (2, 2)
+    assert rss["median_change_ratio"] == 0.0
+
+
+def test_summarize_flags_an_incorrect_run():
+    pairs = [{"parent": _run(4.0, 80.0), "change": _run(3.0, 80.0, correct=False)}] * 2
+    assert bench_pairs.summarize(pairs, {"wall_s": "lower"})["runs_correct"] is False

@@ -9,20 +9,12 @@ import mtstreams.campaign as campaign
 import mtstreams.stats.stream as stream
 from mtstreams.campaign import (
     CampaignConfig,
-    CampaignReport,
     StatusEntry,
-    StatusReport,
-    build_registry,
     campaign_fingerprint,
-    check_expected_ids,
-    classify_status,
     load_status_entries,
     parse_status_filename,
-    read_results_jsonl,
     run_campaign,
     status_words,
-    write_registry,
-    write_results_jsonl,
 )
 from mtstreams.mt19937 import MtStream, init_genrand
 from mtstreams.partition import (
@@ -33,8 +25,19 @@ from mtstreams.partition import (
     write_status_set,
 )
 from mtstreams.reports import build_tables
+from mtstreams.results import (
+    CampaignReport,
+    StatusReport,
+    TestResult,
+    build_registry,
+    check_expected_ids,
+    classify_status,
+    read_results_jsonl,
+    write_registry,
+    write_results_jsonl,
+)
 from mtstreams.stats.battery import Battery, TestDefinition, battery_sha256
-from mtstreams.stats.families import TestResult, run_test
+from mtstreams.stats.families import run_test
 from mtstreams.stats.stream import StreamView
 from mtstreams.statusfile import StatusFormatError
 

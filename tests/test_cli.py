@@ -1,4 +1,5 @@
 """CLI end-to-end: subcommands, exit codes, determinism, help text."""
+import importlib
 import json
 import os
 import subprocess
@@ -7,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from mtstreams._version import VERSION
 from mtstreams.cli import main
 from mtstreams.stats.battery import Battery, TestDefinition, dump_battery
 
@@ -458,3 +460,74 @@ def test_cli_import_loads_no_scipy():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     ).stdout
     assert out.strip() == "[]"
+
+
+_SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+# Runs cli.main(argv) in a fresh interpreter; the last stdout line lists the
+# modules loaded by then.
+_RUN_MAIN = """
+import json, sys
+from mtstreams.cli import main
+try:
+    rc = main(json.loads(sys.argv[1]))
+except SystemExit as exc:
+    rc = exc.code
+print(json.dumps({"rc": rc, "modules": sorted(sys.modules)}))
+"""
+
+
+def _fresh(code: str, *args: str) -> str:
+    env = dict(os.environ, PYTHONPATH=_SRC)
+    return subprocess.run(
+        [sys.executable, "-c", code, *args], env=env, capture_output=True, text=True, check=True
+    ).stdout.splitlines()[-1]
+
+
+def _fresh_main(argv: list[str]) -> tuple[int, list[str]]:
+    out = json.loads(_fresh(_RUN_MAIN, json.dumps(argv)))
+    return out["rc"], out["modules"]
+
+
+def _within(modules: list[str], *packages: str) -> list[str]:
+    return [m for m in modules if any(m == p or m.startswith(p + ".") for p in packages)]
+
+
+def test_stdlib_commands_load_no_numpy_or_scipy(campaign_results, tmp_path):
+    # report, registry and verify never touch an array; NumPy costs ~55 ms.
+    assert _gen(tmp_path / "a") == 0 and _gen(tmp_path / "b") == 0
+    commands = {
+        "report": ["report", "--results", str(campaign_results), "--out", str(tmp_path / "r.md")],
+        "registry": ["registry", "--results", str(campaign_results), "--out", str(tmp_path / "reg.txt")],
+        "verify": ["verify", "--dir", str(tmp_path / "a"), "--dir", str(tmp_path / "b")],
+        "version": ["--version"],
+    }
+    for name, argv in commands.items():
+        rc, modules = _fresh_main(argv)
+        assert rc == 0, name
+        assert _within(modules, "numpy", "scipy") == [], name
+
+
+def test_gen_loads_no_scipy_stats_or_campaign(tmp_path):
+    rc, modules = _fresh_main(["gen", "--technique", "random", "--count", "2", "--out", str(tmp_path / "s")])
+    assert rc == 0
+    assert "mtstreams.partition" in modules
+    assert _within(modules, "scipy", "mtstreams.stats", "mtstreams.campaign") == []
+
+
+def test_package_import_loads_no_numpy_and_resolves_every_name():
+    code = "import sys, mtstreams; print(sorted(m for m in sys.modules if m.split('.')[0] == 'numpy'))"
+    assert _fresh(code) == "[]"
+    code = "from mtstreams import init_genrand; print(init_genrand(5489).mt[1])"
+    assert _fresh(code) == "1301868182"
+    import mtstreams
+
+    for name in mtstreams.__all__:
+        value = getattr(mtstreams, name)
+        if name == "__version__":
+            assert value == VERSION
+            continue
+        home = importlib.import_module(value.__module__)
+        assert value.__module__.startswith("mtstreams.") and vars(home)[name] is value, name
+    with pytest.raises(AttributeError):
+        mtstreams.no_such_name

@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 
 from mtstreams.mt19937 import MtStream, init_genrand
+from mtstreams.results import _verdict
 from mtstreams.stats.battery import TestDefinition
 from mtstreams.stats.families import (
-    _verdict,
     close_pairs_test,
     collision_over_test,
     run_test,

@@ -1,5 +1,6 @@
 """Core generator: reference equivalence, tempering, advance, state rules."""
 import json
+import pickle
 from pathlib import Path
 
 import numpy as np
@@ -125,6 +126,17 @@ def test_mtstate_immutable_value_semantics():
     words[0] ^= 0xFFFF  # constructor copied; mutation must not leak
     assert t == s
     assert hash(t) == hash(s)
+
+
+def test_mtstate_pickle_round_trip_keeps_value_semantics():
+    # Campaign workers receive their statuses pickled.
+    for s in (init_genrand(1), MtState(init_genrand(2).mt, 100)):
+        t = pickle.loads(pickle.dumps(s))
+        assert t == s
+        assert hash(t) == hash(s)
+        assert not t.mt.flags.writeable
+        with pytest.raises(ValueError):
+            t.mt[0] = 1
 
 
 def test_next_real_scaling():

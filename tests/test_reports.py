@@ -5,9 +5,8 @@ import json
 
 import pytest
 
-from mtstreams.campaign import CampaignReport, StatusReport
 from mtstreams.reports import TABLES, build_tables, render_report
-from mtstreams.stats.families import TestResult
+from mtstreams.results import CampaignReport, StatusReport, TestResult
 
 
 def _creport():
