@@ -9,7 +9,8 @@ Each command loads only what it runs. ``report``, ``registry`` and
 ``verify`` need the standard library alone (``results``, ``reports`` and
 ``statusfile``); ``gen`` imports ``partition`` and with it NumPy; ``test``
 imports ``campaign`` and the battery, which bring NumPy and the test
-families, and the families load SciPy when they first need it.
+families, and the families' p-values load ``scipy.special`` (the
+incomplete gamma, SciPy's only use) when they first need it.
 """
 from __future__ import annotations
 

@@ -17,6 +17,9 @@ import numpy as np
 
 N = 624
 WORD_MASK = 0xFFFFFFFF
+# MtStream.take draws this many words at a time: NumPy's random_raw returns
+# uint64, so a chunk bounds that temporary at 512 KB.
+TAKE_CHUNK = 2**16
 
 
 class ZeroStateError(ValueError):
@@ -156,7 +159,11 @@ class MtStream:
         """Next n tempered 32-bit outputs as a uint32 array."""
         if n < 0:
             raise ValueError(f"draw count must be >= 0, got {n}")
-        return self._engine.random_raw(n).astype(np.uint32)
+        out = np.empty(n, dtype=np.uint32)
+        for start in range(0, n, TAKE_CHUNK):
+            stop = min(start + TAKE_CHUNK, n)
+            out[start:stop] = self._engine.random_raw(stop - start)
+        return out
 
     @property
     def state(self) -> MtState:

@@ -156,10 +156,11 @@ def read_results_jsonl(path: Path | str) -> CampaignReport:
     The file must be complete and consistent with its meta record: exactly
     one row per meta status, meta mode and meta test id, each with the
     verdict, Pass or Fail, that its p-values give at the meta threshold
-    (exact, since p-values are written with 17 significant digits).
-    Anything else (a truncated file, a line that is not a JSON object, a
-    duplicated row, a row for an unknown status or mode, any other verdict)
-    raises ValueError rather than being classified.
+    (exact, since p-values are written with 17 significant digits) and a
+    ``draws`` that is a non-negative integer. Anything else (a truncated
+    file, a line that is not a JSON object, a duplicated row, a row for an
+    unknown status or mode, any other verdict or draw count) raises
+    ValueError rather than being classified.
     """
     path = Path(path)
     lines = path.read_text(encoding="ascii").splitlines()
@@ -190,12 +191,15 @@ def read_results_jsonl(path: Path | str) -> CampaignReport:
             verdict = _verdict(p_values, meta["threshold"])
             if rec["verdict"] != verdict:
                 raise ValueError(f"{path}:{lineno}: verdict {rec['verdict']!r}, p-values give {verdict}")
+            draws = rec["draws"]
+            if type(draws) is not int or draws < 0:  # a bool is not a draw count
+                raise ValueError(f"{path}:{lineno}: draws {draws!r} is not a non-negative integer")
             unit[rec["test_id"]] = TestResult(
                 test_id=rec["test_id"],
                 family="",
                 p_values=p_values,
                 verdict=verdict,
-                draws=rec["draws"],
+                draws=draws,
             )
     except (KeyError, TypeError) as exc:
         raise ValueError(f"{path}: malformed record ({exc!r})") from exc

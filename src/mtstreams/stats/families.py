@@ -88,14 +88,48 @@ def collision_over_test(view: StreamView, n: int, d: int, t: int) -> dict:
     }
 
 
+def torus_min_distance(points: np.ndarray) -> float:
+    """Exact minimal pairwise Euclidean distance of points in [0,1)^t on the torus.
+
+    A circular sweep: sort on coordinate 0 and, for k = 1, 2, ..., compare
+    every point with the one k places after it in circular order. It stops
+    at the first k whose smallest forward coordinate-0 gap is >= the best
+    distance so far: a closer pair has a smaller gap in one direction, so
+    its step was already checked. Steps k and n - k pair the same points,
+    so k never passes n // 2.
+
+    Each coordinate difference is wrapped as min(|d|, 1 - |d|) and the
+    squares are summed in coordinate order. For multiples of 2^-32 every
+    difference and wrap is exact, so the result is the float a brute-force
+    search over all pairs gives.
+    """
+    n = points.shape[0]
+    half = n // 2
+    order = np.argsort(points[:, 0], kind="stable")
+    # One row per coordinate, the first n // 2 points repeated after the
+    # last with 1 added to coordinate 0, so step k is a plain slice.
+    ring = np.concatenate((points[order], points[order[:half]])).T.copy()
+    ring[0, n:] += 1.0
+    best2 = math.inf
+    for k in range(1, half + 1):
+        gap = ring[0, k : k + n] - ring[0, :n]
+        if gap.min() >= math.sqrt(best2):
+            break
+        dist2 = np.minimum(gap, 1.0 - gap)
+        dist2 *= dist2
+        for coord in ring[1:]:
+            d = np.abs(coord[k : k + n] - coord[:n])
+            np.minimum(d, 1.0 - d, out=d)
+            d *= d
+            dist2 += d
+        best2 = min(best2, float(dist2.min()))
+    return math.sqrt(best2)
+
+
 def close_pairs_test(view: StreamView, n: int, t: int) -> dict:
     """Minimal pairwise distance of n points in the unit torus [0,1)^t."""
-    from scipy.spatial import cKDTree  # deferred: SciPy costs ~0.4 s to import
-
     points = view.take_uniforms(n * t).reshape(n, t)
-    tree = cKDTree(points, boxsize=1.0)
-    dist, _ = tree.query(points, k=2)
-    d_min = float(dist[:, 1].min())
+    d_min = torus_min_distance(points)
     volume = math.pi ** (t / 2.0) / math.gamma(t / 2.0 + 1.0)
     lam = n * (n - 1) / 2.0 * volume * d_min**t
     p_right = math.exp(-lam)
@@ -126,8 +160,10 @@ def random_walk_test(view: StreamView, walks: int, steps: int) -> dict:
 
 def serial_uniformity_test(view: StreamView, n: int, cells: int) -> dict:
     """Chi-square of cell counts of floor(u * cells) against uniformity."""
-    u = view.take_uniforms(n)
-    idx = np.minimum((u * cells).astype(np.int64), cells - 1)
+    u = view.take_uniforms(n)  # a fresh array, so it may be scaled in place
+    u *= cells
+    idx = u.astype(np.int64)
+    np.minimum(idx, cells - 1, out=idx)
     counts = np.bincount(idx, minlength=cells)
     expected = n / cells
     chi2 = float(np.sum((counts - expected) ** 2) / expected)
@@ -136,12 +172,11 @@ def serial_uniformity_test(view: StreamView, n: int, cells: int) -> dict:
 
 
 def import_family_dependencies() -> None:
-    """Import the SciPy modules the families load on first use.
+    """Import the SciPy module the families' p-values load on first use.
 
     A process about to fork workers calls this, so the workers share one
-    copy of the modules instead of each importing its own.
+    copy of the module instead of each importing its own.
     """
-    import scipy.spatial  # noqa: F401  (close_pairs_test)
     import scipy.special  # noqa: F401  (pvalues: chi-square and Poisson tails)
 
 

@@ -299,15 +299,19 @@ def poisson_tails_oracle(k: int, lam: float) -> tuple[float, float]:
 
 
 def brute_force_min_toroidal_distance(points: np.ndarray) -> float:
-    """O(n^2) minimal pairwise Euclidean distance on the unit torus."""
+    """Minimal pairwise Euclidean distance on the unit torus, over all
+    n(n-1)/2 pairs: each coordinate difference wrapped as min(|d|, 1 - |d|),
+    the squares added one coordinate at a time in order 0..t-1."""
     n, t = points.shape
     best = math.inf
-    for i in range(n):
-        for j in range(i + 1, n):
-            diff = np.abs(points[i] - points[j])
+    for i in range(n - 1):
+        squares = np.zeros(n - 1 - i)
+        for j in range(t):
+            diff = np.abs(points[i + 1 :, j] - points[i, j])
             diff = np.minimum(diff, 1.0 - diff)
-            best = min(best, float(np.sqrt(np.sum(diff * diff))))
-    return best
+            squares += diff * diff
+        best = min(best, float(squares.min()))
+    return math.sqrt(best)
 
 
 def brute_force_collisions(uniforms: np.ndarray, n: int, d: int, t: int) -> int:
@@ -344,8 +348,9 @@ def damaged_results(path) -> dict[str, str]:
     """Copies of a valid results file, each broken in one way a reader must
     reject: a lost last line, a repeated row, a row for a status or a mode
     the meta record does not list, a verdict that is neither Pass nor Fail,
-    a verdict its own p-values contradict, and a meta line or a row that is
-    valid JSON but not an object."""
+    a verdict its own p-values contradict, a meta line or a row that is
+    valid JSON but not an object, and a draw count that is a string, is
+    negative or is a bool."""
     lines = open(path, encoding="ascii").read().splitlines(keepends=True)
     meta = json.loads(lines[0])
     first = json.loads(lines[1])
@@ -367,6 +372,9 @@ def damaged_results(path) -> dict[str, str]:
         "meta_not_object": "".join(["[]\n"] + lines[1:]),
         "row_list": "".join(lines[:1] + ["[1, 2]\n"] + lines[1:]),
         "row_string": "".join(lines + ['"x"\n']),
+        "draws_string": with_first_row(dict(first, draws="many")),
+        "draws_negative": with_first_row(dict(first, draws=-1)),
+        "draws_bool": with_first_row(dict(first, draws=True)),
     }
 
 

@@ -453,7 +453,7 @@ def test_help_documents_battery_and_threshold_defaults(capsys):
 
 
 def test_cli_import_loads_no_scipy():
-    # SciPy costs ~0.4 s to import; only the families that use it load it.
+    # scipy.special costs ~0.35 s to import; only the p-values that use it load it.
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
     code = "import sys, mtstreams.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     out = subprocess.run(
@@ -513,6 +513,16 @@ def test_gen_loads_no_scipy_stats_or_campaign(tmp_path):
     assert rc == 0
     assert "mtstreams.partition" in modules
     assert _within(modules, "scipy", "mtstreams.stats", "mtstreams.campaign") == []
+
+
+def test_test_loads_scipy_special_only(tmp_path):
+    # ClosePairs sweeps in NumPy; SciPy is there for the incomplete gamma.
+    assert _gen(tmp_path / "set", count=1) == 0
+    out = str(tmp_path / "results.jsonl")
+    rc, modules = _fresh_main(["test", "--dir", str(tmp_path / "set"), "--mode", "int", "--out", out])
+    assert rc == 0
+    assert "scipy.special" in modules
+    assert _within(modules, "scipy.spatial") == []
 
 
 def test_package_import_loads_no_numpy_and_resolves_every_name():

@@ -158,6 +158,55 @@ def test_closepairs_matches_brute_force(t):
     assert result.draws == n * t
 
 
+def _torus_cases(n: int, t: int, seed: int) -> dict[str, np.ndarray]:
+    """(n, t) word arrays, n even: plain random words, a pair that is close
+    only across the wrap in every coordinate, a duplicated point, and two
+    sets whose coordinate 0 is one value throughout, so a sweep never stops
+    early. In those the closest pair, 2^-32 apart, is rows 0 and n // 2
+    (the last step a sweep over a stable sort reaches) or rows 0 and
+    n // 2 + 1 (reached only from the later row, across the seam)."""
+    rng = np.random.default_rng(seed)
+
+    def fresh() -> np.ndarray:
+        return rng.integers(0, 2**32, size=(n, t), dtype=np.uint32)
+
+    def coincident(row: int) -> np.ndarray:
+        words = fresh()
+        words[:, 0] = words[0, 0]
+        words[row] = words[0]
+        words[row, 1] ^= 1
+        return words
+
+    i, j = rng.choice(n, size=2, replace=False)
+    wrapping = fresh()
+    wrapping[i] = rng.integers(0, 2, size=t)  # within 2^-32 of 0
+    wrapping[j] = 2**32 - 1 - rng.integers(0, 2, size=t)  # within 2^-32 of 1
+    duplicate = fresh()
+    duplicate[j] = duplicate[i]
+    return {
+        "random": fresh(),
+        "wrapping": wrapping,
+        "duplicate": duplicate,
+        "coincident_last_step": coincident(n // 2),
+        "coincident_across_seam": coincident(n // 2 + 1),
+    }
+
+
+@pytest.mark.parametrize("t", range(2, 9))
+def test_closepairs_equals_brute_force_exactly(t):
+    n = 256 + 128 * (t - 2)
+    for name, words in _torus_cases(n, t, seed=t).items():
+        view = StreamView(WordPrefix(words.ravel()), Mode.INT)
+        d_min = close_pairs_test(view, n, t)["details"]["min_distance"]
+        assert d_min == brute_force_min_toroidal_distance(words * 2.0**-32), name
+        if name == "wrapping":
+            assert d_min <= math.sqrt(t) * 3 * 2.0**-32
+        if name == "duplicate":
+            assert d_min == 0.0
+        if name.startswith("coincident"):
+            assert d_min == 2.0**-32
+
+
 def test_closepairs_volume_constant():
     # lambda = n(n-1)/2 * V_t * D^t with V_2 = pi.
     n = 256

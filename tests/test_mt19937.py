@@ -1,6 +1,7 @@
 """Core generator: reference equivalence, tempering, advance, state rules."""
 import json
 import pickle
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 
 from mtstreams.mt19937 import (
     N,
+    TAKE_CHUNK,
     MtState,
     MtStream,
     ZeroStateError,
@@ -229,6 +231,43 @@ def test_stream_take_matches_single_draws_across_block_boundary():
         v, state = next_u32(state)
         singles.append(v)
     assert bulk.tolist() == singles
+
+
+def test_stream_take_matches_oracles_at_chunk_boundaries():
+    c = TAKE_CHUNK
+    s = MtState(np.random.default_rng(31).integers(0, 2**32, size=N, dtype=np.uint32), 17)
+    for n in (0, 1, c - 1, c, c + 1, 3 * c + 5, 10**6):
+        raw, words, after = untempered_draws(s.mt, s.mti, n)
+        stream = MtStream(s)
+        out = stream.take(n)
+        assert out.dtype == np.uint32 and out.shape == (n,), n
+        assert np.array_equal(untemper_words(out), raw), n
+        assert stream.state == MtState(words, after), n
+
+
+def test_stream_successive_takes_straddle_chunks():
+    c = TAKE_CHUNK
+    s = MtState(init_genrand(8).mt, 600)
+    sizes = (c - 3, 7, 2 * c, 0, 1, c + 2)
+    stream = MtStream(s)
+    parts = [stream.take(k) for k in sizes]
+    raw, words, after = untempered_draws(s.mt, s.mti, sum(sizes))
+    assert np.array_equal(untemper_words(np.concatenate(parts)), raw)
+    assert stream.state == MtState(words, after)
+
+
+def test_stream_take_peak_memory_is_result_plus_one_chunk():
+    # random_raw hands back uint64 words; only one chunk of them may be alive
+    # next to the uint32 result (64 KiB covers the interpreter's own objects).
+    stream = MtStream(init_genrand(1))
+    tracemalloc.start()
+    try:
+        out = stream.take(10**6)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert out.nbytes == 4 * 10**6
+    assert peak < out.nbytes + 8 * TAKE_CHUNK + 2**16
 
 
 def test_word_payload_is_2496_bytes():
