@@ -30,11 +30,7 @@ _LAZY = {
             "ZeroStateError",
             "advance",
             "init_genrand",
-            "next_real",
-            "next_u32",
-            "temper",
             "twist",
-            "untemper",
         ),
         "mtstreams.mt19937",
     ),
@@ -75,15 +71,11 @@ __all__ = [
     "generate_sequence_splitting",
     "init_genrand",
     "load_status",
-    "next_real",
-    "next_u32",
     "overlap_probability",
     "parse_status",
     "save_status",
     "serialize_status",
-    "temper",
     "twist",
-    "untemper",
     "verify_sets",
     "write_status_set",
 ]

@@ -3,12 +3,13 @@
 A work unit is one status. It generates the status's first
 max(analytic_draws) words once, as a read-only array, and runs every
 battery test once on a zero-copy prefix of it. The real map w * 2^-32 is
-checked to give back every one of those words, so the same results stand
-for the int and the real pathway, and the unit yields one report per
-requested mode. Work units are pure computations, so the worker count
-changes wall time only: results are merged by sorting on (technique,
-index, mode, test id) and serialized with fixed formatting, making output
-bytes independent of scheduling.
+exact for 32-bit words, and floor(u * 2^32) gives every word back (see
+:mod:`mtstreams.stats.stream`), so the same results stand for the int and
+the real pathway, and the unit yields one report per requested mode. Work
+units are pure computations, so the worker count changes wall time only:
+results are merged by sorting on (technique, index, mode, test id) and
+serialized with fixed formatting, making output bytes independent of
+scheduling.
 
 This is the module that loads NumPy and the test families; only the
 ``test`` command imports it. The records it returns, the results and
@@ -29,7 +30,7 @@ from mtstreams.mt19937 import MtState, MtStream
 from mtstreams.results import MODES, CampaignReport, StatusReport, TestResult
 from mtstreams.stats.battery import Battery, battery_sha256, dump_battery
 from mtstreams.stats.families import import_family_dependencies, run_test
-from mtstreams.stats.stream import StreamView, WordPrefix, analytic_draws, check_real_map_lossless
+from mtstreams.stats.stream import StreamView, WordPrefix, analytic_draws
 from mtstreams.statusfile import STATUS_SUFFIX, StatusFormatError, file_sha256, load_status
 
 # Unused here: bench/ (its tracer targets and probes) imports these from this module.
@@ -118,13 +119,9 @@ def load_status_entries(paths: list[Path | str]) -> list[StatusEntry]:
 
 
 def status_words(state: MtState, battery: Battery) -> np.ndarray:
-    """The first max(analytic_draws) words of the status, read-only.
-
-    Raises ArithmeticError if the real map does not give back every word.
-    """
+    """The first max(analytic_draws) words of the status, read-only."""
     words = MtStream(state).take(max(analytic_draws(t.family, t.params) for t in battery.tests))
     words.flags.writeable = False
-    check_real_map_lossless(words)
     return words
 
 
@@ -139,10 +136,6 @@ def run_battery_on_status(
     return [run_test(t, StreamView(WordPrefix(words), modes[0]), eps) for t in battery.tests]
 
 
-def _run_unit(work: tuple[MtState, tuple[str, ...], Battery, float]) -> list[TestResult]:
-    return run_battery_on_status(*work)
-
-
 def run_campaign(entries: list[StatusEntry], config: CampaignConfig) -> CampaignReport:
     eps = config.eps
     work = [(e.state, config.modes, config.battery, eps) for e in entries]
@@ -150,9 +143,9 @@ def run_campaign(entries: list[StatusEntry], config: CampaignConfig) -> Campaign
         import_family_dependencies()  # once here, shared by every forked worker
         ctx = get_context("fork")
         with ctx.Pool(min(config.jobs, len(work))) as pool:
-            outcomes = pool.map(_run_unit, work)
+            outcomes = pool.starmap(run_battery_on_status, work)
     else:
-        outcomes = [_run_unit(w) for w in work]
+        outcomes = [run_battery_on_status(*w) for w in work]
     reports = [
         StatusReport(entry.technique, entry.index, mode, results)
         for entry, results in zip(entries, outcomes)

@@ -4,10 +4,11 @@ A generator status is 624 unsigned 32-bit words plus an index; it is held
 in an immutable value object, and every operation returns a fresh status.
 Twisting, drawing and skipping run on NumPy's C MT19937
 (``numpy.random.MT19937``), whose state is this status: key = the words,
-pos = the index. Seeding (the 2002 ``init_genrand``) and scalar tempering
-are written out here. The frozen reference outputs of the canonical
-implementation and an independent twist in the test suite's oracles check
-every operation word for word.
+pos = the index. Every draw comes from :class:`MtStream`, as tempered
+32-bit words; a uniform in [0, 1) is a word times 2^-32. Only seeding (the
+2002 ``init_genrand``) is written out here. The frozen reference outputs of
+the canonical implementation and an independent twist and untempering in
+the test suite's oracles check every operation word for word.
 """
 from __future__ import annotations
 
@@ -95,46 +96,11 @@ def twist(state: MtState) -> MtState:
     return MtState(engine.state["state"]["key"], 0)
 
 
-def temper(y: int) -> int:
-    """Output tempering: a GF(2)-linear bijection on 32-bit words."""
-    y ^= y >> 11
-    y ^= (y << 7) & 0x9D2C5680
-    y ^= (y << 15) & 0xEFC60000
-    y ^= y >> 18
-    return y & WORD_MASK
-
-
-def untemper(y: int) -> int:
-    """Inverse of :func:`temper`."""
-    y ^= y >> 18
-    y ^= (y << 15) & 0xEFC60000
-    x = y
-    for _ in range(4):
-        x = y ^ ((x << 7) & 0x9D2C5680)
-    y = x & WORD_MASK
-    y ^= (y >> 11) ^ (y >> 22)
-    return y & WORD_MASK
-
-
-def next_u32(state: MtState) -> tuple[int, MtState]:
-    """One tempered 32-bit draw and the successor status."""
-    if state.mti == N:
-        state = twist(state)
-    value = temper(int(state.mt[state.mti]))
-    return value, MtState(state.mt, state.mti + 1)
-
-
-def next_real(state: MtState) -> tuple[float, MtState]:
-    """One uniform real in [0, 1): the 32-bit draw scaled by 2^-32 (exact)."""
-    value, nxt = next_u32(state)
-    return value * 2.0**-32, nxt
-
-
 def advance(state: MtState, n: int) -> MtState:
     """Status after n draws, outputs discarded.
 
-    Observable behavior is identical to n calls of :func:`next_u32`: the
-    twist that a block's end calls for waits for the next draw.
+    The status is the one that drawing n words from :class:`MtStream` leaves:
+    the twist that a block's end calls for waits for the next draw.
     """
     if n < 0:
         raise ValueError(f"draw count must be >= 0, got {n}")

@@ -125,10 +125,20 @@ def _fmt17(x: float) -> str:
 _KEY_SAFE = re.compile(r"^[A-Za-z0-9._-]+$")
 
 
+def _is_p_value(p: object) -> bool:
+    """A number in [0, 1], so neither NaN, an infinity nor a bool.
+
+    Ints count: ``%.17g`` writes the p-values 0.0 and 1.0 as 0 and 1.
+    """
+    return isinstance(p, (int, float)) and not isinstance(p, bool) and 0 <= p <= 1
+
+
 def _result_line(r: StatusReport, t: TestResult) -> str:
-    for key in t.p_values:
+    for key, p in t.p_values.items():
         if not _KEY_SAFE.match(key):
             raise ValueError(f"sub-statistic name needs escaping: {key!r}")
+        if not _is_p_value(p):
+            raise ValueError(f"{t.test_id}: p-value {key} = {p!r} is not a number in [0, 1]")
     pv = ",".join(f'"{k}":{_fmt17(v)}' for k, v in t.p_values.items())
     return (
         f'{{"type":"result","technique":"{r.technique}","index":{r.index},'
@@ -156,10 +166,11 @@ def read_results_jsonl(path: Path | str) -> CampaignReport:
     The file must be complete and consistent with its meta record: exactly
     one row per meta status, meta mode and meta test id, each with the
     verdict, Pass or Fail, that its p-values give at the meta threshold
-    (exact, since p-values are written with 17 significant digits) and a
-    ``draws`` that is a non-negative integer. Anything else (a truncated
-    file, a line that is not a JSON object, a duplicated row, a row for an
-    unknown status or mode, any other verdict or draw count) raises
+    (exact, since p-values are written with 17 significant digits), every
+    p-value a number in [0, 1] and a ``draws`` that is a non-negative
+    integer. Anything else (a truncated file, a line that is not a JSON
+    object, a duplicated row, a row for an unknown status or mode, a NaN,
+    bool or out-of-range p-value, any other verdict or draw count) raises
     ValueError rather than being classified.
     """
     path = Path(path)
@@ -188,6 +199,9 @@ def read_results_jsonl(path: Path | str) -> CampaignReport:
             if rec["test_id"] in unit:
                 raise ValueError(f"{path}:{lineno}: duplicate row")
             p_values = dict(rec["p_values"])
+            for name, p in p_values.items():
+                if not _is_p_value(p):
+                    raise ValueError(f"{path}:{lineno}: p-value {name} = {p!r} is not a number in [0, 1]")
             verdict = _verdict(p_values, meta["threshold"])
             if rec["verdict"] != verdict:
                 raise ValueError(f"{path}:{lineno}: verdict {rec['verdict']!r}, p-values give {verdict}")

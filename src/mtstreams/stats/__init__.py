@@ -2,7 +2,9 @@
 
 Submodules:
 
-- ``stream``: views of words, uniforms and bits over a generator status.
+- ``stream``: views of one status's words, read as words, as uniforms
+  w * 2^-32 (exact in binary64, so both pathways see the same numbers)
+  or as bits.
 - ``pvalues``: chi-square and Poisson p-value machinery.
 - ``complexity``: Berlekamp-Massey linear complexity and its exact null law.
 - ``walks``: exact null distributions of random-walk statistics.

@@ -8,10 +8,11 @@ view's mode names the pathway its results are reported under:
 - ``Mode.REAL``: statistics of the binary64 uniforms, with words derived
   back as floor(u * 2^32).
 
-For a 32-bit generator the real map is lossless (every w * 2^-32 is exact
-in binary64), so both pathways read the same numbers and a test runs once
-for both. The campaign checks that claim on every word it reads with
-:func:`check_real_map_lossless` before it reports real rows.
+For a 32-bit generator the real map is lossless, so both pathways read
+the same numbers and a test runs once for both. No runtime check is
+needed, because none could fail: every uint32 is exact in binary64 (32 of
+53 significant bits), scaling by 2^-32 or 2^32 only moves the exponent,
+and :meth:`StreamView.take_words` only ever returns uint32 words.
 """
 from __future__ import annotations
 
@@ -23,26 +24,11 @@ import numpy as np
 from mtstreams.mt19937 import MtState, MtStream
 
 _TWO_NEG32 = 2.0**-32
-_TWO_POS32 = 2.0**32
 
 
 class Mode(enum.Enum):
     INT = "int"
     REAL = "real"
-
-
-def to_uniforms(words: np.ndarray) -> np.ndarray:
-    """The generator's real-output function: each word scaled into [0, 1)."""
-    return words * _TWO_NEG32
-
-
-def check_real_map_lossless(words: np.ndarray) -> None:
-    """Raise ArithmeticError unless floor(to_uniforms(w) * 2^32) == w for every word."""
-    back = to_uniforms(words)
-    back *= _TWO_POS32
-    np.floor(back, out=back)
-    if not np.array_equal(back, words):
-        raise ArithmeticError("the real map does not give back every word; real rows cannot reuse int results")
 
 
 class WordPrefix:
@@ -95,8 +81,8 @@ class StreamView:
         return out
 
     def take_uniforms(self, n: int) -> np.ndarray:
-        """n uniforms in [0, 1) as float64."""
-        return to_uniforms(self.take_words(n))
+        """n uniforms in [0, 1) as float64: each word times 2^-32."""
+        return self.take_words(n) * _TWO_NEG32
 
     def take_bits(self, n_bits: int) -> np.ndarray:
         """n_bits bits (uint8 values 0/1), each word read MSB first.

@@ -9,6 +9,7 @@ from __future__ import annotations
 import json
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 
@@ -349,9 +350,10 @@ def damaged_results(path) -> dict[str, str]:
     reject: a lost last line, a repeated row, a row for a status or a mode
     the meta record does not list, a verdict that is neither Pass nor Fail,
     a verdict its own p-values contradict, a meta line or a row that is
-    valid JSON but not an object, and a draw count that is a string, is
-    negative or is a bool."""
-    lines = open(path, encoding="ascii").read().splitlines(keepends=True)
+    valid JSON but not an object, a draw count that is a string, is
+    negative or is a bool, and a p-value that is NaN, a bool, above 1 or
+    negative."""
+    lines = Path(path).read_text(encoding="ascii").splitlines(keepends=True)
     meta = json.loads(lines[0])
     first = json.loads(lines[1])
     unknown = dict(first, index=1 + max(s["index"] for s in meta["statuses"]))
@@ -361,6 +363,15 @@ def damaged_results(path) -> dict[str, str]:
 
     def with_first_row(rec: dict) -> str:
         return "".join([lines[0], json.dumps(rec) + "\n"] + lines[2:])
+
+    def with_p_value(p) -> str:
+        """The first row with its first p-value replaced by p, and the verdict
+        that the rule "fail if p < eps or p > 1 - eps" gives, so that only
+        the p-value is wrong."""
+        eps = meta["threshold"]
+        p_values = dict(first["p_values"], **{next(iter(first["p_values"])): p})
+        fails = any(q < eps or q > 1 - eps for q in p_values.values())
+        return with_first_row(dict(first, p_values=p_values, verdict="Fail" if fails else "Pass"))
 
     return {
         "truncated": "".join(lines[:-1]),
@@ -375,6 +386,10 @@ def damaged_results(path) -> dict[str, str]:
         "draws_string": with_first_row(dict(first, draws="many")),
         "draws_negative": with_first_row(dict(first, draws=-1)),
         "draws_bool": with_first_row(dict(first, draws=True)),
+        "p_value_nan": with_p_value(math.nan),
+        "p_value_bool": with_p_value(True),
+        "p_value_above_one": with_p_value(1.5),
+        "p_value_negative": with_p_value(-0.5),
     }
 
 

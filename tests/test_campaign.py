@@ -191,8 +191,8 @@ def test_pool_has_no_more_workers_than_statuses(monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, items):
-            return [fn(x) for x in items]
+        def starmap(self, fn, items):
+            return [fn(*x) for x in items]
 
     class NoFork:
         Pool = SerialPool
@@ -245,12 +245,6 @@ def test_status_words_are_the_longest_prefix_and_read_only():
     assert not words.flags.writeable
     with pytest.raises(ValueError):
         words[0] = 0
-
-
-def test_campaign_refuses_real_rows_from_a_lossy_real_map(monkeypatch):
-    monkeypatch.setattr(stream, "to_uniforms", lambda w: (w * 2.0**-32).astype(np.float32).astype(np.float64))
-    with pytest.raises(ArithmeticError):
-        run_campaign(_entries(1), CampaignConfig(battery=FAST))
 
 
 def test_campaign_raises_on_a_read_past_the_shared_prefix(monkeypatch):
@@ -314,6 +308,25 @@ def test_read_results_rejects_incomplete_or_inconsistent_files(tmp_path):
         damaged.write_text(text)
         with pytest.raises(ValueError):
             read_results_jsonl(damaged)
+
+
+def test_results_files_keep_p_values_0_and_1_and_refuse_impossible_ones(tmp_path):
+    creport = run_campaign(_entries(2), CampaignConfig(battery=FAST, modes=("int",)))
+    first, second = creport.reports[0].results[:2]
+    for result, p in ((first, 0.0), (second, 1.0)):
+        result.p_values = dict.fromkeys(result.p_values, p)
+        result.verdict = "Fail"
+    path = tmp_path / "results.jsonl"
+    write_results_jsonl(creport, path)
+    text = path.read_text()
+    assert '":0}' in text and '":1}' in text  # %.17g prints 0.0 and 1.0 as ints
+    back = {t.test_id: t.p_values for t in read_results_jsonl(path).reports[0].results}
+    assert (back[first.test_id], back[second.test_id]) == (first.p_values, second.p_values)
+    for p in (float("nan"), float("inf"), True, 1.5, -0.5):
+        first.p_values = dict.fromkeys(first.p_values, p)
+        with pytest.raises(ValueError, match="not a number in"):
+            write_results_jsonl(creport, path)
+    assert path.read_text() == text
 
 
 def test_failed_writes_leave_existing_artifacts_intact(tmp_path, monkeypatch):

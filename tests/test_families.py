@@ -18,8 +18,6 @@ from mtstreams.stats.stream import (
     StreamView,
     WordPrefix,
     analytic_draws,
-    check_real_map_lossless,
-    to_uniforms,
 )
 
 from support import (
@@ -308,22 +306,15 @@ def test_int_and_real_modes_agree_on_mt():
 
 
 def test_real_map_gives_back_every_word():
+    # The real pathway's only guard: words of every bit length, 2^k - 1 and
+    # 2^k for k <= 31, plus 2^32 - 1 and random words, read as uniforms.
     rng = np.random.default_rng(7)
-    edges = np.array([0, 1, 2**31 - 1, 2**31, 2**32 - 2, 2**32 - 1], dtype=np.uint32)
-    words = np.concatenate([edges, rng.integers(0, 2**32, size=10**5, dtype=np.uint32)])
-    u = to_uniforms(words)
+    edges = [w for k in range(32) for w in (2**k - 1, 2**k)] + [2**32 - 1]
+    words = np.concatenate([np.array(edges, dtype=np.uint32), rng.integers(0, 2**32, size=10**5, dtype=np.uint32)])
+    u = StreamView(WordPrefix(words), Mode.REAL).take_uniforms(words.size)
     assert u.dtype == np.float64
     assert u.min() >= 0.0 and u.max() < 1.0
-    assert np.array_equal(np.floor(u * 2.0**32).astype(np.uint32), words)
-    check_real_map_lossless(words)
-
-
-def test_real_map_check_rejects_a_lossy_map(monkeypatch):
-    import mtstreams.stats.stream as stream
-
-    monkeypatch.setattr(stream, "to_uniforms", lambda w: (w * 2.0**-32).astype(np.float32).astype(np.float64))
-    with pytest.raises(ArithmeticError):
-        check_real_map_lossless(np.array([0, 1, 2**32 - 1], dtype=np.uint32))
+    assert np.array_equal(np.floor(u * 2.0**32), words)
 
 
 def test_word_prefix_serves_zero_copy_slices_and_never_a_short_read():

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mtstreams.mt19937 import (
@@ -17,11 +17,7 @@ from mtstreams.mt19937 import (
     ZeroStateError,
     advance,
     init_genrand,
-    next_real,
-    next_u32,
-    temper,
     twist,
-    untemper,
 )
 
 from support import twist_words, untemper_words, untempered_draws
@@ -34,15 +30,6 @@ def test_reference_equivalence_all_fixture_seeds():
     for seed, expected in sorted(REFERENCE.items()):
         got = MtStream(init_genrand(seed)).take(len(expected))
         assert got.tolist() == expected, f"seed {seed}"
-
-
-def test_reference_equivalence_via_next_u32():
-    state = init_genrand(5489)
-    outputs = []
-    for _ in range(100):
-        value, state = next_u32(state)
-        outputs.append(value)
-    assert outputs == REFERENCE[5489][:100]
 
 
 def test_init_genrand_seed_zero_properties():
@@ -69,8 +56,12 @@ def test_twist_deterministic_and_resets_index():
 
 
 def test_twist_matches_first_output():
-    s = twist(init_genrand(5489))
-    assert temper(int(s.mt[0])) == REFERENCE[5489][0]
+    # The reference outputs untempered are the first twist of the seeded
+    # words, by the support twist: neither side runs NumPy's engine.
+    words = np.array(init_genrand(5489).mt)
+    twist_words(words)
+    reference = np.array(REFERENCE[5489][:N], dtype=np.uint32)
+    assert np.array_equal(untemper_words(reference), words)
 
 
 def test_twist_never_zero_state():
@@ -82,16 +73,16 @@ def test_twist_never_zero_state():
         assert twist(MtState(words, N)).mt.any()
 
 
-def test_temper_zero_fixed_point():
-    assert temper(0) == 0
-    assert untemper(0) == 0
-
-
 @settings(max_examples=500)
 @given(st.integers(min_value=0, max_value=2**32 - 1))
+@example(0)
+@example(2**32 - 1)
 def test_untemper_inverts_temper(y):
-    assert untemper(temper(y)) == y
-    assert temper(untemper(y)) == y
+    # At mti = 0 the stream tempers the status's own words, untwisted, so
+    # any word can be put through the engine's tempering.
+    words = np.full(N, y, dtype=np.uint32)
+    words[1] = 1  # never the all-zero status
+    assert np.array_equal(untemper_words(MtStream(MtState(words, 0)).take(N)), words)
 
 
 def test_vectorized_tempering_matches_scalar():
@@ -99,10 +90,7 @@ def test_vectorized_tempering_matches_scalar():
     words = rng.integers(0, 2**32, size=N, dtype=np.uint32)
     s = MtState(words, N)
     block = MtStream(s).take(N)
-    twisted = twist(s).mt
-    assert np.array_equal(untemper_words(block), twisted)
-    assert [temper(int(w)) for w in twisted] == block.tolist()
-    assert all(untemper(temper(int(w))) == w == temper(untemper(int(w))) for w in words)
+    assert np.array_equal(untemper_words(block), twist(s).mt)
 
 
 def test_mtstate_rejects_all_zero():
@@ -141,35 +129,6 @@ def test_mtstate_pickle_round_trip_keeps_value_semantics():
             t.mt[0] = 1
 
 
-def test_next_real_scaling():
-    class Fixed:
-        def __init__(self, values):
-            self._values = list(values)
-
-        def take(self, n):
-            out, self._values = self._values[:n], self._values[n:]
-            return np.array(out, dtype=np.uint32)
-
-    s = init_genrand(11)
-    value, _ = next_real(s)
-    first = MtStream(s).take(1)[0]
-    assert value == int(first) * 2.0**-32
-    assert 0.0 <= value < 1.0
-    assert int(2**31) * 2.0**-32 == 0.5
-    assert (2**32 - 1) * 2.0**-32 < 1.0
-
-
-def test_next_u32_consumes_one_block_per_twist():
-    state = init_genrand(123)
-    state = twist(state)
-    assert state.mti == 0
-    for i in range(N):
-        _, state = next_u32(state)
-        assert state.mti == i + 1
-    _, state = next_u32(state)  # forces the next twist
-    assert state.mti == 1
-
-
 def test_advance_identity_and_additivity_grid():
     base = init_genrand(20240131)
     counts = [0, 1, 623, 624, 625, 10**4]
@@ -182,17 +141,16 @@ def test_advance_identity_and_additivity_grid():
 
 def test_advance_matches_naive_loop():
     base = init_genrand(777)
-    state = base
-    for _ in range(1000):
-        _, state = next_u32(state)
-    assert advance(base, 1000) == state
-    value, _ = next_u32(state)
-    assert value == MtStream(base).take(1001)[-1]
+    raw, words, after = untempered_draws(base.mt, base.mti, 1001)
+    _, words, after = untempered_draws(base.mt, base.mti, 1000)
+    state = advance(base, 1000)
+    assert state == MtState(words, after)
+    assert untemper_words(MtStream(state).take(1))[0] == raw[-1]
 
 
 def test_engine_matches_support_twist_oracle():
     # Random statuses at and around block ends, against the support twist
-    # plus the scalar temper: outputs, the status after them, and twist.
+    # and untempering: outputs, the status after them, and twist.
     rng = np.random.default_rng(2026)
     for mti in (0, 1, 100, 623, 624):
         s = MtState(rng.integers(0, 2**32, size=N, dtype=np.uint32), mti)
@@ -204,7 +162,7 @@ def test_engine_matches_support_twist_oracle():
             expected = MtState(words, after)
             assert advance(s, n) == expected, (mti, n)
             stream = MtStream(s)
-            assert stream.take(n).tolist() == [temper(int(w)) for w in raw], (mti, n)
+            assert np.array_equal(untemper_words(stream.take(n)), raw), (mti, n)
             assert stream.state == expected, (mti, n)
 
 
@@ -224,13 +182,11 @@ def test_stream_determinism_across_random_states():
 
 def test_stream_take_matches_single_draws_across_block_boundary():
     s = MtState(init_genrand(5).mt, 600)
-    bulk = MtStream(s).take(100)
-    singles = []
-    state = s
+    singles, words, mti = [], s.mt, s.mti
     for _ in range(100):
-        v, state = next_u32(state)
-        singles.append(v)
-    assert bulk.tolist() == singles
+        raw, words, mti = untempered_draws(words, mti, 1)
+        singles.append(int(raw[0]))
+    assert untemper_words(MtStream(s).take(100)).tolist() == singles
 
 
 def test_stream_take_matches_oracles_at_chunk_boundaries():
