@@ -21,6 +21,39 @@ WORD_MASK = 0xFFFFFFFF
 # MtStream.take draws this many words at a time: NumPy's random_raw returns
 # uint64, so a chunk bounds that temporary at 512 KB.
 TAKE_CHUNK = 2**16
+PHI_EXPONENTS = (
+    0, 1189, 1416, 1585, 1643, 1870, 2493, 2773, 3000, 3227,
+    3454, 3681, 3908, 4135, 4362, 4753, 5661, 6337, 6569, 7129,
+    7477, 7525, 7583, 7752, 7979, 8206, 9505, 9901, 9969, 10128,
+    10693, 10761, 10920, 11089, 11147, 11157, 11215, 11321, 11374, 11384,
+    11485, 11611, 11712, 11717, 11838, 11881, 11944, 11997, 12277, 12335,
+    12393, 12504, 12509, 12620, 12673, 12731, 12736, 12789, 12905, 12958,
+    12963, 13137, 13185, 13190, 13243, 13301, 13412, 13528, 13533, 13639,
+    13697, 13760, 13813, 13866, 14093, 14151, 14209, 14320, 14325, 14436,
+    14547, 14552, 14605, 14721, 14774, 14779, 14953, 15001, 15006, 15059,
+    15117, 15228, 15344, 15349, 15455, 15513, 15576, 15629, 15682, 15909,
+    15967, 16025, 16136, 16141, 16252, 16363, 16368, 16421, 16537, 16590,
+    16595, 16817, 16822, 16875, 16933, 17044, 17160, 17271, 17329, 17445,
+    17498, 17725, 17783, 17841, 17952, 18068, 18179, 18237, 18406, 18633,
+    18691, 18860, 19087, 19314, 19937,
+)
+"""phi, the characteristic polynomial of MT19937, as its exponents.
+
+The sorted exponents e of the 135 nonzero terms x^e of the degree-19937
+polynomial over GF(2) (Matsumoto and Nishimura, ACM TOMACS 8(1), 1998),
+written highest power last, so phi(x) = x^19937 + ... + x^1189 + 1. It is
+the characteristic polynomial of the F2-linear map that takes the 19937
+state bits (the upper bit of one word and the 623 words after it) one
+word on, and tempering is F2-linear too. So every bit lane s of the words
+that :class:`MtStream` draws obeys
+
+    s[k + 19937] = XOR of s[k + e] over the exponents e < 19937
+
+for every k >= 0. The one exception is a status at mti = 0 that no twist
+made: its first word's low 31 bits lie outside the state and can break
+the recurrence at k = 0. phi is irreducible (it is primitive: the period
+is 2^19937 - 1). A test recomputes it with Berlekamp-Massey.
+"""
 
 
 class ZeroStateError(ValueError):

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from mtstreams.mt19937 import N, WORD_MASK, MtState, MtStream, advance, init_genrand
-from mtstreams.statusfile import STATUS_SUFFIX, file_sha256, save_status, write_bytes_atomic
+from mtstreams.statusfile import STATUS_SUFFIX, save_status, write_bytes_atomic
 
 MANIFEST_NAME = "manifest.txt"
 
@@ -122,16 +122,16 @@ def write_status_set(sset: StatusSet, out_dir: Path | str) -> str:
     names = []
     for index, state in sset.statuses:
         name = status_filename(sset.technique, index)
-        save_status(out_dir / name, state)
-        names.append((name, index))
+        digest = hashlib.sha256(save_status(out_dir / name, state)).hexdigest()
+        names.append((name, index, digest))
     lines = ["# mtstreams manifest v1", f"# technique: {sset.technique.slug}"]
     for key in sorted(sset.provenance):
         value = sset.provenance[key]
         if isinstance(value, list):
             value = ",".join(str(v) for v in value)
         lines.append(f"# {key}: {value}")
-    for name, index in names:
-        lines.append(f"{name} {file_sha256(out_dir / name)} {sset.technique.slug} {index}")
+    for name, index, digest in names:
+        lines.append(f"{name} {digest} {sset.technique.slug} {index}")
     manifest = "\n".join(lines) + "\n"
     write_bytes_atomic(out_dir / MANIFEST_NAME, manifest.encode("ascii"))
     return hashlib.sha256(manifest.encode("ascii")).hexdigest()

@@ -166,12 +166,13 @@ def read_results_jsonl(path: Path | str) -> CampaignReport:
     The file must be complete and consistent with its meta record: exactly
     one row per meta status, meta mode and meta test id, each with the
     verdict, Pass or Fail, that its p-values give at the meta threshold
-    (exact, since p-values are written with 17 significant digits), every
-    p-value a number in [0, 1] and a ``draws`` that is a non-negative
-    integer. Anything else (a truncated file, a line that is not a JSON
-    object, a duplicated row, a row for an unknown status or mode, a NaN,
-    bool or out-of-range p-value, any other verdict or draw count) raises
-    ValueError rather than being classified.
+    (exact, since p-values are written with 17 significant digits), its
+    ``p_values`` a non-empty object whose every value is a number in
+    [0, 1], and a ``draws`` that is a non-negative integer. Anything else
+    (a truncated file, a line that is not a JSON object, a duplicated row,
+    a row for an unknown status or mode, empty or non-object p-values, a
+    NaN, bool or out-of-range p-value, any other verdict or draw count)
+    raises ValueError rather than being classified.
     """
     path = Path(path)
     lines = path.read_text(encoding="ascii").splitlines()
@@ -198,7 +199,9 @@ def read_results_jsonl(path: Path | str) -> CampaignReport:
                 raise ValueError(f"{path}:{lineno}: test id {rec['test_id']!r} not in meta")
             if rec["test_id"] in unit:
                 raise ValueError(f"{path}:{lineno}: duplicate row")
-            p_values = dict(rec["p_values"])
+            p_values = rec["p_values"]
+            if not isinstance(p_values, dict) or not p_values:
+                raise ValueError(f"{path}:{lineno}: p_values {p_values!r} is not a non-empty object")
             for name, p in p_values.items():
                 if not _is_p_value(p):
                     raise ValueError(f"{path}:{lineno}: p-value {name} = {p!r} is not a number in [0, 1]")

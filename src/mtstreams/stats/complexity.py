@@ -11,6 +11,21 @@ with probabilities count(l) / 2^n. The mass concentrates geometrically
 around n/2, which is what the saturation test exploits: any output bit of
 a generator whose state evolves linearly over GF(2) has complexity capped
 at the state dimension.
+
+For MT19937 that cap is reached and proved without running Berlekamp-
+Massey. :func:`berlekamp_massey` first checks whether the n bits obey the
+recurrence of phi, MT19937's degree-19937 characteristic polynomial
+(``mt19937.PHI_EXPONENTS``); when n >= 2 * 19937 and they do, the
+complexity is 19937, or 0 for all-zero bits. Proof: by Massey's
+uniqueness lemma, two LFSRs of lengths L1 and L2 that generate the same
+n >= L1 + L2 bits generate the same infinite sequence, so an LFSR shorter
+than 19937 would generate the whole phi-sequence. That sequence would then
+be annihilated both by phi and by a polynomial of lower degree, hence by
+their greatest common divisor, which is 1 because phi is irreducible: only
+the zero sequence qualifies. The loop still runs on sequences shorter than
+2 * 19937 bits and on sequences that break the recurrence, such as a
+nonlinear generator's bits or those of a status at mti = 0 that no twist
+made.
 """
 from __future__ import annotations
 
@@ -18,6 +33,10 @@ from typing import Sequence
 
 import numpy as np
 
+from mtstreams.mt19937 import PHI_EXPONENTS
+
+# The degree of phi, MT19937's state dimension.
+_PHI_DEGREE = PHI_EXPONENTS[-1]
 
 # Bits of the discrepancy integer searched before falling back to a search
 # of the whole integer: the next discrepancy is usually this close.
@@ -27,7 +46,34 @@ _TRIM = 1024
 
 
 def berlekamp_massey(bits: Sequence[int] | np.ndarray) -> int:
-    """Linear complexity of a 0/1 sequence (Massey 1969), on packed integers.
+    """Linear complexity of a 0/1 sequence (Massey 1969).
+
+    Exact for every input. Bits that obey phi's recurrence over at least
+    2 * 19937 positions are answered by that certificate (see the module
+    docstring); all others run :func:`_massey`.
+    """
+    arr = np.asarray(bits, dtype=np.uint8)
+    if arr.size < 1:
+        raise ValueError("need at least one bit")
+    if arr.max(initial=0) > 1:
+        raise ValueError("sequence must contain only 0 and 1")
+    if arr.size >= 2 * _PHI_DEGREE and _obeys_phi(arr):
+        return _PHI_DEGREE if arr.any() else 0
+    return _massey(arr)
+
+
+def _obeys_phi(arr: np.ndarray) -> bool:
+    """Whether arr[k + 19937] is the XOR of arr[k + e] over phi's other
+    exponents e, for every k that keeps k + 19937 inside arr."""
+    span = arr.size - _PHI_DEGREE
+    acc = arr[_PHI_DEGREE:].copy()
+    for e in PHI_EXPONENTS[:-1]:
+        acc ^= arr[e : e + span]
+    return not acc.any()
+
+
+def _massey(arr: np.ndarray) -> int:
+    """Berlekamp-Massey on packed integers, for a non-empty 0/1 uint8 array.
 
     ``sc`` holds the discrepancies still to come, bit 0 being the position
     after the last discrepancy ``i``; ``sb`` is the sequence kept from the
@@ -47,12 +93,7 @@ def berlekamp_massey(bits: Sequence[int] | np.ndarray) -> int:
     positions both integers drop them, keeping their low n - i - 1 bits:
     the integers shrink with the positions still to come.
     """
-    arr = np.asarray(bits, dtype=np.uint8)
     n = arr.size
-    if n < 1:
-        raise ValueError("need at least one bit")
-    if arr.max(initial=0) > 1:
-        raise ValueError("sequence must contain only 0 and 1")
     # Pack so that bit i of the integer is the i-th sequence element.
     s = int.from_bytes(np.packbits(arr, bitorder="little").tobytes(), "little")
     sb = s

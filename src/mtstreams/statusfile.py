@@ -36,10 +36,8 @@ class StatusFormatError(ValueError):
 
 
 def serialize_status(state: MtState) -> str:
-    lines = [HEADER]
-    lines.extend(str(int(w)) for w in state.mt)
-    lines.append(str(state.mti))
-    return "\n".join(lines) + "\n"
+    words = "\n".join(map(str, state.mt.tolist()))
+    return f"{HEADER}\n{words}\n{state.mti}\n"
 
 
 def parse_status(text: str) -> MtState:
@@ -90,8 +88,11 @@ def write_bytes_atomic(path: Path | str, data: bytes) -> None:
         raise
 
 
-def save_status(path: Path | str, state: MtState) -> None:
-    Path(path).write_bytes(serialize_status(state).encode("ascii"))
+def save_status(path: Path | str, state: MtState) -> bytes:
+    """Write the status file; returns the bytes written."""
+    data = serialize_status(state).encode("ascii")
+    Path(path).write_bytes(data)
+    return data
 
 
 def load_status(path: Path | str) -> MtState:

@@ -190,6 +190,34 @@ def bit_by_bit_bm(bits) -> int:
     return deg_c
 
 
+def connection_polynomial_bm(bits) -> tuple[int, int]:
+    """Berlekamp-Massey that also returns the connection polynomial.
+
+    Returns (L, c): bit j of the integer c is the coefficient c_j of
+    C(x) = 1 + c_1 x + ... + c_L x^L, and s[i] = XOR of c_j s[i - j] over
+    1 <= j <= L for every L <= i < n. Each discrepancy is the parity of C
+    ANDed with the bits read backwards from position i, so this shares
+    no code with the package's function.
+    """
+    arr = np.asarray(bits, dtype=np.uint8)
+    n = arr.size
+    # Bit n - 1 - i of the integer is s[i], so shifting right by n - 1 - i
+    # puts s[i - j] at bit j.
+    rev = int.from_bytes(np.packbits(arr[::-1], bitorder="little").tobytes(), "little")
+    c = b = 1
+    deg = 0
+    last = -1
+    for i in range(n):
+        if ((rev >> (n - 1 - i)) & c).bit_count() & 1:
+            t = c
+            c ^= b << (i - last)
+            if 2 * deg <= i:
+                deg = i + 1 - deg
+                b = t
+                last = i
+    return deg, c
+
+
 def complexity_count(l: int, n: int) -> int:
     """Number of length-n bit sequences with linear complexity exactly l."""
     if not 0 <= l <= n:
@@ -351,8 +379,8 @@ def damaged_results(path) -> dict[str, str]:
     the meta record does not list, a verdict that is neither Pass nor Fail,
     a verdict its own p-values contradict, a meta line or a row that is
     valid JSON but not an object, a draw count that is a string, is
-    negative or is a bool, and a p-value that is NaN, a bool, above 1 or
-    negative."""
+    negative or is a bool, p-values that are empty or a list of pairs, and
+    a p-value that is NaN, a bool, above 1 or negative."""
     lines = Path(path).read_text(encoding="ascii").splitlines(keepends=True)
     meta = json.loads(lines[0])
     first = json.loads(lines[1])
@@ -386,6 +414,8 @@ def damaged_results(path) -> dict[str, str]:
         "draws_string": with_first_row(dict(first, draws="many")),
         "draws_negative": with_first_row(dict(first, draws=-1)),
         "draws_bool": with_first_row(dict(first, draws=True)),
+        "p_values_empty": with_first_row(dict(first, p_values={}, verdict="Pass")),
+        "p_values_pairs": with_first_row(dict(first, p_values=[[k, p] for k, p in first["p_values"].items()])),
         "p_value_nan": with_p_value(math.nan),
         "p_value_bool": with_p_value(True),
         "p_value_above_one": with_p_value(1.5),

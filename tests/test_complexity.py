@@ -5,11 +5,17 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from mtstreams.mt19937 import init_genrand
+import mtstreams.stats.complexity as complexity
+from mtstreams.campaign import run_battery_on_status
+from mtstreams.mt19937 import N, PHI_EXPONENTS, MtState, init_genrand
+from mtstreams.partition import generate_indexed, generate_random_spacing, generate_sequence_splitting
+from mtstreams.stats.battery import MINI_CRUSH_V1
 from mtstreams.stats.complexity import _TRIM, berlekamp_massey, linear_complexity_pvalue
 from mtstreams.stats.stream import Mode, StreamView
 
-from support import SplitMix32, bit_by_bit_bm, complexity_count, textbook_bm
+from support import SplitMix32, bit_by_bit_bm, complexity_count, connection_polynomial_bm, textbook_bm
+
+PHI_DEGREE = 19937
 
 
 def test_all_zero_sequence_has_complexity_zero():
@@ -208,3 +214,109 @@ def test_exhaustive_small_lengths_match_closed_form():
             census[berlekamp_massey(np.array(bits, dtype=np.uint8))] += 1
         for l in range(n + 1):
             assert census[l] == complexity_count(l, n), (n, l)
+
+
+def _technique_statuses() -> list[MtState]:
+    """One status from each gen technique."""
+    return [
+        generate_indexed(7, 1).statuses[0][1],
+        generate_random_spacing(8, 1).statuses[0][1],
+        generate_sequence_splitting(9, 1000, 2).statuses[1][1],
+    ]
+
+
+def _random_status(seed: int, mti: int) -> MtState:
+    """A hand-made status: random words at the given index."""
+    return MtState(np.random.default_rng(seed).integers(0, 2**32, N, dtype=np.uint32), mti)
+
+
+def _lane(state: MtState, bit_offset: int, n: int = 50000) -> np.ndarray:
+    return StreamView(state, Mode.INT).take_word_bits(n, bit_offset)
+
+
+def _no_massey(arr):
+    raise AssertionError("Berlekamp-Massey's loop ran")
+
+
+@pytest.fixture
+def massey_calls(monkeypatch):
+    """The sizes of the arrays that reach Berlekamp-Massey's loop."""
+    calls = []
+    loop = complexity._massey
+
+    def spy(arr):
+        calls.append(arr.size)
+        return loop(arr)
+
+    monkeypatch.setattr(complexity, "_massey", spy)
+    return calls
+
+
+def test_phi_is_the_reciprocal_of_an_mt_lane_connection_polynomial():
+    bits = _lane(init_genrand(5489), 0, 2 * PHI_DEGREE + 64)
+    length, connection = connection_polynomial_bm(bits)
+    assert length == PHI_DEGREE
+    exponents = sorted(length - j for j in range(connection.bit_length()) if connection >> j & 1)
+    assert tuple(exponents) == PHI_EXPONENTS
+    assert len(PHI_EXPONENTS) == 135
+
+
+@pytest.mark.parametrize("bit_offset", [0, 29, 31])
+def test_certificate_equals_berlekamp_massey_on_mt_lanes(bit_offset, monkeypatch):
+    # Statuses from every technique, and hand-made ones at mti 1, 623 and
+    # 624: from the second word of a status on, every lane obeys phi.
+    statuses = _technique_statuses() + [_random_status(mti, mti) for mti in (1, 623, 624)]
+    lanes = [_lane(state, bit_offset) for state in statuses]
+    expected = [bit_by_bit_bm(bits) for bits in lanes]
+    monkeypatch.setattr(complexity, "_massey", _no_massey)
+    assert [berlekamp_massey(bits) for bits in lanes] == expected == [PHI_DEGREE] * len(lanes)
+
+
+def test_status_at_mti_0_breaking_phi_gets_berlekamp_massey(massey_calls):
+    # The first word's low 31 bits lie outside the state, so some lanes
+    # break phi's recurrence at k = 0 and must run the loop.
+    state = _random_status(31, 0)
+    broken = []
+    for bit_offset in range(32):
+        bits = _lane(state, bit_offset)
+        if bits[PHI_DEGREE] != np.bitwise_xor.reduce(bits[list(PHI_EXPONENTS[:-1])]):
+            broken.append(bits)
+    assert 1 <= len(broken) < 32
+    for bits in broken[:3]:
+        assert berlekamp_massey(bits) == bit_by_bit_bm(bits)
+    assert massey_calls == [50000] * min(3, len(broken))
+
+
+def test_phi_sequence_with_its_last_bit_flipped_gets_berlekamp_massey(massey_calls):
+    bits = _lane(init_genrand(0), 0)
+    bits[-1] ^= 1
+    assert berlekamp_massey(bits) == bit_by_bit_bm(bits) == 50000 - PHI_DEGREE
+    assert massey_calls == [50000]
+
+
+@pytest.mark.parametrize("n", [2 * PHI_DEGREE - 1, 2 * PHI_DEGREE - 100, 30000])
+def test_phi_sequences_shorter_than_the_bound_get_berlekamp_massey(n, massey_calls):
+    bits = _lane(init_genrand(0), 29, n)
+    expected = bit_by_bit_bm(bits)
+    assert berlekamp_massey(bits) == expected
+    assert massey_calls == [n]
+    # From 2 * 19937 - 1 bits on no shorter register fits a phi-sequence;
+    # below that a lane looks random, with a complexity near n / 2.
+    if n == 2 * PHI_DEGREE - 1:
+        assert expected == PHI_DEGREE
+    else:
+        assert expected < PHI_DEGREE
+
+
+@pytest.mark.parametrize("n", [2 * PHI_DEGREE, 50000])
+def test_all_zero_phi_sequence_has_complexity_zero(n, monkeypatch):
+    monkeypatch.setattr(complexity, "_massey", _no_massey)
+    assert berlekamp_massey(np.zeros(n, dtype=np.uint8)) == 0
+
+
+def test_builtin_battery_never_runs_the_loop_on_gen_statuses(monkeypatch):
+    monkeypatch.setattr(complexity, "_massey", _no_massey)
+    for state in _technique_statuses():
+        results = run_battery_on_status(state, ("int",), MINI_CRUSH_V1, MINI_CRUSH_V1.threshold)
+        found = {r.test_id: r.details["complexity"] for r in results if r.family == "LinearComp"}
+        assert found == {"linearcomp.r0": PHI_DEGREE, "linearcomp.r29": PHI_DEGREE}
