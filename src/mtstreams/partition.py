@@ -114,14 +114,27 @@ def status_filename(technique: Technique, index: int) -> str:
 def write_status_set(sset: StatusSet, out_dir: Path | str) -> str:
     """Write status files plus a manifest; returns the set fingerprint.
 
+    Raises FileExistsError, before writing anything, when ``out_dir`` holds
+    a status file that the set does not write. Rewriting the same set, or
+    a superset of it, in place is allowed.
+
     The fingerprint is the SHA-256 of the manifest bytes, which in turn
     lists the SHA-256 of every status file, so it pins the whole set.
     """
     out_dir = Path(out_dir)
+    files = [(status_filename(sset.technique, index), index, state) for index, state in sset.statuses]
+    if out_dir.is_dir():
+        # A reader of the directory takes every status file in it, so one
+        # this set does not rewrite would be tested as part of the set.
+        stale = sorted({p.name for p in out_dir.glob(f"*{STATUS_SUFFIX}")} - {name for name, _, _ in files})
+        if stale:
+            raise FileExistsError(
+                f"{out_dir} holds {len(stale)} status file(s) this set does not write, "
+                f"first {stale[0]}; write the set to an empty directory"
+            )
     out_dir.mkdir(parents=True, exist_ok=True)
     names = []
-    for index, state in sset.statuses:
-        name = status_filename(sset.technique, index)
+    for name, index, state in files:
         digest = hashlib.sha256(save_status(out_dir / name, state)).hexdigest()
         names.append((name, index, digest))
     lines = ["# mtstreams manifest v1", f"# technique: {sset.technique.slug}"]

@@ -5,6 +5,10 @@ first draw and produces named sub-statistic p-values; families are pure
 functions of (view, params). `run_test` gives the two-sided verdict: Fail
 iff any sub-p-value p satisfies p < eps or p > 1 - eps (strict, so
 p = eps passes).
+
+Only ClosePairs reads floats. The cell families read words: the cell of a
+uniform u = w * 2^-32 among d is floor(u * d) = (w * d) >> 32, computed in
+exact integers (see `word_cells`), and RandomWalk1 reads a word's bits.
 """
 from __future__ import annotations
 
@@ -17,6 +21,8 @@ from mtstreams.stats.complexity import berlekamp_massey, linear_complexity_pvalu
 from mtstreams.stats.pvalues import chi2_pvalue, merged_chi2_pvalue, poisson_two_sided_pvalue
 from mtstreams.stats.stream import StreamView
 from mtstreams.stats.walks import h_null, m_null, r_null, walk_statistics
+
+_BLOCK_WORDS = 1 << 16
 
 
 def validate_params(family: str, params: dict) -> dict:
@@ -34,6 +40,8 @@ def validate_params(family: str, params: dict) -> dict:
             raise ValueError(f"n must be >= 1024, got {n}")
         if d < 2 or t < 1:
             raise ValueError(f"need d >= 2 and t >= 1, got d={d}, t={t}")
+        if d > 2**32:
+            raise ValueError(f"d must be <= 2^32, the cells a 32-bit word can address, got {d}")
         k = d**t
         if k < 4 * n:
             raise ValueError(f"sparse regime requires d^t >= 4n; d^t={k}, 4n={4 * n}")
@@ -56,8 +64,8 @@ def validate_params(family: str, params: dict) -> dict:
         return {"walks": n, "steps": l}
     if family == "SerialUniformity":
         n, c = int(params["n"]), int(params["cells"])
-        if c < 2:
-            raise ValueError(f"cells must be >= 2, got {c}")
+        if not 2 <= c <= 2**32:
+            raise ValueError(f"cells must be in [2, 2^32], the cells a 32-bit word can address, got {c}")
         if n < 10 * c:
             raise ValueError(f"n must be >= 10 * cells, got n={n}, cells={c}")
         return {"n": n, "cells": c}
@@ -72,14 +80,30 @@ def linear_comp_test(view: StreamView, n_bits: int, bit_offset: int) -> dict:
     return {"p_values": {"saturation": p}, "details": {"complexity": complexity}}
 
 
+def word_cells(words: np.ndarray, d: int) -> np.ndarray:
+    """floor(u * d) for u = w * 2^-32, as (w * d) >> 32 in exact integers.
+
+    For d <= 2^32, w * d < 2^64 fits uint64 and the result is below d, so
+    no clamp is needed. For d <= 2^21, w * d < 2^53, so the float route
+    floor(w * 2^-32 * d) is exact too and gives the same cells.
+    """
+    cells = np.multiply(words, np.uint64(d), dtype=np.uint64)
+    cells >>= np.uint64(32)
+    return cells.view(np.int64)
+
+
 def collision_over_test(view: StreamView, n: int, d: int, t: int) -> dict:
-    """Collision count of n overlapping t-tuples in a d^t-cell grid."""
-    u = view.take_uniforms(n + t - 1)
-    idx = np.minimum((u * d).astype(np.int64), d - 1)
-    cells = np.zeros(n, dtype=np.int64)
-    for j in range(t):
+    """Collision count of n overlapping t-tuples in a d^t-cell grid.
+
+    Collisions are n minus the number of distinct cells: after a sort, the
+    count of equal adjacent pairs.
+    """
+    idx = word_cells(view.take_words(n + t - 1), d)
+    cells = idx[:n].copy()
+    for j in range(1, t):
         cells += idx[j : j + n] * (d**j)
-    collisions = n - int(np.unique(cells).size)
+    cells.sort()
+    collisions = int(np.count_nonzero(cells[1:] == cells[:-1]))
     lam = n * (n - 1) / (2.0 * d**t)
     left, right = poisson_two_sided_pvalue(collisions, lam)
     return {
@@ -141,8 +165,8 @@ def close_pairs_test(view: StreamView, n: int, t: int) -> dict:
 
 def random_walk_test(view: StreamView, walks: int, steps: int) -> dict:
     """Chi-square of H, M, R walk statistics against their exact null laws."""
-    bits = view.take_bits(walks * steps)
-    h, m, r = walk_statistics(bits, walks, steps)
+    words = view.take_words(-(-walks * steps // 32))
+    h, m, r = walk_statistics(words, walks, steps)
     p_values: dict[str, float] = {}
     details: dict[str, float] = {}
     for name, values, null in (
@@ -159,12 +183,16 @@ def random_walk_test(view: StreamView, walks: int, steps: int) -> dict:
 
 
 def serial_uniformity_test(view: StreamView, n: int, cells: int) -> dict:
-    """Chi-square of cell counts of floor(u * cells) against uniformity."""
-    u = view.take_uniforms(n)  # a fresh array, so it may be scaled in place
-    u *= cells
-    idx = u.astype(np.int64)
-    np.minimum(idx, cells - 1, out=idx)
-    counts = np.bincount(idx, minlength=cells)
+    """Chi-square of cell counts of floor(u * cells) against uniformity,
+    each cell computed from its word by `word_cells`."""
+    words = view.take_words(n)
+    # Counted a block at a time, so a block's 8-byte cells stay in cache; a
+    # block of at least `cells` words keeps each bincount's pass over its
+    # counts below the counting itself.
+    block = max(_BLOCK_WORDS, cells)
+    counts = np.zeros(cells, dtype=np.int64)
+    for start in range(0, n, block):
+        counts += np.bincount(word_cells(words[start : start + block], cells), minlength=cells)
     expected = n / cells
     chi2 = float(np.sum((counts - expected) ** 2) / expected)
     p = chi2_pvalue(chi2, cells - 1)

@@ -57,7 +57,7 @@ def merged_chi2_pvalue(
     exp_cells: list[float] = []
     acc_o = 0.0
     acc_e = 0.0
-    for o, e in zip(observed, expected):
+    for o, e in zip(observed.tolist(), expected.tolist()):
         acc_o += o
         acc_e += e
         if acc_e >= min_expected:

@@ -21,16 +21,22 @@ recurrence over the binomial row, and each probability is rounded once to
 the nearest binary64 by integer true division. Distributions are cached per
 l.
 
-``walk_statistics`` reads the walks a byte of 8 steps at a time. Three
-256-entry tables, built once at import, give each byte's net step, its
-highest prefix level and, for each entry level in [-9, 9], how many of its
-prefixes end at 0. A cumulative sum of the net steps gives each byte's entry
-level, so M is the largest entry level plus highest prefix, and R sums the
-zero counts at each byte's entry level clipped to [-9, 9]. H is
-(S_l + l) / 2. Packing pads each walk with pad = -l % 8 zero bits, that is,
-pad falling steps after S_l. They raise no maximum, move the last level to
-S_l - pad, and pass 0 exactly once when 1 <= S_l <= pad, a return that R
-then subtracts.
+``walk_statistics`` reads each walk 16 steps at a time, one 16-bit chunk
+per lookup. When 16 divides l, as for both walks of ``mini-crush-v1``, a
+walk's chunks are the big-endian 16-bit halves of its words; for other l
+each walk is packed into chunks first. 65 536-entry tables, composed from
+256-entry byte tables on first use, give each chunk's net step, its
+highest prefix level and, for each even entry level in [-16, 16], how many
+of its prefixes end at 0. Chunks start every 16 steps, so a walk enters
+each at an even level; levels beyond +-16 share one row of zeros, since a
+chunk moves at most 16 levels. Walks are read in blocks whose chunks are
+laid out chunk-major, so a block's entry levels are one vector add per
+chunk row. M is the largest
+entry level plus highest prefix, and R sums the zero counts at each
+chunk's clipped entry level. H is (S_l + l) / 2. Packing pads each walk
+with pad = -l % 16 zero bits, that is, pad falling steps after S_l. They
+raise no maximum, move the last level to S_l - pad, and pass 0 exactly
+once when 1 <= S_l <= pad, a return that R then subtracts.
 """
 from __future__ import annotations
 
@@ -92,47 +98,92 @@ def r_null(l: int) -> np.ndarray:
     return _law(counts, l)
 
 
-# A byte moves at most 8 levels, so from an entry level beyond +-8 it never
-# reaches 0, and +-9 stands for all of those levels. Clipping to +-8 would
-# count a false 0 for a byte that falls 8 levels from 10.
-_REACH = 9
+# A chunk moves at most 16 levels, so from an entry level beyond +-16 it
+# never reaches 0, and +-18 stands for all of those levels. A byte moves at
+# most 8, and +-9 does the same for it.
+_REACH = 18
+_BYTE_REACH = 9
+# Walks are read in blocks of about this many steps, the bits of 2^16
+# words, so that a block's temporaries stay in cache.
+_BLOCK_STEPS = 1 << 21
 
 
 def _byte_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """For each byte b, read MSB first as 8 steps: its net step, its highest
     prefix level, and how many of its prefixes end at 0 when it enters at
-    level e in [-_REACH, _REACH], the last flattened at (e + _REACH) * 256 + b.
+    level e in [-_BYTE_REACH, _BYTE_REACH], at [e + _BYTE_REACH, b].
     """
     steps = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1)
     prefix = np.cumsum(steps.astype(np.int8) * 2 - 1, axis=1, dtype=np.int8)
-    entry = np.arange(-_REACH, _REACH + 1, dtype=np.int8)
+    entry = np.arange(-_BYTE_REACH, _BYTE_REACH + 1, dtype=np.int8)
     zeros = np.count_nonzero(entry[:, None, None] + prefix == 0, axis=2)
-    return prefix[:, -1].copy(), prefix.max(axis=1), zeros.astype(np.int8).ravel()
+    return prefix[:, -1].copy(), prefix.max(axis=1), zeros.astype(np.int8)
 
 
-_DELTA, _MAXPREF, _ZEROS = _byte_tables()
+@lru_cache(maxsize=None)
+def _chunk_tables() -> tuple[np.ndarray, np.ndarray]:
+    """The byte tables composed over 16-step chunks c = hi << 8 | lo: each
+    chunk's net step and highest prefix level as the fields ``delta`` and
+    ``peak`` of one record, and its zero count when it enters at even level
+    e in [-_REACH, _REACH], at (e + _REACH) / 2 << 16 | c. Built on first
+    use, not at import.
+    """
+    delta, maxpref, zeros = _byte_tables()
+    chunk = np.empty((256, 256), dtype=[("delta", np.int8), ("peak", np.int8)])
+    chunk["delta"] = delta[:, None] + delta[None, :]
+    chunk["peak"] = np.maximum(maxpref[:, None], delta[:, None] + maxpref[None, :])
+    levels = np.arange(-_REACH, _REACH + 1, 2)
+    hi_entry = np.clip(levels, -_BYTE_REACH, _BYTE_REACH) + _BYTE_REACH
+    lo_entry = np.clip(levels[:, None] + delta, -_BYTE_REACH, _BYTE_REACH) + _BYTE_REACH
+    chunk_zeros = zeros[hi_entry][:, :, None] + zeros[lo_entry]
+    return chunk.ravel(), chunk_zeros.ravel()
 
 
-def walk_statistics(bits: np.ndarray, walks: int, steps: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-walk H, M, R for a (walks * steps)-bit array of 0/1 values.
+def walk_statistics(words: np.ndarray, walks: int, steps: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-walk H, M, R of ``walks`` walks of ``steps`` steps, read from the
+    bits of ceil(walks * steps / 32) uint32 words, each word MSB first.
 
-    Each walk is packed 8 steps to a byte and read through the byte tables
+    Each walk is cut into 16-step chunks and read through the chunk tables
     (see the module docstring). Partial sums are int16, which holds every
     level down to -(steps + pad).
     """
     if steps > _INT16_MAX:
         raise ValueError(f"steps must be <= {_INT16_MAX} for int16 partial sums, got {steps}")
-    pad = -steps % 8
-    packed = np.packbits(bits.reshape(walks, steps), axis=1)
-    delta = _DELTA[packed]
-    entry = np.cumsum(delta, axis=1, dtype=np.int16)
-    s_l = entry[:, -1].astype(np.int64) + pad
-    entry -= delta
-    h = (s_l + steps) // 2
-    m = np.maximum((entry + _MAXPREF[packed]).max(axis=1), 0).astype(np.int64)
+    if words.size != -(-walks * steps // 32):
+        raise ValueError(f"{walks} walks of {steps} steps need {-(-walks * steps // 32)} words, got {words.size}")
+    chunks = -(-steps // 16)
+    pad = 16 * chunks - steps
+    if pad:
+        bits = np.zeros((walks, 16 * chunks), dtype=np.uint8)
+        bits[:, :steps] = np.unpackbits(words.astype(">u4").view(np.uint8))[: walks * steps].reshape(walks, steps)
+        halves = np.packbits(bits, axis=1).view(">u2")
+    else:
+        halves = words.astype(">u4").view(">u2")[: walks * chunks].reshape(walks, chunks)
+    hmr = np.empty((3, walks), dtype=np.int64)
+    block = max(1, _BLOCK_STEPS // steps)
+    for start in range(0, walks, block):
+        hmr[:, start : start + block] = _block_statistics(halves[start : start + block], steps, pad)
+    return hmr[0], hmr[1], hmr[2]
+
+
+def _block_statistics(halves: np.ndarray, steps: int, pad: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """H, M, R of a block of walks, one row of 16-bit chunks per walk."""
+    chunk_t, zeros_t = _chunk_tables()
+    # Chunk-major, so each chunk's row of all walks is contiguous, and intp,
+    # so the lookups index with it as it is.
+    cells = halves.T.astype(np.intp, order="C")
+    chunk = np.take(chunk_t, cells)
+    delta = chunk["delta"]
+    entry = np.empty(cells.shape, dtype=np.int16)
+    entry[0] = 0
+    for c in range(1, len(entry)):
+        np.add(entry[c - 1], delta[c - 1], out=entry[c])
+    s_l = entry[-1].astype(np.int64) + delta[-1] + pad
+    peaks = entry + chunk["peak"]
+    m = np.maximum(peaks.max(axis=0), 0)
+    # Entry levels are even, so (e + _REACH) << 15 is the table row << 16.
     np.clip(entry, -_REACH, _REACH, out=entry)
     entry += _REACH
-    entry <<= 8
-    entry |= packed
-    r = _ZEROS[entry].sum(axis=1, dtype=np.int64) - ((1 <= s_l) & (s_l <= pad))
-    return h, m, r
+    cells |= np.left_shift(entry, 15, dtype=np.intp)
+    returns = np.take(zeros_t, cells).sum(axis=0, dtype=np.int16)
+    return (s_l + steps) // 2, m, returns - ((1 <= s_l) & (s_l <= pad))

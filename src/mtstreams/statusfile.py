@@ -28,7 +28,9 @@ if TYPE_CHECKING:
 HEADER = "MT19937-STATUS v1"
 STATUS_SUFFIX = ".mts"
 
-_DECIMAL = re.compile(r"^(0|[1-9][0-9]*)$")
+_DECIMAL = re.compile(r"(0|[1-9][0-9]*)")
+# Every line after the header, each a canonical decimal, in one match.
+_DECIMAL_LINES = re.compile(r"(?:(?:0|[1-9][0-9]*)\n)+")
 
 
 class StatusFormatError(ValueError):
@@ -36,8 +38,8 @@ class StatusFormatError(ValueError):
 
 
 def serialize_status(state: MtState) -> str:
-    words = "\n".join(map(str, state.mt.tolist()))
-    return f"{HEADER}\n{words}\n{state.mti}\n"
+    words = state.mt.tolist()
+    return f"{HEADER}\n" + ("%d\n" * len(words)) % tuple(words) + f"{state.mti}\n"
 
 
 def parse_status(text: str) -> MtState:
@@ -50,15 +52,14 @@ def parse_status(text: str) -> MtState:
         raise StatusFormatError(f"expected {N + 2} lines, got {len(lines)}")
     if lines[0] != HEADER:
         raise StatusFormatError(f"bad header {lines[0]!r}")
-    values = []
-    for lineno, raw in enumerate(lines[1:], start=2):
-        if not _DECIMAL.match(raw):
-            raise StatusFormatError(f"line {lineno}: not a canonical decimal: {raw!r}")
-        values.append(int(raw))
+    if not _DECIMAL_LINES.fullmatch(text, len(HEADER) + 1):
+        lineno, raw = next((i, raw) for i, raw in enumerate(lines[1:], start=2) if not _DECIMAL.fullmatch(raw))
+        raise StatusFormatError(f"line {lineno}: not a canonical decimal: {raw!r}")
+    values = list(map(int, lines[1:]))
     words, mti = values[:N], values[N]
-    bad = [w for w in words if w > WORD_MASK]
-    if bad:
-        raise StatusFormatError(f"word value {bad[0]} exceeds 32 bits")
+    if max(words) > WORD_MASK:
+        bad = next(w for w in words if w > WORD_MASK)
+        raise StatusFormatError(f"word value {bad} exceeds 32 bits")
     if mti > N:
         raise StatusFormatError(f"mti must be in [0, {N}], got {mti}")
     try:

@@ -95,6 +95,31 @@ def test_gen_split_warns_before_hours_of_advance(tmp_path, capsys, monkeypatch):
     assert capsys.readouterr().err == ""
 
 
+def test_gen_refuses_a_directory_with_status_files_it_does_not_write(tmp_path, capsys):
+    out = tmp_path / "set"
+    assert _gen(out, count=6) == 0
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    # A smaller set of the same technique, and a set of another technique,
+    # would leave statuses the new manifest does not list.
+    assert _gen(out, count=3, seed=100) == 2
+    assert _gen(out, technique="random", count=3) == 2
+    err = capsys.readouterr().err
+    assert "indexed_00003.mts" in err and "6 status file(s)" in err
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+
+def test_gen_rewrites_the_same_set_or_a_superset_in_place(tmp_path, capsys):
+    out = tmp_path / "set"
+    assert _gen(out, count=3) == 0
+    first = (out / "manifest.txt").read_bytes()
+    assert _gen(out, count=3) == 0
+    assert (out / "manifest.txt").read_bytes() == first
+    assert _gen(out, count=5) == 0
+    assert sorted(p.name for p in out.glob("*.mts")) == [f"indexed_{i:05d}.mts" for i in range(5)]
+    assert len((out / "manifest.txt").read_text().splitlines()) == len(first.decode().splitlines()) + 2
+    capsys.readouterr()
+
+
 def test_gen_flag_validation(tmp_path, capsys):
     assert _gen(tmp_path / "x", count=0) == 1
     assert main(["gen", "--technique", "bogus", "--count", "1", "--out", str(tmp_path)]) == 1

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from mtstreams.mt19937 import MtStream, init_genrand
 from mtstreams.results import _verdict
@@ -12,6 +14,7 @@ from mtstreams.stats.families import (
     collision_over_test,
     run_test,
     validate_params,
+    word_cells,
 )
 from mtstreams.stats.stream import (
     Mode,
@@ -119,6 +122,22 @@ def test_collisionover_degenerate_stream_fails():
     assert result.details["count"] == 2**12 - 1
     assert result.verdict == "Fail"
     assert result.p_values["collisions"] == 1.0
+
+
+def test_collisionover_sorted_count_equals_unique_count():
+    # The built-in parameters on MT words, and a stream that repeats a short
+    # cycle so most tuples collide.
+    cycle = np.resize(np.array([0, 2**31, 5, 2**32 - 1, 7 << 22], dtype=np.uint32), 2**13 + 3)
+    cases = [(_view(seed), p) for seed in (0, 4) for p in ({"n": 2**14, "d": 1024, "t": 2}, {"n": 2**13, "d": 32, "t": 4})]
+    cases.append((StreamView(WordPrefix(cycle), Mode.INT), {"n": 2**13, "d": 32, "t": 4}))
+    for view, p in cases:
+        n, d, t = p["n"], p["d"], p["t"]
+        words = view.take_words(n + t - 1)
+        idx = np.minimum(np.floor(words * 2.0**-32 * d), d - 1).astype(np.int64)
+        cells = sum(idx[j : j + n] * d**j for j in range(t))
+        out = collision_over_test(StreamView(WordPrefix(words), Mode.INT), n, d, t)
+        assert out["details"]["count"] == n - np.unique(cells).size
+    assert out["details"]["count"] == 2**13 - 5
 
 
 # --- ClosePairs -------------------------------------------------------------
@@ -270,6 +289,39 @@ def test_serial_mt_large_run_passes():
     assert result.draws == 10**6
 
 
+_CELL_EDGES = [0, 1, 2**31 - 1, 2**31, 2**32 - 2, 2**32 - 1]
+
+
+@pytest.mark.parametrize("d", [2, 3, 1000, 1024, 2**21])
+@settings(max_examples=200, deadline=None)
+@given(words=st.lists(st.integers(min_value=0, max_value=2**32 - 1), max_size=64))
+@example(words=_CELL_EDGES)
+def test_word_cells_equal_the_float_floor(d, words):
+    # For d <= 2^21 the float route floor(u * d) is exact, so the integer
+    # cells must equal it, clamp included.
+    w = np.array(words, dtype=np.uint32)
+    expected = np.minimum(np.floor(w * 2.0**-32 * d), d - 1).astype(np.int64)
+    assert word_cells(w, d).tolist() == expected.tolist()
+
+
+def test_word_cells_are_the_exact_floor_up_to_2_pow_32():
+    # Above 2^21 the float product can round up across a cell boundary; the
+    # integer cells stay the exact floor(w * d / 2^32).
+    rng = np.random.default_rng(5)
+    w = np.concatenate([np.array(_CELL_EDGES, dtype=np.uint32), rng.integers(0, 2**32, 1000, dtype=np.uint32)])
+    for d in (2**21 + 1, 10**9 + 7, 2**32 - 1, 2**32):
+        assert word_cells(w, d).tolist() == [(int(x) * d) >> 32 for x in w]
+    assert word_cells(w, 2**32).tolist() == w.tolist()
+    # A word whose exact cell value is k - 2^-32 for a k above 2^22, where
+    # the float product rounds to k.
+    for d in (10**7 + 19, 10**9 + 7, 2**32 - 5):
+        k = pow(2**32, -1, d)
+        word = (k * 2**32 - 1) // d
+        assert k > 2**22 and word * d == k * 2**32 - 1
+        assert math.floor(word * 2.0**-32 * d) == k
+        assert word_cells(np.array([word], dtype=np.uint32), d).tolist() == [k - 1]
+
+
 # --- dispatch / draws / validation ------------------------------------------
 
 
@@ -352,6 +404,12 @@ def test_validation_errors_carry_test_id():
         validate_params("ClosePairs", {"n": 255, "t": 2})
     with pytest.raises(ValueError):
         validate_params("SerialUniformity", {"n": 100, "cells": 16})
+    with pytest.raises(ValueError, match="2\\^32"):
+        validate_params("SerialUniformity", {"n": 10 * (2**32 + 1), "cells": 2**32 + 1})
+    with pytest.raises(ValueError, match="2\\^32"):
+        validate_params("CollisionOver", {"n": 2**14, "d": 2**32 + 1, "t": 1})
+    assert validate_params("SerialUniformity", {"n": 10 * 2**32, "cells": 2**32})["cells"] == 2**32
+    assert validate_params("CollisionOver", {"n": 2**14, "d": 2**32, "t": 1})["d"] == 2**32
 
 
 def test_results_are_deterministic():

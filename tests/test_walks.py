@@ -6,6 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from mtstreams.stats import walks as walks_module
 from mtstreams.stats.walks import h_null, m_null, r_null, walk_statistics
 
 from support import binomial_h_law, dp_walk_laws, reflection_m_law, returns_r_law
@@ -103,21 +104,28 @@ def test_null_arrays_are_frozen():
         arr[0] = 0.0
 
 
+def _words(bits):
+    """0/1 steps packed MSB first into uint32 words, zero-padded to a whole word."""
+    packed = np.packbits(np.asarray(bits, dtype=np.uint8))
+    packed = np.concatenate([packed, np.zeros(-packed.size % 4, dtype=np.uint8)])
+    return packed.view(">u4").astype(np.uint32)
+
+
 def test_walk_statistics_known_bits():
     # One walk of 8 steps: positions 1,2,1,0,-1,0,1,2 -> H=5, M=2, R=2.
     bits = np.array([1, 1, 0, 0, 0, 1, 1, 1], dtype=np.uint8)
-    h, m, r = walk_statistics(bits, walks=1, steps=8)
+    h, m, r = walk_statistics(_words(bits), walks=1, steps=8)
     assert h.tolist() == [5]
     assert m.tolist() == [2]
     assert r.tolist() == [2]
 
 
 def test_walk_statistics_all_ones_and_all_zeros():
-    h, m, r = walk_statistics(np.ones(32, dtype=np.uint8), walks=2, steps=16)
+    h, m, r = walk_statistics(np.full(1, 2**32 - 1, dtype=np.uint32), walks=2, steps=16)
     assert h.tolist() == [16, 16]
     assert m.tolist() == [16, 16]
     assert r.tolist() == [0, 0]
-    h, m, r = walk_statistics(np.zeros(32, dtype=np.uint8), walks=2, steps=16)
+    h, m, r = walk_statistics(np.zeros(1, dtype=np.uint32), walks=2, steps=16)
     assert h.tolist() == [0, 0]
     assert m.tolist() == [0, 0]
     assert r.tolist() == [0, 0]
@@ -125,17 +133,20 @@ def test_walk_statistics_all_ones_and_all_zeros():
 
 def test_walk_statistics_alternating_returns_every_other_step():
     bits = np.tile([1, 0], 8).astype(np.uint8)
-    h, m, r = walk_statistics(bits, walks=1, steps=16)
+    h, m, r = walk_statistics(_words(bits), walks=1, steps=16)
     assert h.tolist() == [8]
     assert m.tolist() == [1]
     assert r.tolist() == [8]
 
 
 def test_walk_statistics_shape_validation():
-    with pytest.raises(ValueError):
-        walk_statistics(np.zeros(10, dtype=np.uint8), walks=1, steps=8)
+    # One walk of 8 steps reads one word, and 33 walks of 8 steps read 9.
+    with pytest.raises(ValueError, match="need 1 words, got 10"):
+        walk_statistics(np.zeros(10, dtype=np.uint32), walks=1, steps=8)
+    with pytest.raises(ValueError, match="need 9 words, got 8"):
+        walk_statistics(np.zeros(8, dtype=np.uint32), walks=33, steps=8)
     with pytest.raises(ValueError, match="int16"):
-        walk_statistics(np.zeros(2**15, dtype=np.uint8), walks=1, steps=2**15)
+        walk_statistics(np.zeros(2**10, dtype=np.uint32), walks=1, steps=2**15)
 
 
 def _walk_ending_at(rng, steps, level):
@@ -157,31 +168,73 @@ def _walk_within(rng, steps, bound):
     return bits
 
 
-@pytest.mark.parametrize("steps", [8, 10, 14, 1024, 4094, 4096])
+def _walk_entering(rng, steps, start, level):
+    """A random walk at ``level`` after ``start`` steps, whose next 16 steps
+    (or as many as are left) all head for 0."""
+    bits = rng.integers(0, 2, size=steps, dtype=np.uint8)
+    bits[:start] = _walk_ending_at(rng, start, level)
+    bits[start : start + 16] = level < 0
+    return bits
+
+
+@pytest.mark.parametrize("steps", list(range(8, 66, 2)) + [1022, 1024, 4094, 4096])
 def test_walk_statistics_match_a_plain_int64_walk(steps):
     rng = np.random.default_rng(steps)
-    walks = 64
-    bits = rng.integers(0, 2, size=walks * steps, dtype=np.uint8)
-    rows = bits.reshape(walks, steps)
-    # The extremes: a walk that only climbs and one that only falls.
-    rows[0] = 1
-    rows[1] = 0
-    # Walks ending just below, in and just above the levels 1..pad that the
-    # zero padding of the last byte crosses on its way down.
-    pad = -steps % 8
-    ends = range(-2, pad + 3, 2)
-    for row, level in enumerate(ends, start=2):
-        rows[row] = _walk_ending_at(rng, steps, level)
-    # Walks whose every byte enters at a level the zero table holds.
-    for row in range(2 + len(ends), 2 + len(ends) + 4):
-        rows[row] = _walk_within(rng, steps, 9)
+    rows = [
+        # The extremes: a walk that only climbs and one that only falls.
+        np.ones(steps, dtype=np.uint8),
+        np.zeros(steps, dtype=np.uint8),
+    ]
+    # Walks ending just below, at and above the levels 1..pad that the zero
+    # padding of the last chunk crosses on its way down (pad <= 14).
+    ends = [e for e in range(-2, 19, 2) if abs(e) <= steps]
+    rows += [_walk_ending_at(rng, steps, e) for e in ends]
+    # Walks entering a chunk at the edge levels of the zero table: from +-14
+    # and +-16 the chunk reaches 0, from +-18 it cannot.
+    for start in (16, 32, 48):
+        for level in (-18, -16, -14, 14, 16, 18):
+            if abs(level) <= start < steps:
+                rows.append(_walk_entering(rng, steps, start, level))
+    # Walks whose every chunk enters at a level the zero table holds.
+    rows += [_walk_within(rng, steps, 16) for _ in range(4)]
+    walks = len(rows) + 64
+    rows = np.concatenate([np.array(rows), rng.integers(0, 2, size=(64, steps), dtype=np.uint8)])
     s = np.cumsum(rows.astype(np.int64) * 2 - 1, axis=1)
-    h, m, r = walk_statistics(bits, walks, steps)
+    h, m, r = walk_statistics(_words(rows.ravel()), walks, steps)
     assert h.tolist() == rows.sum(axis=1).tolist()
     assert m.tolist() == np.maximum(s.max(axis=1), 0).tolist()
     assert r.tolist() == (s == 0).sum(axis=1).tolist()
     assert m[0] == steps and h[1] == 0
-    assert s[2 : 2 + len(ends), -1].tolist() == list(ends)
+    assert s[2 : 2 + len(ends), -1].tolist() == ends
+
+
+@pytest.mark.parametrize("steps", [16, 24, 1024])
+def test_walk_statistics_blocks_join_seamlessly(monkeypatch, steps):
+    # Blocks of 3 walks, the last one short, give what one block gives and
+    # what the plain walk gives.
+    rng = np.random.default_rng(steps + 1)
+    walks = 10
+    rows = rng.integers(0, 2, size=(walks, steps), dtype=np.uint8)
+    words = _words(rows.ravel())
+    one_block = walk_statistics(words, walks, steps)
+    monkeypatch.setattr(walks_module, "_BLOCK_STEPS", 3 * steps)
+    blocked = walk_statistics(words, walks, steps)
+    s = np.cumsum(rows.astype(np.int64) * 2 - 1, axis=1)
+    plain = (rows.sum(axis=1), np.maximum(s.max(axis=1), 0), (s == 0).sum(axis=1))
+    for a, b, c in zip(blocked, one_block, plain):
+        assert a.tolist() == b.tolist() == c.tolist()
+
+
+def test_walk_statistics_read_each_walk_from_its_own_bits():
+    # 3 walks of 24 steps share word boundaries: the walks start at bits
+    # 0, 24 and 48, so the second starts mid-word and the third ends on a
+    # word's last bit. Each walk reads only its own steps.
+    bits = np.zeros(72, dtype=np.uint8)
+    bits[24:48] = 1
+    h, m, r = walk_statistics(_words(bits), walks=3, steps=24)
+    assert h.tolist() == [0, 24, 0]
+    assert m.tolist() == [0, 24, 0]
+    assert r.tolist() == [0, 0, 0]
 
 
 def test_returns_law_l4_by_fraction():
