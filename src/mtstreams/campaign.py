@@ -29,7 +29,7 @@ from mtstreams._version import VERSION
 from mtstreams.mt19937 import MtState, MtStream
 from mtstreams.results import MODES, CampaignReport, StatusReport, TestResult
 from mtstreams.stats.battery import Battery, battery_sha256, dump_battery
-from mtstreams.stats.families import import_family_dependencies, run_test
+from mtstreams.stats.families import run_test
 from mtstreams.stats.stream import StreamView, WordPrefix, analytic_draws
 from mtstreams.statusfile import STATUS_SUFFIX, StatusFormatError, file_sha256, load_status
 
@@ -140,7 +140,6 @@ def run_campaign(entries: list[StatusEntry], config: CampaignConfig) -> Campaign
     eps = config.eps
     work = [(e.state, config.modes, config.battery, eps) for e in entries]
     if config.jobs > 1 and len(work) > 1:
-        import_family_dependencies()  # once here, shared by every forked worker
         ctx = get_context("fork")
         with ctx.Pool(min(config.jobs, len(work))) as pool:
             outcomes = pool.starmap(run_battery_on_status, work)

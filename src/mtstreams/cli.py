@@ -9,8 +9,9 @@ Each command loads only what it runs. ``report``, ``registry`` and
 ``verify`` need the standard library alone (``results``, ``reports`` and
 ``statusfile``); ``gen`` imports ``partition`` and with it NumPy; ``test``
 imports ``campaign`` and the battery, which bring NumPy and the test
-families, and the families' p-values load ``scipy.special`` (the
-incomplete gamma, SciPy's only use) when they first need it.
+families. The families' chi-square and Poisson p-values compute the
+incomplete gamma tails in the standard library's ``decimal``, which they
+load when they first need it; no command loads SciPy.
 """
 from __future__ import annotations
 

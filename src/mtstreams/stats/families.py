@@ -199,15 +199,6 @@ def serial_uniformity_test(view: StreamView, n: int, cells: int) -> dict:
     return {"p_values": {"chi2": p}, "details": {"statistic": chi2, "df": cells - 1}}
 
 
-def import_family_dependencies() -> None:
-    """Import the SciPy module the families' p-values load on first use.
-
-    A process about to fork workers calls this, so the workers share one
-    copy of the module instead of each importing its own.
-    """
-    import scipy.special  # noqa: F401  (pvalues: chi-square and Poisson tails)
-
-
 _RUNNERS = {
     "LinearComp": linear_comp_test,
     "CollisionOver": collision_over_test,

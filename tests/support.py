@@ -327,6 +327,18 @@ def poisson_tails_oracle(k: int, lam: float) -> tuple[float, float]:
     return float(left), float(right)
 
 
+def gamma_tails_oracle(two_a: int, x: float) -> tuple[float, float]:
+    """(P(a, x), Q(a, x)) for a = two_a / 2 at 60 digits (mpmath), each
+    rounded to binary64."""
+    import mpmath
+
+    with mpmath.mp.workdps(60):
+        a = mpmath.mpf(two_a) / 2
+        p = mpmath.gammainc(a, 0, x, regularized=True)
+        q = mpmath.gammainc(a, x, mpmath.inf, regularized=True)
+        return float(p), float(q)
+
+
 def brute_force_min_toroidal_distance(points: np.ndarray) -> float:
     """Minimal pairwise Euclidean distance on the unit torus, over all
     n(n-1)/2 pairs: each coordinate difference wrapped as min(|d|, 1 - |d|),

@@ -169,15 +169,6 @@ def test_worker_count_does_not_change_output_bytes(tmp_path):
     assert blobs[0] == blobs[1] == blobs[2] == blobs[3]
 
 
-def test_family_dependencies_are_imported_once_before_the_pool_forks(monkeypatch):
-    calls = []
-    monkeypatch.setattr(campaign, "import_family_dependencies", lambda: calls.append("import"))
-    run_campaign(_entries(2), CampaignConfig(battery=FAST, modes=("int",), jobs=2))
-    assert calls == ["import"]
-    run_campaign(_entries(2), CampaignConfig(battery=FAST, modes=("int",), jobs=1))
-    assert calls == ["import"]  # no pool, nothing to share
-
-
 def test_pool_has_no_more_workers_than_statuses(monkeypatch):
     sizes = []
 

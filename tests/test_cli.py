@@ -478,9 +478,9 @@ def test_help_documents_battery_and_threshold_defaults(capsys):
 
 
 def test_cli_import_loads_no_scipy():
-    # scipy.special costs ~0.35 s to import; only the p-values that use it load it.
+    # Start-up stays small: the p-values' decimal is loaded by the first tail.
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
-    code = "import sys, mtstreams.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    code = "import sys, mtstreams.cli; print(sorted(m for m in sys.modules if m.split('.')[0] in ('scipy', 'decimal', '_decimal')))"
     out = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     ).stdout
@@ -540,14 +540,18 @@ def test_gen_loads_no_scipy_stats_or_campaign(tmp_path):
     assert _within(modules, "scipy", "mtstreams.stats", "mtstreams.campaign") == []
 
 
-def test_test_loads_scipy_special_only(tmp_path):
-    # ClosePairs sweeps in NumPy; SciPy is there for the incomplete gamma.
-    assert _gen(tmp_path / "set", count=1) == 0
-    out = str(tmp_path / "results.jsonl")
-    rc, modules = _fresh_main(["test", "--dir", str(tmp_path / "set"), "--mode", "int", "--out", out])
-    assert rc == 0
-    assert "scipy.special" in modules
-    assert _within(modules, "scipy.spatial") == []
+def test_test_loads_no_scipy(tmp_path):
+    # The p-values come from decimal. A None entry in sys.modules makes any
+    # import of scipy raise, in the parent and in the workers it forks.
+    assert _gen(tmp_path / "set", count=2) == 0
+    blocked = "import sys; sys.modules['scipy'] = None\n" + _RUN_MAIN
+    for jobs in ("2", "1"):
+        out = str(tmp_path / f"results{jobs}.jsonl")
+        argv = ["test", "--dir", str(tmp_path / "set"), "--mode", "int", "--jobs", jobs, "--out", out]
+        result = json.loads(_fresh(blocked, json.dumps(argv)))
+        assert result["rc"] == 0, jobs
+        assert _within(result["modules"], "scipy") == ["scipy"], jobs  # only the blocking entry
+    assert "decimal" in result["modules"]  # --jobs 1 computed its tails in this process
 
 
 def test_package_import_loads_no_numpy_and_resolves_every_name():

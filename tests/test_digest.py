@@ -12,14 +12,14 @@ import pytest
 from mtstreams.cli import main
 
 DIGESTS = {
-    "results.jsonl": "5623079bba2a1431553d282f5fb47aba3480baf3cb83998816b1efe2585432d8",
+    "results.jsonl": "2e1f92480ebd7e2bea6149e189e8c4f5aaee537e74a9e5e0bd2bf457aa8e9815",
     "report.md": "f8b6ae37e663b6b93360228d55be10c5c97bd8b2c8b79e3c373326c7cd774118",
     "report.csv": "e6bea84edfb93d621cfda15670e5cc74aa84e00badda48cbe47c4a9cd325bda3",
     "report.json": "4d3d60e89ace09845825c425a4144545d9abc648b6636acf15e10a91279e01bd",
     "registry.txt": "66900656788515599e0f7fe0e09273fa1e93d6068a25dc1cbeac11b90b391bf1",
     "registry.json": "b83e491803659b1e5af6460887f3adfb224a9b7f7c6b3d2d6bd185925d5c7ae2",
 }
-REAL_ONLY_RESULTS = "6a91e5598112dc52c619cabf0943b6d6298a9e2a64c628a252488ef8d1fbe0e4"
+REAL_ONLY_RESULTS = "275c246449efbb331cbf88f7ee2ce323eaec315b9ae97b27c7684ac21c3ca0a6"
 
 
 def _sha(path) -> str:
