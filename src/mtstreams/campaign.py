@@ -1,8 +1,8 @@
 """Deterministic battery campaigns over sets of statuses: the runner.
 
-A work unit is one status. It generates the status's first
-max(analytic_draws) words once, as a read-only array, and runs every
-battery test once on a zero-copy prefix of it. The real map w * 2^-32 is
+A work unit is one status. It generates the longest prefix any battery
+entry reads (the largest ``draws``) once, as a read-only array, and runs
+every battery test once on a zero-copy prefix of it. The real map w * 2^-32 is
 exact for 32-bit words, and floor(u * 2^32) gives every word back (see
 :mod:`mtstreams.stats.stream`), so the same results stand for the int and
 the real pathway, and the unit yields one report per requested mode. Work
@@ -17,7 +17,7 @@ registry files and the classifier live in :mod:`mtstreams.results`.
 """
 from __future__ import annotations
 
-import hashlib
+import os
 import re
 from dataclasses import dataclass
 from multiprocessing import get_context
@@ -27,10 +27,17 @@ import numpy as np
 
 from mtstreams._version import VERSION
 from mtstreams.mt19937 import MtState, MtStream
-from mtstreams.results import MODES, CampaignReport, StatusReport, TestResult
-from mtstreams.stats.battery import Battery, battery_sha256, dump_battery
+from mtstreams.results import (
+    MODES,
+    TECHNIQUES,
+    CampaignReport,
+    StatusReport,
+    TestResult,
+    campaign_fingerprint,
+)
+from mtstreams.stats.battery import Battery, battery_doc, battery_sha256
 from mtstreams.stats.families import run_test
-from mtstreams.stats.stream import StreamView, WordPrefix, analytic_draws
+from mtstreams.stats.stream import StreamView, WordPrefix
 from mtstreams.statusfile import STATUS_SUFFIX, StatusFormatError, file_sha256, load_status
 
 # Unused here: bench/ (its tracer targets and probes) imports these from this module.
@@ -44,7 +51,7 @@ from mtstreams.results import (  # noqa: F401
 # The names partition.status_filename writes: the index zero-padded to five
 # digits, wider from 100000 on.
 _STATUS_NAME = re.compile(
-    r"^(split|random|indexed)_(\d{5}|[1-9]\d{5,})" + re.escape(STATUS_SUFFIX) + "$"
+    "^(" + "|".join(TECHNIQUES) + r")_(\d{5}|[1-9]\d{5,})" + re.escape(STATUS_SUFFIX) + "$"
 )
 
 
@@ -72,16 +79,21 @@ class CampaignConfig:
             raise ValueError("duplicate modes")
         if self.jobs < 1:
             raise ValueError(f"jobs must be >= 1, got {self.jobs}")
+        if self.threshold is not None and not 0.0 < self.threshold < 0.5:
+            raise ValueError(f"threshold must be in (0, 0.5), got {self.threshold}")
 
     @property
     def eps(self) -> float:
         return self.battery.threshold if self.threshold is None else self.threshold
 
 
-def campaign_fingerprint(battery: Battery, eps: float, modes: tuple[str, ...]) -> str:
-    """Self-describing campaign identity: battery, threshold, modes, version."""
-    blob = "\n".join([dump_battery(battery), "%.17g" % eps, ",".join(modes), VERSION])
-    return hashlib.sha256(blob.encode("ascii")).hexdigest()
+def usable_cpus() -> int:
+    """The CPUs this process may run on, or the machine's count where the
+    platform cannot say."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
 
 
 def parse_status_filename(name: str) -> tuple[str, int]:
@@ -89,7 +101,7 @@ def parse_status_filename(name: str) -> tuple[str, int]:
     if not m:
         raise StatusFormatError(
             f"status filename {name!r} must match <technique>_<index>{STATUS_SUFFIX} "
-            "with technique in {split, random, indexed} and the index zero-padded "
+            f"with technique in {{{', '.join(TECHNIQUES)}}} and the index zero-padded "
             "to 5 digits (no leading zero beyond 5 digits)"
         )
     return m.group(1), int(m.group(2))
@@ -119,8 +131,8 @@ def load_status_entries(paths: list[Path | str]) -> list[StatusEntry]:
 
 
 def status_words(state: MtState, battery: Battery) -> np.ndarray:
-    """The first max(analytic_draws) words of the status, read-only."""
-    words = MtStream(state).take(max(analytic_draws(t.family, t.params) for t in battery.tests))
+    """The status's first words, as many as the battery's longest read, read-only."""
+    words = MtStream(state).take(max(t.draws for t in battery.tests))
     words.flags.writeable = False
     return words
 
@@ -137,11 +149,14 @@ def run_battery_on_status(
 
 
 def run_campaign(entries: list[StatusEntry], config: CampaignConfig) -> CampaignReport:
+    """Test every status; ``config.jobs`` workers at most, and no more than
+    there are statuses or usable CPUs."""
     eps = config.eps
     work = [(e.state, config.modes, config.battery, eps) for e in entries]
-    if config.jobs > 1 and len(work) > 1:
+    workers = min(config.jobs, len(work), usable_cpus())
+    if workers > 1:
         ctx = get_context("fork")
-        with ctx.Pool(min(config.jobs, len(work))) as pool:
+        with ctx.Pool(workers) as pool:
             outcomes = pool.starmap(run_battery_on_status, work)
     else:
         outcomes = [run_battery_on_status(*w) for w in work]
@@ -157,6 +172,7 @@ def run_campaign(entries: list[StatusEntry], config: CampaignConfig) -> Campaign
         "fingerprint": campaign_fingerprint(config.battery, eps, tuple(config.modes)),
         "battery": config.battery.name,
         "battery_sha256": battery_sha256(config.battery),
+        "battery_definition": battery_doc(config.battery),
         "threshold": eps,
         "modes": list(config.modes),
         "test_ids": list(config.battery.test_ids),

@@ -16,7 +16,6 @@ load when they first need it; no command loads SciPy.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from pathlib import Path
 
@@ -24,6 +23,7 @@ from mtstreams._version import VERSION
 from mtstreams.reports import TABLES, render_report
 from mtstreams.results import (
     DEFAULT_EXPECTED_FAIL_IDS,
+    TECHNIQUES,
     build_registry,
     classify_status,
     read_results_jsonl,
@@ -61,7 +61,7 @@ def _build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", metavar="COMMAND", parser_class=_Parser)
 
     gen = sub.add_parser("gen", help="generate a status set + manifest")
-    gen.add_argument("--technique", required=True, choices=["split", "random", "indexed"])
+    gen.add_argument("--technique", required=True, choices=TECHNIQUES)
     gen.add_argument("--count", type=int, required=True, help="number of statuses")
     gen.add_argument(
         "--seed",
@@ -81,7 +81,7 @@ def _build_parser() -> _Parser:
     test = sub.add_parser("test", help="run a battery campaign")
     test.add_argument("--dir", action="append", default=[], help="directory of *.mts statuses (repeatable)")
     test.add_argument("--status", action="append", default=[], help="single status file (repeatable)")
-    test.add_argument("--battery", default="mini-crush-v1", help="built-in name or battery JSON path (default mini-crush-v1)")
+    test.add_argument("--battery", default="mini-crush-v1", help="built-in name or battery JSON path (default mini-crush-v1); an entry may read at most 2^28 words")
     test.add_argument("--mode", choices=["int", "real", "both"], default="both")
     test.add_argument(
         "--threshold",
@@ -89,7 +89,7 @@ def _build_parser() -> _Parser:
         default=None,
         help="two-sided failure threshold epsilon (default: the battery's; 1e-10 for mini-crush-v1)",
     )
-    test.add_argument("--jobs", type=int, default=os.cpu_count() or 1, help="worker count (default: logical cores); affects wall time only, never output bytes")
+    test.add_argument("--jobs", type=int, default=None, help="worker count, capped at the usable CPUs (default: the usable CPUs); affects wall time only, never output bytes")
     test.add_argument("--out", default="results.jsonl", help="results JSONL path (default results.jsonl)")
     test.add_argument("--strict", action="store_true", help="exit 3 if any status is Suspect")
     test.add_argument(
@@ -171,7 +171,7 @@ def _resolve_expected(raw: str | None, available_ids) -> frozenset[str]:
 
 
 def _cmd_test(args: argparse.Namespace) -> int:
-    from mtstreams.campaign import CampaignConfig, load_status_entries, run_campaign
+    from mtstreams.campaign import CampaignConfig, load_status_entries, run_campaign, usable_cpus
     from mtstreams.stats.battery import load_battery
 
     inputs = list(args.dir) + list(args.status)
@@ -179,13 +179,17 @@ def _cmd_test(args: argparse.Namespace) -> int:
         raise UsageError("give at least one --dir or --status")
     if args.threshold is not None and not 0.0 < args.threshold < 0.5:
         raise UsageError(f"--threshold must be in (0, 0.5), got {args.threshold}")
-    if args.jobs < 1:
-        raise UsageError(f"--jobs must be >= 1, got {args.jobs}")
+    cpus = usable_cpus()
+    jobs = cpus if args.jobs is None else args.jobs
+    if jobs < 1:
+        raise UsageError(f"--jobs must be >= 1, got {jobs}")
+    if jobs > cpus:
+        print(f"note: --jobs {jobs} capped at {cpus}, the usable CPUs", file=sys.stderr)
     battery = load_battery(args.battery)
     modes = ("int", "real") if args.mode == "both" else (args.mode,)
     expected = _resolve_expected(args.expected_fail, battery.test_ids)
     entries = load_status_entries(inputs)
-    config = CampaignConfig(battery=battery, modes=modes, threshold=args.threshold, jobs=args.jobs)
+    config = CampaignConfig(battery=battery, modes=modes, threshold=args.threshold, jobs=jobs)
     creport = run_campaign(entries, config)
     write_results_jsonl(creport, args.out)
     suspects = [r for r in creport.reports if classify_status(r, expected) == "Suspect"]

@@ -6,19 +6,25 @@ one :class:`StatusReport` per (status, mode) unit, each a list of
 verdict rule, the Good/Suspect classifier, the registry of Good statuses,
 and the writers and readers of ``results.jsonl`` and the registry files.
 It imports neither NumPy nor SciPy, so the ``report`` and ``registry``
-commands load only this module, ``reports`` and ``statusfile``; running a
-campaign (``mtstreams.campaign``) is what needs the numeric stack.
+commands load only this module, ``reports``, ``statusfile`` and
+``stats.battery``, with which the reader rebuilds the battery a file
+names; running a campaign (``mtstreams.campaign``) is what needs the
+numeric stack.
 """
 from __future__ import annotations
 
+import hashlib
 import json
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from mtstreams._version import VERSION
 from mtstreams.statusfile import write_bytes_atomic
 
 MODES = ("int", "real")
+# The partitioning techniques' slugs, as status file names and results carry them.
+TECHNIQUES = ("split", "random", "indexed")
 DEFAULT_EXPECTED_FAIL_IDS = frozenset({"linearcomp.r0", "linearcomp.r29"})
 
 
@@ -118,11 +124,21 @@ def build_registry(
     )
 
 
+def campaign_fingerprint(battery, eps: float, modes: tuple[str, ...], version: str = VERSION) -> str:
+    """Self-describing campaign identity: battery, threshold, modes, version."""
+    # Imported here, not at the top, so that `gen` loads no battery module.
+    from mtstreams.stats.battery import dump_battery
+
+    blob = "\n".join([dump_battery(battery), "%.17g" % eps, ",".join(modes), version])
+    return hashlib.sha256(blob.encode("ascii")).hexdigest()
+
+
 def _fmt17(x: float) -> str:
     return "%.17g" % x
 
 
 _KEY_SAFE = re.compile(r"^[A-Za-z0-9._-]+$")
+_SHA256 = re.compile(r"[0-9a-f]{64}")
 
 
 def _is_p_value(p: object) -> bool:
@@ -160,19 +176,62 @@ def write_results_jsonl(creport: CampaignReport, path: Path | str) -> None:
     write_bytes_atomic(path, ("\n".join(lines) + "\n").encode("ascii"))
 
 
+def _meta_battery(meta: dict):
+    """The battery a meta record holds, once the record agrees with it.
+
+    Raises ValueError, KeyError or TypeError otherwise.
+    """
+    from mtstreams.stats.battery import battery_sha256, parse_battery
+
+    if "battery_definition" not in meta:
+        raise ValueError("meta has no battery_definition; re-run `test` to rewrite this file")
+    threshold, modes = meta["threshold"], meta["modes"]
+    if not 0.0 < threshold < 0.5:
+        raise ValueError(f"meta threshold {threshold!r} is not in (0, 0.5)")
+    if not modes or len(set(modes)) != len(modes) or not set(modes) <= set(MODES):
+        raise ValueError(f"meta modes {modes!r} are not distinct modes from {MODES}")
+    for s in meta["statuses"]:
+        if s["technique"] not in TECHNIQUES or type(s["index"]) is not int or s["index"] < 0:
+            raise ValueError(f"meta status {s['technique']!r}/{s['index']!r} is not a technique and index")
+        if not _SHA256.fullmatch(s["sha256"]):
+            raise ValueError(f"meta sha256 {s['sha256']!r} is not 64 lowercase hex digits")
+    identities = [(s["technique"], s["index"]) for s in meta["statuses"]]
+    if len(set(identities)) != len(identities):
+        raise ValueError("meta lists a status twice")
+    battery = parse_battery(meta["battery_definition"])
+    expected = {
+        "battery": battery.name,
+        "battery_sha256": battery_sha256(battery),
+        "test_ids": list(battery.test_ids),
+        "fingerprint": campaign_fingerprint(battery, threshold, tuple(modes), meta["version"]),
+    }
+    for key, value in expected.items():
+        if meta[key] != value:
+            raise ValueError(f"meta {key} disagrees with its battery_definition")
+    return battery
+
+
 def read_results_jsonl(path: Path | str) -> CampaignReport:
     """Rebuild a CampaignReport (test results in file order, no details).
 
-    The file must be complete and consistent with its meta record: exactly
-    one row per meta status, meta mode and meta test id, each with the
-    verdict, Pass or Fail, that its p-values give at the meta threshold
-    (exact, since p-values are written with 17 significant digits), its
+    The meta record must hold the battery's definition and agree with it:
+    its battery name, ``battery_sha256``, ordered ``test_ids`` and
+    ``fingerprint`` (recomputed from the meta's threshold, modes and
+    version). Its threshold must lie in (0, 0.5), its modes be distinct
+    modes from MODES, and its statuses be distinct, each with a technique
+    from TECHNIQUES, a non-negative integer index and a SHA-256 of 64
+    lowercase hex digits.
+
+    The rows must then be complete and consistent with the meta: exactly
+    one row per meta status, meta mode and test id, each with the verdict,
+    Pass or Fail, that its p-values give at the meta threshold (exact,
+    since p-values are written with 17 significant digits), its
     ``p_values`` a non-empty object whose every value is a number in
-    [0, 1], and a ``draws`` that is a non-negative integer. Anything else
-    (a truncated file, a line that is not a JSON object, a duplicated row,
-    a row for an unknown status or mode, empty or non-object p-values, a
-    NaN, bool or out-of-range p-value, any other verdict or draw count)
-    raises ValueError rather than being classified.
+    [0, 1], and its test's ``draws``. Anything else (a truncated file, a
+    line that is not a JSON object, a duplicated row, a row for an unknown
+    status or mode, empty or non-object p-values, a NaN, bool or
+    out-of-range p-value, any other verdict or draw count) raises
+    ValueError rather than being classified.
     """
     path = Path(path)
     lines = path.read_text(encoding="ascii").splitlines()
@@ -182,22 +241,25 @@ def read_results_jsonl(path: Path | str) -> CampaignReport:
     if not isinstance(meta, dict) or meta.get("type") != "meta":
         raise ValueError(f"{path}: first line is not the meta record")
     try:
-        test_ids = set(meta["test_ids"])
-        grouped: dict[tuple[str, int, str], dict[str, TestResult]] = {
-            (s["technique"], s["index"], mode): {}
-            for s in meta["statuses"]
-            for mode in meta["modes"]
-        }
+        battery = _meta_battery(meta)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValueError(f"{path}: bad meta record: {exc}") from exc
+    tests = {t.id: t for t in battery.tests}
+    grouped: dict[tuple[str, int, str], dict[str, TestResult]] = {
+        (s["technique"], s["index"], mode): {} for s in meta["statuses"] for mode in meta["modes"]
+    }
+    try:
         for lineno, line in enumerate(lines[1:], start=2):
             rec = json.loads(line)
             if not isinstance(rec, dict) or rec.get("type") != "result":
                 raise ValueError(f"{path}:{lineno}: unknown record type")
             unit = grouped.get((rec["technique"], rec["index"], rec["mode"]))
-            if unit is None:
+            if unit is None or type(rec["index"]) is not int:  # 1.0 and True hash as 1
                 raise ValueError(f"{path}:{lineno}: status or mode not in meta")
-            if rec["test_id"] not in test_ids:
+            test = tests.get(rec["test_id"])
+            if test is None:
                 raise ValueError(f"{path}:{lineno}: test id {rec['test_id']!r} not in meta")
-            if rec["test_id"] in unit:
+            if test.id in unit:
                 raise ValueError(f"{path}:{lineno}: duplicate row")
             p_values = rec["p_values"]
             if not isinstance(p_values, dict) or not p_values:
@@ -209,11 +271,11 @@ def read_results_jsonl(path: Path | str) -> CampaignReport:
             if rec["verdict"] != verdict:
                 raise ValueError(f"{path}:{lineno}: verdict {rec['verdict']!r}, p-values give {verdict}")
             draws = rec["draws"]
-            if type(draws) is not int or draws < 0:  # a bool is not a draw count
-                raise ValueError(f"{path}:{lineno}: draws {draws!r} is not a non-negative integer")
-            unit[rec["test_id"]] = TestResult(
-                test_id=rec["test_id"],
-                family="",
+            if type(draws) is not int or draws != test.draws:  # 20480.0 == 20480
+                raise ValueError(f"{path}:{lineno}: draws {draws!r}, {test.id} reads {test.draws}")
+            unit[test.id] = TestResult(
+                test_id=test.id,
+                family=test.family,
                 p_values=p_values,
                 verdict=verdict,
                 draws=draws,
@@ -222,7 +284,7 @@ def read_results_jsonl(path: Path | str) -> CampaignReport:
         raise ValueError(f"{path}: malformed record ({exc!r})") from exc
     reports = []
     for (technique, index, mode), unit in sorted(grouped.items()):
-        missing = sorted(test_ids - set(unit))
+        missing = [t for t in battery.test_ids if t not in unit]
         if missing:
             raise ValueError(f"{path}: {technique}/{index} {mode} lacks rows for {missing}")
         reports.append(StatusReport(technique, index, mode, list(unit.values())))

@@ -3,26 +3,116 @@
 A battery's identity is its name, threshold, and the ordered test list;
 the canonical JSON form below is what gets hashed into campaign
 fingerprints, so key order and float formatting are fixed.
+
+Each family has one function here whose keywords are its parameters: it
+checks their bounds and returns the words an entry reads, which a
+:class:`TestDefinition` keeps as ``draws``. Standard library only, so the
+results reader can rebuild a file's battery without NumPy.
 """
 from __future__ import annotations
 
 import hashlib
 import json
+import re
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from mtstreams.stats.families import validate_params
+# Words one battery entry may read per status: 1 GiB of uint32, which every
+# worker holds at once (see `campaign.status_words`).
+MAX_DRAWS = 2**28
+# Test ids go into results rows unescaped, like sub-statistic names.
+_ID = re.compile(r"[A-Za-z0-9._-]+")
+
+
+def _linear_comp(*, n_bits: int, bit_offset: int) -> int:
+    if n_bits < 1000:
+        raise ValueError(f"n_bits must be >= 1000, got {n_bits}")
+    if not 0 <= bit_offset <= 31:
+        raise ValueError(f"bit_offset must be in [0, 31], got {bit_offset}")
+    return n_bits
+
+
+def _collision_over(*, n: int, d: int, t: int) -> int:
+    if n < 2**10:
+        raise ValueError(f"n must be >= 1024, got {n}")
+    if d < 2 or t < 1:
+        raise ValueError(f"need d >= 2 and t >= 1, got d={d}, t={t}")
+    if d > 2**32:
+        raise ValueError(f"d must be <= 2^32, the cells a 32-bit word can address, got {d}")
+    if t > 62 or d**t > 2**62:  # d >= 2, so t > 62 gives d^t > 2^62 too
+        raise ValueError(f"cell count d^t too large to index, got d={d}, t={t}")
+    if d**t < 4 * n:
+        raise ValueError(f"sparse regime requires d^t >= 4n; d^t={d**t}, 4n={4 * n}")
+    return n + t - 1
+
+
+def _close_pairs(*, n: int, t: int) -> int:
+    if n < 2**8:
+        raise ValueError(f"n must be >= 256, got {n}")
+    if not 2 <= t <= 8:
+        raise ValueError(f"t must be in [2, 8], got {t}")
+    return n * t
+
+
+def _random_walk(*, walks: int, steps: int) -> int:
+    if walks < 10**3:
+        raise ValueError(f"walks must be >= 1000, got {walks}")
+    if steps % 2 or not 8 <= steps <= 4096:
+        raise ValueError(f"steps must be even and in [8, 4096], got {steps}")
+    return -(-walks * steps // 32)
+
+
+def _serial_uniformity(*, n: int, cells: int) -> int:
+    if not 2 <= cells <= 2**32:
+        raise ValueError(f"cells must be in [2, 2^32], the cells a 32-bit word can address, got {cells}")
+    if n < 10 * cells:
+        raise ValueError(f"n must be >= 10 * cells, got n={n}, cells={cells}")
+    return n
+
+
+FAMILY_DRAWS = {
+    "LinearComp": _linear_comp,
+    "CollisionOver": _collision_over,
+    "ClosePairs": _close_pairs,
+    "RandomWalk1": _random_walk,
+    "SerialUniformity": _serial_uniformity,
+}
 
 
 @dataclass(frozen=True)
 class TestDefinition:
-    """One battery entry: stable id, family name, family parameters."""
+    """One battery entry: stable id, family name, family parameters.
+
+    The id is letters, digits, '.', '_' and '-'. The parameters must be
+    exactly the family's, each an int (not a bool).
+    ``draws`` is the number of words the entry reads, at most MAX_DRAWS.
+    """
 
     __test__ = False  # not a pytest collection target
 
     id: str
     family: str
     params: dict = field(default_factory=dict)
+    draws: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        if not isinstance(self.id, str) or not _ID.fullmatch(self.id):
+            raise ValueError(f"test id {self.id!r} must be letters, digits, '.', '_' or '-'")
+        draws_of = FAMILY_DRAWS.get(self.family)
+        if draws_of is None:
+            raise ValueError(f"test {self.id}: unknown family: {self.family}")
+        for name, value in self.params.items():
+            if type(value) is not int:
+                raise ValueError(f"test {self.id}: parameter {name} must be an integer, got {value!r}")
+        try:
+            draws = draws_of(**self.params)
+        except TypeError as exc:  # a missing or unknown parameter name
+            raise ValueError(f"test {self.id}: {self.family} parameters: {exc}") from exc
+        except ValueError as exc:
+            raise ValueError(f"test {self.id}: {exc}") from exc
+        if draws > MAX_DRAWS:
+            raise ValueError(f"test {self.id}: reads {draws} words, more than MAX_DRAWS = 2^28")
+        object.__setattr__(self, "draws", draws)
 
 
 @dataclass(frozen=True)
@@ -32,16 +122,13 @@ class Battery:
     tests: tuple[TestDefinition, ...]
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.threshold < 0.5:
-            raise ValueError(f"threshold must be in (0, 0.5), got {self.threshold}")
+        if not isinstance(self.name, str):
+            raise ValueError(f"battery name must be a string, got {self.name!r}")
+        if not isinstance(self.threshold, float) or not 0.0 < self.threshold < 0.5:
+            raise ValueError(f"threshold must be a number in (0, 0.5), got {self.threshold!r}")
         ids = [t.id for t in self.tests]
         if len(set(ids)) != len(ids):
             raise ValueError("battery test ids must be unique")
-        for t in self.tests:
-            try:
-                validate_params(t.family, t.params)
-            except (KeyError, ValueError) as exc:
-                raise ValueError(f"test {t.id}: {exc}") from exc
         object.__setattr__(self, "tests", tuple(self.tests))
 
     @property
@@ -68,14 +155,24 @@ MINI_CRUSH_V1 = Battery(
 BUILTIN_BATTERIES = {MINI_CRUSH_V1.name: MINI_CRUSH_V1}
 
 
-def dump_battery(battery: Battery) -> str:
-    """Canonical JSON form (stable bytes; test order preserved)."""
-    doc = {
+def battery_doc(battery: Battery) -> dict:
+    """The battery as a JSON document, the form a battery file holds."""
+    return {
         "name": battery.name,
         "threshold": battery.threshold,
         "tests": [{"id": t.id, "family": t.family, "params": t.params} for t in battery.tests],
     }
-    return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
+
+
+def parse_battery(doc: dict) -> Battery:
+    """The battery a JSON document describes (KeyError or TypeError if malformed)."""
+    tests = tuple(TestDefinition(t["id"], t["family"], dict(t["params"])) for t in doc["tests"])
+    return Battery(name=doc["name"], threshold=doc["threshold"], tests=tests)
+
+
+def dump_battery(battery: Battery) -> str:
+    """Canonical JSON form (stable bytes; test order preserved)."""
+    return json.dumps(battery_doc(battery), sort_keys=True, separators=(",", ":")) + "\n"
 
 
 def battery_sha256(battery: Battery) -> str:
@@ -91,9 +188,6 @@ def load_battery(name_or_path: str) -> Battery:
         raise FileNotFoundError(f"unknown battery {name_or_path!r} (not built-in, not a file)")
     doc = json.loads(path.read_text(encoding="ascii"))
     try:
-        tests = tuple(
-            TestDefinition(t["id"], t["family"], dict(t["params"])) for t in doc["tests"]
-        )
-        return Battery(name=doc["name"], threshold=float(doc["threshold"]), tests=tests)
+        return parse_battery(doc)
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed battery file {path}: {exc}") from exc

@@ -1,14 +1,17 @@
 """The five test families and the dispatch that runs them.
 
-Every family reads a :class:`~mtstreams.stats.stream.StreamView` from its
-first draw and produces named sub-statistic p-values; families are pure
-functions of (view, params). `run_test` gives the two-sided verdict: Fail
-iff any sub-p-value p satisfies p < eps or p > 1 - eps (strict, so
-p = eps passes).
+`run_test` reads an entry's words from a
+:class:`~mtstreams.stats.stream.StreamView` once, as many as its
+``draws`` (:mod:`mtstreams.stats.battery` checks the parameters and sizes
+the read), and passes the array to the family. Families are pure
+functions of (words, **params) that produce named sub-statistic p-values.
+`run_test` gives the two-sided verdict: Fail iff any sub-p-value p
+satisfies p < eps or p > 1 - eps (strict, so p = eps passes).
 
-Only ClosePairs reads floats. The cell families read words: the cell of a
-uniform u = w * 2^-32 among d is floor(u * d) = (w * d) >> 32, computed in
-exact integers (see `word_cells`), and RandomWalk1 reads a word's bits.
+Only ClosePairs reads floats, w * 2^-32. The cell families read words: the
+cell of a uniform u = w * 2^-32 among d is floor(u * d) = (w * d) >> 32,
+computed in exact integers (see `word_cells`). RandomWalk1 reads a word's
+bits, and LinearComp one bit of each word.
 """
 from __future__ import annotations
 
@@ -17,6 +20,7 @@ import math
 import numpy as np
 
 from mtstreams.results import TestResult, _verdict
+from mtstreams.stats.battery import TestDefinition
 from mtstreams.stats.complexity import berlekamp_massey, linear_complexity_pvalue
 from mtstreams.stats.pvalues import chi2_pvalue, merged_chi2_pvalue, poisson_two_sided_pvalue
 from mtstreams.stats.stream import StreamView
@@ -25,56 +29,10 @@ from mtstreams.stats.walks import h_null, m_null, r_null, walk_statistics
 _BLOCK_WORDS = 1 << 16
 
 
-def validate_params(family: str, params: dict) -> dict:
-    """Check family parameters; returns them with canonical integer types."""
-    if family == "LinearComp":
-        n_bits, bit_offset = int(params["n_bits"]), int(params["bit_offset"])
-        if n_bits < 1000:
-            raise ValueError(f"n_bits must be >= 1000, got {n_bits}")
-        if not 0 <= bit_offset <= 31:
-            raise ValueError(f"bit_offset must be in [0, 31], got {bit_offset}")
-        return {"n_bits": n_bits, "bit_offset": bit_offset}
-    if family == "CollisionOver":
-        n, d, t = int(params["n"]), int(params["d"]), int(params["t"])
-        if n < 2**10:
-            raise ValueError(f"n must be >= 1024, got {n}")
-        if d < 2 or t < 1:
-            raise ValueError(f"need d >= 2 and t >= 1, got d={d}, t={t}")
-        if d > 2**32:
-            raise ValueError(f"d must be <= 2^32, the cells a 32-bit word can address, got {d}")
-        k = d**t
-        if k < 4 * n:
-            raise ValueError(f"sparse regime requires d^t >= 4n; d^t={k}, 4n={4 * n}")
-        if k > 2**62:
-            raise ValueError(f"cell count d^t={k} too large to index")
-        return {"n": n, "d": d, "t": t}
-    if family == "ClosePairs":
-        n, t = int(params["n"]), int(params["t"])
-        if n < 2**8:
-            raise ValueError(f"n must be >= 256, got {n}")
-        if not 2 <= t <= 8:
-            raise ValueError(f"t must be in [2, 8], got {t}")
-        return {"n": n, "t": t}
-    if family == "RandomWalk1":
-        n, l = int(params["walks"]), int(params["steps"])
-        if n < 10**3:
-            raise ValueError(f"walks must be >= 1000, got {n}")
-        if l % 2 or not 8 <= l <= 4096:
-            raise ValueError(f"steps must be even and in [8, 4096], got {l}")
-        return {"walks": n, "steps": l}
-    if family == "SerialUniformity":
-        n, c = int(params["n"]), int(params["cells"])
-        if not 2 <= c <= 2**32:
-            raise ValueError(f"cells must be in [2, 2^32], the cells a 32-bit word can address, got {c}")
-        if n < 10 * c:
-            raise ValueError(f"n must be >= 10 * cells, got n={n}, cells={c}")
-        return {"n": n, "cells": c}
-    raise ValueError(f"unknown family: {family}")
-
-
-def linear_comp_test(view: StreamView, n_bits: int, bit_offset: int) -> dict:
-    """Saturation test on the linear complexity of one output bit lane."""
-    bits = view.take_word_bits(n_bits, bit_offset)
+def linear_comp_test(words: np.ndarray, n_bits: int, bit_offset: int) -> dict:
+    """Saturation test on the linear complexity of bit ``bit_offset`` (0 is
+    the MSB) of each word."""
+    bits = ((words >> np.uint32(31 - bit_offset)) & np.uint32(1)).astype(np.uint8)
     complexity = berlekamp_massey(bits)
     p = linear_complexity_pvalue(complexity, n_bits)
     return {"p_values": {"saturation": p}, "details": {"complexity": complexity}}
@@ -92,13 +50,13 @@ def word_cells(words: np.ndarray, d: int) -> np.ndarray:
     return cells.view(np.int64)
 
 
-def collision_over_test(view: StreamView, n: int, d: int, t: int) -> dict:
+def collision_over_test(words: np.ndarray, n: int, d: int, t: int) -> dict:
     """Collision count of n overlapping t-tuples in a d^t-cell grid.
 
     Collisions are n minus the number of distinct cells: after a sort, the
     count of equal adjacent pairs.
     """
-    idx = word_cells(view.take_words(n + t - 1), d)
+    idx = word_cells(words, d)
     cells = idx[:n].copy()
     for j in range(1, t):
         cells += idx[j : j + n] * (d**j)
@@ -150,9 +108,9 @@ def torus_min_distance(points: np.ndarray) -> float:
     return math.sqrt(best2)
 
 
-def close_pairs_test(view: StreamView, n: int, t: int) -> dict:
-    """Minimal pairwise distance of n points in the unit torus [0,1)^t."""
-    points = view.take_uniforms(n * t).reshape(n, t)
+def close_pairs_test(words: np.ndarray, n: int, t: int) -> dict:
+    """Minimal pairwise distance of n points w * 2^-32 in the unit torus [0,1)^t."""
+    points = (words * 2.0**-32).reshape(n, t)
     d_min = torus_min_distance(points)
     volume = math.pi ** (t / 2.0) / math.gamma(t / 2.0 + 1.0)
     lam = n * (n - 1) / 2.0 * volume * d_min**t
@@ -163,9 +121,8 @@ def close_pairs_test(view: StreamView, n: int, t: int) -> dict:
     }
 
 
-def random_walk_test(view: StreamView, walks: int, steps: int) -> dict:
+def random_walk_test(words: np.ndarray, walks: int, steps: int) -> dict:
     """Chi-square of H, M, R walk statistics against their exact null laws."""
-    words = view.take_words(-(-walks * steps // 32))
     h, m, r = walk_statistics(words, walks, steps)
     p_values: dict[str, float] = {}
     details: dict[str, float] = {}
@@ -182,10 +139,9 @@ def random_walk_test(view: StreamView, walks: int, steps: int) -> dict:
     return {"p_values": p_values, "details": details}
 
 
-def serial_uniformity_test(view: StreamView, n: int, cells: int) -> dict:
+def serial_uniformity_test(words: np.ndarray, n: int, cells: int) -> dict:
     """Chi-square of cell counts of floor(u * cells) against uniformity,
     each cell computed from its word by `word_cells`."""
-    words = view.take_words(n)
     # Counted a block at a time, so a block's 8-byte cells stay in cache; a
     # block of at least `cells` words keeps each bincount's pass over its
     # counts below the counting itself.
@@ -208,13 +164,11 @@ _RUNNERS = {
 }
 
 
-def run_test(definition, view: StreamView, eps: float) -> TestResult:
-    """Run one battery entry on a view at its first draw; verdict per the two-sided rule."""
-    try:
-        params = validate_params(definition.family, definition.params)
-        outcome = _RUNNERS[definition.family](view, **params)
-    except (KeyError, ValueError) as exc:
-        raise ValueError(f"test {definition.id}: {exc}") from exc
+def run_test(definition: TestDefinition, view: StreamView, eps: float) -> TestResult:
+    """Run one battery entry on the view's next ``definition.draws`` words;
+    verdict per the two-sided rule."""
+    words = view.take_words(definition.draws)
+    outcome = _RUNNERS[definition.family](words, **definition.params)
     p_values = outcome["p_values"]
     return TestResult(
         test_id=definition.id,

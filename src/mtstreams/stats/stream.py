@@ -1,8 +1,9 @@
 """Test-facing views over generator output.
 
-Words are the primary draws: uniforms in [0, 1) are derived as
-w * 2^-32 and bits are read from each word most-significant-bit first. A
-view's mode names the pathway its results are reported under:
+Words are the only draws: a battery entry reads its words once, as one
+array, and its family derives whatever it needs from them (uniforms as
+w * 2^-32, bits from each word). A view's mode names the pathway its
+results are reported under:
 
 - ``Mode.INT``: statistics of the raw 32-bit outputs;
 - ``Mode.REAL``: statistics of the binary64 uniforms, with words derived
@@ -17,13 +18,10 @@ and :meth:`StreamView.take_words` only ever returns uint32 words.
 from __future__ import annotations
 
 import enum
-import math
 
 import numpy as np
 
 from mtstreams.mt19937 import MtState, MtStream
-
-_TWO_NEG32 = 2.0**-32
 
 
 class Mode(enum.Enum):
@@ -54,7 +52,7 @@ class WordPrefix:
 
 
 class StreamView:
-    """Sequential reader of words, uniforms, or bits from one source.
+    """Sequential reader of words from one source.
 
     ``source`` is an :class:`MtState` or any object with a
     ``take(n) -> uint32 array`` method (a :class:`WordPrefix` in campaigns,
@@ -80,10 +78,6 @@ class StreamView:
         self._draws += n
         return out
 
-    def take_uniforms(self, n: int) -> np.ndarray:
-        """n uniforms in [0, 1) as float64: each word times 2^-32."""
-        return self.take_words(n) * _TWO_NEG32
-
     def take_bits(self, n_bits: int) -> np.ndarray:
         """n_bits bits (uint8 values 0/1), each word read MSB first.
 
@@ -93,29 +87,3 @@ class StreamView:
         words = self.take_words(n_words)
         bits = np.unpackbits(words.astype(">u4").view(np.uint8))
         return bits[:n_bits]
-
-    def take_word_bits(self, n: int, bit_offset: int) -> np.ndarray:
-        """One selected bit from each of n words; offset 0 is the MSB."""
-        if not 0 <= bit_offset <= 31:
-            raise ValueError(f"bit_offset must be in [0, 31], got {bit_offset}")
-        words = self.take_words(n)
-        return ((words >> np.uint32(31 - bit_offset)) & np.uint32(1)).astype(np.uint8)
-
-
-def analytic_draws(family: str, params: dict) -> int:
-    """Draws a family consumes for given parameters.
-
-    This is the accounting contract the campaign sizes each status's shared
-    word prefix by: a test that reads more than this raises.
-    """
-    if family == "LinearComp":
-        return int(params["n_bits"])
-    if family == "CollisionOver":
-        return int(params["n"]) + int(params["t"]) - 1
-    if family == "ClosePairs":
-        return int(params["n"]) * int(params["t"])
-    if family == "RandomWalk1":
-        return math.ceil(int(params["walks"]) * int(params["steps"]) / 32)
-    if family == "SerialUniformity":
-        return int(params["n"])
-    raise ValueError(f"unknown family: {family}")

@@ -139,6 +139,27 @@ class HalfWriteThenFail:
         raise OSError(28, "No space left on device")
 
 
+class RecordingContext:
+    """Stands in for a multiprocessing context: its Pool records the size it
+    is asked for, starts no process and runs the work in this one."""
+
+    def __init__(self) -> None:
+        self.sizes: list[int] = []
+
+    def Pool(self, processes: int) -> "RecordingContext":
+        self.sizes.append(processes)
+        return self
+
+    def __enter__(self) -> "RecordingContext":
+        return self
+
+    def __exit__(self, *exc) -> bool:
+        return False
+
+    def starmap(self, fn, items) -> list:
+        return [fn(*x) for x in items]
+
+
 def textbook_bm(bits) -> int:
     """Berlekamp-Massey from the textbook polynomial formulation."""
     bits = [int(b) for b in bits]
@@ -433,6 +454,79 @@ def damaged_results(path) -> dict[str, str]:
         "p_value_above_one": with_p_value(1.5),
         "p_value_negative": with_p_value(-0.5),
     }
+
+
+def _meta(**changes):
+    """An edit that sets meta keys; a value of None deletes the key."""
+
+    def edit(meta, rows):
+        meta = {k: v for k, v in dict(meta, **changes).items() if v is not None}
+        return meta, rows
+
+    return edit
+
+
+def _first_status(**changes):
+    def edit(meta, rows):
+        return dict(meta, statuses=[dict(meta["statuses"][0], **changes)] + meta["statuses"][1:]), rows
+
+    return edit
+
+
+def _each_row(change):
+    return lambda meta, rows: (meta, [dict(row, **change(row)) for row in rows])
+
+
+def _edit_first_params(meta, rows):
+    definition = meta["battery_definition"]
+    params = dict(definition["tests"][0]["params"])
+    params[next(iter(params))] += 1
+    tests = [dict(definition["tests"][0], params=params)] + definition["tests"][1:]
+    return dict(meta, battery_definition=dict(definition, tests=tests)), rows
+
+
+# Edits of a valid results file, (meta, rows) -> (meta, rows), each making its
+# meta record disagree with its battery or with itself, or its rows disagree
+# with the meta in a way `damaged_results` does not cover. They need a file
+# whose first status has index 0, with two modes and two tests.
+INCONSISTENCIES = {
+    "no_battery_definition": _meta(battery_definition=None),
+    "fingerprint_zeros": _meta(fingerprint="0" * 64),
+    "battery_sha256_zeros": _meta(battery_sha256="0" * 64),
+    "battery_renamed": _meta(battery="other"),
+    "test_ids_reordered": lambda meta, rows: (dict(meta, test_ids=meta["test_ids"][::-1]), rows),
+    "test_id_twice": lambda meta, rows: (dict(meta, test_ids=meta["test_ids"] + meta["test_ids"][:1]), rows),
+    "definition_edited": _edit_first_params,
+    "threshold_doubled": lambda meta, rows: (dict(meta, threshold=2 * meta["threshold"]), rows),
+    "threshold_half": _meta(threshold=0.5),
+    "version_edited": lambda meta, rows: (dict(meta, version=meta["version"] + "x"), rows),
+    "mode_twice": lambda meta, rows: (dict(meta, modes=meta["modes"] + meta["modes"][:1]), rows),
+    "mode_unknown": lambda meta, rows: (dict(meta, modes=meta["modes"] + ["complex"]), rows),
+    "status_twice": lambda meta, rows: (dict(meta, statuses=meta["statuses"] + meta["statuses"][:1]), rows),
+    "index_float": _first_status(index=0.0),
+    "index_false": _first_status(index=False),
+    "index_negative": _first_status(index=-1),
+    "sha256_nothex": _first_status(sha256="nothex"),
+    "sha256_upper": _first_status(sha256="A" * 64),
+    "sha256_newline": _first_status(sha256="a" * 64 + "\n"),
+    "technique_unknown": _first_status(technique="other"),
+    "row_draws_7": lambda meta, rows: (
+        meta,
+        [dict(row, draws=7) if row["test_id"] == meta["test_ids"][0] else row for row in rows],
+    ),
+    "row_draws_float": _each_row(lambda row: {"draws": float(row["draws"])}),
+    "row_index_float": _each_row(lambda row: {"index": float(row["index"])}),
+}
+
+
+def inconsistent_results(path, name: str | None) -> str:
+    """The results file at path with the edit INCONSISTENCIES[name] applied
+    (None: no edit), one JSON record a line."""
+    lines = Path(path).read_text(encoding="ascii").splitlines()
+    meta, rows = json.loads(lines[0]), [json.loads(line) for line in lines[1:]]
+    if name is not None:
+        meta, rows = INCONSISTENCIES[name](meta, rows)
+    return "".join(json.dumps(rec) + "\n" for rec in [meta, *rows])
 
 
 def recompute_tables_from_jsonl(path, expected_fail_ids) -> dict:

@@ -1,10 +1,17 @@
-"""Battery structure, canonical serialization, and the built-in defaults."""
+"""Battery structure, parameter checks, canonical serialization, and the
+built-in defaults."""
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from mtstreams.stats.battery import (
     BUILTIN_BATTERIES,
+    FAMILY_DRAWS,
+    MAX_DRAWS,
     MINI_CRUSH_V1,
     Battery,
     TestDefinition,
@@ -104,3 +111,135 @@ def test_load_battery_malformed_file_errors(tmp_path):
     path.write_text('{"name": "b", "threshold": 1e-10, "tests": [{"id": "x"}]}')
     with pytest.raises(ValueError, match="malformed battery file"):
         load_battery(str(path))
+
+
+def _battery_file(tmp_path, params, family="SerialUniformity"):
+    path = tmp_path / "battery.json"
+    doc = {"name": "b", "threshold": 1e-10, "tests": [{"id": "x", "family": family, "params": params}]}
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "family, params, message",
+    [
+        ("SerialUniformity", {"n": 1024.7, "cells": 16}, "parameter n must be an integer"),
+        ("SerialUniformity", {"n": 1024.0, "cells": 16}, "parameter n must be an integer"),
+        ("LinearComp", {"n_bits": 50000, "bit_offset": True}, "parameter bit_offset must be an integer"),
+        ("LinearComp", {"n_bits": "50000", "bit_offset": 0}, "parameter n_bits must be an integer"),
+        ("SerialUniformity", {"n": 1024, "cells": 16, "bogus": 7}, "unexpected keyword argument 'bogus'"),
+        ("SerialUniformity", {"n": 1024}, "missing 1 required keyword-only argument: 'cells'"),
+        ("RandomWalk1", {"walks": 1000, "steps": 8, "n": 1}, "unexpected keyword argument 'n'"),
+    ],
+)
+def test_load_battery_takes_exactly_the_familys_integer_parameters(tmp_path, family, params, message):
+    with pytest.raises(ValueError, match=f"test x: .*{message}"):
+        load_battery(_battery_file(tmp_path, params, family))
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        ({"threshold": "1e-10"}, "threshold must be a number"),
+        ({"threshold": True}, "threshold must be a number"),
+        ({"name": 7}, "battery name must be a string"),
+        ({"id": 'a"b'}, "test id 'a\"b' must be letters"),
+        ({"id": 5}, "test id 5 must be letters"),
+    ],
+)
+def test_load_battery_refuses_a_name_threshold_or_id_results_cannot_carry(tmp_path, edit, message):
+    doc = json.loads(dump_battery(MINI_CRUSH_V1))
+    if "id" in edit:
+        doc["tests"][0]["id"] = edit["id"]
+    else:
+        doc.update(edit)
+    path = tmp_path / "battery.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match=message):
+        load_battery(str(path))
+
+
+def test_load_battery_keeps_accepted_parameters_as_given(tmp_path):
+    params = {"n": 1024, "cells": 16}
+    battery = load_battery(_battery_file(tmp_path, params))
+    assert battery.tests[0].params == params
+    assert battery.tests[0].draws == 1024
+    assert json.loads(dump_battery(battery))["tests"][0]["params"] == params
+
+
+def test_load_battery_bounds_the_draws_per_status(tmp_path):
+    # Definitions only: nothing reads, so nothing is allocated.
+    assert MAX_DRAWS == 2**28
+    at_bound = load_battery(_battery_file(tmp_path, {"n": MAX_DRAWS, "cells": 1024}))
+    assert at_bound.tests[0].draws == MAX_DRAWS
+    for family, params in (
+        ("SerialUniformity", {"n": MAX_DRAWS + 1, "cells": 1024}),
+        ("SerialUniformity", {"n": 10**10, "cells": 1024}),
+        ("ClosePairs", {"n": 2**26, "t": 8}),
+        ("RandomWalk1", {"walks": 2**22, "steps": 4096}),
+        ("LinearComp", {"n_bits": 2**30, "bit_offset": 0}),
+    ):
+        with pytest.raises(ValueError, match="test x: reads .* words, more than MAX_DRAWS"):
+            load_battery(_battery_file(tmp_path, params, family))
+
+
+def test_builtin_entries_know_their_draws():
+    draws = {t.id: t.draws for t in MINI_CRUSH_V1.tests}
+    assert draws == {
+        "linearcomp.r0": 50000,
+        "linearcomp.r29": 50000,
+        "collisionover.a": 2**14 + 1,
+        "collisionover.b": 2**13 + 3,
+        "closepairs.a": 2**14,
+        "closepairs.b": 3 * 2**12,
+        "randomwalk.a": 40000,
+        "randomwalk.b": 320000,
+        "serial.a": 10**6,
+    }
+
+
+@pytest.mark.parametrize(
+    "family, params, message",
+    [
+        ("Nope", {}, "unknown family"),
+        ("CollisionOver", {"n": 2**14, "d": 2, "t": 2}, "sparse regime"),
+        ("CollisionOver", {"n": 1023, "d": 1024, "t": 2}, "n must be >= 1024"),
+        ("CollisionOver", {"n": 2**14, "d": 1024, "t": 0}, "t >= 1"),
+        ("CollisionOver", {"n": 2**14, "d": 2**32 + 1, "t": 1}, "2\\^32"),
+        ("CollisionOver", {"n": 2**14, "d": 2**16, "t": 4}, "too large"),
+        ("CollisionOver", {"n": 2**14, "d": 2, "t": 10**9}, "too large"),
+        ("RandomWalk1", {"walks": 1000, "steps": 9}, "steps must be even"),
+        ("RandomWalk1", {"walks": 1000, "steps": 4098}, "steps must be even"),
+        ("RandomWalk1", {"walks": 999, "steps": 8}, "walks"),
+        ("LinearComp", {"n_bits": 50000, "bit_offset": 32}, "bit_offset"),
+        ("LinearComp", {"n_bits": 50000, "bit_offset": -1}, "bit_offset"),
+        ("LinearComp", {"n_bits": 999, "bit_offset": 0}, "n_bits"),
+        ("ClosePairs", {"n": 255, "t": 2}, "n must be >= 256"),
+        ("ClosePairs", {"n": 256, "t": 9}, "t must be in"),
+        ("SerialUniformity", {"n": 100, "cells": 16}, "10 \\* cells"),
+        ("SerialUniformity", {"n": 10 * (2**32 + 1), "cells": 2**32 + 1}, "2\\^32"),
+    ],
+)
+def test_family_parameter_bounds(family, params, message):
+    with pytest.raises(ValueError, match=f"test x: .*{message}"):
+        TestDefinition("x", family, params)
+
+
+def test_cell_counts_reach_2_pow_32():
+    # A 32-bit word addresses 2^32 cells. SerialUniformity needs 10 words a
+    # cell, so its 2^32 cells pass the family's bounds but not MAX_DRAWS.
+    assert TestDefinition("x", "CollisionOver", {"n": 2**14, "d": 2**32, "t": 1}).draws == 2**14
+    assert FAMILY_DRAWS["SerialUniformity"](n=10 * 2**32, cells=2**32) == 10 * 2**32
+    with pytest.raises(ValueError, match="MAX_DRAWS"):
+        TestDefinition("x", "SerialUniformity", {"n": 10 * 2**32, "cells": 2**32})
+
+
+def test_battery_module_loads_no_numpy_or_scipy():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    code = (
+        "import sys, mtstreams.stats.battery; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] in ('numpy', 'scipy')))"
+    )
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"

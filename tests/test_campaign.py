@@ -6,11 +6,9 @@ import numpy as np
 import pytest
 
 import mtstreams.campaign as campaign
-import mtstreams.stats.stream as stream
 from mtstreams.campaign import (
     CampaignConfig,
     StatusEntry,
-    campaign_fingerprint,
     load_status_entries,
     parse_status_filename,
     run_campaign,
@@ -30,6 +28,7 @@ from mtstreams.results import (
     StatusReport,
     TestResult,
     build_registry,
+    campaign_fingerprint,
     check_expected_ids,
     classify_status,
     read_results_jsonl,
@@ -41,7 +40,7 @@ from mtstreams.stats.families import run_test
 from mtstreams.stats.stream import StreamView
 from mtstreams.statusfile import StatusFormatError
 
-from support import HalfWriteThenFail, damaged_results, recompute_tables_from_jsonl
+from support import HalfWriteThenFail, RecordingContext, damaged_results, recompute_tables_from_jsonl
 
 FAST = Battery(
     name="fast-unit",
@@ -140,8 +139,9 @@ def test_threshold_override_changes_eps_and_fingerprint(tmp_path):
     assert report.meta["threshold"] == 1e-6
     assert report.meta["fingerprint"] == campaign_fingerprint(FAST, 1e-6, ("int",))
     assert report.meta["fingerprint"] != campaign_fingerprint(FAST, 1e-10, ("int",))
-    # The reader checks verdicts at the file's threshold, not the battery's.
-    report = run_campaign(_entries(1), CampaignConfig(battery=FAST, modes=("int",), threshold=0.5))
+    # The reader checks verdicts at the file's threshold, not the battery's:
+    # at 0.49 the three p-values of this status (0.26 to 0.52) all fail.
+    report = run_campaign(_entries(1), CampaignConfig(battery=FAST, modes=("int",), threshold=0.49))
     path = tmp_path / "half.jsonl"
     write_results_jsonl(report, path)
     assert read_results_jsonl(path).reports[0].n_failed == len(FAST.tests)
@@ -154,6 +154,9 @@ def test_config_validation():
         CampaignConfig(battery=FAST, modes=("int", "int"))
     with pytest.raises(ValueError, match="jobs"):
         CampaignConfig(battery=FAST, jobs=0)
+    for bad in (0.0, 0.5):  # the reader refuses a file at such a threshold
+        with pytest.raises(ValueError, match="threshold"):
+            CampaignConfig(battery=FAST, threshold=bad)
 
 
 def test_worker_count_does_not_change_output_bytes(tmp_path):
@@ -170,31 +173,33 @@ def test_worker_count_does_not_change_output_bytes(tmp_path):
 
 
 def test_pool_has_no_more_workers_than_statuses(monkeypatch):
-    sizes = []
-
-    class SerialPool:
-        def __init__(self, processes):
-            sizes.append(processes)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def starmap(self, fn, items):
-            return [fn(*x) for x in items]
-
-    class NoFork:
-        Pool = SerialPool
-
-    monkeypatch.setattr(campaign, "get_context", lambda method: NoFork)
+    context = RecordingContext()
+    monkeypatch.setattr(campaign, "get_context", lambda method: context)
+    monkeypatch.setattr(campaign, "usable_cpus", lambda: 64)
     entries = _entries(3)
     serial = run_campaign(entries, CampaignConfig(battery=FAST, modes=("int",)))
     for jobs in (2, 3, 64):
         report = run_campaign(entries, CampaignConfig(battery=FAST, modes=("int",), jobs=jobs))
         assert report == serial
-    assert sizes == [2, 3, 3]
+    assert context.sizes == [2, 3, 3]
+
+
+def test_pool_is_capped_at_the_usable_cpus(monkeypatch):
+    context = RecordingContext()
+    monkeypatch.setattr(campaign, "get_context", lambda method: context)
+    config = CampaignConfig(battery=FAST, modes=("int",), jobs=5000)
+    monkeypatch.setattr(campaign.os, "sched_getaffinity", lambda pid: {0, 3}, raising=False)
+    assert campaign.usable_cpus() == 2
+    run_campaign(_entries(4), config)
+    monkeypatch.setattr(campaign.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    run_campaign(_entries(4), config)  # one CPU: no pool at all
+    monkeypatch.delattr(campaign.os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(campaign.os, "cpu_count", lambda: 3)
+    assert campaign.usable_cpus() == 3
+    run_campaign(_entries(4), config)
+    monkeypatch.setattr(campaign.os, "cpu_count", lambda: None)
+    assert campaign.usable_cpus() == 1
+    assert context.sizes == [2, 3]
 
 
 def test_concurrent_campaigns_do_not_share_inputs():
@@ -239,8 +244,8 @@ def test_status_words_are_the_longest_prefix_and_read_only():
 
 
 def test_campaign_raises_on_a_read_past_the_shared_prefix(monkeypatch):
-    short = lambda family, params: stream.analytic_draws(family, params) - 1  # noqa: E731
-    monkeypatch.setattr(campaign, "analytic_draws", short)
+    words = campaign.status_words
+    monkeypatch.setattr(campaign, "status_words", lambda state, battery: words(state, battery)[:-1])
     with pytest.raises(IndexError, match="passes the end"):
         run_campaign(_entries(1), CampaignConfig(battery=FAST, modes=("int",)))
 

@@ -12,22 +12,24 @@ from mtstreams._version import VERSION
 from mtstreams.cli import main
 from mtstreams.stats.battery import Battery, TestDefinition, dump_battery
 
-from support import HalfWriteThenFail, damaged_results
+from support import INCONSISTENCIES, HalfWriteThenFail, RecordingContext, damaged_results, inconsistent_results
+
+
+FAST_CLI = Battery(
+    name="fast-cli",
+    threshold=1e-10,
+    tests=(
+        TestDefinition("serial.s", "SerialUniformity", {"n": 20480, "cells": 16}),
+        TestDefinition("collisionover.c", "CollisionOver", {"n": 1024, "d": 64, "t": 2}),
+        TestDefinition("closepairs.c", "ClosePairs", {"n": 256, "t": 2}),
+    ),
+)
 
 
 @pytest.fixture()
 def fast_battery_file(tmp_path):
-    battery = Battery(
-        name="fast-cli",
-        threshold=1e-10,
-        tests=(
-            TestDefinition("serial.s", "SerialUniformity", {"n": 20480, "cells": 16}),
-            TestDefinition("collisionover.c", "CollisionOver", {"n": 1024, "d": 64, "t": 2}),
-            TestDefinition("closepairs.c", "ClosePairs", {"n": 256, "t": 2}),
-        ),
-    )
     path = tmp_path / "fast.json"
-    path.write_text(dump_battery(battery))
+    path.write_text(dump_battery(FAST_CLI))
     return str(path)
 
 
@@ -234,6 +236,23 @@ def test_test_usage_errors(tmp_path, fast_battery_file, capsys):
     capsys.readouterr()
 
 
+def test_test_caps_jobs_at_the_usable_cpus(tmp_path, fast_battery_file, capsys, monkeypatch):
+    import mtstreams.campaign as campaign
+
+    context = RecordingContext()
+    monkeypatch.setattr(campaign, "get_context", lambda method: context)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    assert _gen(tmp_path / "set", count=3) == 0
+    capsys.readouterr()
+    base = ["test", "--dir", str(tmp_path / "set"), "--battery", fast_battery_file, "--mode", "int"]
+    for i, jobs in enumerate((["--jobs", "5000"], [], ["--jobs", "2"])):
+        assert main(base + jobs + ["--out", str(tmp_path / f"r{i}.jsonl")]) == 0
+        err = capsys.readouterr().err
+        assert err == ("note: --jobs 5000 capped at 2, the usable CPUs\n" if jobs[1:] == ["5000"] else ""), jobs
+    assert context.sizes == [2, 2, 2]
+    assert (tmp_path / "r0.jsonl").read_bytes() == (tmp_path / "r2.jsonl").read_bytes()
+
+
 def test_test_io_errors(tmp_path, fast_battery_file, capsys):
     assert main(["test", "--dir", str(tmp_path / "missing"), "--battery", fast_battery_file]) == 2
     bad = tmp_path / "bad"
@@ -328,6 +347,31 @@ def test_report_and_registry_reject_damaged_results(campaign_results, tmp_path, 
         assert main(["registry", "--results", str(damaged), "--out", str(reg)]) == 2, name
         assert not reg.exists()
     capsys.readouterr()
+
+
+@pytest.fixture(scope="module")
+def shared_results(tmp_path_factory):
+    """A two-status, both-mode campaign with the fast battery, written once."""
+    work = tmp_path_factory.mktemp("shared")
+    (work / "fast.json").write_text(dump_battery(FAST_CLI))
+    assert _gen(work / "set", count=2) == 0
+    results = work / "results.jsonl"
+    argv = ["test", "--dir", str(work / "set"), "--battery", str(work / "fast.json"), "--out", str(results)]
+    assert main(argv) == 0
+    return results
+
+
+@pytest.mark.parametrize("edit", sorted(INCONSISTENCIES))
+def test_report_and_registry_refuse_an_inconsistent_meta_or_row(shared_results, tmp_path, capsys, edit):
+    # The same file re-serialized without the edit reads.
+    for name, code in ((None, 0), (edit, 2)):
+        results = tmp_path / f"{name}.jsonl"
+        results.write_text(inconsistent_results(shared_results, name))
+        assert main(["report", "--results", str(results)]) == code, name
+        assert main(["registry", "--results", str(results), "--out", str(tmp_path / "reg.txt")]) == code, name
+    err = capsys.readouterr().err
+    if edit == "no_battery_definition":
+        assert "re-run `test`" in err
 
 
 def test_failed_report_write_leaves_the_old_file(campaign_results, tmp_path, capsys, monkeypatch):

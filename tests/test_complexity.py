@@ -7,15 +7,20 @@ import pytest
 
 import mtstreams.stats.complexity as complexity
 from mtstreams.campaign import run_battery_on_status
-from mtstreams.mt19937 import N, PHI_EXPONENTS, MtState, init_genrand
+from mtstreams.mt19937 import N, PHI_EXPONENTS, MtState, MtStream, init_genrand
 from mtstreams.partition import generate_indexed, generate_random_spacing, generate_sequence_splitting
 from mtstreams.stats.battery import MINI_CRUSH_V1
 from mtstreams.stats.complexity import _TRIM, berlekamp_massey, linear_complexity_pvalue
-from mtstreams.stats.stream import Mode, StreamView
 
 from support import SplitMix32, bit_by_bit_bm, complexity_count, connection_polynomial_bm, textbook_bm
 
 PHI_DEGREE = 19937
+
+
+def _lane(state: MtState, bit_offset: int, n: int = 50000) -> np.ndarray:
+    """Bit ``bit_offset`` (0 is the MSB) of each of the status's first n words."""
+    words = MtStream(state).take(n)
+    return ((words >> np.uint32(31 - bit_offset)) & np.uint32(1)).astype(np.uint8)
 
 
 def test_all_zero_sequence_has_complexity_zero():
@@ -127,14 +132,13 @@ def test_complexity_count_boundaries():
 
 def test_mt_bit_lane_saturates_at_19937():
     for bit_offset in (0, 29):  # the lanes of linearcomp.r0 and linearcomp.r29
-        bits = StreamView(init_genrand(0), Mode.INT).take_word_bits(50000, bit_offset)
+        bits = _lane(init_genrand(0), bit_offset)
         assert berlekamp_massey(bits) == bit_by_bit_bm(bits) == 19937, bit_offset
 
 
 def test_mt_short_sample_looks_random():
     # Below the cap the complexity of an MT lane behaves like n/2.
-    view = StreamView(init_genrand(0), Mode.INT)
-    bits = view.take_word_bits(2000, 0)
+    bits = _lane(init_genrand(0), 0, 2000)
     length = berlekamp_massey(bits)
     assert abs(length - 1000) <= 3
     assert linear_complexity_pvalue(length, 2000) > 1e-10
@@ -228,10 +232,6 @@ def _technique_statuses() -> list[MtState]:
 def _random_status(seed: int, mti: int) -> MtState:
     """A hand-made status: random words at the given index."""
     return MtState(np.random.default_rng(seed).integers(0, 2**32, N, dtype=np.uint32), mti)
-
-
-def _lane(state: MtState, bit_offset: int, n: int = 50000) -> np.ndarray:
-    return StreamView(state, Mode.INT).take_word_bits(n, bit_offset)
 
 
 def _no_massey(arr):

@@ -12,14 +12,14 @@ import pytest
 from mtstreams.cli import main
 
 DIGESTS = {
-    "results.jsonl": "2e1f92480ebd7e2bea6149e189e8c4f5aaee537e74a9e5e0bd2bf457aa8e9815",
+    "results.jsonl": "06426c9b824075cd15c27e1dc54388b085c8adf9a8abf62c17d6642000d15479",
     "report.md": "f8b6ae37e663b6b93360228d55be10c5c97bd8b2c8b79e3c373326c7cd774118",
     "report.csv": "e6bea84edfb93d621cfda15670e5cc74aa84e00badda48cbe47c4a9cd325bda3",
     "report.json": "4d3d60e89ace09845825c425a4144545d9abc648b6636acf15e10a91279e01bd",
     "registry.txt": "66900656788515599e0f7fe0e09273fa1e93d6068a25dc1cbeac11b90b391bf1",
     "registry.json": "b83e491803659b1e5af6460887f3adfb224a9b7f7c6b3d2d6bd185925d5c7ae2",
 }
-REAL_ONLY_RESULTS = "275c246449efbb331cbf88f7ee2ce323eaec315b9ae97b27c7684ac21c3ca0a6"
+REAL_ONLY_RESULTS = "114e698f44be91411f346ab8ce0daafcd57dc2889ecdb1afcbf63080483a8d26"
 
 
 def _sha(path) -> str:

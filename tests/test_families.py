@@ -13,15 +13,9 @@ from mtstreams.stats.families import (
     close_pairs_test,
     collision_over_test,
     run_test,
-    validate_params,
     word_cells,
 )
-from mtstreams.stats.stream import (
-    Mode,
-    StreamView,
-    WordPrefix,
-    analytic_draws,
-)
+from mtstreams.stats.stream import Mode, StreamView, WordPrefix
 
 from support import (
     ConstantStream,
@@ -40,6 +34,11 @@ def _view(seed=0, mode=Mode.INT):
 
 def _run(family, params, seed=0, test_id="unit.t"):
     return run_test(TestDefinition(test_id, family, params), _view(seed), EPS)
+
+
+def _uniforms(seed, n):
+    """The status's first n words as uniforms w * 2^-32."""
+    return MtStream(init_genrand(seed)).take(n) * 2.0**-32
 
 
 def test_verdict_rule_is_strict_two_sided():
@@ -98,18 +97,16 @@ def test_collisionover_zero_collisions_gives_exponential_left_tail():
 def test_collisionover_tiny_case_matches_brute_force():
     # The sparse-regime precondition bars n=8 from the dispatch layer, so the
     # occupancy logic is exercised directly at full-rate collisions.
-    words = np.arange(8, dtype=np.uint64) * (2**32 // 8) % 2**32
-    view = StreamView(WordPrefix(np.asarray(words, dtype=np.uint32)), Mode.INT)
-    twin = StreamView(WordPrefix(np.asarray(words, dtype=np.uint32)), Mode.INT)
-    out = collision_over_test(view, 8, 4, 1)
-    uniforms = twin.take_uniforms(8)
+    words = np.asarray(np.arange(8, dtype=np.uint64) * (2**32 // 8) % 2**32, dtype=np.uint32)
+    out = collision_over_test(words, 8, 4, 1)
+    uniforms = words * 2.0**-32
     assert out["details"]["count"] == brute_force_collisions(uniforms, 8, 4, 1) == 4
 
 
 def test_collisionover_matches_brute_force_on_real_streams():
     for seed in (0, 1, 9):
         result = _run("CollisionOver", {"n": 1024, "d": 64, "t": 2}, seed=seed)
-        uniforms = _view(seed).take_uniforms(1024 + 1)
+        uniforms = _uniforms(seed, 1024 + 1)
         assert result.details["count"] == brute_force_collisions(uniforms, 1024, 64, 2)
         assert result.draws == 1025
 
@@ -135,7 +132,7 @@ def test_collisionover_sorted_count_equals_unique_count():
         words = view.take_words(n + t - 1)
         idx = np.minimum(np.floor(words * 2.0**-32 * d), d - 1).astype(np.int64)
         cells = sum(idx[j : j + n] * d**j for j in range(t))
-        out = collision_over_test(StreamView(WordPrefix(words), Mode.INT), n, d, t)
+        out = collision_over_test(words, n, d, t)
         assert out["details"]["count"] == n - np.unique(cells).size
     assert out["details"]["count"] == 2**13 - 5
 
@@ -147,9 +144,8 @@ def test_closepairs_antipodal_pair_distance():
     # Two points (0, 0) and (0.5, 0.5): every axis displacement is 1/2, the
     # toroidal maximum, so D = sqrt(1/2). The n >= 256 precondition lives in
     # the dispatch layer; the geometry is exercised directly.
-    words = [0, 0, 2**31, 2**31]
-    view = StreamView(WordPrefix(np.asarray(words, dtype=np.uint32)), Mode.INT)
-    out = close_pairs_test(view, 2, 2)
+    words = np.array([0, 0, 2**31, 2**31], dtype=np.uint32)
+    out = close_pairs_test(words, 2, 2)
     assert out["details"]["min_distance"] == pytest.approx(math.sqrt(0.5), rel=1e-15)
 
 
@@ -166,7 +162,7 @@ def test_closepairs_duplicate_point_fails_with_p_one():
 def test_closepairs_matches_brute_force(t):
     n = 256
     result = _run("ClosePairs", {"n": n, "t": t}, seed=5)
-    points = _view(5).take_uniforms(n * t).reshape(n, t)
+    points = _uniforms(5, n * t).reshape(n, t)
     want = brute_force_min_toroidal_distance(points)
     assert result.details["min_distance"] == pytest.approx(want, rel=1e-12)
     assert result.p_values["min_distance"] == pytest.approx(
@@ -213,8 +209,7 @@ def _torus_cases(n: int, t: int, seed: int) -> dict[str, np.ndarray]:
 def test_closepairs_equals_brute_force_exactly(t):
     n = 256 + 128 * (t - 2)
     for name, words in _torus_cases(n, t, seed=t).items():
-        view = StreamView(WordPrefix(words.ravel()), Mode.INT)
-        d_min = close_pairs_test(view, n, t)["details"]["min_distance"]
+        d_min = close_pairs_test(words.ravel(), n, t)["details"]["min_distance"]
         assert d_min == brute_force_min_toroidal_distance(words * 2.0**-32), name
         if name == "wrapping":
             assert d_min <= math.sqrt(t) * 3 * 2.0**-32
@@ -326,16 +321,17 @@ def test_word_cells_are_the_exact_floor_up_to_2_pow_32():
 
 
 def test_draws_match_analytic_formulas():
+    # n_bits; n + t - 1; n * t; ceil(walks * steps / 32); n.
     cases = [
-        ("LinearComp", {"n_bits": 50000, "bit_offset": 0}),
-        ("CollisionOver", {"n": 1024, "d": 64, "t": 2}),
-        ("ClosePairs", {"n": 256, "t": 3}),
-        ("RandomWalk1", {"walks": 1000, "steps": 24}),
-        ("SerialUniformity", {"n": 1000, "cells": 10}),
+        ("LinearComp", {"n_bits": 50000, "bit_offset": 0}, 50000),
+        ("CollisionOver", {"n": 1024, "d": 64, "t": 2}, 1025),
+        ("ClosePairs", {"n": 256, "t": 3}, 768),
+        ("RandomWalk1", {"walks": 1000, "steps": 24}, 750),
+        ("SerialUniformity", {"n": 1000, "cells": 10}, 1000),
     ]
-    for family, params in cases:
-        result = _run(family, params)
-        assert result.draws == analytic_draws(family, params), family
+    for family, params, draws in cases:
+        assert TestDefinition("unit.t", family, params).draws == draws, family
+        assert _run(family, params).draws == draws, family
 
 
 def test_int_and_real_modes_agree_on_mt():
@@ -363,7 +359,7 @@ def test_real_map_gives_back_every_word():
     rng = np.random.default_rng(7)
     edges = [w for k in range(32) for w in (2**k - 1, 2**k)] + [2**32 - 1]
     words = np.concatenate([np.array(edges, dtype=np.uint32), rng.integers(0, 2**32, size=10**5, dtype=np.uint32)])
-    u = StreamView(WordPrefix(words), Mode.REAL).take_uniforms(words.size)
+    u = words * 2.0**-32  # the uniforms ClosePairs reads
     assert u.dtype == np.float64
     assert u.min() >= 0.0 and u.max() < 1.0
     assert np.array_equal(np.floor(u * 2.0**32), words)
@@ -384,32 +380,14 @@ def test_word_prefix_serves_zero_copy_slices_and_never_a_short_read():
     view = StreamView(WordPrefix(words), "real")
     assert view.take_words(3).tolist() == [0, 1, 2]
     with pytest.raises(IndexError):
-        view.take_uniforms(8)
+        view.take_words(8)
 
 
 def test_validation_errors_carry_test_id():
-    with pytest.raises(ValueError, match="test unit.bad"):
+    # An entry is checked once, when it is defined; the bounds themselves
+    # are tested in test_battery.py.
+    with pytest.raises(ValueError, match="test unit.bad: sparse regime"):
         _run("CollisionOver", {"n": 2**14, "d": 2, "t": 2}, test_id="unit.bad")
-    with pytest.raises(ValueError, match="sparse regime"):
-        validate_params("CollisionOver", {"n": 2**14, "d": 2, "t": 2})
-    with pytest.raises(ValueError, match="unknown family"):
-        validate_params("Nope", {})
-    with pytest.raises(ValueError, match="steps must be even"):
-        validate_params("RandomWalk1", {"walks": 1000, "steps": 9})
-    with pytest.raises(ValueError, match="bit_offset"):
-        validate_params("LinearComp", {"n_bits": 50000, "bit_offset": 32})
-    with pytest.raises(ValueError, match="n_bits"):
-        validate_params("LinearComp", {"n_bits": 999, "bit_offset": 0})
-    with pytest.raises(ValueError):
-        validate_params("ClosePairs", {"n": 255, "t": 2})
-    with pytest.raises(ValueError):
-        validate_params("SerialUniformity", {"n": 100, "cells": 16})
-    with pytest.raises(ValueError, match="2\\^32"):
-        validate_params("SerialUniformity", {"n": 10 * (2**32 + 1), "cells": 2**32 + 1})
-    with pytest.raises(ValueError, match="2\\^32"):
-        validate_params("CollisionOver", {"n": 2**14, "d": 2**32 + 1, "t": 1})
-    assert validate_params("SerialUniformity", {"n": 10 * 2**32, "cells": 2**32})["cells"] == 2**32
-    assert validate_params("CollisionOver", {"n": 2**14, "d": 2**32, "t": 1})["d"] == 2**32
 
 
 def test_results_are_deterministic():
