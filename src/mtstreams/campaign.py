@@ -5,11 +5,11 @@ entry reads (the largest ``draws``) once, as a read-only array, and runs
 every battery test once on a zero-copy prefix of it. The real map w * 2^-32 is
 exact for 32-bit words, and floor(u * 2^32) gives every word back (see
 :mod:`mtstreams.stats.stream`), so the same results stand for the int and
-the real pathway, and the unit yields one report per requested mode. Work
-units are pure computations, so the worker count changes wall time only:
-results are merged by sorting on (technique, index, mode, test id) and
-serialized with fixed formatting, making output bytes independent of
-scheduling.
+the real pathway: the unit yields one report, and the requested modes are
+recorded once, in the meta. Work units are pure computations, so the
+worker count changes wall time only: reports are sorted on (technique,
+index) and serialized with fixed formatting, making output bytes
+independent of scheduling.
 
 This is the module that loads NumPy and the test families; only the
 ``test`` command imports it. The records it returns, the results and
@@ -160,12 +160,8 @@ def run_campaign(entries: list[StatusEntry], config: CampaignConfig) -> Campaign
             outcomes = pool.starmap(run_battery_on_status, work)
     else:
         outcomes = [run_battery_on_status(*w) for w in work]
-    reports = [
-        StatusReport(entry.technique, entry.index, mode, results)
-        for entry, results in zip(entries, outcomes)
-        for mode in config.modes
-    ]
-    reports.sort(key=lambda r: (r.technique, r.index, r.mode))
+    reports = [StatusReport(e.technique, e.index, results) for e, results in zip(entries, outcomes)]
+    reports.sort(key=lambda r: (r.technique, r.index))
     meta = {
         "type": "meta",
         "version": VERSION,

@@ -194,9 +194,9 @@ def _cmd_test(args: argparse.Namespace) -> int:
     write_results_jsonl(creport, args.out)
     suspects = [r for r in creport.reports if classify_status(r, expected) == "Suspect"]
     print(f"tested {len(entries)} statuses x {len(modes)} modes with {battery.name}")
-    print(f"wrote {args.out} ({len(creport.reports)} unit reports)")
+    print(f"wrote {args.out}")
     print(f"fingerprint {creport.meta['fingerprint']}")
-    print(f"suspect units: {len(suspects)}")
+    print(f"suspect statuses: {len(suspects)}")
     if args.strict and suspects:
         return EXIT_QUALITY
     return EXIT_OK

@@ -4,8 +4,9 @@ Three tables mirror the full-scale reference report shapes: `summary`
 (suspect counts per technique and mode), `histogram` (failed-test counts
 over suspect statuses), and `pertest` (per-test failure frequency, sorted
 descending). `build_tables` computes the rows of all three in one pass over
-the unit reports, classifying each unit once; every format renders those
-same rows, so the numbers agree across formats byte for byte.
+the status reports, classifying each status once, and gives each row once
+per meta mode, since a status's results stand for every mode; every format
+renders those same rows, so the numbers agree across formats byte for byte.
 """
 from __future__ import annotations
 
@@ -27,46 +28,52 @@ TABLES = ("summary", "histogram", "pertest")
 def build_tables(
     creport: CampaignReport, expected_fail_ids=DEFAULT_EXPECTED_FAIL_IDS
 ) -> dict[str, list[dict]]:
-    """The summary, histogram and pertest rows, from one pass over the units."""
+    """The summary, histogram and pertest rows, from one pass over the statuses."""
     check_expected_ids(creport, expected_fail_ids)
-    statuses: Counter = Counter()  # (technique, mode)
-    suspects: Counter = Counter()  # (technique, mode)
-    histogram: Counter = Counter()  # (technique, mode, n_failed)
-    fails: Counter = Counter()  # (test_id, technique, mode)
+    modes = sorted(creport.meta["modes"])
+    statuses: Counter = Counter()  # technique
+    suspects: Counter = Counter()  # technique
+    histogram: Counter = Counter()  # (technique, n_failed)
+    fails: Counter = Counter()  # (test_id, technique)
     for r in creport.reports:
-        statuses[r.technique, r.mode] += 1
+        statuses[r.technique] += 1
         if classify_status(r, expected_fail_ids) == "Suspect":
-            suspects[r.technique, r.mode] += 1
-            histogram[r.technique, r.mode, r.n_failed] += 1
+            suspects[r.technique] += 1
+            histogram[r.technique, r.n_failed] += 1
         for t in r.results:
-            fails[t.test_id, r.technique, r.mode] += t.failed
-    test_ids = set(creport.meta["test_ids"]) | {test_id for test_id, _, _ in fails}
+            fails[t.test_id, r.technique] += t.failed
+    test_ids = set(creport.meta["test_ids"]) | {test_id for test_id, _ in fails}
     pertest = [
         {
             "test_id": test_id,
             "technique": technique,
             "mode": mode,
-            "fraction": fails[test_id, technique, mode] / n,
+            "fraction": fails[test_id, technique] / n,
         }
         for test_id in test_ids
-        for (technique, mode), n in statuses.items()
+        for technique, n in statuses.items()
+        for mode in modes
     ]
     pertest.sort(key=lambda r: (-r["fraction"], r["test_id"], r["technique"], r["mode"]))
+    histogram_rows = [
+        {"technique": technique, "mode": mode, "n_failed": n_failed, "count": count}
+        for (technique, n_failed), count in histogram.items()
+        for mode in modes
+    ]
+    histogram_rows.sort(key=lambda r: (r["technique"], r["mode"], r["n_failed"]))
     return {
         "summary": [
             {
                 "technique": technique,
                 "mode": mode,
                 "statuses": n,
-                "suspects": suspects[technique, mode],
-                "fraction": suspects[technique, mode] / n,
+                "suspects": suspects[technique],
+                "fraction": suspects[technique] / n,
             }
-            for (technique, mode), n in sorted(statuses.items())
+            for technique, n in sorted(statuses.items())
+            for mode in modes
         ],
-        "histogram": [
-            {"technique": technique, "mode": mode, "n_failed": n_failed, "count": count}
-            for (technique, mode, n_failed), count in sorted(histogram.items())
-        ],
+        "histogram": histogram_rows,
         "pertest": pertest,
     }
 

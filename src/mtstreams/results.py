@@ -1,15 +1,17 @@
 """Campaign records and their file formats, on the standard library alone.
 
 A campaign's outcome is a :class:`CampaignReport`: its meta record plus
-one :class:`StatusReport` per (status, mode) unit, each a list of
-:class:`TestResult`. This module holds those records, the two-sided
-verdict rule, the Good/Suspect classifier, the registry of Good statuses,
-and the writers and readers of ``results.jsonl`` and the registry files.
-It imports neither NumPy nor SciPy, so the ``report`` and ``registry``
-commands load only this module, ``reports``, ``statusfile`` and
-``stats.battery``, with which the reader rebuilds the battery a file
-names; running a campaign (``mtstreams.campaign``) is what needs the
-numeric stack.
+one :class:`StatusReport` per status, each a list of :class:`TestResult`.
+The modes live in the meta alone: the real map w * 2^-32 is lossless, so
+one status's results stand for every mode. The writer repeats them under
+each meta mode, and the reader refuses a file whose modes disagree. This
+module holds those records, the two-sided verdict rule, the Good/Suspect
+classifier, the registry of Good statuses, and the writers and readers of
+``results.jsonl`` and the registry files. It imports neither NumPy nor
+SciPy, so the ``report`` and ``registry`` commands load only this module,
+``reports``, ``statusfile`` and ``stats.battery``, with which the reader
+rebuilds the battery a file names; running a campaign
+(``mtstreams.campaign``) is what needs the numeric stack.
 """
 from __future__ import annotations
 
@@ -55,11 +57,10 @@ def _verdict(p_values: dict[str, float], eps: float) -> str:
 
 @dataclass
 class StatusReport:
-    """Battery outcome for one (status, mode) unit, in battery order."""
+    """Battery outcome for one status, in battery order, under every meta mode."""
 
     technique: str
     index: int
-    mode: str
     results: list[TestResult]
 
     @property
@@ -79,7 +80,7 @@ class CampaignReport:
 
 @dataclass
 class QualityRegistry:
-    """Statuses classified Good in every requested mode."""
+    """Statuses classified Good, with the modes their results stand for."""
 
     fingerprint: str
     expected_fail_ids: tuple[str, ...]
@@ -101,25 +102,20 @@ def check_expected_ids(creport: CampaignReport, expected_fail_ids) -> None:
 def build_registry(
     creport: CampaignReport, expected_fail_ids=DEFAULT_EXPECTED_FAIL_IDS
 ) -> QualityRegistry:
-    """Registry of statuses classified Good in every requested mode."""
+    """Registry of the statuses classified Good."""
     check_expected_ids(creport, expected_fail_ids)
-    modes = tuple(creport.meta["modes"])
     checksums = {
         (s["technique"], s["index"]): s["sha256"] for s in creport.meta["statuses"]
     }
-    verdicts: dict[tuple[str, int], dict[str, str]] = {}
-    for r in creport.reports:
-        verdicts.setdefault((r.technique, r.index), {})[r.mode] = classify_status(
-            r, expected_fail_ids
-        )
-    entries = []
-    for (technique, index), by_mode in sorted(verdicts.items()):
-        if all(by_mode.get(m) == "Good" for m in modes):
-            entries.append((technique, index, checksums[(technique, index)]))
+    entries = [
+        (r.technique, r.index, checksums[(r.technique, r.index)])
+        for r in sorted(creport.reports, key=lambda r: (r.technique, r.index))
+        if classify_status(r, expected_fail_ids) == "Good"
+    ]
     return QualityRegistry(
         fingerprint=creport.meta["fingerprint"],
         expected_fail_ids=tuple(sorted(expected_fail_ids)),
-        modes=modes,
+        modes=tuple(creport.meta["modes"]),
         entries=entries,
     )
 
@@ -149,7 +145,7 @@ def _is_p_value(p: object) -> bool:
     return isinstance(p, (int, float)) and not isinstance(p, bool) and 0 <= p <= 1
 
 
-def _result_line(r: StatusReport, t: TestResult) -> str:
+def _result_line(r: StatusReport, mode: str, t: TestResult) -> str:
     for key, p in t.p_values.items():
         if not _KEY_SAFE.match(key):
             raise ValueError(f"sub-statistic name needs escaping: {key!r}")
@@ -158,21 +154,23 @@ def _result_line(r: StatusReport, t: TestResult) -> str:
     pv = ",".join(f'"{k}":{_fmt17(v)}' for k, v in t.p_values.items())
     return (
         f'{{"type":"result","technique":"{r.technique}","index":{r.index},'
-        f'"mode":"{r.mode}","test_id":"{t.test_id}","p_values":{{{pv}}},'
+        f'"mode":"{mode}","test_id":"{t.test_id}","p_values":{{{pv}}},'
         f'"verdict":"{t.verdict}","draws":{t.draws}}}'
     )
 
 
 def write_results_jsonl(creport: CampaignReport, path: Path | str) -> None:
-    """One meta line, then one line per (status, mode, test), sorted.
+    """One meta line, then one line per (status, meta mode, test), sorted.
 
-    P-values are printed with 17 significant digits, which round-trips
-    binary64 exactly; the whole file is a pure function of the inputs.
+    A status's rows repeat under each mode. P-values are printed with 17
+    significant digits, which round-trips binary64 exactly; the whole file
+    is a pure function of the inputs.
     """
     lines = [json.dumps(creport.meta, sort_keys=True, separators=(",", ":"))]
-    for r in sorted(creport.reports, key=lambda r: (r.technique, r.index, r.mode)):
-        for t in sorted(r.results, key=lambda t: t.test_id):
-            lines.append(_result_line(r, t))
+    for r in sorted(creport.reports, key=lambda r: (r.technique, r.index)):
+        results = sorted(r.results, key=lambda t: t.test_id)
+        for mode in sorted(creport.meta["modes"]):
+            lines.extend(_result_line(r, mode, t) for t in results)
     write_bytes_atomic(path, ("\n".join(lines) + "\n").encode("ascii"))
 
 
@@ -212,7 +210,8 @@ def _meta_battery(meta: dict):
 
 
 def read_results_jsonl(path: Path | str) -> CampaignReport:
-    """Rebuild a CampaignReport (test results in file order, no details).
+    """Rebuild a CampaignReport: one report per status, its test results in
+    battery order, without details.
 
     The meta record must hold the battery's definition and agree with it:
     its battery name, ``battery_sha256``, ordered ``test_ids`` and
@@ -231,7 +230,8 @@ def read_results_jsonl(path: Path | str) -> CampaignReport:
     line that is not a JSON object, a duplicated row, a row for an unknown
     status or mode, empty or non-object p-values, a NaN, bool or
     out-of-range p-value, any other verdict or draw count) raises
-    ValueError rather than being classified.
+    ValueError rather than being classified. So does a status whose p-values
+    differ between two modes, since one result set stands for every mode.
     """
     path = Path(path)
     lines = path.read_text(encoding="ascii").splitlines()
@@ -282,12 +282,17 @@ def read_results_jsonl(path: Path | str) -> CampaignReport:
             )
     except (KeyError, TypeError) as exc:
         raise ValueError(f"{path}: malformed record ({exc!r})") from exc
+    first_mode = min(meta["modes"])  # its rows sort first: checked complete before compared
     reports = []
     for (technique, index, mode), unit in sorted(grouped.items()):
         missing = [t for t in battery.test_ids if t not in unit]
         if missing:
             raise ValueError(f"{path}: {technique}/{index} {mode} lacks rows for {missing}")
-        reports.append(StatusReport(technique, index, mode, list(unit.values())))
+        first = grouped[technique, index, first_mode]
+        if any(unit[t].p_values != first[t].p_values for t in battery.test_ids):
+            raise ValueError(f"{path}: {technique}/{index} {mode} p-values differ from its {first_mode} rows")
+        if mode == first_mode:
+            reports.append(StatusReport(technique, index, [unit[t] for t in battery.test_ids]))
     return CampaignReport(meta=meta, reports=reports)
 
 

@@ -77,13 +77,3 @@ class StreamView:
         out = self._stream.take(n)
         self._draws += n
         return out
-
-    def take_bits(self, n_bits: int) -> np.ndarray:
-        """n_bits bits (uint8 values 0/1), each word read MSB first.
-
-        Consumes ceil(n_bits / 32) draws.
-        """
-        n_words = -(-n_bits // 32)
-        words = self.take_words(n_words)
-        bits = np.unpackbits(words.astype(">u4").view(np.uint8))
-        return bits[:n_bits]

@@ -477,6 +477,16 @@ def _each_row(change):
     return lambda meta, rows: (meta, [dict(row, **change(row)) for row in rows])
 
 
+def _modes_disagree(meta, rows):
+    """Status 0's first real row gets another p-value that keeps its verdict."""
+    i = next(i for i, row in enumerate(rows) if row["index"] == 0 and row["mode"] == "real")
+    assert rows[i]["verdict"] == "Pass"  # so a p-value of 0.5 or 0.25 keeps it
+    p_values = dict(rows[i]["p_values"])
+    key = next(iter(p_values))
+    p_values[key] = 0.5 if p_values[key] != 0.5 else 0.25
+    return meta, rows[:i] + [dict(rows[i], p_values=p_values)] + rows[i + 1 :]
+
+
 def _edit_first_params(meta, rows):
     definition = meta["battery_definition"]
     params = dict(definition["tests"][0]["params"])
@@ -487,8 +497,9 @@ def _edit_first_params(meta, rows):
 
 # Edits of a valid results file, (meta, rows) -> (meta, rows), each making its
 # meta record disagree with its battery or with itself, or its rows disagree
-# with the meta in a way `damaged_results` does not cover. They need a file
-# whose first status has index 0, with two modes and two tests.
+# with the meta or across modes in a way `damaged_results` does not cover. They
+# need a file whose first status has index 0, with two modes and two tests, and
+# whose status 0 passes its tests.
 INCONSISTENCIES = {
     "no_battery_definition": _meta(battery_definition=None),
     "fingerprint_zeros": _meta(fingerprint="0" * 64),
@@ -516,6 +527,7 @@ INCONSISTENCIES = {
     ),
     "row_draws_float": _each_row(lambda row: {"draws": float(row["draws"])}),
     "row_index_float": _each_row(lambda row: {"index": float(row["index"])}),
+    "modes_disagree": _modes_disagree,
 }
 
 

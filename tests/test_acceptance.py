@@ -285,7 +285,8 @@ def test_criterion_10_report_reconciliation_64_status_campaign(tmp_path):
     )
     assert code == 0
     creport = read_results_jsonl(results)
-    assert len(creport.reports) == 64 * 2
+    assert len(creport.reports) == 64  # one per status; the meta names both modes
+    assert creport.meta["modes"] == ["int", "real"]
 
     for expected in (frozenset(), frozenset(LINEARCOMP_IDS)):
         recomputed = recompute_tables_from_jsonl(results, expected)

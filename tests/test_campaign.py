@@ -86,25 +86,24 @@ def _pertest(tables):
     return {(r["test_id"], r["technique"], r["mode"]): r["fraction"] for r in tables["pertest"]}
 
 
-def _fabricated(rows):
-    """CampaignReport from (technique, index, mode, {test_id: verdict}) rows."""
+def _fabricated(rows, modes=("int",)):
+    """CampaignReport from (technique, index, {test_id: verdict}) rows."""
     test_ids = sorted({tid for *_ , outcome in rows for tid in outcome})
     reports = [
         StatusReport(
             technique,
             index,
-            mode,
             [
                 TestResult(tid, "", {"p": 0.5}, verdict, 1)
                 for tid, verdict in sorted(outcome.items())
             ],
         )
-        for technique, index, mode, outcome in rows
+        for technique, index, outcome in rows
     ]
     meta = {
         "type": "meta",
         "fingerprint": "f" * 64,
-        "modes": sorted({r.mode for r in reports}),
+        "modes": list(modes),
         "test_ids": test_ids,
         "statuses": [
             {"technique": t, "index": i, "sha256": "0" * 64}
@@ -122,14 +121,21 @@ def test_run_campaign_meta_and_ordering():
     assert report.meta["threshold"] == 1e-10
     assert report.meta["fingerprint"] == campaign_fingerprint(FAST, 1e-10, ("int", "real"))
     assert report.meta["test_ids"] == ["serial.s", "collisionover.c", "closepairs.c"]
-    assert [(r.technique, r.index, r.mode) for r in report.reports] == [
-        ("indexed", 0, "int"),
-        ("indexed", 0, "real"),
-        ("indexed", 1, "int"),
-        ("indexed", 1, "real"),
-    ]
+    assert report.meta["modes"] == ["int", "real"]
+    assert [(r.technique, r.index) for r in report.reports] == [("indexed", 0), ("indexed", 1)]
     for r in report.reports:
         assert [t.test_id for t in r.results] == list(FAST.test_ids)
+
+
+@pytest.mark.parametrize("modes", [("int",), ("real",), ("int", "real")])
+def test_one_report_per_status_in_every_mode_set(tmp_path, modes):
+    report = run_campaign(_entries(3), CampaignConfig(battery=FAST, modes=modes))
+    path = tmp_path / "results.jsonl"
+    write_results_jsonl(report, path)
+    assert len(path.read_text().splitlines()) == 1 + 3 * len(modes) * len(FAST.tests)
+    for creport in (report, read_results_jsonl(path)):
+        assert [(r.technique, r.index) for r in creport.reports] == [("indexed", i) for i in range(3)]
+        assert creport.meta["modes"] == list(modes)
 
 
 def test_threshold_override_changes_eps_and_fingerprint(tmp_path):
@@ -225,12 +231,13 @@ def test_concurrent_campaigns_do_not_share_inputs():
 def test_one_pass_per_status_matches_a_fresh_stream_per_test_and_mode():
     entries = _entries(2)
     creport = run_campaign(entries, CampaignConfig(battery=FAST, modes=("int", "real")))
-    assert len(creport.reports) == 4
+    assert len(creport.reports) == 2
     for report in creport.reports:
         state = entries[report.index].state
-        for definition, result in zip(FAST.tests, report.results):
-            fresh = run_test(definition, StreamView(state, report.mode), FAST.threshold)
-            assert (result.test_id, result.p_values, result.draws) == (fresh.test_id, fresh.p_values, fresh.draws)
+        for mode in ("int", "real"):
+            for definition, result in zip(FAST.tests, report.results):
+                fresh = run_test(definition, StreamView(state, mode), FAST.threshold)
+                assert (result.test_id, result.p_values, result.draws) == (fresh.test_id, fresh.p_values, fresh.draws)
 
 
 def test_status_words_are_the_longest_prefix_and_read_only():
@@ -261,16 +268,11 @@ def test_results_jsonl_roundtrip(tmp_path):
     assert back.meta == report.meta
     assert len(back.reports) == len(report.reports)
     for ours, theirs in zip(report.reports, back.reports):
-        assert (ours.technique, ours.index, ours.mode) == (
-            theirs.technique,
-            theirs.index,
-            theirs.mode,
-        )
-        ours_map = {t.test_id: t for t in ours.results}
-        for t in theirs.results:
-            assert t.p_values == ours_map[t.test_id].p_values
-            assert t.verdict == ours_map[t.test_id].verdict
-            assert t.draws == ours_map[t.test_id].draws
+        assert (ours.technique, ours.index) == (theirs.technique, theirs.index)
+        # Both in battery order, which is not the file's sorted test-id order.
+        assert [t.test_id for t in theirs.results] == [t.test_id for t in ours.results] == list(FAST.test_ids)
+        for a, b in zip(ours.results, theirs.results):
+            assert (a.p_values, a.verdict, a.draws) == (b.p_values, b.verdict, b.draws)
 
 
 def test_pvalues_survive_text_roundtrip_exactly(tmp_path):
@@ -279,7 +281,7 @@ def test_pvalues_survive_text_roundtrip_exactly(tmp_path):
     write_results_jsonl(report, path)
     back = read_results_jsonl(path)
     for ours, theirs in zip(report.reports, back.reports):
-        for a, b in zip(sorted(ours.results, key=lambda t: t.test_id), theirs.results):
+        for a, b in zip(ours.results, theirs.results):
             for key, value in a.p_values.items():
                 assert b.p_values[key] == value, (a.test_id, key)
 
@@ -346,17 +348,14 @@ def test_failed_writes_leave_existing_artifacts_intact(tmp_path, monkeypatch):
 
 
 def test_classify_subset_rule():
-    good = StatusReport(
-        "indexed", 0, "int", [TestResult("linearcomp.r0", "", {"p": 0.0}, "Fail", 1)]
-    )
+    good = StatusReport("indexed", 0, [TestResult("linearcomp.r0", "", {"p": 0.0}, "Fail", 1)])
     assert classify_status(good) == "Good"
     assert classify_status(good, expected_fail_ids=frozenset()) == "Suspect"
-    clean = StatusReport("indexed", 0, "int", [TestResult("x", "", {"p": 0.5}, "Pass", 1)])
+    clean = StatusReport("indexed", 0, [TestResult("x", "", {"p": 0.5}, "Pass", 1)])
     assert classify_status(clean, expected_fail_ids=frozenset()) == "Good"
     extra = StatusReport(
         "indexed",
         0,
-        "int",
         [
             TestResult("linearcomp.r0", "", {"p": 0.0}, "Fail", 1),
             TestResult("closepairs.c", "", {"p": 0.0}, "Fail", 1),
@@ -367,11 +366,11 @@ def test_classify_subset_rule():
 
 def test_aggregation_on_fabricated_campaign():
     rows = [
-        ("indexed", 0, "int", {"a": "Pass", "b": "Pass"}),
-        ("indexed", 1, "int", {"a": "Fail", "b": "Pass"}),
-        ("indexed", 2, "int", {"a": "Fail", "b": "Fail"}),
-        ("split", 0, "int", {"a": "Pass", "b": "Pass"}),
-        ("split", 1, "int", {"a": "Pass", "b": "Fail"}),
+        ("indexed", 0, {"a": "Pass", "b": "Pass"}),
+        ("indexed", 1, {"a": "Fail", "b": "Pass"}),
+        ("indexed", 2, {"a": "Fail", "b": "Fail"}),
+        ("split", 0, {"a": "Pass", "b": "Pass"}),
+        ("split", 1, {"a": "Pass", "b": "Fail"}),
     ]
     creport = _fabricated(rows)
     tables = build_tables(creport, expected_fail_ids=frozenset())
@@ -395,8 +394,37 @@ def test_aggregation_on_fabricated_campaign():
     assert tables_a["pertest"] == tables["pertest"]
 
 
+def test_tables_give_each_status_once_per_meta_mode():
+    rows = [
+        ("indexed", 0, {"a": "Fail", "b": "Fail"}),
+        ("indexed", 1, {"a": "Fail", "b": "Pass"}),
+        ("indexed", 2, {"a": "Pass", "b": "Pass"}),
+    ]
+    creport = _fabricated(rows, modes=("real", "int"))
+    tables = build_tables(creport, expected_fail_ids=frozenset())
+    assert [(r["mode"], r["statuses"], r["suspects"]) for r in tables["summary"]] == [
+        ("int", 3, 2),
+        ("real", 3, 2),
+    ]
+    assert [(r["mode"], r["n_failed"], r["count"]) for r in tables["histogram"]] == [
+        ("int", 1, 1),
+        ("int", 2, 1),
+        ("real", 1, 1),
+        ("real", 2, 1),
+    ]
+    assert [(r["test_id"], r["mode"], r["fraction"]) for r in tables["pertest"]] == [
+        ("a", "int", 2 / 3),
+        ("a", "real", 2 / 3),
+        ("b", "int", 1 / 3),
+        ("b", "real", 1 / 3),
+    ]
+    registry = build_registry(creport, expected_fail_ids=frozenset())
+    assert [(t, i) for t, i, _ in registry.entries] == [("indexed", 2)]
+    assert registry.modes == ("real", "int")
+
+
 def test_expected_ids_must_exist_in_battery():
-    creport = _fabricated([("indexed", 0, "int", {"a": "Pass"})])
+    creport = _fabricated([("indexed", 0, {"a": "Pass"})])
     with pytest.raises(ValueError, match="not in battery"):
         check_expected_ids(creport, frozenset({"zzz"}))
     with pytest.raises(ValueError, match="not in battery"):
@@ -405,23 +433,8 @@ def test_expected_ids_must_exist_in_battery():
         build_registry(creport, expected_fail_ids=frozenset({"zzz"}))
 
 
-def test_registry_requires_good_in_every_mode():
-    rows = [
-        ("indexed", 0, "int", {"a": "Pass"}),
-        ("indexed", 0, "real", {"a": "Pass"}),
-        ("indexed", 1, "int", {"a": "Pass"}),
-        ("indexed", 1, "real", {"a": "Fail"}),
-        ("indexed", 2, "int", {"a": "Fail"}),
-        ("indexed", 2, "real", {"a": "Fail"}),
-    ]
-    registry = build_registry(_fabricated(rows), expected_fail_ids=frozenset())
-    assert [(t, i) for t, i, _ in registry.entries] == [("indexed", 0)]
-    assert registry.modes == ("int", "real")
-    assert registry.expected_fail_ids == ()
-
-
 def test_write_registry_files(tmp_path):
-    rows = [("indexed", 0, "int", {"a": "Pass"}), ("split", 3, "int", {"a": "Pass"})]
+    rows = [("indexed", 0, {"a": "Pass"}), ("split", 3, {"a": "Pass"})]
     registry = build_registry(_fabricated(rows), expected_fail_ids=frozenset())
     text_path, json_path = tmp_path / "reg.txt", tmp_path / "reg.json"
     write_registry(registry, text_path, json_path)

@@ -156,7 +156,7 @@ def test_test_end_to_end_both_modes(tmp_path, fast_battery_file, capsys):
     assert code == 0
     out = capsys.readouterr().out
     assert "tested 3 statuses x 2 modes with fast-cli" in out
-    assert "suspect units: 0" in out
+    assert "suspect statuses: 0" in out
     assert "fingerprint " in out
     lines = results.read_text().splitlines()
     assert len(lines) == 1 + 3 * 2 * 3
@@ -222,7 +222,7 @@ def test_test_strict_flags_suspects(tmp_path, fast_battery_file, capsys):
     assert main(args) == 0  # without --strict: reported but exit 0
     assert main(args + ["--strict"]) == 3
     out = capsys.readouterr().out
-    assert "suspect units:" in out
+    assert "suspect statuses:" in out
 
 
 def test_test_usage_errors(tmp_path, fast_battery_file, capsys):
@@ -372,6 +372,8 @@ def test_report_and_registry_refuse_an_inconsistent_meta_or_row(shared_results, 
     err = capsys.readouterr().err
     if edit == "no_battery_definition":
         assert "re-run `test`" in err
+    if edit == "modes_disagree":
+        assert "indexed/0 real p-values differ from its int rows" in err
 
 
 def test_failed_report_write_leaves_the_old_file(campaign_results, tmp_path, capsys, monkeypatch):
@@ -474,7 +476,7 @@ def test_registry_entries_retest_good(campaign_results, tmp_path, fast_battery_f
         )
         == 0
     )
-    assert "suspect units: 0" in capsys.readouterr().out
+    assert "suspect statuses: 0" in capsys.readouterr().out
 
 
 # --- verify --------------------------------------------------------------------

@@ -11,24 +11,23 @@ from mtstreams.results import CampaignReport, StatusReport, TestResult
 
 def _creport():
     rows = [
-        ("indexed", 0, "int", {"a": "Pass", "b": "Pass"}),
-        ("indexed", 1, "int", {"a": "Fail", "b": "Pass"}),
-        ("indexed", 2, "int", {"a": "Fail", "b": "Fail"}),
-        ("indexed", 3, "int", {"a": "Pass", "b": "Fail"}),
-        ("split", 0, "int", {"a": "Pass", "b": "Pass"}),
-        ("split", 1, "int", {"a": "Fail", "b": "Fail"}),
+        ("indexed", 0, {"a": "Pass", "b": "Pass"}),
+        ("indexed", 1, {"a": "Fail", "b": "Pass"}),
+        ("indexed", 2, {"a": "Fail", "b": "Fail"}),
+        ("indexed", 3, {"a": "Pass", "b": "Fail"}),
+        ("split", 0, {"a": "Pass", "b": "Pass"}),
+        ("split", 1, {"a": "Fail", "b": "Fail"}),
     ]
     reports = [
         StatusReport(
             technique,
             index,
-            mode,
             [
                 TestResult(tid, "", {"p": 0.5}, verdict, 1)
                 for tid, verdict in sorted(outcome.items())
             ],
         )
-        for technique, index, mode, outcome in rows
+        for technique, index, outcome in rows
     ]
     meta = {
         "type": "meta",
