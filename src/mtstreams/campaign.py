@@ -9,7 +9,8 @@ the real pathway: the unit yields one report, and the requested modes are
 recorded once, in the meta. Work units are pure computations, so the
 worker count changes wall time only: reports are sorted on (technique,
 index) and serialized with fixed formatting, making output bytes
-independent of scheduling.
+independent of scheduling. The meta record comes from
+:func:`mtstreams.results.campaign_meta` before any unit runs.
 
 This is the module that loads NumPy and the test families; only the
 ``test`` command imports it. The records it returns, the results and
@@ -25,7 +26,6 @@ from pathlib import Path
 
 import numpy as np
 
-from mtstreams._version import VERSION
 from mtstreams.mt19937 import MtState, MtStream
 from mtstreams.results import (
     MODES,
@@ -33,9 +33,9 @@ from mtstreams.results import (
     CampaignReport,
     StatusReport,
     TestResult,
-    campaign_fingerprint,
+    campaign_meta,
 )
-from mtstreams.stats.battery import Battery, battery_doc, battery_sha256
+from mtstreams.stats.battery import Battery
 from mtstreams.stats.families import run_test
 from mtstreams.stats.stream import StreamView, WordPrefix
 from mtstreams.statusfile import STATUS_SUFFIX, StatusFormatError, file_sha256, load_status
@@ -73,14 +73,9 @@ class CampaignConfig:
     jobs: int = 1
 
     def __post_init__(self) -> None:
-        if not self.modes or any(m not in MODES for m in self.modes):
-            raise ValueError(f"modes must be a nonempty subset of {MODES}, got {self.modes}")
-        if len(set(self.modes)) != len(self.modes):
-            raise ValueError("duplicate modes")
         if self.jobs < 1:
             raise ValueError(f"jobs must be >= 1, got {self.jobs}")
-        if self.threshold is not None and not 0.0 < self.threshold < 0.5:
-            raise ValueError(f"threshold must be in (0, 0.5), got {self.threshold}")
+        campaign_meta(self.battery, self.eps, self.modes, ())  # the meta's threshold and mode rules
 
     @property
     def eps(self) -> float:
@@ -150,8 +145,14 @@ def run_battery_on_status(
 
 def run_campaign(entries: list[StatusEntry], config: CampaignConfig) -> CampaignReport:
     """Test every status; ``config.jobs`` workers at most, and no more than
-    there are statuses or usable CPUs."""
+    there are statuses or usable CPUs.
+
+    The meta record is built first, so entries that list a status twice or
+    carry a malformed ``sha256`` raise ValueError before any unit runs.
+    """
     eps = config.eps
+    statuses = [(e.technique, e.index, e.sha256) for e in entries]
+    meta = campaign_meta(config.battery, eps, config.modes, statuses)
     work = [(e.state, config.modes, config.battery, eps) for e in entries]
     workers = min(config.jobs, len(work), usable_cpus())
     if workers > 1:
@@ -162,18 +163,4 @@ def run_campaign(entries: list[StatusEntry], config: CampaignConfig) -> Campaign
         outcomes = [run_battery_on_status(*w) for w in work]
     reports = [StatusReport(e.technique, e.index, results) for e, results in zip(entries, outcomes)]
     reports.sort(key=lambda r: (r.technique, r.index))
-    meta = {
-        "type": "meta",
-        "version": VERSION,
-        "fingerprint": campaign_fingerprint(config.battery, eps, tuple(config.modes)),
-        "battery": config.battery.name,
-        "battery_sha256": battery_sha256(config.battery),
-        "battery_definition": battery_doc(config.battery),
-        "threshold": eps,
-        "modes": list(config.modes),
-        "test_ids": list(config.battery.test_ids),
-        "statuses": [
-            {"technique": e.technique, "index": e.index, "sha256": e.sha256} for e in entries
-        ],
-    }
     return CampaignReport(meta=meta, reports=reports)

@@ -27,6 +27,7 @@ from mtstreams.results import (
     build_registry,
     classify_status,
     read_results_jsonl,
+    resolve_expected_ids,
     write_registry,
     write_results_jsonl,
 )
@@ -53,6 +54,11 @@ class UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message: str) -> None:  # type: ignore[override]
         raise UsageError(message)
+
+
+def _id_list(raw: str) -> frozenset[str]:
+    """A comma-separated list of test ids; blank items are dropped."""
+    return frozenset(s for s in (part.strip() for part in raw.split(",")) if s)
 
 
 def _build_parser() -> _Parser:
@@ -94,6 +100,7 @@ def _build_parser() -> _Parser:
     test.add_argument("--strict", action="store_true", help="exit 3 if any status is Suspect")
     test.add_argument(
         "--expected-fail",
+        type=_id_list,
         default=None,
         help=f"ids exempted from strict classification (default {DEFAULT_EXPECTED}, where present in the battery)",
     )
@@ -103,13 +110,13 @@ def _build_parser() -> _Parser:
     report.add_argument("--results", required=True, help="results JSONL path")
     report.add_argument("--tables", default=",".join(TABLES), help=f"comma list from {{{','.join(TABLES)}}} (default all)")
     report.add_argument("--format", choices=["md", "csv", "json"], default="md")
-    report.add_argument("--expected-fail", default=None, help=f"classification exemptions (default {DEFAULT_EXPECTED}, where present in the battery)")
+    report.add_argument("--expected-fail", type=_id_list, default=None, help=f"classification exemptions (default {DEFAULT_EXPECTED}, where present in the battery)")
     report.add_argument("--out", default=None, help="write to file instead of stdout")
     report.set_defaults(func=_cmd_report)
 
     registry = sub.add_parser("registry", help="write the Good-status registry")
     registry.add_argument("--results", required=True, help="results JSONL path")
-    registry.add_argument("--expected-fail", default=None, help=f"expected-failure ids (default {DEFAULT_EXPECTED}, where present in the battery)")
+    registry.add_argument("--expected-fail", type=_id_list, default=None, help=f"expected-failure ids (default {DEFAULT_EXPECTED}, where present in the battery)")
     registry.add_argument("--out", required=True, help="registry text path; a .json twin is written beside it")
     registry.set_defaults(func=_cmd_registry)
 
@@ -128,8 +135,6 @@ def _cmd_gen(args: argparse.Namespace) -> int:
         write_status_set,
     )
 
-    if args.count < 1:
-        raise UsageError(f"--count must be >= 1, got {args.count}")
     try:
         if args.technique == "split":
             draws = (args.count - 1) * args.spacing
@@ -153,23 +158,6 @@ def _cmd_gen(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _parse_expected(raw: str) -> frozenset[str]:
-    ids = frozenset(s for s in (part.strip() for part in raw.split(",")) if s)
-    return ids
-
-
-def _resolve_expected(raw: str | None, available_ids) -> frozenset[str]:
-    """Expected-failure ids: explicit values are validated strictly, while
-    the built-in default applies only where the battery defines those ids."""
-    if raw is None:
-        return DEFAULT_EXPECTED_FAIL_IDS & set(available_ids)
-    expected = _parse_expected(raw)
-    unknown = expected - set(available_ids)
-    if unknown:
-        raise UsageError(f"--expected-fail ids not in battery: {sorted(unknown)}")
-    return expected
-
-
 def _cmd_test(args: argparse.Namespace) -> int:
     from mtstreams.campaign import CampaignConfig, load_status_entries, run_campaign, usable_cpus
     from mtstreams.stats.battery import load_battery
@@ -177,19 +165,18 @@ def _cmd_test(args: argparse.Namespace) -> int:
     inputs = list(args.dir) + list(args.status)
     if not inputs:
         raise UsageError("give at least one --dir or --status")
-    if args.threshold is not None and not 0.0 < args.threshold < 0.5:
-        raise UsageError(f"--threshold must be in (0, 0.5), got {args.threshold}")
-    cpus = usable_cpus()
-    jobs = cpus if args.jobs is None else args.jobs
-    if jobs < 1:
-        raise UsageError(f"--jobs must be >= 1, got {jobs}")
-    if jobs > cpus:
-        print(f"note: --jobs {jobs} capped at {cpus}, the usable CPUs", file=sys.stderr)
     battery = load_battery(args.battery)
     modes = ("int", "real") if args.mode == "both" else (args.mode,)
-    expected = _resolve_expected(args.expected_fail, battery.test_ids)
+    cpus = usable_cpus()
+    try:
+        jobs = cpus if args.jobs is None else args.jobs
+        config = CampaignConfig(battery=battery, modes=modes, threshold=args.threshold, jobs=jobs)
+        expected = resolve_expected_ids(battery.test_ids, args.expected_fail)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
+    if jobs > cpus:
+        print(f"note: --jobs {jobs} capped at {cpus}, the usable CPUs", file=sys.stderr)
     entries = load_status_entries(inputs)
-    config = CampaignConfig(battery=battery, modes=modes, threshold=args.threshold, jobs=jobs)
     creport = run_campaign(entries, config)
     write_results_jsonl(creport, args.out)
     suspects = [r for r in creport.reports if classify_status(r, expected) == "Suspect"]
@@ -205,9 +192,8 @@ def _cmd_test(args: argparse.Namespace) -> int:
 def _cmd_report(args: argparse.Namespace) -> int:
     creport = read_results_jsonl(args.results)
     tables = [t.strip() for t in args.tables.split(",") if t.strip()]
-    expected = _resolve_expected(args.expected_fail, creport.meta.get("test_ids", []))
     try:
-        text = render_report(creport, tables, args.format, expected)
+        text = render_report(creport, tables, args.format, args.expected_fail)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
     if args.out is None:
@@ -220,9 +206,8 @@ def _cmd_report(args: argparse.Namespace) -> int:
 
 def _cmd_registry(args: argparse.Namespace) -> int:
     creport = read_results_jsonl(args.results)
-    expected = _resolve_expected(args.expected_fail, creport.meta.get("test_ids", []))
     try:
-        registry = build_registry(creport, expected)
+        registry = build_registry(creport, args.expected_fail)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
     text_path = Path(args.out)

@@ -15,21 +15,17 @@ import io
 import json
 from collections import Counter
 
-from mtstreams.results import (
-    DEFAULT_EXPECTED_FAIL_IDS,
-    CampaignReport,
-    check_expected_ids,
-    classify_status,
-)
+from mtstreams.results import CampaignReport, check_expected_ids, classify_status
 
 TABLES = ("summary", "histogram", "pertest")
 
 
-def build_tables(
-    creport: CampaignReport, expected_fail_ids=DEFAULT_EXPECTED_FAIL_IDS
-) -> dict[str, list[dict]]:
-    """The summary, histogram and pertest rows, from one pass over the statuses."""
-    check_expected_ids(creport, expected_fail_ids)
+def build_tables(creport: CampaignReport, expected_fail_ids=None) -> dict[str, list[dict]]:
+    """The summary, histogram and pertest rows, from one pass over the statuses.
+
+    ``expected_fail_ids`` follows :func:`mtstreams.results.check_expected_ids`.
+    """
+    expected_fail_ids = check_expected_ids(creport, expected_fail_ids)
     modes = sorted(creport.meta["modes"])
     statuses: Counter = Counter()  # technique
     suspects: Counter = Counter()  # technique
@@ -122,7 +118,7 @@ def render_report(
     creport: CampaignReport,
     tables: list[str],
     fmt: str,
-    expected_fail_ids=DEFAULT_EXPECTED_FAIL_IDS,
+    expected_fail_ids=None,
 ) -> str:
     """Requested tables in one deterministic string ('md', 'csv', or 'json')."""
     unknown = [t for t in tables if t not in TABLES]

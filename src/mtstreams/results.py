@@ -5,9 +5,14 @@ one :class:`StatusReport` per status, each a list of :class:`TestResult`.
 The modes live in the meta alone: the real map w * 2^-32 is lossless, so
 one status's results stand for every mode. The writer repeats them under
 each meta mode, and the reader refuses a file whose modes disagree. This
-module holds those records, the two-sided verdict rule, the Good/Suspect
-classifier, the registry of Good statuses, and the writers and readers of
-``results.jsonl`` and the registry files. It imports neither NumPy nor
+module holds those records, the two-sided verdict rule, the expected-fail
+rule, the Good/Suspect classifier, the registry of Good statuses, and the
+writers and readers of ``results.jsonl`` and the registry files.
+
+It is also the one place that builds a results record: :func:`campaign_meta`
+builds the meta line and :func:`result_row` a row. The writer prints what
+they return; the reader rebuilds each record of a file with them and
+refuses any record that differs from its rebuild. It imports neither NumPy nor
 SciPy, so the ``report`` and ``registry`` commands load only this module,
 ``reports``, ``statusfile`` and ``stats.battery``, with which the reader
 rebuilds the battery a file names; running a campaign
@@ -93,17 +98,25 @@ def classify_status(report: StatusReport, expected_fail_ids=DEFAULT_EXPECTED_FAI
     return "Good" if set(report.failed_ids) <= set(expected_fail_ids) else "Suspect"
 
 
-def check_expected_ids(creport: CampaignReport, expected_fail_ids) -> None:
-    unknown = set(expected_fail_ids) - set(creport.meta["test_ids"])
+def resolve_expected_ids(test_ids, expected_fail_ids=None) -> frozenset[str]:
+    """The expected-failure ids for a battery's ``test_ids``: by default those
+    of DEFAULT_EXPECTED_FAIL_IDS it defines; explicit ids must all be in it."""
+    if expected_fail_ids is None:
+        return DEFAULT_EXPECTED_FAIL_IDS & set(test_ids)
+    unknown = set(expected_fail_ids) - set(test_ids)
     if unknown:
         raise ValueError(f"expected-fail ids not in battery: {sorted(unknown)}")
+    return frozenset(expected_fail_ids)
 
 
-def build_registry(
-    creport: CampaignReport, expected_fail_ids=DEFAULT_EXPECTED_FAIL_IDS
-) -> QualityRegistry:
+def check_expected_ids(creport: CampaignReport, expected_fail_ids=None) -> frozenset[str]:
+    """:func:`resolve_expected_ids` for the battery of ``creport``."""
+    return resolve_expected_ids(creport.meta["test_ids"], expected_fail_ids)
+
+
+def build_registry(creport: CampaignReport, expected_fail_ids=None) -> QualityRegistry:
     """Registry of the statuses classified Good."""
-    check_expected_ids(creport, expected_fail_ids)
+    expected_fail_ids = check_expected_ids(creport, expected_fail_ids)
     checksums = {
         (s["technique"], s["index"]): s["sha256"] for s in creport.meta["statuses"]
     }
@@ -129,110 +142,127 @@ def campaign_fingerprint(battery, eps: float, modes: tuple[str, ...], version: s
     return hashlib.sha256(blob.encode("ascii")).hexdigest()
 
 
-def _fmt17(x: float) -> str:
-    return "%.17g" % x
-
-
-_KEY_SAFE = re.compile(r"^[A-Za-z0-9._-]+$")
+_KEY_SAFE = re.compile(r"[A-Za-z0-9._-]+")
 _SHA256 = re.compile(r"[0-9a-f]{64}")
 
 
-def _is_p_value(p: object) -> bool:
-    """A number in [0, 1], so neither NaN, an infinity nor a bool.
+def campaign_meta(battery, threshold: float, modes, statuses, version: str = VERSION) -> dict:
+    """The meta record of a campaign over ``statuses``, (technique, index,
+    sha256) triples.
 
-    Ints count: ``%.17g`` writes the p-values 0.0 and 1.0 as 0 and 1.
+    Raises ValueError unless the threshold is a float in (0, 0.5), the modes
+    distinct members of MODES, and the statuses distinct, each with a
+    technique from TECHNIQUES, a non-negative int index and a SHA-256 of 64
+    lowercase hex digits.
     """
-    return isinstance(p, (int, float)) and not isinstance(p, bool) and 0 <= p <= 1
+    from mtstreams.stats.battery import battery_doc, battery_sha256
+
+    if not isinstance(threshold, float) or not 0.0 < threshold < 0.5:
+        raise ValueError(f"threshold must be a number in (0, 0.5), got {threshold!r}")
+    modes = list(modes)
+    if not modes or len(set(modes)) != len(modes) or not set(modes) <= set(MODES):
+        raise ValueError(f"modes must be members of {MODES}, at least one and no duplicate, got {modes!r}")
+    records = []
+    for technique, index, sha256 in statuses:
+        if technique not in TECHNIQUES or type(index) is not int or index < 0:
+            raise ValueError(f"status {technique!r}/{index!r} is not a technique and a non-negative int index")
+        if type(sha256) is not str or not _SHA256.fullmatch(sha256):
+            raise ValueError(f"status sha256 {sha256!r} is not 64 lowercase hex digits")
+        records.append({"technique": technique, "index": index, "sha256": sha256})
+    if len({(s["technique"], s["index"]) for s in records}) != len(records):
+        raise ValueError("a status is listed twice")
+    return {
+        "type": "meta",
+        "version": version,
+        "fingerprint": campaign_fingerprint(battery, threshold, tuple(modes), version),
+        "battery": battery.name,
+        "battery_sha256": battery_sha256(battery),
+        "battery_definition": battery_doc(battery),
+        "threshold": threshold,
+        "modes": modes,
+        "test_ids": list(battery.test_ids),
+        "statuses": records,
+    }
 
 
-def _result_line(r: StatusReport, mode: str, t: TestResult) -> str:
-    for key, p in t.p_values.items():
-        if not _KEY_SAFE.match(key):
-            raise ValueError(f"sub-statistic name needs escaping: {key!r}")
-        if not _is_p_value(p):
-            raise ValueError(f"{t.test_id}: p-value {key} = {p!r} is not a number in [0, 1]")
-    pv = ",".join(f'"{k}":{_fmt17(v)}' for k, v in t.p_values.items())
+def result_row(
+    technique: str, index: int, mode: str, test_id: str, p_values: dict, draws: int, threshold: float
+) -> dict:
+    """The results row of one test on one status under one mode, with the
+    verdict its p-values give at ``threshold``.
+
+    Raises ValueError unless ``p_values`` is a non-empty dict of numbers in
+    [0, 1] (ints count, bools, NaN and infinities do not) under names of
+    letters, digits, '.', '_' and '-', which the writer need not escape.
+    """
+    if not isinstance(p_values, dict) or not p_values:
+        raise ValueError(f"{test_id}: p_values {p_values!r} is not a non-empty object")
+    for key, p in p_values.items():
+        if not _KEY_SAFE.fullmatch(key):
+            raise ValueError(f"{test_id}: sub-statistic name needs escaping: {key!r}")
+        if not (isinstance(p, float) or type(p) is int) or not 0 <= p <= 1:
+            raise ValueError(f"{test_id}: p-value {key} = {p!r} is not a number in [0, 1]")
+    return {
+        "type": "result",
+        "technique": technique,
+        "index": index,
+        "mode": mode,
+        "test_id": test_id,
+        "p_values": p_values,
+        "verdict": _verdict(p_values, threshold),
+        "draws": draws,
+    }
+
+
+def _row_line(row: dict) -> str:
+    """A row as the writer prints it, in :func:`result_row`'s key order, with
+    p-values to 17 significant digits."""
+    _, technique, index, mode, test_id, p_values, verdict, draws = row.values()
+    pv = ",".join([f'"{k}":{v:.17g}' for k, v in p_values.items()])
     return (
-        f'{{"type":"result","technique":"{r.technique}","index":{r.index},'
-        f'"mode":"{mode}","test_id":"{t.test_id}","p_values":{{{pv}}},'
-        f'"verdict":"{t.verdict}","draws":{t.draws}}}'
+        f'{{"type":"result","technique":"{technique}","index":{index},'
+        f'"mode":"{mode}","test_id":"{test_id}","p_values":{{{pv}}},'
+        f'"verdict":"{verdict}","draws":{draws}}}'
     )
 
 
 def write_results_jsonl(creport: CampaignReport, path: Path | str) -> None:
     """One meta line, then one line per (status, meta mode, test), sorted.
 
-    A status's rows repeat under each mode. P-values are printed with 17
-    significant digits, which round-trips binary64 exactly; the whole file
-    is a pure function of the inputs.
+    Each line is what :func:`result_row` gives for the result at the meta's
+    threshold; a status's rows repeat under each mode. P-values are printed
+    with 17 significant digits, which round-trips binary64 exactly; the
+    whole file is a pure function of the inputs.
     """
-    lines = [json.dumps(creport.meta, sort_keys=True, separators=(",", ":"))]
+    meta = creport.meta
+    lines = [json.dumps(meta, sort_keys=True, separators=(",", ":"))]
+    modes, eps = sorted(meta["modes"]), meta["threshold"]
     for r in sorted(creport.reports, key=lambda r: (r.technique, r.index)):
-        results = sorted(r.results, key=lambda t: t.test_id)
-        for mode in sorted(creport.meta["modes"]):
-            lines.extend(_result_line(r, mode, t) for t in results)
+        rows = [
+            result_row(r.technique, r.index, modes[0], t.test_id, t.p_values, t.draws, eps)
+            for t in sorted(r.results, key=lambda t: t.test_id)
+        ]
+        lines.extend(_row_line(row) for row in rows)
+        for mode in modes[1:]:
+            lines.extend(_row_line(dict(row, mode=mode)) for row in rows)
     write_bytes_atomic(path, ("\n".join(lines) + "\n").encode("ascii"))
-
-
-def _meta_battery(meta: dict):
-    """The battery a meta record holds, once the record agrees with it.
-
-    Raises ValueError, KeyError or TypeError otherwise.
-    """
-    from mtstreams.stats.battery import battery_sha256, parse_battery
-
-    if "battery_definition" not in meta:
-        raise ValueError("meta has no battery_definition; re-run `test` to rewrite this file")
-    threshold, modes = meta["threshold"], meta["modes"]
-    if not 0.0 < threshold < 0.5:
-        raise ValueError(f"meta threshold {threshold!r} is not in (0, 0.5)")
-    if not modes or len(set(modes)) != len(modes) or not set(modes) <= set(MODES):
-        raise ValueError(f"meta modes {modes!r} are not distinct modes from {MODES}")
-    for s in meta["statuses"]:
-        if s["technique"] not in TECHNIQUES or type(s["index"]) is not int or s["index"] < 0:
-            raise ValueError(f"meta status {s['technique']!r}/{s['index']!r} is not a technique and index")
-        if not _SHA256.fullmatch(s["sha256"]):
-            raise ValueError(f"meta sha256 {s['sha256']!r} is not 64 lowercase hex digits")
-    identities = [(s["technique"], s["index"]) for s in meta["statuses"]]
-    if len(set(identities)) != len(identities):
-        raise ValueError("meta lists a status twice")
-    battery = parse_battery(meta["battery_definition"])
-    expected = {
-        "battery": battery.name,
-        "battery_sha256": battery_sha256(battery),
-        "test_ids": list(battery.test_ids),
-        "fingerprint": campaign_fingerprint(battery, threshold, tuple(modes), meta["version"]),
-    }
-    for key, value in expected.items():
-        if meta[key] != value:
-            raise ValueError(f"meta {key} disagrees with its battery_definition")
-    return battery
 
 
 def read_results_jsonl(path: Path | str) -> CampaignReport:
     """Rebuild a CampaignReport: one report per status, its test results in
     battery order, without details.
 
-    The meta record must hold the battery's definition and agree with it:
-    its battery name, ``battery_sha256``, ordered ``test_ids`` and
-    ``fingerprint`` (recomputed from the meta's threshold, modes and
-    version). Its threshold must lie in (0, 0.5), its modes be distinct
-    modes from MODES, and its statuses be distinct, each with a technique
-    from TECHNIQUES, a non-negative integer index and a SHA-256 of 64
-    lowercase hex digits.
-
-    The rows must then be complete and consistent with the meta: exactly
-    one row per meta status, meta mode and test id, each with the verdict,
-    Pass or Fail, that its p-values give at the meta threshold (exact,
-    since p-values are written with 17 significant digits), its
-    ``p_values`` a non-empty object whose every value is a number in
-    [0, 1], and its test's ``draws``. Anything else (a truncated file, a
-    line that is not a JSON object, a duplicated row, a row for an unknown
-    status or mode, empty or non-object p-values, a NaN, bool or
-    out-of-range p-value, any other verdict or draw count) raises
-    ValueError rather than being classified. So does a status whose p-values
-    differ between two modes, since one result set stands for every mode.
+    The meta record must equal :func:`campaign_meta` of the battery its
+    ``battery_definition`` describes and of its own ``threshold``,
+    ``modes``, ``statuses`` and ``version``. Then come, in the writer's
+    order, one row per meta status, meta mode and test, each equal to
+    :func:`result_row` of that status, mode and test, the test's ``draws``
+    and the p-values of the status's row for the test under its first mode,
+    with an int index and draw count (not 1.0 or true). Anything else
+    raises ValueError rather than being classified.
     """
+    from mtstreams.stats.battery import parse_battery
+
     path = Path(path)
     lines = path.read_text(encoding="ascii").splitlines()
     if not lines:
@@ -240,59 +270,48 @@ def read_results_jsonl(path: Path | str) -> CampaignReport:
     meta = json.loads(lines[0])
     if not isinstance(meta, dict) or meta.get("type") != "meta":
         raise ValueError(f"{path}: first line is not the meta record")
+    if "battery_definition" not in meta:
+        raise ValueError(f"{path}: meta has no battery_definition; re-run `test` to rewrite this file")
     try:
-        battery = _meta_battery(meta)
+        battery = parse_battery(meta["battery_definition"])
+        statuses = [(s["technique"], s["index"], s["sha256"]) for s in meta["statuses"]]
+        rebuilt = campaign_meta(battery, meta["threshold"], meta["modes"], statuses, meta["version"])
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"{path}: bad meta record: {exc}") from exc
-    tests = {t.id: t for t in battery.tests}
-    grouped: dict[tuple[str, int, str], dict[str, TestResult]] = {
-        (s["technique"], s["index"], mode): {} for s in meta["statuses"] for mode in meta["modes"]
-    }
-    try:
-        for lineno, line in enumerate(lines[1:], start=2):
-            rec = json.loads(line)
-            if not isinstance(rec, dict) or rec.get("type") != "result":
-                raise ValueError(f"{path}:{lineno}: unknown record type")
-            unit = grouped.get((rec["technique"], rec["index"], rec["mode"]))
-            if unit is None or type(rec["index"]) is not int:  # 1.0 and True hash as 1
-                raise ValueError(f"{path}:{lineno}: status or mode not in meta")
-            test = tests.get(rec["test_id"])
-            if test is None:
-                raise ValueError(f"{path}:{lineno}: test id {rec['test_id']!r} not in meta")
-            if test.id in unit:
-                raise ValueError(f"{path}:{lineno}: duplicate row")
-            p_values = rec["p_values"]
-            if not isinstance(p_values, dict) or not p_values:
-                raise ValueError(f"{path}:{lineno}: p_values {p_values!r} is not a non-empty object")
-            for name, p in p_values.items():
-                if not _is_p_value(p):
-                    raise ValueError(f"{path}:{lineno}: p-value {name} = {p!r} is not a number in [0, 1]")
-            verdict = _verdict(p_values, meta["threshold"])
-            if rec["verdict"] != verdict:
-                raise ValueError(f"{path}:{lineno}: verdict {rec['verdict']!r}, p-values give {verdict}")
-            draws = rec["draws"]
-            if type(draws) is not int or draws != test.draws:  # 20480.0 == 20480
-                raise ValueError(f"{path}:{lineno}: draws {draws!r}, {test.id} reads {test.draws}")
-            unit[test.id] = TestResult(
-                test_id=test.id,
-                family=test.family,
-                p_values=p_values,
-                verdict=verdict,
-                draws=draws,
-            )
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f"{path}: malformed record ({exc!r})") from exc
-    first_mode = min(meta["modes"])  # its rows sort first: checked complete before compared
+    if meta != rebuilt:
+        raise ValueError(f"{path}: meta record differs from the one its own fields give")
+    tests = sorted(battery.tests, key=lambda t: t.id)
+    modes, eps = sorted(meta["modes"]), meta["threshold"]
+    if len(lines) - 1 != len(statuses) * len(modes) * len(tests):
+        raise ValueError(f"{path}: {len(lines) - 1} rows, not one per meta status, mode and test")
+    rows = enumerate(lines[1:], start=2)
     reports = []
-    for (technique, index, mode), unit in sorted(grouped.items()):
-        missing = [t for t in battery.test_ids if t not in unit]
-        if missing:
-            raise ValueError(f"{path}: {technique}/{index} {mode} lacks rows for {missing}")
-        first = grouped[technique, index, first_mode]
-        if any(unit[t].p_values != first[t].p_values for t in battery.test_ids):
-            raise ValueError(f"{path}: {technique}/{index} {mode} p-values differ from its {first_mode} rows")
-        if mode == first_mode:
-            reports.append(StatusReport(technique, index, [unit[t] for t in battery.test_ids]))
+    try:
+        for technique, index, _ in sorted(statuses):
+            first: dict[str, dict] = {}  # test id -> its row under the first mode
+            for mode in modes:
+                for test in tests:
+                    lineno, line = next(rows)
+                    rec = json.loads(line)
+                    if mode == modes[0]:
+                        row = first[test.id] = result_row(
+                            technique, index, mode, test.id, rec["p_values"], test.draws, eps
+                        )
+                    else:
+                        row = dict(first[test.id], mode=mode)
+                    if rec != row or type(rec["index"]) is not int or type(rec["draws"]) is not int:
+                        if rec["p_values"] != row["p_values"]:
+                            raise ValueError(f"{technique}/{index} {mode} p-values differ from its {modes[0]} rows")
+                        raise ValueError(f"not the {technique}/{index} {mode} {test.id} row its p-values give")
+            results = [
+                TestResult(t.id, t.family, first[t.id]["p_values"], first[t.id]["verdict"], t.draws)
+                for t in battery.tests
+            ]
+            reports.append(StatusReport(technique, index, results))
+    except ValueError as exc:
+        raise ValueError(f"{path}:{lineno}: {exc}") from exc
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"{path}:{lineno}: malformed record ({exc!r})") from exc
     return CampaignReport(meta=meta, reports=reports)
 
 

@@ -487,6 +487,15 @@ def _modes_disagree(meta, rows):
     return meta, rows[:i] + [dict(rows[i], p_values=p_values)] + rows[i + 1 :]
 
 
+def _edit_first_definition(**changes):
+    def edit(meta, rows):
+        definition = meta["battery_definition"]
+        tests = [dict(definition["tests"][0], **changes)] + definition["tests"][1:]
+        return dict(meta, battery_definition=dict(definition, tests=tests)), rows
+
+    return edit
+
+
 def _edit_first_params(meta, rows):
     definition = meta["battery_definition"]
     params = dict(definition["tests"][0]["params"])
@@ -497,7 +506,8 @@ def _edit_first_params(meta, rows):
 
 # Edits of a valid results file, (meta, rows) -> (meta, rows), each making its
 # meta record disagree with its battery or with itself, or its rows disagree
-# with the meta or across modes in a way `damaged_results` does not cover. They
+# with the meta or across modes in a way `damaged_results` does not cover: a
+# wrong value, a key no builder gives, or rows out of the writer's order. They
 # need a file whose first status has index 0, with two modes and two tests, and
 # whose status 0 passes its tests.
 INCONSISTENCIES = {
@@ -528,6 +538,11 @@ INCONSISTENCIES = {
     "row_draws_float": _each_row(lambda row: {"draws": float(row["draws"])}),
     "row_index_float": _each_row(lambda row: {"index": float(row["index"])}),
     "modes_disagree": _modes_disagree,
+    "meta_extra_key": _meta(note="extra"),
+    "status_extra_key": _first_status(note="extra"),
+    "definition_extra_key": _edit_first_definition(note="extra"),
+    "row_extra_key": _each_row(lambda row: {"note": "extra"}),
+    "rows_swapped": lambda meta, rows: (meta, rows[1::-1] + rows[2:]),
 }
 
 

@@ -24,6 +24,7 @@ from mtstreams.partition import (
 )
 from mtstreams.reports import build_tables
 from mtstreams.results import (
+    DEFAULT_EXPECTED_FAIL_IDS,
     CampaignReport,
     StatusReport,
     TestResult,
@@ -163,6 +164,17 @@ def test_config_validation():
     for bad in (0.0, 0.5):  # the reader refuses a file at such a threshold
         with pytest.raises(ValueError, match="threshold"):
             CampaignConfig(battery=FAST, threshold=bad)
+
+
+def test_run_campaign_refuses_invalid_entries_before_any_unit_runs(monkeypatch):
+    calls = []
+    monkeypatch.setattr(campaign, "run_battery_on_status", lambda *args: calls.append(args))
+    twice = _entries(2) + _entries(1)
+    bad_sha256 = [StatusEntry("indexed", 0, init_genrand(0), "xyz")]
+    for entries, message in ((twice, "listed twice"), (bad_sha256, "64 lowercase hex")):
+        with pytest.raises(ValueError, match=message):
+            run_campaign(entries, CampaignConfig(battery=FAST, modes=("int",)))
+    assert calls == []
 
 
 def test_worker_count_does_not_change_output_bytes(tmp_path):
@@ -431,6 +443,20 @@ def test_expected_ids_must_exist_in_battery():
         build_tables(creport, expected_fail_ids=frozenset({"zzz"}))
     with pytest.raises(ValueError, match="not in battery"):
         build_registry(creport, expected_fail_ids=frozenset({"zzz"}))
+
+
+def test_default_expected_ids_are_those_the_battery_defines():
+    # Neither battery defines both ids of DEFAULT_EXPECTED_FAIL_IDS.
+    creport = run_campaign(_entries(2), CampaignConfig(battery=FAST, modes=("int",)))
+    assert build_registry(creport).expected_fail_ids == ()
+    assert build_tables(creport) == build_tables(creport, frozenset())
+    creport = run_campaign(_entries(1), CampaignConfig(battery=SATURATING, modes=("int",)))
+    assert build_registry(creport).expected_fail_ids == ("linearcomp.r0",)
+    assert [(t, i) for t, i, _ in build_registry(creport).entries] == [("indexed", 0)]
+    assert build_tables(creport)["summary"][0]["suspects"] == 0
+    # Explicit ids stay strict.
+    with pytest.raises(ValueError, match="not in battery"):
+        build_registry(creport, DEFAULT_EXPECTED_FAIL_IDS)
 
 
 def test_write_registry_files(tmp_path):

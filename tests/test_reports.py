@@ -126,7 +126,7 @@ def test_expected_ids_checked_once_per_render_whichever_tables(monkeypatch):
 
     def counting_check(creport, expected_fail_ids):
         calls.append(expected_fail_ids)
-        real_check(creport, expected_fail_ids)
+        return real_check(creport, expected_fail_ids)
 
     monkeypatch.setattr(reports, "check_expected_ids", counting_check)
     for tables in (list(TABLES), ["pertest"], ["histogram", "histogram"]):
