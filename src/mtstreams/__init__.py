@@ -37,7 +37,6 @@ _LAZY = {
     **dict.fromkeys(
         (
             "StatusSet",
-            "Technique",
             "generate_indexed",
             "generate_random_spacing",
             "generate_sequence_splitting",
@@ -62,7 +61,6 @@ __all__ = [
     "MtStream",
     "StatusFormatError",
     "StatusSet",
-    "Technique",
     "ZeroStateError",
     "__version__",
     "advance",

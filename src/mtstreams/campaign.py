@@ -6,11 +6,10 @@ every battery test once on a zero-copy prefix of it. The real map w * 2^-32 is
 exact for 32-bit words, and floor(u * 2^32) gives every word back (see
 :mod:`mtstreams.stats.stream`), so the same results stand for the int and
 the real pathway: the unit yields one report, and the requested modes are
-recorded once, in the meta. Work units are pure computations, so the
-worker count changes wall time only: reports are sorted on (technique,
-index) and serialized with fixed formatting, making output bytes
-independent of scheduling. The meta record comes from
-:func:`mtstreams.results.campaign_meta` before any unit runs.
+recorded once, in the meta, which :func:`mtstreams.results.campaign_meta`
+builds before any unit runs. Units are pure computations, run and reported
+in the meta's (technique, index) order, so neither the worker count nor the
+order of the entries changes the output bytes.
 
 This is the module that loads NumPy and the test families; only the
 ``test`` command imports it. The records it returns, the results and
@@ -19,7 +18,6 @@ registry files and the classifier live in :mod:`mtstreams.results`.
 from __future__ import annotations
 
 import os
-import re
 from dataclasses import dataclass
 from multiprocessing import get_context
 from pathlib import Path
@@ -29,7 +27,6 @@ import numpy as np
 from mtstreams.mt19937 import MtState, MtStream
 from mtstreams.results import (
     MODES,
-    TECHNIQUES,
     CampaignReport,
     StatusReport,
     TestResult,
@@ -38,7 +35,7 @@ from mtstreams.results import (
 from mtstreams.stats.battery import Battery
 from mtstreams.stats.families import run_test
 from mtstreams.stats.stream import StreamView, WordPrefix
-from mtstreams.statusfile import STATUS_SUFFIX, StatusFormatError, file_sha256, load_status
+from mtstreams.statusfile import STATUS_SUFFIX, StatusFormatError, load_status_sha256, parse_status_filename
 
 # Unused here: bench/ (its tracer targets and probes) imports these from this module.
 from mtstreams.results import (  # noqa: F401
@@ -46,12 +43,6 @@ from mtstreams.results import (  # noqa: F401
     read_results_jsonl,
     write_registry,
     write_results_jsonl,
-)
-
-# The names partition.status_filename writes: the index zero-padded to five
-# digits, wider from 100000 on.
-_STATUS_NAME = re.compile(
-    "^(" + "|".join(TECHNIQUES) + r")_(\d{5}|[1-9]\d{5,})" + re.escape(STATUS_SUFFIX) + "$"
 )
 
 
@@ -91,19 +82,9 @@ def usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def parse_status_filename(name: str) -> tuple[str, int]:
-    m = _STATUS_NAME.match(name)
-    if not m:
-        raise StatusFormatError(
-            f"status filename {name!r} must match <technique>_<index>{STATUS_SUFFIX} "
-            f"with technique in {{{', '.join(TECHNIQUES)}}} and the index zero-padded "
-            "to 5 digits (no leading zero beyond 5 digits)"
-        )
-    return m.group(1), int(m.group(2))
-
-
 def load_status_entries(paths: list[Path | str]) -> list[StatusEntry]:
-    """Load statuses from directories (all *.mts inside) and single files."""
+    """Load statuses from directories (all *.mts inside) and single files,
+    each read once: its SHA-256 is that of the bytes parsed."""
     files: list[Path] = []
     for p in paths:
         p = Path(p)
@@ -113,16 +94,13 @@ def load_status_entries(paths: list[Path | str]) -> list[StatusEntry]:
             files.append(p)
         else:
             raise FileNotFoundError(f"no such file or directory: {p}")
-    entries = []
-    seen: set[tuple[str, int]] = set()
+    entries: dict[tuple[str, int], StatusEntry] = {}
     for f in files:
-        technique, index = parse_status_filename(f.name)
-        if (technique, index) in seen:
-            raise StatusFormatError(f"duplicate status identity {technique}/{index} at {f}")
-        seen.add((technique, index))
-        entries.append(StatusEntry(technique, index, load_status(f), file_sha256(f)))
-    entries.sort(key=lambda e: (e.technique, e.index))
-    return entries
+        key = parse_status_filename(f.name)
+        if key in entries:
+            raise StatusFormatError(f"duplicate status identity {key[0]}/{key[1]} at {f}")
+        entries[key] = StatusEntry(*key, *load_status_sha256(f))
+    return list(entries.values())
 
 
 def status_words(state: MtState, battery: Battery) -> np.ndarray:
@@ -145,15 +123,16 @@ def run_battery_on_status(
 
 def run_campaign(entries: list[StatusEntry], config: CampaignConfig) -> CampaignReport:
     """Test every status; ``config.jobs`` workers at most, and no more than
-    there are statuses or usable CPUs.
+    there are statuses or usable CPUs. The reports follow the meta's
+    statuses, whatever the order of ``entries``.
 
     The meta record is built first, so entries that list a status twice or
     carry a malformed ``sha256`` raise ValueError before any unit runs.
     """
     eps = config.eps
-    statuses = [(e.technique, e.index, e.sha256) for e in entries]
-    meta = campaign_meta(config.battery, eps, config.modes, statuses)
-    work = [(e.state, config.modes, config.battery, eps) for e in entries]
+    meta = campaign_meta(config.battery, eps, config.modes, [(e.technique, e.index, e.sha256) for e in entries])
+    states = {(e.technique, e.index): e.state for e in entries}
+    work = [(states[s["technique"], s["index"]], config.modes, config.battery, eps) for s in meta["statuses"]]
     workers = min(config.jobs, len(work), usable_cpus())
     if workers > 1:
         ctx = get_context("fork")
@@ -161,6 +140,5 @@ def run_campaign(entries: list[StatusEntry], config: CampaignConfig) -> Campaign
             outcomes = pool.starmap(run_battery_on_status, work)
     else:
         outcomes = [run_battery_on_status(*w) for w in work]
-    reports = [StatusReport(e.technique, e.index, results) for e, results in zip(entries, outcomes)]
-    reports.sort(key=lambda r: (r.technique, r.index))
+    reports = [StatusReport(s["technique"], s["index"], results) for s, results in zip(meta["statuses"], outcomes)]
     return CampaignReport(meta=meta, reports=reports)

@@ -23,7 +23,6 @@ from mtstreams._version import VERSION
 from mtstreams.reports import TABLES, render_report
 from mtstreams.results import (
     DEFAULT_EXPECTED_FAIL_IDS,
-    TECHNIQUES,
     build_registry,
     classify_status,
     read_results_jsonl,
@@ -31,7 +30,7 @@ from mtstreams.results import (
     write_registry,
     write_results_jsonl,
 )
-from mtstreams.statusfile import verify_sets, write_bytes_atomic
+from mtstreams.statusfile import TECHNIQUES, verify_sets, write_bytes_atomic
 
 EXIT_OK = 0
 EXIT_USAGE = 1

@@ -5,37 +5,25 @@
 - Indexed sequence: status i is the full seeding expansion of seed start+i.
 
 A StatusSet is a pure function of its provenance; writing a set produces
-stable filenames and a manifest, so regeneration is byte-identical.
+stable filenames and a manifest, so regeneration is byte-identical. A set's
+technique is a slug of :data:`mtstreams.statusfile.TECHNIQUES`.
 """
 from __future__ import annotations
 
-import enum
 import hashlib
 import math
 from dataclasses import dataclass
 from pathlib import Path
 
 from mtstreams.mt19937 import N, WORD_MASK, MtState, MtStream, advance, init_genrand
-from mtstreams.statusfile import STATUS_SUFFIX, save_status, write_bytes_atomic
+from mtstreams.statusfile import STATUS_SUFFIX, save_status, status_filename, write_bytes_atomic
 
 MANIFEST_NAME = "manifest.txt"
 
 
-class Technique(enum.Enum):
-    """The three partitioning techniques; values are the filename slugs."""
-
-    SEQUENCE_SPLITTING = "split"
-    RANDOM_SPACING = "random"
-    INDEXED_SEQUENCE = "indexed"
-
-    @property
-    def slug(self) -> str:
-        return self.value
-
-
 @dataclass
 class StatusSet:
-    technique: Technique
+    technique: str
     statuses: list[tuple[int, MtState]]
     provenance: dict
 
@@ -45,9 +33,11 @@ class StatusSet:
                 raise ValueError(f"indices must be 0..count-1 without gaps, got {index}")
 
 
-def _check_seed(seed: int, name: str) -> None:
+def _check_seed_and_count(seed: int, name: str, count: int) -> None:
     if not 0 <= seed <= WORD_MASK:
         raise ValueError(f"{name} must be an unsigned 32-bit integer, got {seed}")
+    if count < 1:
+        raise ValueError(f"count must be >= 1, got {count}")
 
 
 def generate_sequence_splitting(base_seed: int, spacing: int, count: int) -> StatusSet:
@@ -56,9 +46,7 @@ def generate_sequence_splitting(base_seed: int, spacing: int, count: int) -> Sta
     Status 0 is the freshly seeded state. Spacing must be >= 1: at 0 all
     statuses would coincide.
     """
-    _check_seed(base_seed, "base_seed")
-    if count < 1:
-        raise ValueError(f"count must be >= 1, got {count}")
+    _check_seed_and_count(base_seed, "base_seed", count)
     if spacing < 1:
         raise ValueError(f"spacing must be > 0, got {spacing}")
     state = init_genrand(base_seed)
@@ -67,48 +55,33 @@ def generate_sequence_splitting(base_seed: int, spacing: int, count: int) -> Sta
         state = advance(state, spacing)
         statuses.append((i, state))
     provenance = {"seed": base_seed, "spacing": spacing, "count": count}
-    return StatusSet(Technique.SEQUENCE_SPLITTING, statuses, provenance)
+    return StatusSet("split", statuses, provenance)
 
 
 def generate_random_spacing(master_seed: int, count: int) -> StatusSet:
     """Each status's 624 words are consecutive outputs of a master stream.
 
-    Statuses set mti = 624 so their first use performs a full twist. An
-    all-zero candidate (probability ~2^-19968) is discarded and regenerated,
-    and the event is recorded in provenance.
+    Statuses set mti = 624 so their first use performs a full twist. No
+    status can be all zero: the master starts at mti = 624, so each take of
+    624 words is one whole twisted block, tempered; tempering maps only 0 to
+    0; and a twisted block is all zero only if the 19937-bit state is,
+    which ``init_genrand`` never gives and no twist of a non-zero state reaches.
     """
-    _check_seed(master_seed, "master_seed")
-    if count < 1:
-        raise ValueError(f"count must be >= 1, got {count}")
+    _check_seed_and_count(master_seed, "master_seed", count)
     master = MtStream(init_genrand(master_seed))
-    statuses = []
-    regenerated: list[int] = []
-    for i in range(count):
-        words = master.take(N)
-        while not words.any():
-            regenerated.append(i)
-            words = master.take(N)
-        statuses.append((i, MtState(words, N)))
+    statuses = [(i, MtState(master.take(N), N)) for i in range(count)]
     provenance = {"seed": master_seed, "count": count}
-    if regenerated:
-        provenance["regenerated"] = regenerated
-    return StatusSet(Technique.RANDOM_SPACING, statuses, provenance)
+    return StatusSet("random", statuses, provenance)
 
 
 def generate_indexed(start: int, count: int) -> StatusSet:
     """Status i = init_genrand(start + i)."""
-    _check_seed(start, "start")
-    if count < 1:
-        raise ValueError(f"count must be >= 1, got {count}")
+    _check_seed_and_count(start, "start", count)
     if start + count - 1 > WORD_MASK:
         raise ValueError(f"seed range [{start}, {start + count - 1}] exceeds 32 bits")
     statuses = [(i, init_genrand(start + i)) for i in range(count)]
     provenance = {"seed": start, "count": count}
-    return StatusSet(Technique.INDEXED_SEQUENCE, statuses, provenance)
-
-
-def status_filename(technique: Technique, index: int) -> str:
-    return f"{technique.slug}_{index:05d}{STATUS_SUFFIX}"
+    return StatusSet("indexed", statuses, provenance)
 
 
 def write_status_set(sset: StatusSet, out_dir: Path | str) -> str:
@@ -133,18 +106,11 @@ def write_status_set(sset: StatusSet, out_dir: Path | str) -> str:
                 f"first {stale[0]}; write the set to an empty directory"
             )
     out_dir.mkdir(parents=True, exist_ok=True)
-    names = []
+    lines = ["# mtstreams manifest v1", f"# technique: {sset.technique}"]
+    lines.extend(f"# {key}: {sset.provenance[key]}" for key in sorted(sset.provenance))
     for name, index, state in files:
         digest = hashlib.sha256(save_status(out_dir / name, state)).hexdigest()
-        names.append((name, index, digest))
-    lines = ["# mtstreams manifest v1", f"# technique: {sset.technique.slug}"]
-    for key in sorted(sset.provenance):
-        value = sset.provenance[key]
-        if isinstance(value, list):
-            value = ",".join(str(v) for v in value)
-        lines.append(f"# {key}: {value}")
-    for name, index, digest in names:
-        lines.append(f"{name} {digest} {sset.technique.slug} {index}")
+        lines.append(f"{name} {digest} {sset.technique} {index}")
     manifest = "\n".join(lines) + "\n"
     write_bytes_atomic(out_dir / MANIFEST_NAME, manifest.encode("ascii"))
     return hashlib.sha256(manifest.encode("ascii")).hexdigest()

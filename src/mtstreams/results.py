@@ -12,7 +12,8 @@ writers and readers of ``results.jsonl`` and the registry files.
 It is also the one place that builds a results record: :func:`campaign_meta`
 builds the meta line and :func:`result_row` a row. The writer prints what
 they return; the reader rebuilds each record of a file with them and
-refuses any record that differs from its rebuild. It imports neither NumPy nor
+refuses any record that differs from its rebuild, and the writer refuses any
+report the reader would. ``campaign_meta`` alone orders the statuses. It imports neither NumPy nor
 SciPy, so the ``report`` and ``registry`` commands load only this module,
 ``reports``, ``statusfile`` and ``stats.battery``, with which the reader
 rebuilds the battery a file names; running a campaign
@@ -27,11 +28,9 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from mtstreams._version import VERSION
-from mtstreams.statusfile import write_bytes_atomic
+from mtstreams.statusfile import TECHNIQUES, write_bytes_atomic
 
 MODES = ("int", "real")
-# The partitioning techniques' slugs, as status file names and results carry them.
-TECHNIQUES = ("split", "random", "indexed")
 DEFAULT_EXPECTED_FAIL_IDS = frozenset({"linearcomp.r0", "linearcomp.r29"})
 
 
@@ -79,6 +78,8 @@ class StatusReport:
 
 @dataclass
 class CampaignReport:
+    """A campaign's meta record and one report per meta status, in meta order."""
+
     meta: dict
     reports: list[StatusReport] = field(default_factory=list)
 
@@ -114,15 +115,20 @@ def check_expected_ids(creport: CampaignReport, expected_fail_ids=None) -> froze
     return resolve_expected_ids(creport.meta["test_ids"], expected_fail_ids)
 
 
+def _meta_statuses_and_reports(creport: CampaignReport):
+    """(meta status, its report) pairs; ValueError unless in meta order."""
+    statuses, reports = creport.meta["statuses"], creport.reports
+    if [(s["technique"], s["index"]) for s in statuses] != [(r.technique, r.index) for r in reports]:
+        raise ValueError("the status reports are not one per meta status, in meta order")
+    return zip(statuses, reports)
+
+
 def build_registry(creport: CampaignReport, expected_fail_ids=None) -> QualityRegistry:
-    """Registry of the statuses classified Good."""
+    """Registry of the statuses classified Good, in meta order."""
     expected_fail_ids = check_expected_ids(creport, expected_fail_ids)
-    checksums = {
-        (s["technique"], s["index"]): s["sha256"] for s in creport.meta["statuses"]
-    }
     entries = [
-        (r.technique, r.index, checksums[(r.technique, r.index)])
-        for r in sorted(creport.reports, key=lambda r: (r.technique, r.index))
+        (s["technique"], s["index"], s["sha256"])
+        for s, r in _meta_statuses_and_reports(creport)
         if classify_status(r, expected_fail_ids) == "Good"
     ]
     return QualityRegistry(
@@ -148,7 +154,8 @@ _SHA256 = re.compile(r"[0-9a-f]{64}")
 
 def campaign_meta(battery, threshold: float, modes, statuses, version: str = VERSION) -> dict:
     """The meta record of a campaign over ``statuses``, (technique, index,
-    sha256) triples.
+    sha256) triples in any order; the record lists them in (technique,
+    index) order.
 
     Raises ValueError unless the threshold is a float in (0, 0.5), the modes
     distinct members of MODES, and the statuses distinct, each with a
@@ -169,6 +176,7 @@ def campaign_meta(battery, threshold: float, modes, statuses, version: str = VER
         if type(sha256) is not str or not _SHA256.fullmatch(sha256):
             raise ValueError(f"status sha256 {sha256!r} is not 64 lowercase hex digits")
         records.append({"technique": technique, "index": index, "sha256": sha256})
+    records.sort(key=lambda s: (s["technique"], s["index"]))
     if len({(s["technique"], s["index"]) for s in records}) != len(records):
         raise ValueError("a status is listed twice")
     return {
@@ -226,31 +234,62 @@ def _row_line(row: dict) -> str:
     )
 
 
+def _meta_battery(meta):
+    """The battery of a meta record equal to its :func:`campaign_meta` rebuild, or ValueError."""
+    from mtstreams.stats.battery import parse_battery
+
+    if not isinstance(meta, dict) or meta.get("type") != "meta":
+        raise ValueError("not a meta record")
+    if "battery_definition" not in meta:
+        raise ValueError("meta has no battery_definition; re-run `test` to rewrite this file")
+    try:
+        battery = parse_battery(meta["battery_definition"])
+        statuses = [(s["technique"], s["index"], s["sha256"]) for s in meta["statuses"]]
+        rebuilt = campaign_meta(battery, meta["threshold"], meta["modes"], statuses, meta["version"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValueError(f"bad meta record: {exc}") from exc
+    if meta != rebuilt:
+        raise ValueError("meta record differs from the one its own fields give")
+    return battery
+
+
 def write_results_jsonl(creport: CampaignReport, path: Path | str) -> None:
-    """One meta line, then one line per (status, meta mode, test), sorted.
+    """One meta line, then one line per (status, meta mode, test): statuses
+    in meta order, modes and tests sorted.
 
     Each line is what :func:`result_row` gives for the result at the meta's
     threshold; a status's rows repeat under each mode. P-values are printed
     with 17 significant digits, which round-trips binary64 exactly; the
     whole file is a pure function of the inputs.
+
+    Raises ValueError, and writes nothing, for a report the reader would
+    refuse as a file: a meta record that is not its rebuild, or reports and
+    results out of meta and battery order, or with other draws or verdicts.
     """
     meta = creport.meta
+    battery = _meta_battery(meta)
+    tests = [(t.id, t.draws) for t in battery.tests]
+    file_order = sorted(range(len(tests)), key=lambda i: tests[i][0])
     lines = [json.dumps(meta, sort_keys=True, separators=(",", ":"))]
     modes, eps = sorted(meta["modes"]), meta["threshold"]
-    for r in sorted(creport.reports, key=lambda r: (r.technique, r.index)):
-        rows = [
-            result_row(r.technique, r.index, modes[0], t.test_id, t.p_values, t.draws, eps)
-            for t in sorted(r.results, key=lambda t: t.test_id)
-        ]
-        lines.extend(_row_line(row) for row in rows)
+    for _, r in _meta_statuses_and_reports(creport):
+        rows = [result_row(r.technique, r.index, modes[0], t.test_id, t.p_values, t.draws, eps) for t in r.results]
+        if [(t.test_id, t.draws) for t in r.results] != tests or any(
+            t.verdict != row["verdict"] for t, row in zip(r.results, rows)
+        ):
+            raise ValueError(f"{r.technique}/{r.index}: results are not the battery's tests, draws and verdicts")
+        block = [_row_line(rows[i]) for i in file_order]
+        lines.extend(block)
+        # A later mode's line is the first mode's with the mode replaced: only a
+        # slug and an int come before it, so its '"mode":"' is the line's first.
         for mode in modes[1:]:
-            lines.extend(_row_line(dict(row, mode=mode)) for row in rows)
+            lines.extend(line.replace(f'"mode":"{modes[0]}"', f'"mode":"{mode}"', 1) for line in block)
     write_bytes_atomic(path, ("\n".join(lines) + "\n").encode("ascii"))
 
 
 def read_results_jsonl(path: Path | str) -> CampaignReport:
-    """Rebuild a CampaignReport: one report per status, its test results in
-    battery order, without details.
+    """Rebuild a CampaignReport: one report per status, in meta order, its
+    test results in battery order, without details.
 
     The meta record must equal :func:`campaign_meta` of the battery its
     ``battery_definition`` describes and of its own ``threshold``,
@@ -261,33 +300,20 @@ def read_results_jsonl(path: Path | str) -> CampaignReport:
     with an int index and draw count (not 1.0 or true). Anything else
     raises ValueError rather than being classified.
     """
-    from mtstreams.stats.battery import parse_battery
-
     path = Path(path)
     lines = path.read_text(encoding="ascii").splitlines()
     if not lines:
         raise ValueError(f"{path}: empty results file")
-    meta = json.loads(lines[0])
-    if not isinstance(meta, dict) or meta.get("type") != "meta":
-        raise ValueError(f"{path}: first line is not the meta record")
-    if "battery_definition" not in meta:
-        raise ValueError(f"{path}: meta has no battery_definition; re-run `test` to rewrite this file")
+    lineno, rows, reports = 1, enumerate(lines[1:], start=2), []
     try:
-        battery = parse_battery(meta["battery_definition"])
-        statuses = [(s["technique"], s["index"], s["sha256"]) for s in meta["statuses"]]
-        rebuilt = campaign_meta(battery, meta["threshold"], meta["modes"], statuses, meta["version"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ValueError(f"{path}: bad meta record: {exc}") from exc
-    if meta != rebuilt:
-        raise ValueError(f"{path}: meta record differs from the one its own fields give")
-    tests = sorted(battery.tests, key=lambda t: t.id)
-    modes, eps = sorted(meta["modes"]), meta["threshold"]
-    if len(lines) - 1 != len(statuses) * len(modes) * len(tests):
-        raise ValueError(f"{path}: {len(lines) - 1} rows, not one per meta status, mode and test")
-    rows = enumerate(lines[1:], start=2)
-    reports = []
-    try:
-        for technique, index, _ in sorted(statuses):
+        meta = json.loads(lines[0])
+        battery = _meta_battery(meta)
+        tests = sorted(battery.tests, key=lambda t: t.id)
+        modes, eps = sorted(meta["modes"]), meta["threshold"]
+        if len(lines) - 1 != len(meta["statuses"]) * len(modes) * len(tests):
+            raise ValueError(f"{len(lines) - 1} rows, not one per meta status, mode and test")
+        for status in meta["statuses"]:
+            technique, index = status["technique"], status["index"]
             first: dict[str, dict] = {}  # test id -> its row under the first mode
             for mode in modes:
                 for test in tests:

@@ -1,4 +1,4 @@
-"""Bit-exact on-disk form of a generator status, plus directory verification.
+"""Bit-exact on-disk form of a generator status, its name, and directory verification.
 
 Format (ASCII, LF line endings, no trailing whitespace):
 
@@ -27,6 +27,12 @@ if TYPE_CHECKING:
 
 HEADER = "MT19937-STATUS v1"
 STATUS_SUFFIX = ".mts"
+# The partitioning techniques' slugs, as file names, results and registries carry them.
+TECHNIQUES = ("split", "random", "indexed")
+
+_STATUS_NAME = re.compile(
+    "(" + "|".join(TECHNIQUES) + r")_(\d{5}|[1-9]\d{5,})" + re.escape(STATUS_SUFFIX)
+)
 
 _DECIMAL = re.compile(r"(0|[1-9][0-9]*)")
 # Every line after the header, each a canonical decimal, in one match.
@@ -35,6 +41,25 @@ _DECIMAL_LINES = re.compile(r"(?:(?:0|[1-9][0-9]*)\n)+")
 
 class StatusFormatError(ValueError):
     """A status file that violates the canonical format."""
+
+
+def status_filename(technique: str, index: int) -> str:
+    """The name :func:`parse_status_filename` reads back; ValueError if none."""
+    name = f"{technique}_{index:05d}{STATUS_SUFFIX}"
+    if not _STATUS_NAME.fullmatch(name):
+        raise ValueError(f"no status file name for {technique!r}/{index!r}")
+    return name
+
+
+def parse_status_filename(name: str) -> tuple[str, int]:
+    """(technique, index) of a name :func:`status_filename` writes."""
+    m = _STATUS_NAME.fullmatch(name)
+    if not m:
+        raise StatusFormatError(
+            f"status filename {name!r} is not <technique>_<index>{STATUS_SUFFIX}, technique in "
+            f"{{{', '.join(TECHNIQUES)}}}, index zero-padded to 5 digits (no leading zero beyond)"
+        )
+    return m.group(1), int(m.group(2))
 
 
 def serialize_status(state: MtState) -> str:
@@ -97,17 +122,24 @@ def save_status(path: Path | str, state: MtState) -> bytes:
 
 
 def load_status(path: Path | str) -> MtState:
+    return load_status_sha256(path)[0]
+
+
+def load_status_sha256(path: Path | str) -> tuple[MtState, str]:
+    """The status and the SHA-256 of the bytes it was parsed from, in one read."""
     path = Path(path)
+    data = path.read_bytes()
     try:
-        text = path.read_bytes().decode("ascii")
+        text = data.decode("ascii")
     except UnicodeDecodeError as exc:
         raise StatusFormatError(f"{path}: not ASCII: {exc}") from exc
     try:
-        return parse_status(text)
+        return parse_status(text), hashlib.sha256(data).hexdigest()
     except StatusFormatError as exc:
         raise StatusFormatError(f"{path}: {exc}") from exc
 
 
+# The package does not call it; bench/ traces it by name.
 def file_sha256(path: Path | str) -> str:
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 

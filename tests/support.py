@@ -524,6 +524,7 @@ INCONSISTENCIES = {
     "mode_twice": lambda meta, rows: (dict(meta, modes=meta["modes"] + meta["modes"][:1]), rows),
     "mode_unknown": lambda meta, rows: (dict(meta, modes=meta["modes"] + ["complex"]), rows),
     "status_twice": lambda meta, rows: (dict(meta, statuses=meta["statuses"] + meta["statuses"][:1]), rows),
+    "statuses_reversed": lambda meta, rows: (dict(meta, statuses=meta["statuses"][::-1]), rows),
     "index_float": _first_status(index=0.0),
     "index_false": _first_status(index=False),
     "index_negative": _first_status(index=-1),

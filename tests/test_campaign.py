@@ -1,5 +1,8 @@
 """Campaign orchestration: determinism, aggregation, registry, JSONL."""
+import copy
+import hashlib
 import json
+import pathlib
 import threading
 
 import numpy as np
@@ -10,18 +13,11 @@ from mtstreams.campaign import (
     CampaignConfig,
     StatusEntry,
     load_status_entries,
-    parse_status_filename,
     run_campaign,
     status_words,
 )
 from mtstreams.mt19937 import MtStream, init_genrand
-from mtstreams.partition import (
-    Technique,
-    generate_indexed,
-    generate_sequence_splitting,
-    status_filename,
-    write_status_set,
-)
+from mtstreams.partition import generate_indexed, generate_sequence_splitting, write_status_set
 from mtstreams.reports import build_tables
 from mtstreams.results import (
     DEFAULT_EXPECTED_FAIL_IDS,
@@ -39,7 +35,7 @@ from mtstreams.results import (
 from mtstreams.stats.battery import Battery, TestDefinition, battery_sha256
 from mtstreams.stats.families import run_test
 from mtstreams.stats.stream import StreamView
-from mtstreams.statusfile import StatusFormatError
+from mtstreams.statusfile import TECHNIQUES, StatusFormatError, parse_status_filename, status_filename
 
 from support import HalfWriteThenFail, RecordingContext, damaged_results, recompute_tables_from_jsonl
 
@@ -180,14 +176,51 @@ def test_run_campaign_refuses_invalid_entries_before_any_unit_runs(monkeypatch):
 def test_worker_count_does_not_change_output_bytes(tmp_path):
     entries = _entries(3)
     blobs = []
-    for jobs in (1, 2, 1, 2):
+    for jobs, order in ((1, entries), (2, entries), (1, entries), (2, entries), (2, entries[::-1])):
         report = run_campaign(
-            entries, CampaignConfig(battery=FAST, modes=("int", "real"), jobs=jobs)
+            order, CampaignConfig(battery=FAST, modes=("int", "real"), jobs=jobs)
         )
         path = tmp_path / f"r{len(blobs)}.jsonl"
         write_results_jsonl(report, path)
         blobs.append(path.read_bytes())
-    assert blobs[0] == blobs[1] == blobs[2] == blobs[3]
+    assert len(set(blobs)) == 1
+
+
+def _extra_status(creport):
+    creport.reports.append(StatusReport("indexed", 3, creport.reports[0].results))
+
+
+def _flip_verdict(creport):
+    result = creport.reports[0].results[0]
+    result.verdict = {"Pass": "Fail", "Fail": "Pass"}[result.verdict]
+
+
+# Edits of a run_campaign report, each giving a file that read_results_jsonl refuses.
+BAD_REPORTS = {
+    "result_missing": lambda creport: creport.reports[0].results.pop(),
+    "status_missing": lambda creport: creport.reports.pop(),
+    "status_extra": _extra_status,
+    "draws_7": lambda creport: setattr(creport.reports[0].results[0], "draws", 7),
+    "meta_threshold_0.3": lambda creport: creport.meta.update(threshold=0.3),
+    "verdict_flipped": _flip_verdict,
+}
+
+
+@pytest.fixture(scope="module")
+def fast_report():
+    return run_campaign(_entries(3), CampaignConfig(battery=FAST, modes=("int", "real")))
+
+
+@pytest.mark.parametrize("edit", sorted(BAD_REPORTS))
+def test_writer_refuses_a_report_the_reader_would_refuse(fast_report, tmp_path, edit):
+    creport = copy.deepcopy(fast_report)
+    BAD_REPORTS[edit](creport)
+    path = tmp_path / "results.jsonl"
+    with pytest.raises(ValueError):
+        write_results_jsonl(creport, path)
+    assert not path.exists()
+    write_results_jsonl(fast_report, path)  # unedited, it writes and reads
+    assert len(read_results_jsonl(path).reports) == 3
 
 
 def test_pool_has_no_more_workers_than_statuses(monkeypatch):
@@ -497,10 +530,13 @@ def test_parse_status_filename():
 
 
 def test_status_filename_round_trips_through_parse():
-    for technique in Technique:
+    for technique in TECHNIQUES:
         for index in (0, 99999, 100000, 123456):
             name = status_filename(technique, index)
-            assert parse_status_filename(name) == (technique.slug, index)
+            assert parse_status_filename(name) == (technique, index)
+    for technique, index in (("other", 0), ("split", -1), ("split_0", 1)):
+        with pytest.raises(ValueError, match="no status file name"):
+            status_filename(technique, index)
 
 
 def test_load_status_entries_from_dirs_and_files(tmp_path):
@@ -514,6 +550,23 @@ def test_load_status_entries_from_dirs_and_files(tmp_path):
     ]
     assert entries[0].state == init_genrand(0)
     assert all(len(e.sha256) == 64 for e in entries)
+
+
+def test_load_status_entries_reads_each_file_once(tmp_path, monkeypatch):
+    write_status_set(generate_indexed(0, 3), tmp_path / "set")
+    read_bytes = pathlib.Path.read_bytes
+    reads = []
+
+    def counting(path):
+        reads.append(path.name)
+        return read_bytes(path)
+
+    monkeypatch.setattr(pathlib.Path, "read_bytes", counting)
+    entries = load_status_entries([tmp_path / "set"])
+    assert sorted(reads) == [status_filename("indexed", i) for i in range(3)]
+    monkeypatch.undo()
+    for e in entries:
+        assert e.sha256 == hashlib.sha256((tmp_path / "set" / status_filename(e.technique, e.index)).read_bytes()).hexdigest()
 
 
 def test_load_status_entries_rejects_duplicates_and_missing(tmp_path):

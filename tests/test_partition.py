@@ -5,15 +5,13 @@ import pytest
 from mtstreams.mt19937 import N, MtStream, advance, init_genrand
 from mtstreams.partition import (
     MANIFEST_NAME,
-    Technique,
     generate_indexed,
     generate_random_spacing,
     generate_sequence_splitting,
     overlap_probability,
-    status_filename,
     write_status_set,
 )
-from mtstreams.statusfile import verify_sets
+from mtstreams.statusfile import status_filename, verify_sets
 
 from support import HalfWriteThenFail, toy_overlap_frequency
 
@@ -75,9 +73,9 @@ def test_indexed_rejects_seed_overflow():
 
 
 def test_status_filename_convention():
-    assert status_filename(Technique.SEQUENCE_SPLITTING, 7) == "split_00007.mts"
-    assert status_filename(Technique.RANDOM_SPACING, 0) == "random_00000.mts"
-    assert status_filename(Technique.INDEXED_SEQUENCE, 12345) == "indexed_12345.mts"
+    assert status_filename("split", 7) == "split_00007.mts"
+    assert status_filename("random", 0) == "random_00000.mts"
+    assert status_filename("indexed", 12345) == "indexed_12345.mts"
 
 
 def test_write_set_regeneration_is_byte_identical(tmp_path):
