@@ -23,6 +23,7 @@ from mtstreams._version import VERSION
 from mtstreams.reports import TABLES, render_report
 from mtstreams.results import (
     DEFAULT_EXPECTED_FAIL_IDS,
+    MODES,
     build_registry,
     classify_status,
     read_results_jsonl,
@@ -165,7 +166,7 @@ def _cmd_test(args: argparse.Namespace) -> int:
     if not inputs:
         raise UsageError("give at least one --dir or --status")
     battery = load_battery(args.battery)
-    modes = ("int", "real") if args.mode == "both" else (args.mode,)
+    modes = MODES if args.mode == "both" else (args.mode,)
     cpus = usable_cpus()
     try:
         jobs = cpus if args.jobs is None else args.jobs

@@ -26,9 +26,13 @@ import json
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from mtstreams._version import VERSION
 from mtstreams.statusfile import TECHNIQUES, write_bytes_atomic
+
+if TYPE_CHECKING:
+    from mtstreams.stats.battery import TestDefinition
 
 MODES = ("int", "real")
 DEFAULT_EXPECTED_FAIL_IDS = frozenset({"linearcomp.r0", "linearcomp.r29"})
@@ -36,16 +40,23 @@ DEFAULT_EXPECTED_FAIL_IDS = frozenset({"linearcomp.r0", "linearcomp.r29"})
 
 @dataclass
 class TestResult:
-    """Outcome of one test on one stream view."""
+    """Outcome of one battery entry (a :class:`~mtstreams.stats.battery.TestDefinition`)
+    on one status: the entry itself, its p-values, verdict and details."""
 
     __test__ = False  # not a pytest collection target
 
-    test_id: str
-    family: str
+    entry: TestDefinition
     p_values: dict[str, float]
     verdict: str
-    draws: int
     details: dict = field(default_factory=dict)
+
+    @property
+    def test_id(self) -> str:
+        return self.entry.id
+
+    @property
+    def draws(self) -> int:
+        return self.entry.draws
 
     @property
     def failed(self) -> bool:
@@ -148,14 +159,13 @@ def campaign_fingerprint(battery, eps: float, modes: tuple[str, ...], version: s
     return hashlib.sha256(blob.encode("ascii")).hexdigest()
 
 
-_KEY_SAFE = re.compile(r"[A-Za-z0-9._-]+")
 _SHA256 = re.compile(r"[0-9a-f]{64}")
 
 
 def campaign_meta(battery, threshold: float, modes, statuses, version: str = VERSION) -> dict:
     """The meta record of a campaign over ``statuses``, (technique, index,
     sha256) triples in any order; the record lists them in (technique,
-    index) order.
+    index) order, and the modes in MODES order.
 
     Raises ValueError unless the threshold is a float in (0, 0.5), the modes
     distinct members of MODES, and the statuses distinct, each with a
@@ -169,6 +179,7 @@ def campaign_meta(battery, threshold: float, modes, statuses, version: str = VER
     modes = list(modes)
     if not modes or len(set(modes)) != len(modes) or not set(modes) <= set(MODES):
         raise ValueError(f"modes must be members of {MODES}, at least one and no duplicate, got {modes!r}")
+    modes = [m for m in MODES if m in modes]
     records = []
     for technique, index, sha256 in statuses:
         if technique not in TECHNIQUES or type(index) is not int or index < 0:
@@ -193,32 +204,28 @@ def campaign_meta(battery, threshold: float, modes, statuses, version: str = VER
     }
 
 
-def result_row(
-    technique: str, index: int, mode: str, test_id: str, p_values: dict, draws: int, threshold: float
-) -> dict:
-    """The results row of one test on one status under one mode, with the
-    verdict its p-values give at ``threshold``.
+def result_row(technique: str, index: int, mode: str, entry: TestDefinition, p_values: dict, threshold: float) -> dict:
+    """The results row of battery entry ``entry`` on one status under one
+    mode, with the verdict its p-values give at ``threshold``.
 
-    Raises ValueError unless ``p_values`` is a non-empty dict of numbers in
-    [0, 1] (ints count, bools, NaN and infinities do not) under names of
-    letters, digits, '.', '_' and '-', which the writer need not escape.
+    Raises ValueError unless ``p_values`` is a dict under exactly the
+    entry's ``statistics``, in order, of numbers in [0, 1] (ints count,
+    bools, NaN and infinities do not).
     """
-    if not isinstance(p_values, dict) or not p_values:
-        raise ValueError(f"{test_id}: p_values {p_values!r} is not a non-empty object")
+    if not isinstance(p_values, dict) or tuple(p_values) != entry.statistics:
+        raise ValueError(f"{entry.id}: p_values {p_values!r} are not {', '.join(entry.statistics)}, in order")
     for key, p in p_values.items():
-        if not _KEY_SAFE.fullmatch(key):
-            raise ValueError(f"{test_id}: sub-statistic name needs escaping: {key!r}")
         if not (isinstance(p, float) or type(p) is int) or not 0 <= p <= 1:
-            raise ValueError(f"{test_id}: p-value {key} = {p!r} is not a number in [0, 1]")
+            raise ValueError(f"{entry.id}: p-value {key} = {p!r} is not a number in [0, 1]")
     return {
         "type": "result",
         "technique": technique,
         "index": index,
         "mode": mode,
-        "test_id": test_id,
+        "test_id": entry.id,
         "p_values": p_values,
         "verdict": _verdict(p_values, threshold),
-        "draws": draws,
+        "draws": entry.draws,
     }
 
 
@@ -255,7 +262,7 @@ def _meta_battery(meta):
 
 def write_results_jsonl(creport: CampaignReport, path: Path | str) -> None:
     """One meta line, then one line per (status, meta mode, test): statuses
-    in meta order, modes and tests sorted.
+    and modes in meta order, tests sorted by id.
 
     Each line is what :func:`result_row` gives for the result at the meta's
     threshold; a status's rows repeat under each mode. P-values are printed
@@ -264,20 +271,20 @@ def write_results_jsonl(creport: CampaignReport, path: Path | str) -> None:
 
     Raises ValueError, and writes nothing, for a report the reader would
     refuse as a file: a meta record that is not its rebuild, or reports and
-    results out of meta and battery order, or with other draws or verdicts.
+    results out of meta and battery order, or with other verdicts.
     """
     meta = creport.meta
     battery = _meta_battery(meta)
-    tests = [(t.id, t.draws) for t in battery.tests]
-    file_order = sorted(range(len(tests)), key=lambda i: tests[i][0])
+    tests = list(battery.tests)
+    file_order = sorted(range(len(tests)), key=lambda i: tests[i].id)
     lines = [json.dumps(meta, sort_keys=True, separators=(",", ":"))]
-    modes, eps = sorted(meta["modes"]), meta["threshold"]
+    modes, eps = meta["modes"], meta["threshold"]
     for _, r in _meta_statuses_and_reports(creport):
-        rows = [result_row(r.technique, r.index, modes[0], t.test_id, t.p_values, t.draws, eps) for t in r.results]
-        if [(t.test_id, t.draws) for t in r.results] != tests or any(
-            t.verdict != row["verdict"] for t, row in zip(r.results, rows)
-        ):
-            raise ValueError(f"{r.technique}/{r.index}: results are not the battery's tests, draws and verdicts")
+        if [t.entry for t in r.results] != tests:
+            raise ValueError(f"{r.technique}/{r.index}: results are not the battery's entries, in order")
+        rows = [result_row(r.technique, r.index, modes[0], t.entry, t.p_values, eps) for t in r.results]
+        if any(t.verdict != row["verdict"] for t, row in zip(r.results, rows)):
+            raise ValueError(f"{r.technique}/{r.index}: a verdict is not the one its p-values give")
         block = [_row_line(rows[i]) for i in file_order]
         lines.extend(block)
         # A later mode's line is the first mode's with the mode replaced: only a
@@ -295,8 +302,8 @@ def read_results_jsonl(path: Path | str) -> CampaignReport:
     ``battery_definition`` describes and of its own ``threshold``,
     ``modes``, ``statuses`` and ``version``. Then come, in the writer's
     order, one row per meta status, meta mode and test, each equal to
-    :func:`result_row` of that status, mode and test, the test's ``draws``
-    and the p-values of the status's row for the test under its first mode,
+    :func:`result_row` of that status, mode and entry and the p-values of
+    the status's row for the test under its first mode,
     with an int index and draw count (not 1.0 or true). Anything else
     raises ValueError rather than being classified.
     """
@@ -309,7 +316,7 @@ def read_results_jsonl(path: Path | str) -> CampaignReport:
         meta = json.loads(lines[0])
         battery = _meta_battery(meta)
         tests = sorted(battery.tests, key=lambda t: t.id)
-        modes, eps = sorted(meta["modes"]), meta["threshold"]
+        modes, eps = meta["modes"], meta["threshold"]
         if len(lines) - 1 != len(meta["statuses"]) * len(modes) * len(tests):
             raise ValueError(f"{len(lines) - 1} rows, not one per meta status, mode and test")
         for status in meta["statuses"]:
@@ -320,19 +327,14 @@ def read_results_jsonl(path: Path | str) -> CampaignReport:
                     lineno, line = next(rows)
                     rec = json.loads(line)
                     if mode == modes[0]:
-                        row = first[test.id] = result_row(
-                            technique, index, mode, test.id, rec["p_values"], test.draws, eps
-                        )
+                        row = first[test.id] = result_row(technique, index, mode, test, rec["p_values"], eps)
                     else:
                         row = dict(first[test.id], mode=mode)
                     if rec != row or type(rec["index"]) is not int or type(rec["draws"]) is not int:
                         if rec["p_values"] != row["p_values"]:
                             raise ValueError(f"{technique}/{index} {mode} p-values differ from its {modes[0]} rows")
                         raise ValueError(f"not the {technique}/{index} {mode} {test.id} row its p-values give")
-            results = [
-                TestResult(t.id, t.family, first[t.id]["p_values"], first[t.id]["verdict"], t.draws)
-                for t in battery.tests
-            ]
+            results = [TestResult(t, first[t.id]["p_values"], first[t.id]["verdict"]) for t in battery.tests]
             reports.append(StatusReport(technique, index, results))
     except ValueError as exc:
         raise ValueError(f"{path}:{lineno}: {exc}") from exc

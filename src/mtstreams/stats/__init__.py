@@ -2,7 +2,7 @@
 
 Submodules:
 
-- ``battery``: battery entries, their parameter checks and draw counts,
+- ``battery``: battery entries, their checks, draws and sub-statistics,
   and the built-in mini-crush-v1; standard library only.
 - ``stream``: views of one status's words.
 - ``pvalues``: chi-square and Poisson p-value machinery.

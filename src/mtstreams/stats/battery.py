@@ -5,9 +5,10 @@ the canonical JSON form below is what gets hashed into campaign
 fingerprints, so key order and float formatting are fixed.
 
 Each family has one function here whose keywords are its parameters: it
-checks their bounds and returns the words an entry reads, which a
-:class:`TestDefinition` keeps as ``draws``. Standard library only, so the
-results reader can rebuild a file's battery without NumPy.
+checks their bounds and returns the words an entry reads. :data:`FAMILIES`
+pairs it with the family's p-value names in order; a :class:`TestDefinition`
+keeps the two as ``draws`` and ``statistics``. Standard library only, so the
+results reader can rebuild a file's battery, and check its rows, without NumPy.
 """
 from __future__ import annotations
 
@@ -20,7 +21,7 @@ from pathlib import Path
 # Words one battery entry may read per status: 1 GiB of uint32, which every
 # worker holds at once (see `campaign.status_words`).
 MAX_DRAWS = 2**28
-# Test ids go into results rows unescaped, like sub-statistic names.
+# Test ids go into results rows unescaped, like the sub-statistic names below.
 _ID = re.compile(r"[A-Za-z0-9._-]+")
 
 
@@ -70,12 +71,13 @@ def _serial_uniformity(*, n: int, cells: int) -> int:
     return n
 
 
-FAMILY_DRAWS = {
-    "LinearComp": _linear_comp,
-    "CollisionOver": _collision_over,
-    "ClosePairs": _close_pairs,
-    "RandomWalk1": _random_walk,
-    "SerialUniformity": _serial_uniformity,
+# Family name -> (parameter check returning the draws, p-value names in order).
+FAMILIES = {
+    "LinearComp": (_linear_comp, ("saturation",)),
+    "CollisionOver": (_collision_over, ("collisions",)),
+    "ClosePairs": (_close_pairs, ("min_distance",)),
+    "RandomWalk1": (_random_walk, ("H", "M", "R")),
+    "SerialUniformity": (_serial_uniformity, ("chi2",)),
 }
 
 
@@ -85,7 +87,8 @@ class TestDefinition:
 
     The id is letters, digits, '.', '_' and '-'. The parameters must be
     exactly the family's, each an int (not a bool).
-    ``draws`` is the number of words the entry reads, at most MAX_DRAWS.
+    ``draws`` is the number of words the entry reads, at most MAX_DRAWS, and
+    ``statistics`` the names of the p-values its result gives, in order.
     """
 
     __test__ = False  # not a pytest collection target
@@ -94,13 +97,14 @@ class TestDefinition:
     family: str
     params: dict = field(default_factory=dict)
     draws: int = field(init=False, repr=False, compare=False)
+    statistics: tuple[str, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not isinstance(self.id, str) or not _ID.fullmatch(self.id):
             raise ValueError(f"test id {self.id!r} must be letters, digits, '.', '_' or '-'")
-        draws_of = FAMILY_DRAWS.get(self.family)
-        if draws_of is None:
+        if self.family not in FAMILIES:
             raise ValueError(f"test {self.id}: unknown family: {self.family}")
+        draws_of, statistics = FAMILIES[self.family]
         for name, value in self.params.items():
             if type(value) is not int:
                 raise ValueError(f"test {self.id}: parameter {name} must be an integer, got {value!r}")
@@ -113,6 +117,7 @@ class TestDefinition:
         if draws > MAX_DRAWS:
             raise ValueError(f"test {self.id}: reads {draws} words, more than MAX_DRAWS = 2^28")
         object.__setattr__(self, "draws", draws)
+        object.__setattr__(self, "statistics", statistics)
 
 
 @dataclass(frozen=True)
@@ -126,6 +131,8 @@ class Battery:
             raise ValueError(f"battery name must be a string, got {self.name!r}")
         if not isinstance(self.threshold, float) or not 0.0 < self.threshold < 0.5:
             raise ValueError(f"threshold must be a number in (0, 0.5), got {self.threshold!r}")
+        if not self.tests:
+            raise ValueError("a battery needs at least one test")
         ids = [t.id for t in self.tests]
         if len(set(ids)) != len(ids):
             raise ValueError("battery test ids must be unique")

@@ -4,7 +4,8 @@
 :class:`~mtstreams.stats.stream.StreamView` once, as many as its
 ``draws`` (:mod:`mtstreams.stats.battery` checks the parameters and sizes
 the read), and passes the array to the family. Families are pure
-functions of (words, **params) that produce named sub-statistic p-values.
+functions of (words, **params) that produce p-values under the names the
+battery module lists for the family (an entry's ``statistics``).
 `run_test` gives the two-sided verdict: Fail iff any sub-p-value p
 satisfies p < eps or p > 1 - eps (strict, so p = eps passes).
 
@@ -170,11 +171,4 @@ def run_test(definition: TestDefinition, view: StreamView, eps: float) -> TestRe
     words = view.take_words(definition.draws)
     outcome = _RUNNERS[definition.family](words, **definition.params)
     p_values = outcome["p_values"]
-    return TestResult(
-        test_id=definition.id,
-        family=definition.family,
-        p_values=p_values,
-        verdict=_verdict(p_values, eps),
-        draws=view.draws,
-        details=outcome.get("details", {}),
-    )
+    return TestResult(definition, p_values, _verdict(p_values, eps), outcome.get("details", {}))

@@ -44,6 +44,8 @@ _STIRLING_FROM_TWO_A = 128  # a >= 64
 _ANCHOR_FROM_TWO_A = 32  # a >= 16
 _ANCHOR_SPAN = 6.0  # anchors serve |x - a| <= 6 sqrt(a)
 _FIXED_BITS = 192
+# A merged chi-square cell's least expected count (see `merged_chi2_pvalue`).
+MIN_EXPECTED = 5.0
 
 
 @functools.lru_cache(maxsize=None)
@@ -267,13 +269,11 @@ def _poisson_tails(k: int, lam: float) -> tuple[float, float]:
         return float(q + prefactor / k), float(p)
 
 
-def merged_chi2_pvalue(
-    observed: np.ndarray, expected: np.ndarray, min_expected: float = 5.0
-) -> tuple[float, float, int]:
+def merged_chi2_pvalue(observed: np.ndarray, expected: np.ndarray) -> tuple[float, float, int]:
     """Chi-square right-tail p after ascending adjacent-cell merging.
 
     Cells are scanned in ascending index order and merged with their
-    successors until each merged cell's expectation reaches min_expected;
+    successors until each merged cell's expectation reaches MIN_EXPECTED;
     a deficient final cell is folded into the previous one. Returns
     (p_value, statistic, degrees of freedom).
     """
@@ -288,7 +288,7 @@ def merged_chi2_pvalue(
     for o, e in zip(observed.tolist(), expected.tolist()):
         acc_o += o
         acc_e += e
-        if acc_e >= min_expected:
+        if acc_e >= MIN_EXPECTED:
             obs_cells.append(acc_o)
             exp_cells.append(acc_e)
             acc_o = 0.0

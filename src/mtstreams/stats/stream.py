@@ -56,7 +56,7 @@ class StreamView:
 
     ``source`` is an :class:`MtState` or any object with a
     ``take(n) -> uint32 array`` method (a :class:`WordPrefix` in campaigns,
-    fixtures in tests). The cursor counts 32-bit draws consumed.
+    fixtures in tests).
     """
 
     def __init__(self, source: MtState | object, mode: Mode | str) -> None:
@@ -66,14 +66,7 @@ class StreamView:
             raise TypeError("source must be an MtState or expose take(n)")
         self._stream = source
         self.mode = Mode(mode)
-        self._draws = 0
-
-    @property
-    def draws(self) -> int:
-        return self._draws
 
     def take_words(self, n: int) -> np.ndarray:
         """n 32-bit words as uint32."""
-        out = self._stream.take(n)
-        self._draws += n
-        return out
+        return self._stream.take(n)

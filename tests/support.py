@@ -487,6 +487,25 @@ def _modes_disagree(meta, rows):
     return meta, rows[:i] + [dict(rows[i], p_values=p_values)] + rows[i + 1 :]
 
 
+def _status_0_p_values(test_id, change):
+    """Status 0's rows of ``test_id``, in every mode, get the p-values
+    ``change`` makes of theirs, and the verdict those give."""
+
+    def edit(meta, rows):
+        eps = meta["threshold"]
+
+        def edited(row):
+            if (row["index"], row["test_id"]) != (0, test_id):
+                return row
+            p_values = change(row["p_values"])
+            fails = any(p < eps or p > 1 - eps for p in p_values.values())
+            return dict(row, p_values=p_values, verdict="Fail" if fails else "Pass")
+
+        return meta, [edited(row) for row in rows]
+
+    return edit
+
+
 def _edit_first_definition(**changes):
     def edit(meta, rows):
         definition = meta["battery_definition"]
@@ -507,9 +526,9 @@ def _edit_first_params(meta, rows):
 # Edits of a valid results file, (meta, rows) -> (meta, rows), each making its
 # meta record disagree with its battery or with itself, or its rows disagree
 # with the meta or across modes in a way `damaged_results` does not cover: a
-# wrong value, a key no builder gives, or rows out of the writer's order. They
-# need a file whose first status has index 0, with two modes and two tests, and
-# whose status 0 passes its tests.
+# wrong value, a key no builder gives, a sub-statistic its test does not give,
+# or rows out of the writer's order. They need a mini-crush-v1 file in two
+# modes whose first status has index 0 and passes its first test by id.
 INCONSISTENCIES = {
     "no_battery_definition": _meta(battery_definition=None),
     "fingerprint_zeros": _meta(fingerprint="0" * 64),
@@ -539,6 +558,8 @@ INCONSISTENCIES = {
     "row_draws_float": _each_row(lambda row: {"draws": float(row["draws"])}),
     "row_index_float": _each_row(lambda row: {"index": float(row["index"])}),
     "modes_disagree": _modes_disagree,
+    "substatistic_dropped": _status_0_p_values("randomwalk.a", lambda p: {k: v for k, v in p.items() if k != "M"}),
+    "substatistic_renamed": _status_0_p_values("serial.a", lambda p: {"chi_square": p["chi2"]}),
     "meta_extra_key": _meta(note="extra"),
     "status_extra_key": _first_status(note="extra"),
     "definition_extra_key": _edit_first_definition(note="extra"),

@@ -10,7 +10,7 @@ import pytest
 
 from mtstreams.stats.battery import (
     BUILTIN_BATTERIES,
-    FAMILY_DRAWS,
+    FAMILIES,
     MAX_DRAWS,
     MINI_CRUSH_V1,
     Battery,
@@ -58,6 +58,15 @@ def test_battery_rejects_bad_threshold():
     for bad in (0.0, 0.5, 1.0, -1e-10):
         with pytest.raises(ValueError, match="threshold"):
             Battery("b", bad, (t,))
+
+
+def test_battery_refuses_an_empty_test_list(tmp_path):
+    with pytest.raises(ValueError, match="a battery needs at least one test"):
+        Battery("b", 1e-10, ())
+    path = tmp_path / "empty.json"
+    path.write_text(json.dumps({"name": "b", "threshold": 1e-10, "tests": []}))
+    with pytest.raises(ValueError, match="a battery needs at least one test"):
+        load_battery(str(path))
 
 
 def test_battery_rejects_unknown_family_and_bad_params():
@@ -229,7 +238,8 @@ def test_cell_counts_reach_2_pow_32():
     # A 32-bit word addresses 2^32 cells. SerialUniformity needs 10 words a
     # cell, so its 2^32 cells pass the family's bounds but not MAX_DRAWS.
     assert TestDefinition("x", "CollisionOver", {"n": 2**14, "d": 2**32, "t": 1}).draws == 2**14
-    assert FAMILY_DRAWS["SerialUniformity"](n=10 * 2**32, cells=2**32) == 10 * 2**32
+    draws_of, _ = FAMILIES["SerialUniformity"]
+    assert draws_of(n=10 * 2**32, cells=2**32) == 10 * 2**32
     with pytest.raises(ValueError, match="MAX_DRAWS"):
         TestDefinition("x", "SerialUniformity", {"n": 10 * 2**32, "cells": 2**32})
 

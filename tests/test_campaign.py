@@ -62,6 +62,12 @@ def _entries(count=3, technique="indexed"):
     ]
 
 
+def _result(test_id, verdict, p=0.5):
+    """A result of a SerialUniformity entry named ``test_id``: the tables and
+    the classifier read only its id and verdict."""
+    return TestResult(TestDefinition(test_id, "SerialUniformity", {"n": 20, "cells": 2}), {"chi2": p}, verdict)
+
+
 def _summary(tables):
     """{(technique, mode): (suspects, statuses, fraction)}, the oracle's shape."""
     return {
@@ -90,10 +96,7 @@ def _fabricated(rows, modes=("int",)):
         StatusReport(
             technique,
             index,
-            [
-                TestResult(tid, "", {"p": 0.5}, verdict, 1)
-                for tid, verdict in sorted(outcome.items())
-            ],
+            [_result(tid, verdict) for tid, verdict in sorted(outcome.items())],
         )
         for technique, index, outcome in rows
     ]
@@ -174,12 +177,19 @@ def test_run_campaign_refuses_invalid_entries_before_any_unit_runs(monkeypatch):
 
 
 def test_worker_count_does_not_change_output_bytes(tmp_path):
-    entries = _entries(3)
+    # Nor the order of the entries or of the modes: the meta lists both modes
+    # in MODES order, and the fingerprint hashes that order.
+    entries, both = _entries(3), ("int", "real")
     blobs = []
-    for jobs, order in ((1, entries), (2, entries), (1, entries), (2, entries), (2, entries[::-1])):
-        report = run_campaign(
-            order, CampaignConfig(battery=FAST, modes=("int", "real"), jobs=jobs)
-        )
+    for jobs, order, modes in (
+        (1, entries, both),
+        (2, entries, both),
+        (1, entries, both),
+        (2, entries, both),
+        (2, entries[::-1], both),
+        (1, entries, both[::-1]),
+    ):
+        report = run_campaign(order, CampaignConfig(battery=FAST, modes=modes, jobs=jobs))
         path = tmp_path / f"r{len(blobs)}.jsonl"
         write_results_jsonl(report, path)
         blobs.append(path.read_bytes())
@@ -188,6 +198,12 @@ def test_worker_count_does_not_change_output_bytes(tmp_path):
 
 def _extra_status(creport):
     creport.reports.append(StatusReport("indexed", 3, creport.reports[0].results))
+
+
+def _swap_entry(creport):
+    """The first result points at the battery's next entry."""
+    first, second = creport.reports[0].results[:2]
+    first.entry = second.entry
 
 
 def _flip_verdict(creport):
@@ -200,7 +216,8 @@ BAD_REPORTS = {
     "result_missing": lambda creport: creport.reports[0].results.pop(),
     "status_missing": lambda creport: creport.reports.pop(),
     "status_extra": _extra_status,
-    "draws_7": lambda creport: setattr(creport.reports[0].results[0], "draws", 7),
+    "entry_swapped": _swap_entry,
+    "substatistic_renamed": lambda creport: setattr(creport.reports[0].results[0], "p_values", {"x": 0.5}),
     "meta_threshold_0.3": lambda creport: creport.meta.update(threshold=0.3),
     "verdict_flipped": _flip_verdict,
 }
@@ -393,19 +410,12 @@ def test_failed_writes_leave_existing_artifacts_intact(tmp_path, monkeypatch):
 
 
 def test_classify_subset_rule():
-    good = StatusReport("indexed", 0, [TestResult("linearcomp.r0", "", {"p": 0.0}, "Fail", 1)])
+    good = StatusReport("indexed", 0, [_result("linearcomp.r0", "Fail", 0.0)])
     assert classify_status(good) == "Good"
     assert classify_status(good, expected_fail_ids=frozenset()) == "Suspect"
-    clean = StatusReport("indexed", 0, [TestResult("x", "", {"p": 0.5}, "Pass", 1)])
+    clean = StatusReport("indexed", 0, [_result("x", "Pass")])
     assert classify_status(clean, expected_fail_ids=frozenset()) == "Good"
-    extra = StatusReport(
-        "indexed",
-        0,
-        [
-            TestResult("linearcomp.r0", "", {"p": 0.0}, "Fail", 1),
-            TestResult("closepairs.c", "", {"p": 0.0}, "Fail", 1),
-        ],
-    )
+    extra = StatusReport("indexed", 0, [_result("linearcomp.r0", "Fail", 0.0), _result("closepairs.c", "Fail", 0.0)])
     assert classify_status(extra) == "Suspect"
 
 

@@ -236,6 +236,16 @@ def test_test_usage_errors(tmp_path, fast_battery_file, capsys):
     capsys.readouterr()
 
 
+def test_test_refuses_an_empty_battery_file(tmp_path, capsys):
+    assert _gen(tmp_path / "set", count=1) == 0
+    empty = tmp_path / "empty.json"
+    empty.write_text(json.dumps({"name": "empty", "threshold": 1e-10, "tests": []}))
+    argv = ["test", "--dir", str(tmp_path / "set"), "--battery", str(empty), "--out", str(tmp_path / "r.jsonl")]
+    assert main(argv) == 2
+    assert "a battery needs at least one test" in capsys.readouterr().err
+    assert not (tmp_path / "r.jsonl").exists()
+
+
 def test_test_caps_jobs_at_the_usable_cpus(tmp_path, fast_battery_file, capsys, monkeypatch):
     import mtstreams.campaign as campaign
 
@@ -351,12 +361,11 @@ def test_report_and_registry_reject_damaged_results(campaign_results, tmp_path, 
 
 @pytest.fixture(scope="module")
 def shared_results(tmp_path_factory):
-    """A two-status, both-mode campaign with the fast battery, written once."""
+    """A two-status, both-mode mini-crush-v1 campaign, written once."""
     work = tmp_path_factory.mktemp("shared")
-    (work / "fast.json").write_text(dump_battery(FAST_CLI))
     assert _gen(work / "set", count=2) == 0
     results = work / "results.jsonl"
-    argv = ["test", "--dir", str(work / "set"), "--battery", str(work / "fast.json"), "--out", str(results)]
+    argv = ["test", "--dir", str(work / "set"), "--battery", "mini-crush-v1", "--out", str(results)]
     assert main(argv) == 0
     return results
 
@@ -374,6 +383,10 @@ def test_report_and_registry_refuse_an_inconsistent_meta_or_row(shared_results, 
         assert "re-run `test`" in err
     if edit == "modes_disagree":
         assert "indexed/0 real p-values differ from its int rows" in err
+    if edit == "substatistic_dropped":
+        assert "randomwalk.a: p_values {'H': " in err and "are not H, M, R, in order" in err
+    if edit == "substatistic_renamed":
+        assert "serial.a: p_values {'chi_square': " in err and "are not chi2, in order" in err
 
 
 def test_failed_report_write_leaves_the_old_file(campaign_results, tmp_path, capsys, monkeypatch):

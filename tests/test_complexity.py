@@ -318,5 +318,5 @@ def test_builtin_battery_never_runs_the_loop_on_gen_statuses(monkeypatch):
     monkeypatch.setattr(complexity, "_massey", _no_massey)
     for state in _technique_statuses():
         results = run_battery_on_status(state, ("int",), MINI_CRUSH_V1, MINI_CRUSH_V1.threshold)
-        found = {r.test_id: r.details["complexity"] for r in results if r.family == "LinearComp"}
+        found = {r.test_id: r.details["complexity"] for r in results if r.entry.family == "LinearComp"}
         assert found == {"linearcomp.r0": PHI_DEGREE, "linearcomp.r29": PHI_DEGREE}

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from mtstreams.mt19937 import MtStream, init_genrand
 from mtstreams.results import _verdict
-from mtstreams.stats.battery import TestDefinition
+from mtstreams.stats.battery import MINI_CRUSH_V1, TestDefinition
 from mtstreams.stats.families import (
     close_pairs_test,
     collision_over_test,
@@ -332,6 +332,12 @@ def test_draws_match_analytic_formulas():
     for family, params, draws in cases:
         assert TestDefinition("unit.t", family, params).draws == draws, family
         assert _run(family, params).draws == draws, family
+
+
+def test_each_family_gives_its_entrys_statistics_in_order():
+    for definition in MINI_CRUSH_V1.tests:
+        result = run_test(definition, _view(), EPS)
+        assert tuple(result.p_values) == definition.statistics, definition.id
 
 
 def test_int_and_real_modes_agree_on_mt():

@@ -7,6 +7,7 @@ import pytest
 
 from mtstreams.reports import TABLES, build_tables, render_report
 from mtstreams.results import CampaignReport, StatusReport, TestResult
+from mtstreams.stats.battery import TestDefinition
 
 
 def _creport():
@@ -23,7 +24,7 @@ def _creport():
             technique,
             index,
             [
-                TestResult(tid, "", {"p": 0.5}, verdict, 1)
+                TestResult(TestDefinition(tid, "SerialUniformity", {"n": 20, "cells": 2}), {"chi2": 0.5}, verdict)
                 for tid, verdict in sorted(outcome.items())
             ],
         )

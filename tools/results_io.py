@@ -5,12 +5,13 @@
 
 By default it fabricates a `mini-crush-v1` report over N `random` statuses
 in both modes: each test's p-values are seeded uniform draws under its
-family's sub-statistic names, and the meta record and every verdict come
-from `results.campaign_meta` and `results.result_row`, as a campaign's
-would. With `--results` it times the report that an existing results file
-holds instead. It then writes the report 5 times and reads the written file
-5 times, and prints one JSON object: the median and every run of each, in
-seconds, with the file's rows and bytes.
+entry's sub-statistic names (`TestDefinition.statistics`), and the meta
+record and every verdict come from `results.campaign_meta` and
+`results.result_row`, as a campaign's would. With `--results` it times
+the report that an existing results file holds instead. It then writes
+the report 5 times and reads the written file 5 times, and prints one JSON
+object: the median and every run of each, in seconds, with the file's
+rows and bytes.
 
 It imports the package from this checkout's `src`, unless PYTHONPATH names
 another one first: `PYTHONPATH=OTHER/src python3 tools/results_io.py`
@@ -31,15 +32,6 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 REPEATS = 5
 
-# The p-value names each family's results carry.
-SUB_STATISTICS = {
-    "LinearComp": ("saturation",),
-    "CollisionOver": ("collisions",),
-    "ClosePairs": ("min_distance",),
-    "RandomWalk1": ("H", "M", "R"),
-    "SerialUniformity": ("chi2",),
-}
-
 
 def fabricated_report(statuses: int, seed: int, modes=("int", "real")):
     """A mini-crush-v1 CampaignReport over ``statuses`` random statuses,
@@ -54,9 +46,9 @@ def fabricated_report(statuses: int, seed: int, modes=("int", "real")):
     for s in meta["statuses"]:
         results = []
         for t in battery.tests:
-            p_values = {name: rng.random() for name in SUB_STATISTICS[t.family]}
-            row = result_row(s["technique"], s["index"], modes[0], t.id, p_values, t.draws, eps)
-            results.append(TestResult(t.id, t.family, p_values, row["verdict"], t.draws))
+            p_values = {name: rng.random() for name in t.statistics}
+            row = result_row(s["technique"], s["index"], modes[0], t, p_values, eps)
+            results.append(TestResult(t, p_values, row["verdict"]))
         reports.append(StatusReport(s["technique"], s["index"], results))
     return CampaignReport(meta=meta, reports=reports)
 
