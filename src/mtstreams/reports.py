@@ -26,7 +26,7 @@ def build_tables(creport: CampaignReport, expected_fail_ids=None) -> dict[str, l
     ``expected_fail_ids`` follows :func:`mtstreams.results.check_expected_ids`.
     """
     expected_fail_ids = check_expected_ids(creport, expected_fail_ids)
-    modes = sorted(creport.meta["modes"])
+    modes = creport.meta["modes"]
     statuses: Counter = Counter()  # technique
     suspects: Counter = Counter()  # technique
     histogram: Counter = Counter()  # (technique, n_failed)

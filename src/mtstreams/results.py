@@ -41,14 +41,15 @@ DEFAULT_EXPECTED_FAIL_IDS = frozenset({"linearcomp.r0", "linearcomp.r29"})
 @dataclass
 class TestResult:
     """Outcome of one battery entry (a :class:`~mtstreams.stats.battery.TestDefinition`)
-    on one status: the entry itself, its p-values, verdict and details."""
+    on one status: the entry itself, its p-values and verdict, all that its
+    results rows hold, so :func:`read_results_jsonl` gives back the results
+    :func:`write_results_jsonl` was given."""
 
     __test__ = False  # not a pytest collection target
 
     entry: TestDefinition
     p_values: dict[str, float]
     verdict: str
-    details: dict = field(default_factory=dict)
 
     @property
     def test_id(self) -> str:
@@ -296,7 +297,7 @@ def write_results_jsonl(creport: CampaignReport, path: Path | str) -> None:
 
 def read_results_jsonl(path: Path | str) -> CampaignReport:
     """Rebuild a CampaignReport: one report per status, in meta order, its
-    test results in battery order, without details.
+    test results in battery order.
 
     The meta record must equal :func:`campaign_meta` of the battery its
     ``battery_definition`` describes and of its own ``threshold``,

@@ -4,10 +4,11 @@
 :class:`~mtstreams.stats.stream.StreamView` once, as many as its
 ``draws`` (:mod:`mtstreams.stats.battery` checks the parameters and sizes
 the read), and passes the array to the family. Families are pure
-functions of (words, **params) that produce p-values under the names the
-battery module lists for the family (an entry's ``statistics``).
-`run_test` gives the two-sided verdict: Fail iff any sub-p-value p
-satisfies p < eps or p > 1 - eps (strict, so p = eps passes).
+functions of (words, **params) that return their p-values alone, a dict
+under the names the battery module lists for the family (an entry's
+``statistics``), as a results row holds them. `run_test` gives the
+two-sided verdict: Fail iff any sub-p-value p satisfies p < eps or
+p > 1 - eps (strict, so p = eps passes).
 
 Only ClosePairs reads floats, w * 2^-32. The cell families read words: the
 cell of a uniform u = w * 2^-32 among d is floor(u * d) = (w * d) >> 32,
@@ -34,9 +35,7 @@ def linear_comp_test(words: np.ndarray, n_bits: int, bit_offset: int) -> dict:
     """Saturation test on the linear complexity of bit ``bit_offset`` (0 is
     the MSB) of each word."""
     bits = ((words >> np.uint32(31 - bit_offset)) & np.uint32(1)).astype(np.uint8)
-    complexity = berlekamp_massey(bits)
-    p = linear_complexity_pvalue(complexity, n_bits)
-    return {"p_values": {"saturation": p}, "details": {"complexity": complexity}}
+    return {"saturation": linear_complexity_pvalue(berlekamp_massey(bits), n_bits)}
 
 
 def word_cells(words: np.ndarray, d: int) -> np.ndarray:
@@ -51,8 +50,8 @@ def word_cells(words: np.ndarray, d: int) -> np.ndarray:
     return cells.view(np.int64)
 
 
-def collision_over_test(words: np.ndarray, n: int, d: int, t: int) -> dict:
-    """Collision count of n overlapping t-tuples in a d^t-cell grid.
+def collision_count(words: np.ndarray, n: int, d: int, t: int) -> int:
+    """Collisions of n overlapping t-tuples of ``words`` in a d^t-cell grid.
 
     Collisions are n minus the number of distinct cells: after a sort, the
     count of equal adjacent pairs.
@@ -62,13 +61,13 @@ def collision_over_test(words: np.ndarray, n: int, d: int, t: int) -> dict:
     for j in range(1, t):
         cells += idx[j : j + n] * (d**j)
     cells.sort()
-    collisions = int(np.count_nonzero(cells[1:] == cells[:-1]))
+    return int(np.count_nonzero(cells[1:] == cells[:-1]))
+
+
+def collision_over_test(words: np.ndarray, n: int, d: int, t: int) -> dict:
+    """Poisson left tail of the collision count, with mean n(n-1) / 2d^t."""
     lam = n * (n - 1) / (2.0 * d**t)
-    left, right = poisson_two_sided_pvalue(collisions, lam)
-    return {
-        "p_values": {"collisions": left},
-        "details": {"count": collisions, "lambda": lam, "right_tail": right},
-    }
+    return {"collisions": poisson_two_sided_pvalue(collision_count(words, n, d, t), lam)[0]}
 
 
 def torus_min_distance(points: np.ndarray) -> float:
@@ -115,29 +114,16 @@ def close_pairs_test(words: np.ndarray, n: int, t: int) -> dict:
     d_min = torus_min_distance(points)
     volume = math.pi ** (t / 2.0) / math.gamma(t / 2.0 + 1.0)
     lam = n * (n - 1) / 2.0 * volume * d_min**t
-    p_right = math.exp(-lam)
-    return {
-        "p_values": {"min_distance": p_right},
-        "details": {"min_distance": d_min, "lambda": lam, "left_tail": 1.0 - p_right},
-    }
+    return {"min_distance": math.exp(-lam)}
 
 
 def random_walk_test(words: np.ndarray, walks: int, steps: int) -> dict:
     """Chi-square of H, M, R walk statistics against their exact null laws."""
     h, m, r = walk_statistics(words, walks, steps)
-    p_values: dict[str, float] = {}
-    details: dict[str, float] = {}
-    for name, values, null in (
-        ("H", h, h_null(steps)),
-        ("M", m, m_null(steps)),
-        ("R", r, r_null(steps)),
-    ):
-        observed = np.bincount(values, minlength=null.size)
-        p, chi2, df = merged_chi2_pvalue(observed, walks * null)
-        p_values[name] = p
-        details[f"chi2_{name}"] = chi2
-        details[f"df_{name}"] = df
-    return {"p_values": p_values, "details": details}
+    return {
+        name: merged_chi2_pvalue(np.bincount(values, minlength=null.size), walks * null)[0]
+        for name, values, null in (("H", h, h_null(steps)), ("M", m, m_null(steps)), ("R", r, r_null(steps)))
+    }
 
 
 def serial_uniformity_test(words: np.ndarray, n: int, cells: int) -> dict:
@@ -152,8 +138,7 @@ def serial_uniformity_test(words: np.ndarray, n: int, cells: int) -> dict:
         counts += np.bincount(word_cells(words[start : start + block], cells), minlength=cells)
     expected = n / cells
     chi2 = float(np.sum((counts - expected) ** 2) / expected)
-    p = chi2_pvalue(chi2, cells - 1)
-    return {"p_values": {"chi2": p}, "details": {"statistic": chi2, "df": cells - 1}}
+    return {"chi2": chi2_pvalue(chi2, cells - 1)}
 
 
 _RUNNERS = {
@@ -168,7 +153,5 @@ _RUNNERS = {
 def run_test(definition: TestDefinition, view: StreamView, eps: float) -> TestResult:
     """Run one battery entry on the view's next ``definition.draws`` words;
     verdict per the two-sided rule."""
-    words = view.take_words(definition.draws)
-    outcome = _RUNNERS[definition.family](words, **definition.params)
-    p_values = outcome["p_values"]
-    return TestResult(definition, p_values, _verdict(p_values, eps), outcome.get("details", {}))
+    p_values = _RUNNERS[definition.family](view.take_words(definition.draws), **definition.params)
+    return TestResult(definition, p_values, _verdict(p_values, eps))

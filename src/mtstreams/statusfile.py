@@ -68,7 +68,7 @@ def serialize_status(state: MtState) -> str:
 
 
 def parse_status(text: str) -> MtState:
-    from mtstreams.mt19937 import N, WORD_MASK, MtState, ZeroStateError  # deferred: loads NumPy
+    from mtstreams.mt19937 import N, WORD_MASK, MtState  # deferred: loads NumPy
 
     if not text.endswith("\n") or "\r" in text:
         raise StatusFormatError("file must use LF endings and end with a newline")
@@ -85,11 +85,9 @@ def parse_status(text: str) -> MtState:
     if max(words) > WORD_MASK:
         bad = next(w for w in words if w > WORD_MASK)
         raise StatusFormatError(f"word value {bad} exceeds 32 bits")
-    if mti > N:
-        raise StatusFormatError(f"mti must be in [0, {N}], got {mti}")
     try:
-        return MtState(words, mti)
-    except ZeroStateError as exc:
+        return MtState(words, mti)  # checks mti and refuses the all-zero state
+    except ValueError as exc:
         raise StatusFormatError(str(exc)) from exc
 
 

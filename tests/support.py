@@ -376,6 +376,12 @@ def brute_force_min_toroidal_distance(points: np.ndarray) -> float:
     return math.sqrt(best)
 
 
+def bit_lane(words: np.ndarray, bit_offset: int) -> np.ndarray:
+    """Bit ``bit_offset`` (0 is the MSB) of each word: the sequence a
+    LinearComp entry reads."""
+    return ((words >> np.uint32(31 - bit_offset)) & np.uint32(1)).astype(np.uint8)
+
+
 def brute_force_collisions(uniforms: np.ndarray, n: int, d: int, t: int) -> int:
     """Collision count of overlapping t-tuples by a plain dictionary."""
     seen: set[tuple[int, ...]] = set()

@@ -48,6 +48,7 @@ from mtstreams.statusfile import load_status, parse_status, serialize_status
 
 from support import (
     SplitMix32,
+    bit_lane,
     chi2_sf_oracle,
     complexity_count,
     poisson_tails_oracle,
@@ -83,13 +84,15 @@ def test_criterion_02_linearcomp_designated_failure_all_techniques():
         for index, state in sset.statuses:
             for definition in definitions:
                 result = run_test(definition, StreamView(state, Mode.INT), 1e-10)
-                assert result.details["complexity"] == 19937, (technique, index)
+                lane = bit_lane(MtStream(state).take(50000), definition.params["bit_offset"])
+                assert berlekamp_massey(lane) == 19937, (technique, index)
                 assert result.verdict == "Fail", (technique, index)
                 assert result.p_values["saturation"] < 1e-10
     # The nonlinear control generator passes the identical test.
     for definition in definitions:
         control = run_test(definition, StreamView(SplitMix32(99), Mode.INT), 1e-10)
-        assert abs(control.details["complexity"] - 25000) <= 3
+        lane = bit_lane(SplitMix32(99).take(50000), definition.params["bit_offset"])
+        assert abs(berlekamp_massey(lane) - 25000) <= 3
         assert control.verdict == "Pass"
 
 

@@ -26,6 +26,7 @@ from mtstreams.results import (
     TestResult,
     build_registry,
     campaign_fingerprint,
+    campaign_meta,
     check_expected_ids,
     classify_status,
     read_results_jsonl,
@@ -89,7 +90,7 @@ def _pertest(tables):
     return {(r["test_id"], r["technique"], r["mode"]): r["fraction"] for r in tables["pertest"]}
 
 
-def _fabricated(rows, modes=("int",)):
+def _fabricated(rows):
     """CampaignReport from (technique, index, {test_id: verdict}) rows."""
     test_ids = sorted({tid for *_ , outcome in rows for tid in outcome})
     reports = [
@@ -103,7 +104,7 @@ def _fabricated(rows, modes=("int",)):
     meta = {
         "type": "meta",
         "fingerprint": "f" * 64,
-        "modes": list(modes),
+        "modes": ["int"],
         "test_ids": test_ids,
         "statuses": [
             {"technique": t, "index": i, "sha256": "0" * 64}
@@ -337,6 +338,16 @@ def test_results_jsonl_roundtrip(tmp_path):
             assert (a.p_values, a.verdict, a.draws) == (b.p_values, b.verdict, b.draws)
 
 
+@pytest.mark.parametrize("jobs", [1, 2])
+@pytest.mark.parametrize("modes", [("int",), ("int", "real")], ids=["int", "both"])
+def test_a_written_report_reads_back_equal(tmp_path, modes, jobs):
+    # A result holds what its rows hold, so the file loses nothing.
+    creport = run_campaign(_entries(2), CampaignConfig(battery=FAST, modes=modes, jobs=jobs))
+    path = tmp_path / "results.jsonl"
+    write_results_jsonl(creport, path)
+    assert read_results_jsonl(path) == creport
+
+
 def test_pvalues_survive_text_roundtrip_exactly(tmp_path):
     report = run_campaign(_entries(3), CampaignConfig(battery=FAST, modes=("int",)))
     path = tmp_path / "r.jsonl"
@@ -455,7 +466,10 @@ def test_tables_give_each_status_once_per_meta_mode():
         ("indexed", 1, {"a": "Fail", "b": "Pass"}),
         ("indexed", 2, {"a": "Pass", "b": "Pass"}),
     ]
-    creport = _fabricated(rows, modes=("real", "int"))
+    creport = _fabricated(rows)
+    battery = Battery("fabricated", 1e-10, tuple(t.entry for t in creport.reports[0].results))
+    statuses = [(r.technique, r.index, "0" * 64) for r in creport.reports]
+    creport.meta = campaign_meta(battery, 1e-10, ("real", "int"), statuses)
     tables = build_tables(creport, expected_fail_ids=frozenset())
     assert [(r["mode"], r["statuses"], r["suspects"]) for r in tables["summary"]] == [
         ("int", 3, 2),
@@ -475,7 +489,7 @@ def test_tables_give_each_status_once_per_meta_mode():
     ]
     registry = build_registry(creport, expected_fail_ids=frozenset())
     assert [(t, i) for t, i, _ in registry.entries] == [("indexed", 2)]
-    assert registry.modes == ("real", "int")
+    assert registry.modes == ("int", "real")
 
 
 def test_expected_ids_must_exist_in_battery():

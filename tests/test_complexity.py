@@ -12,15 +12,14 @@ from mtstreams.partition import generate_indexed, generate_random_spacing, gener
 from mtstreams.stats.battery import MINI_CRUSH_V1
 from mtstreams.stats.complexity import _TRIM, berlekamp_massey, linear_complexity_pvalue
 
-from support import SplitMix32, bit_by_bit_bm, complexity_count, connection_polynomial_bm, textbook_bm
+from support import SplitMix32, bit_by_bit_bm, bit_lane, complexity_count, connection_polynomial_bm, textbook_bm
 
 PHI_DEGREE = 19937
 
 
 def _lane(state: MtState, bit_offset: int, n: int = 50000) -> np.ndarray:
     """Bit ``bit_offset`` (0 is the MSB) of each of the status's first n words."""
-    words = MtStream(state).take(n)
-    return ((words >> np.uint32(31 - bit_offset)) & np.uint32(1)).astype(np.uint8)
+    return bit_lane(MtStream(state).take(n), bit_offset)
 
 
 def test_all_zero_sequence_has_complexity_zero():
@@ -318,5 +317,10 @@ def test_builtin_battery_never_runs_the_loop_on_gen_statuses(monkeypatch):
     monkeypatch.setattr(complexity, "_massey", _no_massey)
     for state in _technique_statuses():
         results = run_battery_on_status(state, ("int",), MINI_CRUSH_V1, MINI_CRUSH_V1.threshold)
-        found = {r.test_id: r.details["complexity"] for r in results if r.entry.family == "LinearComp"}
+        found = {}
+        for r in results:
+            if r.entry.family == "LinearComp":
+                n_bits, bit_offset = r.entry.params["n_bits"], r.entry.params["bit_offset"]
+                found[r.test_id] = berlekamp_massey(_lane(state, bit_offset, n_bits))
+                assert r.p_values == {"saturation": linear_complexity_pvalue(found[r.test_id], n_bits)}
         assert found == {"linearcomp.r0": PHI_DEGREE, "linearcomp.r29": PHI_DEGREE}

@@ -9,18 +9,22 @@ from hypothesis import strategies as st
 from mtstreams.mt19937 import MtStream, init_genrand
 from mtstreams.results import _verdict
 from mtstreams.stats.battery import MINI_CRUSH_V1, TestDefinition
+from mtstreams.stats.complexity import berlekamp_massey, linear_complexity_pvalue
 from mtstreams.stats.families import (
     close_pairs_test,
-    collision_over_test,
+    collision_count,
     run_test,
+    torus_min_distance,
     word_cells,
 )
+from mtstreams.stats.pvalues import chi2_pvalue, poisson_two_sided_pvalue
 from mtstreams.stats.stream import Mode, StreamView, WordPrefix
 
 from support import (
     ConstantStream,
     RealDerivedStream,
     SplitMix32,
+    bit_lane,
     brute_force_collisions,
     brute_force_min_toroidal_distance,
 )
@@ -36,9 +40,14 @@ def _run(family, params, seed=0, test_id="unit.t"):
     return run_test(TestDefinition(test_id, family, params), _view(seed), EPS)
 
 
+def _words(seed, n):
+    """The status's first n words."""
+    return MtStream(init_genrand(seed)).take(n)
+
+
 def _uniforms(seed, n):
     """The status's first n words as uniforms w * 2^-32."""
-    return MtStream(init_genrand(seed)).take(n) * 2.0**-32
+    return _words(seed, n) * 2.0**-32
 
 
 def test_verdict_rule_is_strict_two_sided():
@@ -58,7 +67,9 @@ def test_verdict_rule_is_strict_two_sided():
 
 def test_linearcomp_mt_saturates_and_fails():
     result = _run("LinearComp", {"n_bits": 50000, "bit_offset": 0})
-    assert result.details["complexity"] == 19937
+    # The p-value underflows to 0.0 near 19937, so the complexity is read
+    # from Berlekamp-Massey on the lane the entry reads.
+    assert berlekamp_massey(bit_lane(_words(0, 50000), 0)) == 19937
     assert result.p_values["saturation"] == 0.0
     assert result.verdict == "Fail"
     assert result.draws == 50000
@@ -71,13 +82,17 @@ def test_linearcomp_nonlinear_control_passes():
         view,
         EPS,
     )
-    assert abs(result.details["complexity"] - 2500) <= 3
+    complexity = berlekamp_massey(bit_lane(SplitMix32(7).take(5000), 0))
+    assert abs(complexity - 2500) <= 3
+    assert result.p_values == {"saturation": linear_complexity_pvalue(complexity, 5000)}
     assert result.verdict == "Pass"
 
 
 def test_linearcomp_short_sample_on_mt_passes():
     result = _run("LinearComp", {"n_bits": 2000, "bit_offset": 13})
-    assert abs(result.details["complexity"] - 1000) <= 3
+    complexity = berlekamp_massey(bit_lane(_words(0, 2000), 13))
+    assert abs(complexity - 1000) <= 3
+    assert result.p_values == {"saturation": linear_complexity_pvalue(complexity, 2000)}
     assert result.verdict == "Pass"
 
 
@@ -86,11 +101,10 @@ def test_linearcomp_short_sample_on_mt_passes():
 
 def test_collisionover_zero_collisions_gives_exponential_left_tail():
     result = _run("CollisionOver", {"n": 1024, "d": 1024, "t": 2}, seed=2)
-    lam = result.details["lambda"]
-    assert result.details["count"] == 0
-    assert lam == 1024 * 1023 / (2.0 * 1024**2)
+    lam = 1024 * 1023 / (2.0 * 1024**2)
+    assert collision_count(_words(2, 1025), 1024, 1024, 2) == 0
     assert result.p_values["collisions"] == pytest.approx(math.exp(-lam), rel=1e-12)
-    assert result.details["right_tail"] == 1.0
+    assert poisson_two_sided_pvalue(0, lam) == (result.p_values["collisions"], 1.0)
     assert result.verdict == "Pass"
 
 
@@ -98,16 +112,17 @@ def test_collisionover_tiny_case_matches_brute_force():
     # The sparse-regime precondition bars n=8 from the dispatch layer, so the
     # occupancy logic is exercised directly at full-rate collisions.
     words = np.asarray(np.arange(8, dtype=np.uint64) * (2**32 // 8) % 2**32, dtype=np.uint32)
-    out = collision_over_test(words, 8, 4, 1)
     uniforms = words * 2.0**-32
-    assert out["details"]["count"] == brute_force_collisions(uniforms, 8, 4, 1) == 4
+    assert collision_count(words, 8, 4, 1) == brute_force_collisions(uniforms, 8, 4, 1) == 4
 
 
 def test_collisionover_matches_brute_force_on_real_streams():
     for seed in (0, 1, 9):
         result = _run("CollisionOver", {"n": 1024, "d": 64, "t": 2}, seed=seed)
-        uniforms = _uniforms(seed, 1024 + 1)
-        assert result.details["count"] == brute_force_collisions(uniforms, 1024, 64, 2)
+        count = collision_count(_words(seed, 1025), 1024, 64, 2)
+        assert count == brute_force_collisions(_uniforms(seed, 1025), 1024, 64, 2)
+        lam = 1024 * 1023 / (2.0 * 64**2)
+        assert result.p_values == {"collisions": poisson_two_sided_pvalue(count, lam)[0]}
         assert result.draws == 1025
 
 
@@ -116,7 +131,7 @@ def test_collisionover_degenerate_stream_fails():
     result = run_test(
         TestDefinition("unit.c", "CollisionOver", {"n": 2**12, "d": 128, "t": 2}), view, EPS
     )
-    assert result.details["count"] == 2**12 - 1
+    assert collision_count(ConstantStream(0).take(2**12 + 1), 2**12, 128, 2) == 2**12 - 1
     assert result.verdict == "Fail"
     assert result.p_values["collisions"] == 1.0
 
@@ -132,9 +147,9 @@ def test_collisionover_sorted_count_equals_unique_count():
         words = view.take_words(n + t - 1)
         idx = np.minimum(np.floor(words * 2.0**-32 * d), d - 1).astype(np.int64)
         cells = sum(idx[j : j + n] * d**j for j in range(t))
-        out = collision_over_test(words, n, d, t)
-        assert out["details"]["count"] == n - np.unique(cells).size
-    assert out["details"]["count"] == 2**13 - 5
+        count = collision_count(words, n, d, t)
+        assert count == n - np.unique(cells).size
+    assert count == 2**13 - 5
 
 
 # --- ClosePairs -------------------------------------------------------------
@@ -145,16 +160,16 @@ def test_closepairs_antipodal_pair_distance():
     # toroidal maximum, so D = sqrt(1/2). The n >= 256 precondition lives in
     # the dispatch layer; the geometry is exercised directly.
     words = np.array([0, 0, 2**31, 2**31], dtype=np.uint32)
-    out = close_pairs_test(words, 2, 2)
-    assert out["details"]["min_distance"] == pytest.approx(math.sqrt(0.5), rel=1e-15)
+    assert torus_min_distance((words * 2.0**-32).reshape(2, 2)) == pytest.approx(math.sqrt(0.5), rel=1e-15)
+    # lambda = 1 pair * V_2 * D^2 = pi / 2.
+    assert close_pairs_test(words, 2, 2)["min_distance"] == pytest.approx(math.exp(-math.pi / 2), rel=1e-15)
 
 
 def test_closepairs_duplicate_point_fails_with_p_one():
     view = StreamView(ConstantStream(12345), Mode.INT)
     result = run_test(TestDefinition("unit.cp", "ClosePairs", {"n": 256, "t": 2}), view, EPS)
-    assert result.details["min_distance"] == 0.0
+    assert torus_min_distance(ConstantStream(12345).take(512).reshape(256, 2) * 2.0**-32) == 0.0
     assert result.p_values["min_distance"] == 1.0
-    assert result.details["left_tail"] == 0.0
     assert result.verdict == "Fail"
 
 
@@ -164,9 +179,10 @@ def test_closepairs_matches_brute_force(t):
     result = _run("ClosePairs", {"n": n, "t": t}, seed=5)
     points = _uniforms(5, n * t).reshape(n, t)
     want = brute_force_min_toroidal_distance(points)
-    assert result.details["min_distance"] == pytest.approx(want, rel=1e-12)
+    assert torus_min_distance(points) == pytest.approx(want, rel=1e-12)
+    volume = math.pi ** (t / 2.0) / math.gamma(t / 2.0 + 1.0)
     assert result.p_values["min_distance"] == pytest.approx(
-        math.exp(-result.details["lambda"]), rel=1e-12
+        math.exp(-n * (n - 1) / 2.0 * volume * want**t), rel=1e-12
     )
     assert result.draws == n * t
 
@@ -209,7 +225,7 @@ def _torus_cases(n: int, t: int, seed: int) -> dict[str, np.ndarray]:
 def test_closepairs_equals_brute_force_exactly(t):
     n = 256 + 128 * (t - 2)
     for name, words in _torus_cases(n, t, seed=t).items():
-        d_min = close_pairs_test(words.ravel(), n, t)["details"]["min_distance"]
+        d_min = torus_min_distance(words * 2.0**-32)
         assert d_min == brute_force_min_toroidal_distance(words * 2.0**-32), name
         if name == "wrapping":
             assert d_min <= math.sqrt(t) * 3 * 2.0**-32
@@ -223,9 +239,9 @@ def test_closepairs_volume_constant():
     # lambda = n(n-1)/2 * V_t * D^t with V_2 = pi.
     n = 256
     result = _run("ClosePairs", {"n": n, "t": 2}, seed=5)
-    d_min = result.details["min_distance"]
-    assert result.details["lambda"] == pytest.approx(
-        n * (n - 1) / 2.0 * math.pi * d_min**2, rel=1e-12
+    d_min = torus_min_distance(_uniforms(5, 2 * n).reshape(n, 2))
+    assert result.p_values["min_distance"] == pytest.approx(
+        math.exp(-n * (n - 1) / 2.0 * math.pi * d_min**2), rel=1e-12
     )
 
 
@@ -264,8 +280,9 @@ def test_serial_perfectly_balanced_counts_fail_as_too_good():
     result = run_test(
         TestDefinition("unit.s", "SerialUniformity", {"n": n, "cells": cells}), view, EPS
     )
-    assert result.details["statistic"] == 0.0
-    assert result.p_values["chi2"] == 1.0
+    counts = np.bincount(word_cells(np.asarray(words, dtype=np.uint32), cells), minlength=cells)
+    assert counts.tolist() == [n // cells] * cells  # so the statistic is 0.0
+    assert result.p_values["chi2"] == chi2_pvalue(0.0, cells - 1) == 1.0
     assert result.verdict == "Fail"
 
 
@@ -354,9 +371,7 @@ def test_int_and_real_modes_agree_on_mt():
         definition = TestDefinition("u.t", family, params)
         a = run_test(definition, _view(3, Mode.INT), EPS)
         b = run_test(definition, StreamView(RealDerivedStream(MtStream(init_genrand(3))), Mode.REAL), EPS)
-        assert a.p_values == b.p_values, family
-        assert a.details == b.details, family
-        assert a.draws == b.draws, family
+        assert a == b, family
 
 
 def test_real_map_gives_back_every_word():
@@ -399,5 +414,4 @@ def test_validation_errors_carry_test_id():
 def test_results_are_deterministic():
     a = _run("ClosePairs", {"n": 512, "t": 2}, seed=11)
     b = _run("ClosePairs", {"n": 512, "t": 2}, seed=11)
-    assert a.p_values == b.p_values
-    assert a.details == b.details
+    assert a == b

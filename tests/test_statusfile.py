@@ -80,13 +80,13 @@ def test_parse_rejects_leading_zeros_and_big_values():
         parse_status("\n".join(big))
     bad_mti = lines[:]
     bad_mti[625] = "625"
-    with pytest.raises(StatusFormatError):
+    with pytest.raises(StatusFormatError, match=r"mti must be in \[0, 624\], got 625"):
         parse_status("\n".join(bad_mti))
 
 
 def test_parse_rejects_all_zero_state():
     lines = [HEADER] + ["0"] * N + ["624"]
-    with pytest.raises(StatusFormatError):
+    with pytest.raises(StatusFormatError, match="all-zero state"):
         parse_status("\n".join(lines) + "\n")
 
 

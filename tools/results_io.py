@@ -3,19 +3,22 @@
     python3 tools/results_io.py [--statuses 4096] [--seed 0]
     python3 tools/results_io.py --results FILE
 
-By default it fabricates a `mini-crush-v1` report over N `random` statuses
-in both modes: each test's p-values are seeded uniform draws under its
-entry's sub-statistic names (`TestDefinition.statistics`), and the meta
-record and every verdict come from `results.campaign_meta` and
-`results.result_row`, as a campaign's would. With `--results` it times
-the report that an existing results file holds instead. It then writes
-the report 5 times and reads the written file 5 times, and prints one JSON
-object: the median and every run of each, in seconds, with the file's
-rows and bytes.
+By default it fabricates a `mini-crush-v1` results file over N `random`
+statuses in both modes: the meta record comes from `results.campaign_meta`,
+and each row is printed as text in the row format that
+`tests/test_digest.py` freezes, with seeded uniform p-values under the
+family's sub-statistic names and the two-sided verdict at the meta's
+threshold. With `--results` it times an existing results file instead. It
+reads the file 5 times, writes the report that the reading returns 5 times,
+and prints one JSON object: the median and every run of each, in seconds,
+with the file's rows and bytes.
 
 It imports the package from this checkout's `src`, unless PYTHONPATH names
 another one first: `PYTHONPATH=OTHER/src python3 tools/results_io.py`
-times that checkout, so two can be compared in alternating processes.
+times that checkout, so two can be compared in alternating processes. It
+uses no more of the package than `campaign_meta`, `MINI_CRUSH_V1` and the
+reader and writer, so it runs against every checkout that has
+`campaign_meta`.
 """
 from __future__ import annotations
 
@@ -31,26 +34,39 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 REPEATS = 5
+# The p-value names of each family, in order, as the frozen row format holds them.
+STATISTICS = {
+    "LinearComp": ("saturation",),
+    "CollisionOver": ("collisions",),
+    "ClosePairs": ("min_distance",),
+    "RandomWalk1": ("H", "M", "R"),
+    "SerialUniformity": ("chi2",),
+}
 
 
-def fabricated_report(statuses: int, seed: int, modes=("int", "real")):
-    """A mini-crush-v1 CampaignReport over ``statuses`` random statuses,
+def fabricated_results(path: Path, statuses: int, seed: int, modes=("int", "real")) -> None:
+    """Write a mini-crush-v1 results file over ``statuses`` random statuses,
     with seeded uniform p-values."""
-    from mtstreams.results import CampaignReport, StatusReport, TestResult, campaign_meta, result_row
+    from mtstreams.results import campaign_meta
     from mtstreams.stats.battery import MINI_CRUSH_V1 as battery
 
     rng = random.Random(seed)
     eps = battery.threshold
     meta = campaign_meta(battery, eps, modes, [("random", i, f"{rng.getrandbits(256):064x}") for i in range(statuses)])
-    reports = []
+    tests = sorted(battery.tests, key=lambda t: t.id)
+    lines = [json.dumps(meta, sort_keys=True, separators=(",", ":"))]
     for s in meta["statuses"]:
-        results = []
-        for t in battery.tests:
-            p_values = {name: rng.random() for name in t.statistics}
-            row = result_row(s["technique"], s["index"], modes[0], t, p_values, eps)
-            results.append(TestResult(t, p_values, row["verdict"]))
-        reports.append(StatusReport(s["technique"], s["index"], results))
-    return CampaignReport(meta=meta, reports=reports)
+        technique, index = s["technique"], s["index"]
+        p_values = [[rng.random() for _ in STATISTICS[t.family]] for t in tests]
+        for mode in meta["modes"]:
+            for t, ps in zip(tests, p_values):
+                pv = ",".join(f'"{name}":{p:.17g}' for name, p in zip(STATISTICS[t.family], ps))
+                verdict = "Fail" if any(p < eps or p > 1.0 - eps for p in ps) else "Pass"
+                lines.append(
+                    f'{{"type":"result","technique":"{technique}","index":{index},"mode":"{mode}",'
+                    f'"test_id":"{t.id}","p_values":{{{pv}}},"verdict":"{verdict}","draws":{t.draws}}}'
+                )
+    path.write_text("\n".join(lines) + "\n", encoding="ascii")
 
 
 def timed(fn) -> list[float]:
@@ -72,19 +88,20 @@ def main() -> int:
     import mtstreams
     from mtstreams.results import read_results_jsonl, write_results_jsonl
 
-    if args.results is None:
-        creport = fabricated_report(args.statuses, args.seed)
-        source = f"fabricated: {args.statuses} statuses, seed {args.seed}, modes int,real"
-    else:
-        creport = read_results_jsonl(args.results)
-        source = str(args.results)
     with tempfile.TemporaryDirectory(prefix="results_io.") as tmp:
+        if args.results is None:
+            source = Path(tmp) / "fabricated.jsonl"
+            fabricated_results(source, args.statuses, args.seed)
+            label = f"fabricated: {args.statuses} statuses, seed {args.seed}, modes int,real"
+        else:
+            source, label = args.results, str(args.results)
         path = Path(tmp) / "results.jsonl"
+        read_runs = timed(lambda: read_results_jsonl(source))
+        creport = read_results_jsonl(source)
         write_runs = timed(lambda: write_results_jsonl(creport, path))
-        read_runs = timed(lambda: read_results_jsonl(path))
         size, rows = path.stat().st_size, len(path.read_bytes().splitlines()) - 1
     print(json.dumps({
-        "source": source,
+        "source": label,
         "package": str(Path(mtstreams.__file__).parent),
         "rows": rows,
         "bytes": size,
