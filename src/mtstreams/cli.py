@@ -10,8 +10,8 @@ Each command loads only what it runs. ``report``, ``registry`` and
 ``statusfile``); ``gen`` imports ``partition`` and with it NumPy; ``test``
 imports ``campaign`` and the battery, which bring NumPy and the test
 families. The families' chi-square and Poisson p-values compute the
-incomplete gamma tails in the standard library's ``decimal``, which they
-load when they first need it; no command loads SciPy.
+incomplete gamma tails in the standard library's ``decimal``, which
+``test`` loads with them; no command loads SciPy.
 """
 from __future__ import annotations
 

@@ -2,8 +2,9 @@
 
 These numbers come from a full-scale campaign: 4096 MT19937 statuses per
 technique, each run through the complete 106-test TestU01 Big Crush battery
-(integer and real pathways) at threshold 1e-10, roughly 33 CPU-years of
-computing. They are NOT reproducible with the desk-scale battery this
+(integer and real pathways), roughly 33 CPU-years of computing. The source
+names no failure threshold; this package assumes 1e-10, its own battery's
+default. The figures are NOT reproducible with the desk-scale battery this
 package ships, and no test compares desk-scale percentages against them;
 they exist so reports and docs can cite the scale this tool mirrors.
 
@@ -11,7 +12,9 @@ Techniques use the same slugs as the rest of the package: ``split``
 (sequence splitting), ``random`` (random spacing), ``indexed`` (indexed
 sequence). "Suspect" means a status failing beyond the two expected
 LinearComp entries. Histogram keys are the total number of failed tests
-per suspect status; cells the source table left blank are omitted.
+per suspect status; cells the source table left blank are omitted. Each
+row's histogram fits unexpected failures that are Poisson per status, with
+the mean fitted from its Suspect count (``tests/test_fullscale.py``).
 """
 
 FULL_SCALE_STATUS_COUNT = 4096

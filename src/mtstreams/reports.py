@@ -15,7 +15,7 @@ import io
 import json
 from collections import Counter
 
-from mtstreams.results import CampaignReport, check_expected_ids, classify_status
+from mtstreams.results import CampaignReport, classify_status, resolve_expected_ids
 
 TABLES = ("summary", "histogram", "pertest")
 
@@ -23,9 +23,9 @@ TABLES = ("summary", "histogram", "pertest")
 def build_tables(creport: CampaignReport, expected_fail_ids=None) -> dict[str, list[dict]]:
     """The summary, histogram and pertest rows, from one pass over the statuses.
 
-    ``expected_fail_ids`` follows :func:`mtstreams.results.check_expected_ids`.
+    ``expected_fail_ids`` follows :func:`mtstreams.results.resolve_expected_ids`.
     """
-    expected_fail_ids = check_expected_ids(creport, expected_fail_ids)
+    expected_fail_ids = resolve_expected_ids(creport.meta["test_ids"], expected_fail_ids)
     modes = creport.meta["modes"]
     statuses: Counter = Counter()  # technique
     suspects: Counter = Counter()  # technique

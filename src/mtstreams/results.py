@@ -106,7 +106,7 @@ class QualityRegistry:
     entries: list[tuple[str, int, str]]
 
 
-def classify_status(report: StatusReport, expected_fail_ids=DEFAULT_EXPECTED_FAIL_IDS) -> str:
+def classify_status(report: StatusReport, expected_fail_ids) -> str:
     """Good iff the failed ids are a subset of the expected-failure ids."""
     return "Good" if set(report.failed_ids) <= set(expected_fail_ids) else "Suspect"
 
@@ -122,11 +122,6 @@ def resolve_expected_ids(test_ids, expected_fail_ids=None) -> frozenset[str]:
     return frozenset(expected_fail_ids)
 
 
-def check_expected_ids(creport: CampaignReport, expected_fail_ids=None) -> frozenset[str]:
-    """:func:`resolve_expected_ids` for the battery of ``creport``."""
-    return resolve_expected_ids(creport.meta["test_ids"], expected_fail_ids)
-
-
 def _meta_statuses_and_reports(creport: CampaignReport):
     """(meta status, its report) pairs; ValueError unless in meta order."""
     statuses, reports = creport.meta["statuses"], creport.reports
@@ -137,7 +132,7 @@ def _meta_statuses_and_reports(creport: CampaignReport):
 
 def build_registry(creport: CampaignReport, expected_fail_ids=None) -> QualityRegistry:
     """Registry of the statuses classified Good, in meta order."""
-    expected_fail_ids = check_expected_ids(creport, expected_fail_ids)
+    expected_fail_ids = resolve_expected_ids(creport.meta["test_ids"], expected_fail_ids)
     entries = [
         (s["technique"], s["index"], s["sha256"])
         for s, r in _meta_statuses_and_reports(creport)

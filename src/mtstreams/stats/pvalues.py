@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import functools
 import math
+from decimal import MAX_EMAX, MIN_EMIN, Context, Decimal, localcontext
 
 import numpy as np
 
@@ -46,16 +47,10 @@ _ANCHOR_SPAN = 6.0  # anchors serve |x - a| <= 6 sqrt(a)
 _FIXED_BITS = 192
 # A merged chi-square cell's least expected count (see `merged_chi2_pvalue`).
 MIN_EXPECTED = 5.0
+_CONTEXT = Context(prec=_DIGITS, Emax=MAX_EMAX, Emin=MIN_EMIN)
 
 
-@functools.lru_cache(maxsize=None)
-def _context():
-    import decimal  # deferred: `import mtstreams.cli` loads no decimal
-
-    return decimal.Context(prec=_DIGITS, Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN)
-
-
-def _prefactor(two_a: int, x, Decimal):
+def _prefactor(two_a: int, x: Decimal) -> Decimal:
     """x^a e^-x / Gamma(a) for a = two_a / 2, in the current decimal context.
 
     Below a = 64, Gamma(a) is an exact factorial form: (m - 1)! for a = m and
@@ -82,7 +77,7 @@ def _prefactor(two_a: int, x, Decimal):
     return (a / (2 * Decimal(_PI))).sqrt() * power * (a - x - series / a).exp()
 
 
-def _exact_tails(two_a: int, x, Decimal):
+def _exact_tails(two_a: int, x: Decimal) -> tuple[Decimal, Decimal, Decimal]:
     """(P(a, x), Q(a, x), x^a e^-x / Gamma(a)) for a = two_a / 2 and a
     finite x > 0, as Decimals of the current context.
 
@@ -93,7 +88,7 @@ def _exact_tails(two_a: int, x, Decimal):
     and at most ~1.1 below it, where P < 0.92 for a >= 1/2.
     """
     a = Decimal(two_a) / 2
-    prefactor = _prefactor(two_a, x, Decimal)  # 0 below 10^MIN_EMIN
+    prefactor = _prefactor(two_a, x)  # 0 below 10^MIN_EMIN
     # Stop two digits above one step's rounding, which a converged
     # continued fraction's delta may never get below.
     eps = Decimal(1).scaleb(2 - _DIGITS)
@@ -159,13 +154,10 @@ def _anchor(two_a: int, x0: int) -> tuple[bool, int, tuple[int, ...]]:
     4 step, so the terms, once past f's Gaussian width, shrink at least
     8-fold each.
     """
-    import decimal
-
-    Decimal = decimal.Decimal
-    with decimal.localcontext(_context()):  # pinned: the values are cached
+    with localcontext(_CONTEXT):  # pinned: the values are cached
         a = Decimal(two_a) / 2
         x = Decimal(x0)
-        p, q, prefactor = _exact_tails(two_a, x, Decimal)
+        p, q, prefactor = _exact_tails(two_a, x)
         upper = x >= a
         base = q if upper else p
         g = -prefactor / x if upper else prefactor / x
@@ -223,10 +215,8 @@ def _gamma_tails(two_a: int, x: float) -> tuple[float, float]:
     x0 = _anchor_point(two_a, x)
     if x0 is not None:
         return _anchored_tails(two_a, x, x0)
-    import decimal
-
-    with decimal.localcontext(_context()):
-        p, q, _ = _exact_tails(two_a, decimal.Decimal(x), decimal.Decimal)  # x exact
+    with localcontext(_CONTEXT):
+        p, q, _ = _exact_tails(two_a, Decimal(x))  # x exact
         return float(p), float(q)
 
 
@@ -258,14 +248,11 @@ def poisson_two_sided_pvalue(observed: int, lam: float) -> tuple[float, float]:
 def _poisson_tails(k: int, lam: float) -> tuple[float, float]:
     if lam == math.inf:
         return 0.0, 1.0
-    import decimal
-
-    Decimal = decimal.Decimal
-    with decimal.localcontext(_context()):
+    with localcontext(_CONTEXT):
         x = Decimal(lam)  # exact
         if k == 0:
             return float((-x).exp()), 1.0
-        p, q, prefactor = _exact_tails(2 * k, x, Decimal)
+        p, q, prefactor = _exact_tails(2 * k, x)
         return float(q + prefactor / k), float(p)
 
 

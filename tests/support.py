@@ -121,6 +121,37 @@ class RealDerivedStream:
         return np.floor(u * 4294967296.0).astype(np.uint32)
 
 
+def lcg_words(a: int, c: int, n: int, bits: int = 32) -> np.ndarray:
+    """x_1 ... x_n of the LCG x <- (a x + c) mod 2^bits from x_0 = 1, each
+    shifted to the top of a 32-bit word."""
+    mask = (1 << bits) - 1
+    x, out = 1, []
+    for _ in range(n):
+        x = (a * x + c) & mask
+        out.append(x)
+    return np.array(out, dtype=np.uint32) << np.uint32(32 - bits)
+
+
+def defective_sources(n: int) -> dict[str, np.ndarray]:
+    """n words from each source of the positive-control matrix, by name.
+
+    "mt" is the control: MT19937 from init_genrand(5489), by NumPy's legacy
+    engine, whose full-range uint32 draws are its tempered words. The rest
+    are LCGs and MT words with a stuck bit or a repeated block.
+    """
+    mt = np.random.RandomState(5489).randint(0, 2**32, n, dtype=np.uint32)
+    return {
+        "mt": mt,
+        "lcg 69069": lcg_words(69069, 1, n),
+        "lcg 1664525": lcg_words(1664525, 1013904223, n),
+        "randu": lcg_words(65539, 0, n, bits=31),
+        "lcg 3": lcg_words(3, 1, n),
+        "mt top bit 1": mt | np.uint32(1 << 31),
+        "mt low bit 0": mt & np.uint32(0xFFFFFFFE),
+        **{f"mt repeat 2^{k}": np.resize(mt[: 1 << k], n) for k in (12, 15, 18)},
+    }
+
+
 class HalfWriteThenFail:
     """Stand-in for ``open`` whose file writes half the data, then fails
     with a full disk: a write that stops partway."""

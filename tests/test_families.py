@@ -27,6 +27,7 @@ from support import (
     bit_lane,
     brute_force_collisions,
     brute_force_min_toroidal_distance,
+    defective_sources,
 )
 
 EPS = 1e-10
@@ -415,3 +416,33 @@ def test_results_are_deterministic():
     a = _run("ClosePairs", {"n": 512, "t": 2}, seed=11)
     b = _run("ClosePairs", {"n": 512, "t": 2}, seed=11)
     assert a == b
+
+
+# Tests of mini-crush-v1 that each source fails at 1e-10 on its first 10^6
+# words, a floor: a family weakened by a change shows here. ClosePairs
+# catches only the 3x + 1 LCG and the 2^12 repeat; RANDU's triples lie on
+# 15 planes, and both ClosePairs tests pass it.
+POSITIVE_CONTROLS = {
+    "lcg 69069": {"linearcomp.r29", "randomwalk.b"},
+    "lcg 1664525": {"linearcomp.r29", "randomwalk.a", "randomwalk.b"},
+    "randu": {"linearcomp.r29", "collisionover.b", "randomwalk.a", "randomwalk.b"},
+    "lcg 3": {
+        "linearcomp.r29", "collisionover.a", "collisionover.b", "closepairs.b", "randomwalk.a", "randomwalk.b",
+    },
+    "mt top bit 1": set(MINI_CRUSH_V1.test_ids) - {"closepairs.a", "closepairs.b"},
+    "mt low bit 0": {"linearcomp.r0", "linearcomp.r29", "randomwalk.a", "randomwalk.b"},
+    "mt repeat 2^12": set(MINI_CRUSH_V1.test_ids) - {"closepairs.b"},
+    "mt repeat 2^15": {"randomwalk.b", "serial.a"},
+    "mt repeat 2^18": {"linearcomp.r0", "linearcomp.r29", "serial.a"},
+}
+
+
+def test_battery_fails_each_defective_source_and_only_linearcomp_on_mt():
+    failed = {
+        name: {e.id for e in MINI_CRUSH_V1.tests if run_test(e, StreamView(WordPrefix(words), "int"), EPS).failed}
+        for name, words in defective_sources(10**6).items()
+    }
+    assert failed.pop("mt") == {"linearcomp.r0", "linearcomp.r29"}
+    for name, floor in POSITIVE_CONTROLS.items():
+        assert floor <= failed[name], name
+    assert failed.keys() == POSITIVE_CONTROLS.keys()

@@ -287,9 +287,9 @@ def test_poisson_tails_take_one_kernel_run_and_are_cached(monkeypatch):
     runs = []
     exact = pvalues._exact_tails
 
-    def spy(two_a, x, Decimal):
+    def spy(two_a, x):
         runs.append(two_a)
-        return exact(two_a, x, Decimal)
+        return exact(two_a, x)
 
     monkeypatch.setattr(pvalues, "_exact_tails", spy)
     pvalues._poisson_tails.cache_clear()

@@ -123,13 +123,13 @@ def test_expected_ids_checked_once_per_render_whichever_tables(monkeypatch):
     import mtstreams.reports as reports
 
     calls = []
-    real_check = reports.check_expected_ids
+    real_resolve = reports.resolve_expected_ids
 
-    def counting_check(creport, expected_fail_ids):
+    def counting_resolve(test_ids, expected_fail_ids):
         calls.append(expected_fail_ids)
-        return real_check(creport, expected_fail_ids)
+        return real_resolve(test_ids, expected_fail_ids)
 
-    monkeypatch.setattr(reports, "check_expected_ids", counting_check)
+    monkeypatch.setattr(reports, "resolve_expected_ids", counting_resolve)
     for tables in (list(TABLES), ["pertest"], ["histogram", "histogram"]):
         calls.clear()
         render_report(_creport(), tables, "md", EXPECTED)
