@@ -1,23 +1,32 @@
 """Bit-exact 32-bit Mersenne Twister (MT19937) core.
 
 A generator status is 624 unsigned 32-bit words plus an index; it is held
-in an immutable value object, and every operation returns a fresh status.
-Twisting, drawing and skipping run on NumPy's C MT19937
-(``numpy.random.MT19937``), whose state is this status: key = the words,
-pos = the index. Every draw comes from :class:`MtStream`, as tempered
-32-bit words; a uniform in [0, 1) is a word times 2^-32. Only seeding (the
-2002 ``init_genrand``) is written out here. The frozen reference outputs of
-the canonical implementation and an independent twist and untempering in
-the test suite's oracles check every operation word for word.
+in an immutable value object, whose words are 2496 bytes, little-endian,
+and every operation returns a fresh status. Twisting, drawing and skipping
+run on NumPy's C MT19937 (``numpy.random.MT19937``), whose state is this
+status: key = the words, pos = the index. Every draw comes from
+:class:`MtStream`, as tempered 32-bit words; a uniform in [0, 1) is a word
+times 2^-32. Only seeding (the 2002 ``init_genrand``) is written out here,
+in pure Python, so seeding, a status and its file need only the standard
+library: the functions that run the C engine import NumPy when called. The
+frozen reference outputs of the canonical implementation and an independent
+twist and untempering in the test suite's oracles check every operation
+word for word.
 """
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 N = 624
 WORD_MASK = 0xFFFFFFFF
+# A status's words as its bytes: 624 little-endian uint32, 2496 bytes.
+_WORDS = struct.Struct(f"<{N}I")
+_ZERO_WORDS = bytes(_WORDS.size)
 # MtStream.take draws this many words at a time: NumPy's random_raw returns
 # uint64, so a chunk bounds that temporary at 512 KB.
 TAKE_CHUNK = 2**16
@@ -57,44 +66,41 @@ is 2^19937 - 1). A test recomputes it with Berlekamp-Massey.
 
 
 class ZeroStateError(ValueError):
-    """Raised for the all-zero word array, a fixed point of the recurrence."""
+    """Raised for the all-zero words, a fixed point of the recurrence."""
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class MtState:
-    """Immutable MT19937 status: word array ``mt`` and index ``mti``.
+    """Immutable MT19937 status: words ``mt`` and index ``mti``.
 
-    ``mti == 624`` means the next output must twist first.
+    ``mt`` holds the 624 words as 2496 bytes, little-endian; the constructor
+    takes those bytes or any 624 integers in [0, 2^32), and ``words`` reads
+    them back as ints. ``mti == 624`` means the next output must twist first.
     """
 
-    mt: np.ndarray
+    mt: bytes
     mti: int
 
     def __post_init__(self) -> None:
-        words = np.array(self.mt, dtype=np.uint32, copy=True)
-        if words.shape != (N,):
-            raise ValueError(f"state must hold exactly {N} words, got shape {words.shape}")
+        if not isinstance(self.mt, bytes):
+            try:
+                object.__setattr__(self, "mt", _WORDS.pack(*self.mt))
+            except struct.error as exc:
+                raise ValueError(f"state must be {N} unsigned 32-bit words: {exc}") from None
+        elif len(self.mt) != _WORDS.size:
+            raise ValueError(f"state must be {_WORDS.size} bytes, got {len(self.mt)}")
         if not (0 <= self.mti <= N):
             raise ValueError(f"mti must be in [0, {N}], got {self.mti}")
-        if not words.any():
+        if self.mt == _ZERO_WORDS:
             raise ZeroStateError("all-zero state has period 1 and is rejected")
-        words.flags.writeable = False
-        object.__setattr__(self, "mt", words)
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, MtState):
-            return NotImplemented
-        return self.mti == other.mti and bool(np.array_equal(self.mt, other.mt))
-
-    def __hash__(self) -> int:
-        return hash((self.mti, self.mt.tobytes()))
-
-    def __reduce__(self):
-        # Unpickle through the constructor, which copies, checks and freezes the words.
-        return MtState, (self.mt, self.mti)
+    @property
+    def words(self) -> tuple[int, ...]:
+        """The 624 words as ints."""
+        return _WORDS.unpack(self.mt)
 
     def __repr__(self) -> str:
-        return f"MtState(mt=[{int(self.mt[0])}, ...], mti={self.mti})"
+        return f"MtState(mt=[{self.words[0]}, ...], mti={self.mti})"
 
 
 def init_genrand(seed: int) -> MtState:
@@ -107,26 +113,29 @@ def init_genrand(seed: int) -> MtState:
     for i in range(1, N):
         prev = (1812433253 * (prev ^ (prev >> 30)) + i) & WORD_MASK
         mt[i] = prev
-    return MtState(np.array(mt, dtype=np.uint32), N)
+    return MtState(mt, N)
 
 
-def _engine(mt: np.ndarray, pos: int) -> np.random.MT19937:
-    """A fresh C generator whose next draw is word ``pos`` of ``mt``."""
+def _engine(words: tuple[int, ...], pos: int) -> np.random.MT19937:
+    """A fresh C generator whose next draw is word ``pos`` of ``words``."""
+    import numpy as np
+
     engine = np.random.MT19937(0)  # the seed's state is replaced at once
-    engine.state = {"bit_generator": "MT19937", "state": {"key": mt.tolist(), "pos": pos}}
+    engine.state = {"bit_generator": "MT19937", "state": {"key": words, "pos": pos}}
     return engine
 
 
-def _state_of(engine: np.random.MT19937) -> MtState:
+def _state_of(engine: np.random.MT19937, mti: int | None = None) -> MtState:
+    """The engine's status; its index is ``mti`` if given, else the engine's position."""
     state = engine.state["state"]
-    return MtState(state["key"], state["pos"])
+    return MtState(state["key"].astype("<u4").tobytes(), state["pos"] if mti is None else mti)
 
 
 def twist(state: MtState) -> MtState:
     """One full state regeneration; the returned status has mti = 0."""
-    engine = _engine(state.mt, N)
+    engine = _engine(state.words, N)
     engine.random_raw(1, output=False)
-    return MtState(engine.state["state"]["key"], 0)
+    return _state_of(engine, 0)
 
 
 def advance(state: MtState, n: int) -> MtState:
@@ -139,7 +148,7 @@ def advance(state: MtState, n: int) -> MtState:
         raise ValueError(f"draw count must be >= 0, got {n}")
     if n == 0:
         return state
-    engine = _engine(state.mt, state.mti)
+    engine = _engine(state.words, state.mti)
     engine.random_raw(n, output=False)
     return _state_of(engine)
 
@@ -152,10 +161,12 @@ class MtStream:
     """
 
     def __init__(self, state: MtState) -> None:
-        self._engine = _engine(state.mt, state.mti)
+        self._engine = _engine(state.words, state.mti)
 
     def take(self, n: int) -> np.ndarray:
         """Next n tempered 32-bit outputs as a uint32 array."""
+        import numpy as np
+
         if n < 0:
             raise ValueError(f"draw count must be >= 0, got {n}")
         out = np.empty(n, dtype=np.uint32)

@@ -69,7 +69,7 @@ def generate_random_spacing(master_seed: int, count: int) -> StatusSet:
     """
     _check_seed_and_count(master_seed, "master_seed", count)
     master = MtStream(init_genrand(master_seed))
-    statuses = [(i, MtState(master.take(N), N)) for i in range(count)]
+    statuses = [(i, MtState(master.take(N).astype("<u4").tobytes(), N)) for i in range(count)]
     provenance = {"seed": master_seed, "count": count}
     return StatusSet("random", statuses, provenance)
 

@@ -9,9 +9,9 @@ Format (ASCII, LF line endings, no trailing whitespace):
 Canonical form is enforced on parse so that serialize(parse(f)) == f holds
 byte for byte; that is what makes `diff -r`-style verification meaningful.
 
-The module loads only the standard library: ``parse_status`` imports the
-generator core, and with it NumPy, when it first builds a status, so
-``verify`` and the results and report writers never load NumPy.
+The module, and the generator core whose statuses it reads and writes,
+load only the standard library, so ``verify`` and the results and report
+writers never load NumPy.
 """
 from __future__ import annotations
 
@@ -20,10 +20,8 @@ import os
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING
 
-if TYPE_CHECKING:
-    from mtstreams.mt19937 import MtState
+from mtstreams.mt19937 import N, MtState
 
 HEADER = "MT19937-STATUS v1"
 STATUS_SUFFIX = ".mts"
@@ -63,13 +61,10 @@ def parse_status_filename(name: str) -> tuple[str, int]:
 
 
 def serialize_status(state: MtState) -> str:
-    words = state.mt.tolist()
-    return f"{HEADER}\n" + ("%d\n" * len(words)) % tuple(words) + f"{state.mti}\n"
+    return f"{HEADER}\n" + ("%d\n" * N) % state.words + f"{state.mti}\n"
 
 
 def parse_status(text: str) -> MtState:
-    from mtstreams.mt19937 import N, WORD_MASK, MtState  # deferred: loads NumPy
-
     if not text.endswith("\n") or "\r" in text:
         raise StatusFormatError("file must use LF endings and end with a newline")
     lines = text[:-1].split("\n")
@@ -81,12 +76,8 @@ def parse_status(text: str) -> MtState:
         lineno, raw = next((i, raw) for i, raw in enumerate(lines[1:], start=2) if not _DECIMAL.fullmatch(raw))
         raise StatusFormatError(f"line {lineno}: not a canonical decimal: {raw!r}")
     values = list(map(int, lines[1:]))
-    words, mti = values[:N], values[N]
-    if max(words) > WORD_MASK:
-        bad = next(w for w in words if w > WORD_MASK)
-        raise StatusFormatError(f"word value {bad} exceeds 32 bits")
     try:
-        return MtState(words, mti)  # checks mti and refuses the all-zero state
+        return MtState(values[:N], values[N])  # checks words and mti, refuses the all-zero state
     except ValueError as exc:
         raise StatusFormatError(str(exc)) from exc
 

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from mtstreams.cli import main
+from mtstreams.mt19937 import N
 from mtstreams.stats.battery import Battery, TestDefinition, dump_battery
 
 from support import INCONSISTENCIES, HalfWriteThenFail, RecordingContext, damaged_results, inconsistent_results
@@ -268,6 +269,11 @@ def test_test_io_errors(tmp_path, fast_battery_file, capsys):
     (bad / "indexed_00000.mts").write_text("not a status\n")
     assert main(["test", "--dir", str(bad), "--battery", fast_battery_file]) == 2
     assert main(["test", "--dir", str(bad), "--battery", "nosuch-battery"]) == 2
+    wide = tmp_path / "wide"
+    wide.mkdir()
+    text = "\n".join(["MT19937-STATUS v1", str(2**32)] + ["1"] * (N - 1) + [str(N)]) + "\n"  # word 0 needs 33 bits
+    (wide / "indexed_00000.mts").write_text(text)
+    assert main(["test", "--dir", str(wide), "--battery", fast_battery_file]) == 2
     capsys.readouterr()
 
 
@@ -576,9 +582,10 @@ def _within(modules: list[str], *packages: str) -> list[str]:
 
 
 def test_stdlib_commands_load_no_numpy_or_scipy(campaign_results, tmp_path):
-    # report, registry and verify never touch an array; NumPy costs ~55 ms.
+    # report, registry, verify and indexed gen never touch an array; NumPy costs ~55 ms.
     assert _gen(tmp_path / "a") == 0 and _gen(tmp_path / "b") == 0
     commands = {
+        "gen indexed": ["gen", "--technique", "indexed", "--count", "3", "--out", str(tmp_path / "c")],
         "report": ["report", "--results", str(campaign_results), "--out", str(tmp_path / "r.md")],
         "registry": ["registry", "--results", str(campaign_results), "--out", str(tmp_path / "reg.txt")],
         "verify": ["verify", "--dir", str(tmp_path / "a"), "--dir", str(tmp_path / "b")],
@@ -612,5 +619,9 @@ def test_test_loads_no_scipy(tmp_path):
 
 
 def test_package_import_loads_no_numpy():
-    code = "import sys, mtstreams; print(sorted(m for m in sys.modules if m.split('.')[0] == 'numpy'))"
+    # A status is bytes: seeding, status files and partition need no NumPy until a draw.
+    code = (
+        "import sys, mtstreams, mtstreams.mt19937, mtstreams.statusfile, mtstreams.partition\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'numpy'))"
+    )
     assert _fresh(code) == "[]"

@@ -34,10 +34,10 @@ def test_reference_equivalence_all_fixture_seeds():
 
 def test_init_genrand_seed_zero_properties():
     state = init_genrand(0)
-    assert int(state.mt[0]) == 0
+    assert state.words[0] == 0
     assert state.mti == N
-    assert int(state.mt[1]) == 1
-    assert state.mt.any()
+    assert state.words[1] == 1
+    assert any(state.words)
 
 
 def test_init_genrand_rejects_out_of_range_seed():
@@ -58,7 +58,7 @@ def test_twist_deterministic_and_resets_index():
 def test_twist_matches_first_output():
     # The reference outputs untempered are the first twist of the seeded
     # words, by the support twist: neither side runs NumPy's engine.
-    words = np.array(init_genrand(5489).mt)
+    words = np.frombuffer(init_genrand(5489).mt, "<u4").copy()
     twist_words(words)
     reference = np.array(REFERENCE[5489][:N], dtype=np.uint32)
     assert np.array_equal(untemper_words(reference), words)
@@ -70,7 +70,7 @@ def test_twist_never_zero_state():
         words = rng.integers(0, 2**32, size=N, dtype=np.uint32)
         if not words.any():
             continue
-        assert twist(MtState(words, N)).mt.any()
+        assert np.frombuffer(twist(MtState(words, N)).mt, "<u4").any()
 
 
 @settings(max_examples=500)
@@ -90,7 +90,7 @@ def test_vectorized_tempering_matches_scalar():
     words = rng.integers(0, 2**32, size=N, dtype=np.uint32)
     s = MtState(words, N)
     block = MtStream(s).take(N)
-    assert np.array_equal(untemper_words(block), twist(s).mt)
+    assert np.array_equal(untemper_words(block), np.frombuffer(twist(s).mt, "<u4"))
 
 
 def test_mtstate_rejects_all_zero():
@@ -105,13 +105,21 @@ def test_mtstate_rejects_bad_shape_and_index():
         MtState(np.ones(N, dtype=np.uint32), N + 1)
     with pytest.raises(ValueError):
         MtState(np.ones(N, dtype=np.uint32), -1)
+    with pytest.raises(ValueError):
+        MtState(b"\x01" * (4 * N - 1), 0)
+
+
+@pytest.mark.parametrize("first", [1.5, 2**32, -1])
+def test_mtstate_rejects_words_outside_uint32(first):
+    with pytest.raises(ValueError):
+        MtState([first] + [1] * (N - 1), N)
 
 
 def test_mtstate_immutable_value_semantics():
     s = init_genrand(3)
-    with pytest.raises(ValueError):
+    with pytest.raises(TypeError):
         s.mt[0] = 1
-    words = np.array(s.mt)
+    words = np.frombuffer(s.mt, "<u4").copy()
     t = MtState(words, s.mti)
     words[0] ^= 0xFFFF  # constructor copied; mutation must not leak
     assert t == s
@@ -124,8 +132,8 @@ def test_mtstate_pickle_round_trip_keeps_value_semantics():
         t = pickle.loads(pickle.dumps(s))
         assert t == s
         assert hash(t) == hash(s)
-        assert not t.mt.flags.writeable
-        with pytest.raises(ValueError):
+        assert isinstance(t.mt, bytes)
+        with pytest.raises(TypeError):
             t.mt[0] = 1
 
 
@@ -141,8 +149,8 @@ def test_advance_identity_and_additivity_grid():
 
 def test_advance_matches_naive_loop():
     base = init_genrand(777)
-    raw, words, after = untempered_draws(base.mt, base.mti, 1001)
-    _, words, after = untempered_draws(base.mt, base.mti, 1000)
+    raw, words, after = untempered_draws(base.words, base.mti, 1001)
+    _, words, after = untempered_draws(base.words, base.mti, 1000)
     state = advance(base, 1000)
     assert state == MtState(words, after)
     assert untemper_words(MtStream(state).take(1))[0] == raw[-1]
@@ -154,11 +162,11 @@ def test_engine_matches_support_twist_oracle():
     rng = np.random.default_rng(2026)
     for mti in (0, 1, 100, 623, 624):
         s = MtState(rng.integers(0, 2**32, size=N, dtype=np.uint32), mti)
-        twisted = np.array(s.mt)
+        twisted = np.frombuffer(s.mt, "<u4").copy()
         twist_words(twisted)
         assert twist(s) == MtState(twisted, 0), mti
         for n in (0, 1, 623, 624, 625, 1247, 1248, 10**5 + 7):
-            raw, words, after = untempered_draws(s.mt, mti, n)
+            raw, words, after = untempered_draws(s.words, mti, n)
             expected = MtState(words, after)
             assert advance(s, n) == expected, (mti, n)
             stream = MtStream(s)
@@ -182,7 +190,7 @@ def test_stream_determinism_across_random_states():
 
 def test_stream_take_matches_single_draws_across_block_boundary():
     s = MtState(init_genrand(5).mt, 600)
-    singles, words, mti = [], s.mt, s.mti
+    singles, words, mti = [], s.words, s.mti
     for _ in range(100):
         raw, words, mti = untempered_draws(words, mti, 1)
         singles.append(int(raw[0]))
@@ -193,7 +201,7 @@ def test_stream_take_matches_oracles_at_chunk_boundaries():
     c = TAKE_CHUNK
     s = MtState(np.random.default_rng(31).integers(0, 2**32, size=N, dtype=np.uint32), 17)
     for n in (0, 1, c - 1, c, c + 1, 3 * c + 5, 10**6):
-        raw, words, after = untempered_draws(s.mt, s.mti, n)
+        raw, words, after = untempered_draws(s.words, s.mti, n)
         stream = MtStream(s)
         out = stream.take(n)
         assert out.dtype == np.uint32 and out.shape == (n,), n
@@ -207,7 +215,7 @@ def test_stream_successive_takes_straddle_chunks():
     sizes = (c - 3, 7, 2 * c, 0, 1, c + 2)
     stream = MtStream(s)
     parts = [stream.take(k) for k in sizes]
-    raw, words, after = untempered_draws(s.mt, s.mti, sum(sizes))
+    raw, words, after = untempered_draws(s.words, s.mti, sum(sizes))
     assert np.array_equal(untemper_words(np.concatenate(parts)), raw)
     assert stream.state == MtState(words, after)
 
@@ -228,4 +236,4 @@ def test_stream_take_peak_memory_is_result_plus_one_chunk():
 
 def test_word_payload_is_2496_bytes():
     s = init_genrand(5489)
-    assert s.mt.nbytes == 2496
+    assert len(s.mt) == 2496

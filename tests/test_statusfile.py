@@ -40,14 +40,14 @@ def test_serialized_shape():
     assert lines[0] == HEADER
     assert len(lines) == N + 3  # header + 624 words + mti + trailing empty
     assert lines[-1] == ""
-    assert lines[624] == str(int(init_genrand(5489).mt[623]))
+    assert lines[624] == str(init_genrand(5489).words[623])
     assert lines[625] == str(N)
     assert text.encode("ascii")
 
 
 def test_word_payload_2496_bytes():
     s = parse_status(serialize_status(init_genrand(0)))
-    assert s.mt.nbytes == 624 * 4 == 2496
+    assert len(s.mt) == 624 * 4 == 2496
 
 
 @pytest.mark.parametrize(
