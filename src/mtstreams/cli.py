@@ -14,12 +14,21 @@ battery, which bring NumPy and the test families. The families'
 chi-square and Poisson p-values compute the incomplete gamma tails in the
 standard library's ``decimal``, which ``test`` loads with them; no command
 loads SciPy.
+
+A process gives back no memory it is about to reuse or drop. ``test``
+calls :func:`mtstreams.campaign.keep_freed_memory` before the campaign, so
+under glibc each status reuses the pages the one before it freed instead
+of faulting them in again. The process entry, :func:`entry`, freezes the
+collector's objects after :func:`main` returns, so the exit scans none of
+them; :func:`main` itself leaves an in-process caller's collector alone.
 """
 from __future__ import annotations
 
 import argparse
+import gc
 import sys
 from pathlib import Path
+from typing import NoReturn
 
 from mtstreams._version import VERSION
 from mtstreams.partition import (
@@ -160,7 +169,7 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 
 
 def _cmd_test(args: argparse.Namespace) -> int:
-    from mtstreams.campaign import CampaignConfig, load_status_entries, run_campaign, usable_cpus
+    from mtstreams.campaign import CampaignConfig, keep_freed_memory, load_status_entries, run_campaign, usable_cpus
     from mtstreams.stats.battery import load_battery
 
     inputs = list(args.dir) + list(args.status)
@@ -178,6 +187,7 @@ def _cmd_test(args: argparse.Namespace) -> int:
     if jobs > cpus:
         print(f"note: --jobs {jobs} capped at {cpus}, the usable CPUs", file=sys.stderr)
     entries = load_status_entries(inputs)
+    keep_freed_memory()
     creport = run_campaign(entries, config)
     write_results_jsonl(creport, args.out)
     suspects = [r for r in creport.reports if classify_status(r, expected) == "Suspect"]
@@ -254,5 +264,19 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_IO
 
 
+def entry() -> NoReturn:
+    """The process entry of ``python -m mtstreams.cli`` and the ``mtstreams``
+    script: run :func:`main` and exit with its code.
+
+    ``gc.freeze()`` first moves every live object out of the collector's
+    reach, so the interpreter's final collection has nothing to scan. The
+    process is about to drop them all, and the scan cost 9-17 ms per
+    stdlib-only command, 20 ms once NumPy was loaded.
+    """
+    rc = main()
+    gc.freeze()
+    sys.exit(rc)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    entry()

@@ -15,6 +15,7 @@ word for word.
 """
 from __future__ import annotations
 
+import operator
 import struct
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
@@ -75,7 +76,8 @@ class MtState:
 
     ``mt`` holds the 624 words as 2496 bytes, little-endian; the constructor
     takes those bytes or any 624 integers in [0, 2^32), and ``words`` reads
-    them back as ints. ``mti == 624`` means the next output must twist first.
+    them back as ints. ``mti`` is any integer in [0, 624], NumPy's included,
+    kept as an ``int``; ``mti == 624`` means the next output must twist first.
     """
 
     mt: bytes
@@ -89,6 +91,10 @@ class MtState:
                 raise ValueError(f"state must be {N} unsigned 32-bit words: {exc}") from None
         elif len(self.mt) != _WORDS.size:
             raise ValueError(f"state must be {_WORDS.size} bytes, got {len(self.mt)}")
+        try:
+            object.__setattr__(self, "mti", operator.index(self.mti))
+        except TypeError:
+            raise ValueError(f"mti must be an integer, got {self.mti!r}") from None
         if not (0 <= self.mti <= N):
             raise ValueError(f"mti must be in [0, {N}], got {self.mti}")
         if self.mt == _ZERO_WORDS:

@@ -1,4 +1,5 @@
 """CLI end-to-end: subcommands, exit codes, determinism, help text."""
+import gc
 import json
 import os
 import subprocess
@@ -7,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from mtstreams._version import VERSION
 from mtstreams.cli import main
 from mtstreams.mt19937 import N
 from mtstreams.stats.battery import Battery, TestDefinition, dump_battery
@@ -625,3 +627,49 @@ def test_package_import_loads_no_numpy():
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'numpy'))"
     )
     assert _fresh(code) == "[]"
+
+
+# --- process entry ---------------------------------------------------------------
+
+
+def _entry(*argv: str) -> subprocess.CompletedProcess:
+    env = dict(os.environ, PYTHONPATH=_SRC)
+    return subprocess.run(
+        [sys.executable, "-m", "mtstreams.cli", *argv], env=env, capture_output=True, text=True
+    )
+
+
+def test_process_entry_exits_with_main_codes_and_output(tmp_path):
+    version = _entry("--version")
+    assert (version.returncode, version.stdout) == (0, f"mtstreams {VERSION}\n")
+    missing = _entry()
+    assert missing.returncode == 1 and "usage error: missing command" in missing.stderr
+    unreadable = _entry("report", "--results", str(tmp_path / "nope.jsonl"))
+    assert unreadable.returncode == 2 and unreadable.stderr.startswith("error: ")
+    assert _gen(tmp_path / "a", count=3) == 0 and _gen(tmp_path / "b", count=3) == 0
+    for name in ("indexed_00000.mts", "indexed_00002.mts"):
+        target = tmp_path / "b" / name
+        target.write_bytes(target.read_bytes().replace(b"\n", b"\n\n", 1))
+    verify = _entry("verify", "--dir", str(tmp_path / "a"), "--dir", str(tmp_path / "b"))
+    assert verify.returncode == 3
+    assert [line for line in verify.stdout.splitlines() if line.startswith("differs:")] == [
+        "differs: indexed_00000.mts",
+        "differs: indexed_00002.mts",
+    ]
+    assert verify.stdout.endswith(" identical, 2 differing, 0 unmatched\n")
+
+
+def test_main_in_process_leaves_the_collector_alone(campaign_results, tmp_path, capsys):
+    # Only the process entry freezes, after main has returned.
+    state = (gc.isenabled(), gc.get_threshold(), gc.get_freeze_count())
+    assert main(["report", "--results", str(campaign_results)]) == 0
+    assert main(["verify", "--dir", str(tmp_path / "set"), "--dir", str(tmp_path / "set")]) == 0
+    assert (gc.isenabled(), gc.get_threshold(), gc.get_freeze_count()) == state
+    capsys.readouterr()
+
+
+def test_module_and_console_script_share_the_entry():
+    pyproject = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
+    assert 'mtstreams = "mtstreams.cli:entry"' in pyproject
+    source = (Path(_SRC) / "mtstreams" / "cli.py").read_text()
+    assert source.endswith('\nif __name__ == "__main__":\n    entry()\n')

@@ -19,6 +19,7 @@ from mtstreams.mt19937 import (
     init_genrand,
     twist,
 )
+from mtstreams.statusfile import parse_status, serialize_status
 
 from support import twist_words, untemper_words, untempered_draws
 
@@ -107,6 +108,23 @@ def test_mtstate_rejects_bad_shape_and_index():
         MtState(np.ones(N, dtype=np.uint32), -1)
     with pytest.raises(ValueError):
         MtState(b"\x01" * (4 * N - 1), 0)
+
+
+@pytest.mark.parametrize("mti", [1.5, "1", None])
+def test_mtstate_rejects_a_non_integer_index(mti):
+    # serialize_status would write it as line 626, which parse_status refuses.
+    with pytest.raises(ValueError, match="mti must be an integer"):
+        MtState([1] * N, mti)
+
+
+def test_mtstate_index_is_kept_as_an_int_and_round_trips():
+    s = MtState([1] * N, np.int64(5))
+    assert type(s.mti) is int and s == MtState([1] * N, 5)
+    stream = MtStream(init_genrand(4))
+    stream.take(1000)
+    after = stream.state
+    assert type(after.mti) is int and after.mti == 1000 - N
+    assert parse_status(serialize_status(after)) == after
 
 
 @pytest.mark.parametrize("first", [1.5, 2**32, -1])
