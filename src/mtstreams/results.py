@@ -3,21 +3,19 @@
 A campaign's outcome is a :class:`CampaignReport`: its meta record plus
 one :class:`StatusReport` per status, each a list of :class:`TestResult`.
 The modes live in the meta alone: the real map w * 2^-32 is lossless, so
-one status's results stand for every mode. The writer repeats them under
-each meta mode, and the reader refuses a file whose modes disagree. This
-module holds those records, the two-sided verdict rule, the expected-fail
-rule, the Good/Suspect classifier, the registry of Good statuses, and the
-writers and readers of ``results.jsonl`` and the registry files.
+one status's results stand for every mode. This module holds those
+records, the two-sided verdict rule, the expected-fail rule, the
+Good/Suspect classifier, the registry of Good statuses, and the writers
+and readers of ``results.jsonl`` and the registry files.
 
-It is also the one place that builds a results record: :func:`campaign_meta`
-builds the meta line and :func:`result_row` a row. The writer prints what
-they return; the reader rebuilds each record of a file with them and
-refuses any record that differs from its rebuild, and the writer refuses any
-report the reader would. ``campaign_meta`` alone orders the statuses. It imports neither NumPy nor
-SciPy, so the ``report`` and ``registry`` commands load only this module,
-``reports``, ``statusfile`` and ``stats.battery``, with which the reader
-rebuilds the battery a file names; running a campaign
-(``mtstreams.campaign``) is what needs the numeric stack.
+:func:`_results_lines` alone says what a results file is: the lines of a
+report, a meta line from :func:`campaign_meta` and a row line per status,
+mode and test from :func:`_row_line`. The writer writes them; the reader
+makes a report of a file's meta line and first-mode p-values and refuses
+the file unless it is exactly that report's lines.
+Only running a campaign (``mtstreams.campaign``) needs NumPy or SciPy, so
+``report`` and ``registry`` load only this module, ``reports``,
+``statusfile`` and ``stats.battery``.
 """
 from __future__ import annotations
 
@@ -200,40 +198,30 @@ def campaign_meta(battery, threshold: float, modes, statuses, version: str = VER
     }
 
 
-def result_row(technique: str, index: int, mode: str, entry: TestDefinition, p_values: dict, threshold: float) -> dict:
-    """The results row of battery entry ``entry`` on one status under one
-    mode, with the verdict its p-values give at ``threshold``.
+def _row_line(technique: str, index: int, mode: str, result: TestResult, threshold: float) -> str:
+    """The row of ``result`` on one status under one mode: its p-values to 17
+    significant digits, which round-trips binary64 exactly, and its verdict.
 
-    Raises ValueError unless ``p_values`` is a dict under exactly the
-    entry's ``statistics``, in order, of numbers in [0, 1] (ints count,
-    bools, NaN and infinities do not).
+    Raises ValueError unless the p-values are a dict of numbers in [0, 1]
+    under exactly the entry's ``statistics``, in order (ints count; bools,
+    NaN and infinities do not), and then unless the verdict is theirs at
+    ``threshold``.
     """
+    entry, p_values, verdict = result.entry, result.p_values, result.verdict
+    where = f"{technique}/{index} {entry.id}"
     if not isinstance(p_values, dict) or tuple(p_values) != entry.statistics:
-        raise ValueError(f"{entry.id}: p_values {p_values!r} are not {', '.join(entry.statistics)}, in order")
+        raise ValueError(f"{where}: p_values {p_values!r} are not {', '.join(entry.statistics)}, in order")
     for key, p in p_values.items():
         if not (isinstance(p, float) or type(p) is int) or not 0 <= p <= 1:
-            raise ValueError(f"{entry.id}: p-value {key} = {p!r} is not a number in [0, 1]")
-    return {
-        "type": "result",
-        "technique": technique,
-        "index": index,
-        "mode": mode,
-        "test_id": entry.id,
-        "p_values": p_values,
-        "verdict": _verdict(p_values, threshold),
-        "draws": entry.draws,
-    }
-
-
-def _row_line(row: dict) -> str:
-    """A row as the writer prints it, in :func:`result_row`'s key order, with
-    p-values to 17 significant digits."""
-    _, technique, index, mode, test_id, p_values, verdict, draws = row.values()
-    pv = ",".join([f'"{k}":{v:.17g}' for k, v in p_values.items()])
+            raise ValueError(f"{where}: p-value {key} = {p!r} is not a number in [0, 1]")
+    if verdict != _verdict(p_values, threshold):
+        raise ValueError(f"{where}: verdict {verdict!r} is not the one its p-values give")
+    # + 0.0 prints -0.0 as 0, which is what a reader parses "-0" back to.
+    pv = ",".join([f'"{k}":{v + 0.0:.17g}' for k, v in p_values.items()])
     return (
         f'{{"type":"result","technique":"{technique}","index":{index},'
-        f'"mode":"{mode}","test_id":"{test_id}","p_values":{{{pv}}},'
-        f'"verdict":"{verdict}","draws":{draws}}}'
+        f'"mode":"{mode}","test_id":"{entry.id}","p_values":{{{pv}}},'
+        f'"verdict":"{verdict}","draws":{entry.draws}}}'
     )
 
 
@@ -256,18 +244,13 @@ def _meta_battery(meta):
     return battery
 
 
-def write_results_jsonl(creport: CampaignReport, path: Path | str) -> None:
-    """One meta line, then one line per (status, meta mode, test): statuses
-    and modes in meta order, tests sorted by id.
+def _results_lines(creport: CampaignReport) -> list[str]:
+    """The lines of the results file of ``creport``, without line ends: the
+    meta record as sorted compact JSON, then one :func:`_row_line` per
+    status, meta mode and test, in meta order and tests sorted by id.
 
-    Each line is what :func:`result_row` gives for the result at the meta's
-    threshold; a status's rows repeat under each mode. P-values are printed
-    with 17 significant digits, which round-trips binary64 exactly; the
-    whole file is a pure function of the inputs.
-
-    Raises ValueError, and writes nothing, for a report the reader would
-    refuse as a file: a meta record that is not its rebuild, or reports and
-    results out of meta and battery order, or with other verdicts.
+    Raises ValueError for a report no file holds: a meta record that is not its
+    rebuild, reports and results out of order, or results :func:`_row_line` refuses.
     """
     meta = creport.meta
     battery = _meta_battery(meta)
@@ -278,65 +261,77 @@ def write_results_jsonl(creport: CampaignReport, path: Path | str) -> None:
     for _, r in _meta_statuses_and_reports(creport):
         if [t.entry for t in r.results] != tests:
             raise ValueError(f"{r.technique}/{r.index}: results are not the battery's entries, in order")
-        rows = [result_row(r.technique, r.index, modes[0], t.entry, t.p_values, eps) for t in r.results]
-        if any(t.verdict != row["verdict"] for t, row in zip(r.results, rows)):
-            raise ValueError(f"{r.technique}/{r.index}: a verdict is not the one its p-values give")
-        block = [_row_line(rows[i]) for i in file_order]
+        block = [_row_line(r.technique, r.index, modes[0], r.results[i], eps) for i in file_order]
         lines.extend(block)
         # A later mode's line is the first mode's with the mode replaced: only a
         # slug and an int come before it, so its '"mode":"' is the line's first.
         for mode in modes[1:]:
             lines.extend(line.replace(f'"mode":"{modes[0]}"', f'"mode":"{mode}"', 1) for line in block)
-    write_bytes_atomic(path, ("\n".join(lines) + "\n").encode("ascii"))
+    return lines
+
+
+def write_results_jsonl(creport: CampaignReport, path: Path | str) -> None:
+    """Write the lines :func:`_results_lines` gives, each ended by LF, or
+    raise ValueError and write nothing for a report no file holds."""
+    write_bytes_atomic(path, ("\n".join(_results_lines(creport)) + "\n").encode("ascii"))
 
 
 def read_results_jsonl(path: Path | str) -> CampaignReport:
-    """Rebuild a CampaignReport: one report per status, in meta order, its
-    test results in battery order.
+    """The CampaignReport a results file holds: one report per meta status,
+    in meta order, its test results in battery order.
 
-    The meta record must equal :func:`campaign_meta` of the battery its
-    ``battery_definition`` describes and of its own ``threshold``,
-    ``modes``, ``statuses`` and ``version``. Then come, in the writer's
-    order, one row per meta status, meta mode and test, each equal to
-    :func:`result_row` of that status, mode and entry and the p-values of
-    the status's row for the test under its first mode,
-    with an int index and draw count (not 1.0 or true). Anything else
-    raises ValueError rather than being classified.
+    The report is built from the meta line and the ``p_values`` of each
+    status's rows under the first meta mode, each result with the verdict
+    its p-values give. The file must then be, byte for byte, what
+    :func:`write_results_jsonl` writes for that report; anything else
+    raises ValueError naming the file, and the first line at fault where
+    there is one, rather than being classified.
     """
-    path = Path(path)
-    lines = path.read_text(encoding="ascii").splitlines()
-    if not lines:
-        raise ValueError(f"{path}: empty results file")
-    lineno, rows, reports = 1, enumerate(lines[1:], start=2), []
+    path, lineno = Path(path), 0
     try:
+        text = path.read_bytes().decode("ascii")
+        if not text.endswith("\n"):
+            raise ValueError("the last line has no line end" if text else "empty results file")
+        lines = text[:-1].split("\n")
+        lineno = 1
         meta = json.loads(lines[0])
         battery = _meta_battery(meta)
         tests = sorted(battery.tests, key=lambda t: t.id)
         modes, eps = meta["modes"], meta["threshold"]
-        if len(lines) - 1 != len(meta["statuses"]) * len(modes) * len(tests):
+        block = len(modes) * len(tests)
+        if len(lines) - 1 != len(meta["statuses"]) * block:
             raise ValueError(f"{len(lines) - 1} rows, not one per meta status, mode and test")
-        for status in meta["statuses"]:
-            technique, index = status["technique"], status["index"]
-            first: dict[str, dict] = {}  # test id -> its row under the first mode
-            for mode in modes:
-                for test in tests:
-                    lineno, line = next(rows)
-                    rec = json.loads(line)
-                    if mode == modes[0]:
-                        row = first[test.id] = result_row(technique, index, mode, test, rec["p_values"], eps)
-                    else:
-                        row = dict(first[test.id], mode=mode)
-                    if rec != row or type(rec["index"]) is not int or type(rec["draws"]) is not int:
-                        if rec["p_values"] != row["p_values"]:
-                            raise ValueError(f"{technique}/{index} {mode} p-values differ from its {modes[0]} rows")
-                        raise ValueError(f"not the {technique}/{index} {mode} {test.id} row its p-values give")
-            results = [TestResult(t, first[t.id]["p_values"], first[t.id]["verdict"]) for t in battery.tests]
-            reports.append(StatusReport(technique, index, results))
-    except ValueError as exc:
-        raise ValueError(f"{path}:{lineno}: {exc}") from exc
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f"{path}:{lineno}: malformed record ({exc!r})") from exc
-    return CampaignReport(meta=meta, reports=reports)
+        reports = []
+        for s, status in enumerate(meta["statuses"]):
+            rows = {}
+            for k, test in enumerate(tests):
+                lineno = 2 + s * block + k
+                p_values = json.loads(lines[lineno - 1])["p_values"]
+                rows[test.id] = TestResult(test, p_values, _verdict(p_values, eps))
+            results = [rows[t.id] for t in battery.tests]
+            reports.append(StatusReport(status["technique"], status["index"], results))
+        lineno = 0
+        creport = CampaignReport(meta=meta, reports=reports)
+        want = _results_lines(creport)
+        if lines != want:
+            lineno = 1 + next(n for n, (got, line) in enumerate(zip(lines, want)) if got != line)
+            raise ValueError(_line_fault(lineno, lines[lineno - 1], want[lineno - 1], modes[0]))
+    except (ValueError, KeyError, TypeError, AttributeError, RecursionError) as exc:
+        why = exc if isinstance(exc, ValueError) else f"malformed record ({exc!r})"
+        raise ValueError(f"{path}:{lineno}: {why}" if lineno else f"{path}: {why}") from exc
+    return creport
+
+
+def _line_fault(lineno: int, got: str, want: str, first_mode: str) -> str:
+    """Why line ``lineno`` of a results file, ``got``, is not ``want``, the writer's line."""
+    if lineno == 1:
+        return "not the meta line the writer prints for its own fields"
+    row = json.loads(want)
+    where = f"{row['technique']}/{row['index']} {row['mode']}"
+    p_texts = {line.partition('"p_values":')[2].partition("}")[0] for line in (got, want)}
+    if row["mode"] != first_mode and len(p_texts) == 2:
+        return f"{where} p-values differ from its {first_mode} rows"
+    return f"not the {where} {row['test_id']} row its p-values give"
 
 
 def write_registry(registry: QualityRegistry, text_path: Path | str, json_path: Path | str) -> None:

@@ -193,8 +193,9 @@ def load_battery(name_or_path: str) -> Battery:
     path = Path(name_or_path)
     if not path.is_file():
         raise FileNotFoundError(f"unknown battery {name_or_path!r} (not built-in, not a file)")
-    doc = json.loads(path.read_text(encoding="ascii"))
     try:
-        return parse_battery(doc)
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f"malformed battery file {path}: {exc}") from exc
+        return parse_battery(json.loads(path.read_text(encoding="ascii")))
+    except ValueError as exc:  # UnicodeDecodeError and JSONDecodeError too
+        raise ValueError(f"{path}: {exc}") from exc
+    except (KeyError, TypeError, RecursionError) as exc:  # RecursionError: JSON nested too deep
+        raise ValueError(f"{path}: malformed battery file: {exc!r}") from exc

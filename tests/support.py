@@ -12,6 +12,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
+from hypothesis import strategies as st
 
 
 _U1 = np.uint32(1)
@@ -443,6 +444,52 @@ def toy_overlap_frequency(
     return float(np.mean(min_gap < length))
 
 
+# Bytes a mutation writes: any byte, or one with a meaning in a status,
+# battery or results file, so that a few edits can still parse.
+_EDIT_BYTES = st.one_of(st.integers(0, 255), st.sampled_from(b'0123456789.-+eE,:{}[]" \\u\r\n\t'))
+
+
+@st.composite
+def mutations(draw, data: bytes, max_edits: int = 3) -> bytes:
+    """``data`` after 1 to ``max_edits`` edits, each replacing, inserting or
+    deleting one byte."""
+    data = bytearray(data)
+    for _ in range(draw(st.integers(1, max_edits))):
+        at = draw(st.integers(0, len(data)))
+        edit = draw(st.sampled_from(("replace", "insert", "delete")))
+        if edit == "insert":
+            data.insert(at, draw(_EDIT_BYTES))
+        elif at < len(data):
+            if edit == "replace":
+                data[at] = draw(_EDIT_BYTES)
+            else:
+                del data[at]
+    return bytes(data)
+
+
+def _p_value_text(p) -> str:
+    """A finite float p-value to 17 significant digits, as the writer prints
+    it; anything else (NaN, a bool, a string) as JSON prints it."""
+    return f"{p:.17g}" if type(p) is float and math.isfinite(p) else json.dumps(p)
+
+
+def record_line(rec) -> str:
+    """A parsed results record printed in the writer's form: the meta as
+    sorted compact JSON, a row compact in its own key order, with its
+    p-values to 17 significant digits. So an unedited file's records print
+    back to its own lines."""
+    if not isinstance(rec, dict) or rec.get("type") == "meta":
+        return json.dumps(rec, sort_keys=True, separators=(",", ":"))
+    fields = []
+    for key, value in rec.items():
+        if key == "p_values" and isinstance(value, dict):
+            text = "{" + ",".join(f"{json.dumps(k)}:{_p_value_text(p)}" for k, p in value.items()) + "}"
+        else:
+            text = json.dumps(value, separators=(",", ":"))
+        fields.append(f"{json.dumps(key)}:{text}")
+    return "{" + ",".join(fields) + "}"
+
+
 def damaged_results(path) -> dict[str, str]:
     """Copies of a valid results file, each broken in one way a reader must
     reject: a lost last line, a repeated row, a row for a status or a mode
@@ -450,7 +497,12 @@ def damaged_results(path) -> dict[str, str]:
     a verdict its own p-values contradict, a meta line or a row that is
     valid JSON but not an object, a draw count that is a string, is
     negative or is a bool, p-values that are empty or a list of pairs, and
-    a p-value that is NaN, a bool, above 1 or negative."""
+    a p-value that is NaN, a bool, above 1 or negative.
+
+    Then one-row edits that parse to the same record but are not the bytes
+    the writer prints: a p-value in shortest or in exponent form, "draws"
+    before "verdict", a space after each colon, the verdict's first letter
+    as a \\u escape, and a CRLF line end."""
     lines = Path(path).read_text(encoding="ascii").splitlines(keepends=True)
     meta = json.loads(lines[0])
     first = json.loads(lines[1])
@@ -458,9 +510,11 @@ def damaged_results(path) -> dict[str, str]:
     one_mode = dict(meta, modes=meta["modes"][:1])
     bad_verdict = dict(first, verdict=first["verdict"].lower())
     flipped = dict(first, verdict={"Pass": "Fail", "Fail": "Pass"}[first["verdict"]])
+    draws_first = {k: first[k] for k in first if k != "verdict"} | {"verdict": first["verdict"]}
+    letter = first["verdict"][0]
 
     def with_first_row(rec: dict) -> str:
-        return "".join([lines[0], json.dumps(rec) + "\n"] + lines[2:])
+        return "".join([lines[0], record_line(rec) + "\n"] + lines[2:])
 
     def with_p_value(p) -> str:
         """The first row with its first p-value replaced by p, and the verdict
@@ -471,11 +525,21 @@ def damaged_results(path) -> dict[str, str]:
         fails = any(q < eps or q > 1 - eps for q in p_values.values())
         return with_first_row(dict(first, p_values=p_values, verdict="Fail" if fails else "Pass"))
 
+    def reprinted(form) -> str:
+        """The first p-value that ``form`` prints otherwise than the writer,
+        so printed: the same number in other bytes."""
+        for n, line in enumerate(lines[1:], start=1):
+            for key, p in json.loads(line)["p_values"].items():
+                if type(p) is float and form(p) != f"{p:.17g}":
+                    edited = line.replace(f'"{key}":{p:.17g}', f'"{key}":{form(p)}', 1)
+                    return "".join(lines[:n] + [edited] + lines[n + 1 :])
+        raise AssertionError("every p-value prints the same in that form")
+
     return {
         "truncated": "".join(lines[:-1]),
         "duplicated": "".join(lines + lines[-1:]),
-        "unknown_status": "".join(lines + [json.dumps(unknown) + "\n"]),
-        "unknown_mode": "".join([json.dumps(one_mode) + "\n"] + lines[1:]),
+        "unknown_status": "".join(lines + [record_line(unknown) + "\n"]),
+        "unknown_mode": "".join([record_line(one_mode) + "\n"] + lines[1:]),
         "bad_verdict": with_first_row(bad_verdict),
         "flipped_verdict": with_first_row(flipped),
         "meta_not_object": "".join(["[]\n"] + lines[1:]),
@@ -490,6 +554,14 @@ def damaged_results(path) -> dict[str, str]:
         "p_value_bool": with_p_value(True),
         "p_value_above_one": with_p_value(1.5),
         "p_value_negative": with_p_value(-0.5),
+        "p_value_shortest": reprinted(repr),
+        "p_value_exponent": reprinted(lambda p: f"{p:.16e}"),
+        "draws_before_verdict": with_first_row(draws_first),
+        "space_after_colon": "".join([lines[0], lines[1].replace('":', '": ')] + lines[2:]),
+        "verdict_escaped": "".join(
+            [lines[0], lines[1].replace(f'"verdict":"{letter}', f'"verdict":"\\u{ord(letter):04x}', 1)] + lines[2:]
+        ),
+        "crlf": "".join([lines[0], lines[1][:-1] + "\r\n"] + lines[2:]),
     }
 
 
@@ -607,12 +679,12 @@ INCONSISTENCIES = {
 
 def inconsistent_results(path, name: str | None) -> str:
     """The results file at path with the edit INCONSISTENCIES[name] applied
-    (None: no edit), one JSON record a line."""
+    (None: no edit), each record printed by :func:`record_line`."""
     lines = Path(path).read_text(encoding="ascii").splitlines()
     meta, rows = json.loads(lines[0]), [json.loads(line) for line in lines[1:]]
     if name is not None:
         meta, rows = INCONSISTENCIES[name](meta, rows)
-    return "".join(json.dumps(rec) + "\n" for rec in [meta, *rows])
+    return "".join(record_line(rec) + "\n" for rec in [meta, *rows])
 
 
 def recompute_tables_from_jsonl(path, expected_fail_ids) -> dict:

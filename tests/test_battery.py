@@ -7,6 +7,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
 
 from mtstreams.stats.battery import (
     BUILTIN_BATTERIES,
@@ -19,6 +20,8 @@ from mtstreams.stats.battery import (
     dump_battery,
     load_battery,
 )
+
+from support import mutations
 
 
 def test_builtin_battery_shape():
@@ -253,3 +256,15 @@ def test_battery_module_loads_no_numpy_or_scipy():
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=mutations(dump_battery(MINI_CRUSH_V1).encode("ascii")))
+@example(data=b"[" * 3000 + b"]" * 3000)
+def test_a_mutated_battery_file_raises_only_value_or_file_errors(tmp_path_factory, data):
+    path = tmp_path_factory.getbasetemp() / "mutated_battery.json"
+    path.write_bytes(data)
+    try:
+        load_battery(str(path))
+    except (ValueError, FileNotFoundError) as exc:
+        assert str(path) in str(exc)

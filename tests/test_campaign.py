@@ -12,6 +12,8 @@ import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import mtstreams.campaign as campaign
 from mtstreams.campaign import (
@@ -43,7 +45,7 @@ from mtstreams.stats.families import run_test
 from mtstreams.stats.stream import StreamView
 from mtstreams.statusfile import TECHNIQUES, StatusFormatError, parse_status_filename, status_filename
 
-from support import HalfWriteThenFail, RecordingContext, damaged_results, recompute_tables_from_jsonl
+from support import HalfWriteThenFail, RecordingContext, damaged_results, mutations, recompute_tables_from_jsonl
 
 FAST = Battery(
     name="fast-unit",
@@ -347,6 +349,11 @@ def test_read_results_rejects_malformed_files(tmp_path):
     bad_head.write_text('{"type":"result"}\n')
     with pytest.raises(ValueError, match="meta"):
         read_results_jsonl(bad_head)
+    not_ascii = tmp_path / "ff.jsonl"
+    not_ascii.write_bytes(b"\xff\n")
+    with pytest.raises(ValueError) as refused:
+        read_results_jsonl(not_ascii)
+    assert str(refused.value).startswith(f"{not_ascii}: 'ascii' codec can't decode byte 0xff")
 
 
 def test_read_results_rejects_incomplete_or_inconsistent_files(tmp_path):
@@ -358,6 +365,38 @@ def test_read_results_rejects_incomplete_or_inconsistent_files(tmp_path):
         damaged.write_text(text)
         with pytest.raises(ValueError):
             read_results_jsonl(damaged)
+
+
+@pytest.fixture(scope="module")
+def fast_results(fast_report, tmp_path_factory):
+    path = tmp_path_factory.mktemp("fast") / "results.jsonl"
+    write_results_jsonl(fast_report, path)
+    return path
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_a_mutated_results_file_is_refused_or_is_what_the_writer_gives(fast_results, data):
+    mutated = data.draw(mutations(fast_results.read_bytes()))
+    path, rewritten = fast_results.with_name("mutated.jsonl"), fast_results.with_name("rewritten.jsonl")
+    path.write_bytes(mutated)
+    try:
+        creport = read_results_jsonl(path)
+    except ValueError:
+        return
+    write_results_jsonl(creport, rewritten)
+    assert rewritten.read_bytes() == mutated
+
+
+def test_a_negative_zero_p_value_is_written_as_0_and_reads_back(tmp_path):
+    creport = run_campaign(_entries(1), CampaignConfig(battery=FAST, modes=("int",)))
+    result = creport.reports[0].results[0]
+    result.p_values = dict.fromkeys(result.p_values, -0.0)
+    result.verdict = "Fail"
+    path = tmp_path / "results.jsonl"
+    write_results_jsonl(creport, path)
+    assert '":-0' not in path.read_text()
+    assert read_results_jsonl(path) == creport
 
 
 def test_results_files_keep_p_values_0_and_1_and_refuse_impossible_ones(tmp_path):

@@ -352,6 +352,14 @@ def test_report_table_selection_and_errors(campaign_results, tmp_path, capsys):
     malformed.write_text("{}\n")
     assert main(["report", "--results", str(malformed)]) == 2
     capsys.readouterr()
+    not_ascii = tmp_path / "ff.jsonl"
+    not_ascii.write_bytes(b"\xff\n")
+    assert main(["report", "--results", str(not_ascii)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {not_ascii}: 'ascii' codec can't decode byte 0xff")
+    truncated = tmp_path / "battery.json"
+    truncated.write_text('{"name": ')
+    assert main(["test", "--battery", str(truncated), "--dir", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {truncated}: Expecting value")
 
 
 def test_report_and_registry_reject_damaged_results(campaign_results, tmp_path, capsys):
@@ -657,6 +665,19 @@ def test_process_entry_exits_with_main_codes_and_output(tmp_path):
         "differs: indexed_00002.mts",
     ]
     assert verify.stdout.endswith(" identical, 2 differing, 0 unmatched\n")
+
+
+def test_deeply_nested_json_is_a_parse_error_naming_the_file(tmp_path):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 3000 + "]" * 3000)
+    for argv in (
+        ("report", "--results", str(deep)),
+        ("registry", "--results", str(deep), "--out", str(tmp_path / "reg.txt")),
+        ("test", "--battery", str(deep), "--dir", str(tmp_path)),
+    ):
+        run = _entry(*argv)
+        assert run.returncode == 2, run.stderr
+        assert run.stderr.startswith(f"error: {deep}") and "Traceback" not in run.stderr, run.stderr
 
 
 def test_main_in_process_leaves_the_collector_alone(campaign_results, tmp_path, capsys):

@@ -1,6 +1,7 @@
 """Status file format: canonical round trips and malformed-input rejection."""
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from mtstreams.mt19937 import N, MtState, init_genrand
 from mtstreams.statusfile import (
@@ -15,7 +16,7 @@ from mtstreams.statusfile import (
     write_bytes_atomic,
 )
 
-from support import HalfWriteThenFail
+from support import HalfWriteThenFail, mutations
 
 
 def random_state(rng):
@@ -172,3 +173,14 @@ def test_write_bytes_atomic_failure_leaves_the_old_file(tmp_path, monkeypatch):
         write_bytes_atomic(path, b"new contents\n")
     assert path.read_bytes() == b"old\n"
     assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=mutations(serialize_status(init_genrand(5489)).encode("ascii")))
+def test_a_status_that_parses_serializes_to_its_own_text(data):
+    text = data.decode("latin-1")
+    try:
+        state = parse_status(text)
+    except StatusFormatError:
+        return
+    assert serialize_status(state) == text

@@ -8,7 +8,9 @@ statuses in both modes: the meta record comes from `results.campaign_meta`,
 and each row is printed as text in the row format that
 `tests/test_digest.py` freezes, with seeded uniform p-values under the
 family's sub-statistic names and the two-sided verdict at the meta's
-threshold. With `--results` it times an existing results file instead. It
+threshold. The reader refuses any file that is not the writer's bytes, so
+`tests/test_results_io.py` checks that a fabricated file rewrites to
+itself. With `--results` it times an existing results file instead. It
 reads the file 5 times, writes the report that the reading returns 5 times,
 and prints one JSON object: the median and every run of each, in seconds,
 with the file's rows and bytes.
