@@ -30,7 +30,7 @@ from mtstreams._version import VERSION
 from mtstreams.statusfile import TECHNIQUES, write_bytes_atomic
 
 if TYPE_CHECKING:
-    from mtstreams.stats.battery import TestDefinition
+    from mtstreams.stats.battery import Battery, TestDefinition
 
 MODES = ("int", "real")
 DEFAULT_EXPECTED_FAIL_IDS = frozenset({"linearcomp.r0", "linearcomp.r29"})
@@ -244,16 +244,16 @@ def _meta_battery(meta):
     return battery
 
 
-def _results_lines(creport: CampaignReport) -> list[str]:
+def _results_lines(creport: CampaignReport, battery: Battery) -> list[str]:
     """The lines of the results file of ``creport``, without line ends: the
     meta record as sorted compact JSON, then one :func:`_row_line` per
     status, meta mode and test, in meta order and tests sorted by id.
+    ``battery`` is the meta's, as :func:`_meta_battery` gives it.
 
-    Raises ValueError for a report no file holds: a meta record that is not its
-    rebuild, reports and results out of order, or results :func:`_row_line` refuses.
+    Raises ValueError for a report no file holds: reports and results out
+    of order, or results :func:`_row_line` refuses.
     """
     meta = creport.meta
-    battery = _meta_battery(meta)
     tests = list(battery.tests)
     file_order = sorted(range(len(tests)), key=lambda i: tests[i].id)
     lines = [json.dumps(meta, sort_keys=True, separators=(",", ":"))]
@@ -273,7 +273,8 @@ def _results_lines(creport: CampaignReport) -> list[str]:
 def write_results_jsonl(creport: CampaignReport, path: Path | str) -> None:
     """Write the lines :func:`_results_lines` gives, each ended by LF, or
     raise ValueError and write nothing for a report no file holds."""
-    write_bytes_atomic(path, ("\n".join(_results_lines(creport)) + "\n").encode("ascii"))
+    lines = _results_lines(creport, _meta_battery(creport.meta))
+    write_bytes_atomic(path, ("\n".join(lines) + "\n").encode("ascii"))
 
 
 def read_results_jsonl(path: Path | str) -> CampaignReport:
@@ -312,7 +313,7 @@ def read_results_jsonl(path: Path | str) -> CampaignReport:
             reports.append(StatusReport(status["technique"], status["index"], results))
         lineno = 0
         creport = CampaignReport(meta=meta, reports=reports)
-        want = _results_lines(creport)
+        want = _results_lines(creport, battery)
         if lines != want:
             lineno = 1 + next(n for n, (got, line) in enumerate(zip(lines, want)) if got != line)
             raise ValueError(_line_fault(lineno, lines[lineno - 1], want[lineno - 1], modes[0]))

@@ -6,8 +6,9 @@ fingerprints, so key order and float formatting are fixed.
 
 Each family has one function here whose keywords are its parameters: it
 checks their bounds and returns the words an entry reads. :data:`FAMILIES`
-pairs it with the family's p-value names in order; a :class:`TestDefinition`
-keeps the two as ``draws`` and ``statistics``. Standard library only, so the
+pairs it with the family's p-value names in order, the one place a
+sub-statistic is named; a :class:`TestDefinition` keeps the two as
+``draws`` and ``statistics``. Standard library only, so the
 results reader can rebuild a file's battery, and check its rows, without NumPy.
 """
 from __future__ import annotations

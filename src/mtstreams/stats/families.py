@@ -4,11 +4,11 @@
 :class:`~mtstreams.stats.stream.StreamView` once, as many as its
 ``draws`` (:mod:`mtstreams.stats.battery` checks the parameters and sizes
 the read), and passes the array to the family. Families are pure
-functions of (words, **params) that return their p-values alone, a dict
-under the names the battery module lists for the family (an entry's
-``statistics``), as a results row holds them. `run_test` gives the
-two-sided verdict: Fail iff any sub-p-value p satisfies p < eps or
-p > 1 - eps (strict, so p = eps passes).
+functions of (words, **params) that return their p-values alone, a tuple
+in the order of the entry's ``statistics``. Only the battery module names
+them: `run_test` pairs each value with its name, as a results row holds
+them, and gives the two-sided verdict: Fail iff any sub-p-value p
+satisfies p < eps or p > 1 - eps (strict, so p = eps passes).
 
 Only ClosePairs reads floats, w * 2^-32. The cell families read words: the
 cell of a uniform u = w * 2^-32 among d is floor(u * d) = (w * d) >> 32,
@@ -24,18 +24,18 @@ import numpy as np
 from mtstreams.results import TestResult, _verdict
 from mtstreams.stats.battery import TestDefinition
 from mtstreams.stats.complexity import berlekamp_massey, linear_complexity_pvalue
-from mtstreams.stats.pvalues import chi2_pvalue, merged_chi2_pvalue, poisson_two_sided_pvalue
+from mtstreams.stats.pvalues import chi2_pvalue, merged_chi2_pvalue, poisson_left_pvalue
 from mtstreams.stats.stream import StreamView
 from mtstreams.stats.walks import h_null, m_null, r_null, walk_statistics
 
 _BLOCK_WORDS = 1 << 16
 
 
-def linear_comp_test(words: np.ndarray, n_bits: int, bit_offset: int) -> dict:
+def linear_comp_test(words: np.ndarray, n_bits: int, bit_offset: int) -> tuple[float]:
     """Saturation test on the linear complexity of bit ``bit_offset`` (0 is
     the MSB) of each word."""
     bits = ((words >> np.uint32(31 - bit_offset)) & np.uint32(1)).astype(np.uint8)
-    return {"saturation": linear_complexity_pvalue(berlekamp_massey(bits), n_bits)}
+    return (linear_complexity_pvalue(berlekamp_massey(bits), n_bits),)
 
 
 def word_cells(words: np.ndarray, d: int) -> np.ndarray:
@@ -64,10 +64,10 @@ def collision_count(words: np.ndarray, n: int, d: int, t: int) -> int:
     return int(np.count_nonzero(cells[1:] == cells[:-1]))
 
 
-def collision_over_test(words: np.ndarray, n: int, d: int, t: int) -> dict:
+def collision_over_test(words: np.ndarray, n: int, d: int, t: int) -> tuple[float]:
     """Poisson left tail of the collision count, with mean n(n-1) / 2d^t."""
     lam = n * (n - 1) / (2.0 * d**t)
-    return {"collisions": poisson_two_sided_pvalue(collision_count(words, n, d, t), lam)[0]}
+    return (poisson_left_pvalue(collision_count(words, n, d, t), lam),)
 
 
 def torus_min_distance(points: np.ndarray) -> float:
@@ -108,25 +108,26 @@ def torus_min_distance(points: np.ndarray) -> float:
     return math.sqrt(best2)
 
 
-def close_pairs_test(words: np.ndarray, n: int, t: int) -> dict:
+def close_pairs_test(words: np.ndarray, n: int, t: int) -> tuple[float]:
     """Minimal pairwise distance of n points w * 2^-32 in the unit torus [0,1)^t."""
     points = (words * 2.0**-32).reshape(n, t)
     d_min = torus_min_distance(points)
     volume = math.pi ** (t / 2.0) / math.gamma(t / 2.0 + 1.0)
     lam = n * (n - 1) / 2.0 * volume * d_min**t
-    return {"min_distance": math.exp(-lam)}
+    return (math.exp(-lam),)
 
 
-def random_walk_test(words: np.ndarray, walks: int, steps: int) -> dict:
-    """Chi-square of H, M, R walk statistics against their exact null laws."""
+def random_walk_test(words: np.ndarray, walks: int, steps: int) -> tuple[float, float, float]:
+    """Chi-square p-values of the H, M and R walk statistics, in that order,
+    against their exact null laws."""
     h, m, r = walk_statistics(words, walks, steps)
-    return {
-        name: merged_chi2_pvalue(np.bincount(values, minlength=null.size), walks * null)[0]
-        for name, values, null in (("H", h, h_null(steps)), ("M", m, m_null(steps)), ("R", r, r_null(steps)))
-    }
+    return tuple(
+        merged_chi2_pvalue(np.bincount(values, minlength=null.size), walks * null)
+        for values, null in ((h, h_null(steps)), (m, m_null(steps)), (r, r_null(steps)))
+    )
 
 
-def serial_uniformity_test(words: np.ndarray, n: int, cells: int) -> dict:
+def serial_uniformity_test(words: np.ndarray, n: int, cells: int) -> tuple[float]:
     """Chi-square of cell counts of floor(u * cells) against uniformity,
     each cell computed from its word by `word_cells`."""
     # Counted a block at a time, so a block's 8-byte cells stay in cache; a
@@ -138,7 +139,7 @@ def serial_uniformity_test(words: np.ndarray, n: int, cells: int) -> dict:
         counts += np.bincount(word_cells(words[start : start + block], cells), minlength=cells)
     expected = n / cells
     chi2 = float(np.sum((counts - expected) ** 2) / expected)
-    return {"chi2": chi2_pvalue(chi2, cells - 1)}
+    return (chi2_pvalue(chi2, cells - 1),)
 
 
 _RUNNERS = {
@@ -152,6 +153,8 @@ _RUNNERS = {
 
 def run_test(definition: TestDefinition, view: StreamView, eps: float) -> TestResult:
     """Run one battery entry on the view's next ``definition.draws`` words;
-    verdict per the two-sided rule."""
-    p_values = _RUNNERS[definition.family](view.take_words(definition.draws), **definition.params)
+    verdict per the two-sided rule. Raises ValueError unless the family gives
+    one p-value per name in ``definition.statistics``."""
+    values = _RUNNERS[definition.family](view.take_words(definition.draws), **definition.params)
+    p_values = dict(zip(definition.statistics, values, strict=True))
     return TestResult(definition, p_values, _verdict(p_values, eps))

@@ -1,10 +1,9 @@
 """P-value machinery shared by the test families.
 
-Conventions: chi-square p-values are right tails; the Poisson helper returns
-both tails, each including the observed atom. Both come from the regularized
-incomplete gamma functions P(a, x) and Q(a, x) = 1 - P(a, x): a chi-square
-right tail is Q(df/2, x/2), and the Poisson tails are Q(k + 1, lam) and
-P(k, lam).
+Each law returns one p-value: a chi-square statistic's right tail, and a
+Poisson count's left tail, which includes the observed atom. Both come from
+the regularized incomplete gamma functions P(a, x) and Q(a, x) = 1 - P(a, x):
+a chi-square right tail is Q(df/2, x/2), and P(X <= k) = Q(k + 1, lam).
 
 Every tail is computed from 36-digit ``decimal`` values and rounded once
 to binary64, so it depends on no numerical library's version. The error
@@ -21,8 +20,8 @@ x is served by an anchor x0: the nearest point of a grid of spacing about
 sqrt(a) / 2. The first tail near x0 runs the kernel at x0 and expands the
 density there; each later one adds a ~35-term polynomial in x - x0,
 evaluated in 192-bit fixed point, to the anchor's tail (:func:`_anchor`).
-The Poisson tails take one kernel run for both sides and are cached whole,
-since a test's mean stays fixed and its count takes few values.
+A Poisson tail takes one kernel run and is cached, since a test's mean stays
+fixed and its count takes few values.
 """
 from __future__ import annotations
 
@@ -229,40 +228,26 @@ def chi2_pvalue(x: float, df: int) -> float:
     return _gamma_tails(df, x / 2.0)[1]
 
 
-def poisson_two_sided_pvalue(observed: int, lam: float) -> tuple[float, float]:
-    """(left, right) = (P(X <= observed), P(X >= observed)) under Poisson(lam).
-
-    Both tails include the observed atom, so left + right >= 1. For k >= 1
-    they come from one kernel run at a = k: right = P(X >= k) = P(k, lam)
-    and left = P(X <= k) = Q(k, lam) + lam^k e^-lam / k!, two positive
-    terms. Results are cached, since a test's lam stays fixed.
-    """
+@functools.lru_cache(maxsize=4096)
+def poisson_left_pvalue(observed: int, lam: float) -> float:
+    """P(X <= observed) under Poisson(lam), the atom included: Q(observed + 1,
+    lam), from one kernel run. Cached, since a test's lam stays fixed."""
     if observed < 0:
         raise ValueError(f"observed count must be >= 0, got {observed}")
     if not lam > 0:
         raise ValueError(f"mean must be > 0, got {lam}")
-    return _poisson_tails(int(observed), float(lam))
-
-
-@functools.lru_cache(maxsize=4096)
-def _poisson_tails(k: int, lam: float) -> tuple[float, float]:
     if lam == math.inf:
-        return 0.0, 1.0
+        return 0.0
     with localcontext(_CONTEXT):
-        x = Decimal(lam)  # exact
-        if k == 0:
-            return float((-x).exp()), 1.0
-        p, q, prefactor = _exact_tails(2 * k, x)
-        return float(q + prefactor / k), float(p)
+        return float(_exact_tails(2 * int(observed) + 2, Decimal(lam))[1])  # lam exact
 
 
-def merged_chi2_pvalue(observed: np.ndarray, expected: np.ndarray) -> tuple[float, float, int]:
+def merged_chi2_pvalue(observed: np.ndarray, expected: np.ndarray) -> float:
     """Chi-square right-tail p after ascending adjacent-cell merging.
 
     Cells are scanned in ascending index order and merged with their
     successors until each merged cell's expectation reaches MIN_EXPECTED;
-    a deficient final cell is folded into the previous one. Returns
-    (p_value, statistic, degrees of freedom).
+    a deficient final cell is folded into the previous one.
     """
     observed = np.asarray(observed, dtype=np.float64)
     expected = np.asarray(expected, dtype=np.float64)
@@ -289,6 +274,4 @@ def merged_chi2_pvalue(observed: np.ndarray, expected: np.ndarray) -> tuple[floa
         raise ValueError("fewer than 2 cells after merging")
     o_arr = np.array(obs_cells)
     e_arr = np.array(exp_cells)
-    chi2 = float(np.sum((o_arr - e_arr) ** 2 / e_arr))
-    df = len(exp_cells) - 1
-    return chi2_pvalue(chi2, df), chi2, df
+    return chi2_pvalue(float(np.sum((o_arr - e_arr) ** 2 / e_arr)), len(exp_cells) - 1)

@@ -28,8 +28,9 @@ STATUS_SUFFIX = ".mts"
 # The partitioning techniques' slugs, as file names, results and registries carry them.
 TECHNIQUES = ("split", "random", "indexed")
 
+# ASCII digits only: \d would take any Unicode decimal digit, which int() reads.
 _STATUS_NAME = re.compile(
-    "(" + "|".join(TECHNIQUES) + r")_(\d{5}|[1-9]\d{5,})" + re.escape(STATUS_SUFFIX)
+    "(" + "|".join(TECHNIQUES) + r")_([0-9]{5}|[1-9][0-9]{5,})" + re.escape(STATUS_SUFFIX)
 )
 
 _DECIMAL = re.compile(r"(0|[1-9][0-9]*)")

@@ -368,16 +368,13 @@ def chi2_sf_oracle(x: float, df: int) -> float:
     return float(quad(density, [mpf(x), mp.inf]))
 
 
-def poisson_tails_oracle(k: int, lam: float) -> tuple[float, float]:
-    """(P(X <= k), P(X >= k)) by direct high-precision summation (mpmath)."""
+def poisson_left_oracle(k: int, lam: float) -> float:
+    """P(X <= k) by direct high-precision summation (mpmath)."""
     from mpmath import factorial, mp, mpf
 
     mp.dps = 60
     lam_mp = mpf(lam)
-    pmf = [mp.e ** (-lam_mp) * lam_mp**i / factorial(i) for i in range(k + 1)]
-    left = sum(pmf)
-    right = 1 - left + pmf[k]
-    return float(left), float(right)
+    return float(sum(mp.e ** (-lam_mp) * lam_mp**i / factorial(i) for i in range(k + 1)))
 
 
 def gamma_tails_oracle(two_a: int, x: float) -> tuple[float, float]:

@@ -40,7 +40,7 @@ from mtstreams.stats.complexity import berlekamp_massey
 from mtstreams.stats.families import run_test
 from mtstreams.stats.pvalues import (
     chi2_pvalue,
-    poisson_two_sided_pvalue,
+    poisson_left_pvalue,
 )
 from mtstreams.stats.stream import Mode, StreamView
 from mtstreams.stats.walks import h_null, m_null, r_null
@@ -51,7 +51,7 @@ from support import (
     bit_lane,
     chi2_sf_oracle,
     complexity_count,
-    poisson_tails_oracle,
+    poisson_left_oracle,
     recompute_tables_from_jsonl,
     toy_overlap_frequency,
 )
@@ -126,7 +126,8 @@ def test_criterion_03_null_distribution_oracles():
     assert census == {length: complexity_count(length, n) for length in range(n + 1)}
 
     # Tail probabilities against high-precision oracles: chi-square within
-    # 1e-10 absolute at 22 points, Poisson within 1e-13 relative at 28 points.
+    # 1e-10 absolute at 22 points, the Poisson left tail exactly at 28 points
+    # (both correctly rounded).
     chi2_grid = [
         (1, 0.5), (1, 4.0), (1, 25.0), (2, 1.0), (2, 10.0), (3, 0.25),
         (3, 7.81), (4, 13.3), (5, 1.0), (5, 11.07), (7, 30.0), (10, 3.94),
@@ -146,10 +147,7 @@ def test_criterion_03_null_distribution_oracles():
     ]
     assert len(poisson_grid) >= 20
     for lam, observed in poisson_grid:
-        left, right = poisson_two_sided_pvalue(observed, lam)
-        oracle_left, oracle_right = poisson_tails_oracle(observed, lam)
-        assert left == pytest.approx(oracle_left, rel=1e-13)
-        assert right == pytest.approx(oracle_right, rel=1e-13)
+        assert poisson_left_pvalue(observed, lam) == poisson_left_oracle(observed, lam)
 
 
 @pytest.mark.slow

@@ -340,6 +340,25 @@ def test_a_written_report_reads_back_equal(tmp_path, modes, jobs):
     assert read_results_jsonl(path) == creport
 
 
+def test_results_io_rebuilds_the_meta_battery_once(tmp_path, monkeypatch):
+    import mtstreams.results as results
+
+    creport = run_campaign(_entries(2), CampaignConfig(battery=FAST, modes=("int", "real")))
+    path = tmp_path / "results.jsonl"
+    calls = []
+    meta_battery = results._meta_battery
+
+    def spy(meta):
+        calls.append(meta)
+        return meta_battery(meta)
+
+    monkeypatch.setattr(results, "_meta_battery", spy)
+    write_results_jsonl(creport, path)
+    assert len(calls) == 1
+    assert read_results_jsonl(path) == creport
+    assert len(calls) == 2
+
+
 def test_read_results_rejects_malformed_files(tmp_path):
     empty = tmp_path / "empty.jsonl"
     empty.write_text("")
@@ -566,6 +585,8 @@ def test_parse_status_filename():
         "indexed00042.mts",
         "indexed_000001.mts",
         "indexed_0100000.mts",
+        "random_\u0660\u0660\u0660\u0660\u0661.mts",  # Arabic-Indic digits
+        "indexed_\uff10\uff10\uff10\uff14\uff12.mts",  # fullwidth digits
     ):
         with pytest.raises(StatusFormatError):
             parse_status_filename(bad)

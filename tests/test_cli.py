@@ -276,6 +276,12 @@ def test_test_io_errors(tmp_path, fast_battery_file, capsys):
     text = "\n".join(["MT19937-STATUS v1", str(2**32)] + ["1"] * (N - 1) + [str(N)]) + "\n"  # word 0 needs 33 bits
     (wide / "indexed_00000.mts").write_text(text)
     assert main(["test", "--dir", str(wide), "--battery", fast_battery_file]) == 2
+    # A valid status under a name whose index is not in ASCII digits.
+    assert _gen(tmp_path / "set", count=2) == 0
+    digits = tmp_path / "digits"
+    digits.mkdir()
+    (tmp_path / "set" / "indexed_00001.mts").rename(digits / "indexed_\u0660\u0660\u0660\u0660\u0661.mts")
+    assert main(["test", "--dir", str(digits), "--battery", fast_battery_file]) == 2
     capsys.readouterr()
 
 

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from mtstreams.mt19937 import MtStream, init_genrand
 from mtstreams.results import _verdict
+from mtstreams.stats import families
 from mtstreams.stats.battery import MINI_CRUSH_V1, TestDefinition
 from mtstreams.stats.complexity import berlekamp_massey, linear_complexity_pvalue
 from mtstreams.stats.families import (
@@ -17,7 +18,7 @@ from mtstreams.stats.families import (
     torus_min_distance,
     word_cells,
 )
-from mtstreams.stats.pvalues import chi2_pvalue, poisson_two_sided_pvalue
+from mtstreams.stats.pvalues import chi2_pvalue, poisson_left_pvalue
 from mtstreams.stats.stream import Mode, StreamView, WordPrefix
 
 from support import (
@@ -105,7 +106,7 @@ def test_collisionover_zero_collisions_gives_exponential_left_tail():
     lam = 1024 * 1023 / (2.0 * 1024**2)
     assert collision_count(_words(2, 1025), 1024, 1024, 2) == 0
     assert result.p_values["collisions"] == pytest.approx(math.exp(-lam), rel=1e-12)
-    assert poisson_two_sided_pvalue(0, lam) == (result.p_values["collisions"], 1.0)
+    assert poisson_left_pvalue(0, lam) == result.p_values["collisions"]
     assert result.verdict == "Pass"
 
 
@@ -123,7 +124,7 @@ def test_collisionover_matches_brute_force_on_real_streams():
         count = collision_count(_words(seed, 1025), 1024, 64, 2)
         assert count == brute_force_collisions(_uniforms(seed, 1025), 1024, 64, 2)
         lam = 1024 * 1023 / (2.0 * 64**2)
-        assert result.p_values == {"collisions": poisson_two_sided_pvalue(count, lam)[0]}
+        assert result.p_values == {"collisions": poisson_left_pvalue(count, lam)}
         assert result.draws == 1025
 
 
@@ -163,7 +164,8 @@ def test_closepairs_antipodal_pair_distance():
     words = np.array([0, 0, 2**31, 2**31], dtype=np.uint32)
     assert torus_min_distance((words * 2.0**-32).reshape(2, 2)) == pytest.approx(math.sqrt(0.5), rel=1e-15)
     # lambda = 1 pair * V_2 * D^2 = pi / 2.
-    assert close_pairs_test(words, 2, 2)["min_distance"] == pytest.approx(math.exp(-math.pi / 2), rel=1e-15)
+    (p,) = close_pairs_test(words, 2, 2)
+    assert p == pytest.approx(math.exp(-math.pi / 2), rel=1e-15)
 
 
 def test_closepairs_duplicate_point_fails_with_p_one():
@@ -356,6 +358,13 @@ def test_each_family_gives_its_entrys_statistics_in_order():
     for definition in MINI_CRUSH_V1.tests:
         result = run_test(definition, _view(), EPS)
         assert tuple(result.p_values) == definition.statistics, definition.id
+
+
+@pytest.mark.parametrize("values", [(0.5, 0.5), ()])
+def test_run_test_refuses_a_p_value_count_other_than_the_entrys_names(monkeypatch, values):
+    monkeypatch.setitem(families._RUNNERS, "ClosePairs", lambda words, n, t: values)
+    with pytest.raises(ValueError):
+        _run("ClosePairs", {"n": 256, "t": 2})
 
 
 def test_int_and_real_modes_agree_on_mt():

@@ -13,10 +13,10 @@ from mtstreams.stats.pvalues import (
     _gamma_tails,
     chi2_pvalue,
     merged_chi2_pvalue,
-    poisson_two_sided_pvalue,
+    poisson_left_pvalue,
 )
 
-from support import chi2_sf_oracle, gamma_tails_oracle, poisson_tails_oracle
+from support import chi2_sf_oracle, gamma_tails_oracle, poisson_left_oracle
 
 
 CHI2_GRID = [
@@ -100,66 +100,53 @@ POISSON_GRID = [
 
 @pytest.mark.parametrize("lam,observed", POISSON_GRID)
 def test_poisson_tails_match_summation_oracle(lam, observed):
-    left, right = poisson_two_sided_pvalue(observed, lam)
-    oracle_left, oracle_right = poisson_tails_oracle(observed, lam)
-    assert left == pytest.approx(oracle_left, rel=1e-13)
-    assert right == pytest.approx(oracle_right, rel=1e-13)
+    assert poisson_left_pvalue(observed, lam) == poisson_left_oracle(observed, lam)
 
 
 def test_poisson_tails_trivial_points():
-    left, right = poisson_two_sided_pvalue(0, 3.0)
-    assert left == pytest.approx(math.exp(-3.0), rel=1e-12)
-    assert right == 1.0
-    _, right = poisson_two_sided_pvalue(3, 1.0)
-    # P(X >= 3) for Poisson(1) = 1 - e^-1 (1 + 1 + 1/2).
-    assert right == pytest.approx(1.0 - math.exp(-1.0) * 2.5, rel=1e-12)
-
-
-def test_poisson_tails_overlap_on_the_atom():
-    left, right = poisson_two_sided_pvalue(128, 128.0)
-    assert left + right > 1.0
-    assert left > 0.5 and right > 0.4
+    assert poisson_left_pvalue(0, 3.0) == pytest.approx(math.exp(-3.0), rel=1e-12)
+    # P(X <= 2) for Poisson(1) = e^-1 (1 + 1 + 1/2).
+    assert poisson_left_pvalue(2, 1.0) == pytest.approx(math.exp(-1.0) * 2.5, rel=1e-12)
 
 
 def test_poisson_extreme_tail_underflows_to_zero():
-    left, _ = poisson_two_sided_pvalue(0, 10000.0)
-    assert left == 0.0
+    assert poisson_left_pvalue(0, 10000.0) == 0.0
 
 
 def test_poisson_rejects_bad_arguments():
     with pytest.raises(ValueError):
-        poisson_two_sided_pvalue(-1, 4.0)
+        poisson_left_pvalue(-1, 4.0)
     with pytest.raises(ValueError):
-        poisson_two_sided_pvalue(2, 0.0)
+        poisson_left_pvalue(2, 0.0)
 
 
 def test_merged_chi2_merges_small_cells():
     observed = np.array([1, 2, 50, 47], dtype=np.int64)
     expected = np.array([1.5, 2.5, 48.0, 48.0])
-    p, chi2, df = merged_chi2_pvalue(observed, expected)
     # First two cells merge into the third until every cell expects >= 5.
     merged_obs = np.array([53, 47])
     merged_exp = np.array([52.0, 48.0])
     want = float(np.sum((merged_obs - merged_exp) ** 2 / merged_exp))
-    assert chi2 == pytest.approx(want, rel=1e-12)
-    assert df == 1
-    assert p == pytest.approx(chi2_pvalue(want, 1), rel=1e-12)
+    assert merged_chi2_pvalue(observed, expected) == chi2_pvalue(want, 1)
 
 
 def test_merged_chi2_folds_deficient_tail():
     observed = np.array([10, 10, 10, 1], dtype=np.int64)
     expected = np.array([10.0, 10.0, 10.0, 1.0])
-    p, chi2, df = merged_chi2_pvalue(observed, expected)
-    assert df == 2
-    assert chi2 == pytest.approx(0.0, abs=1e-12)
-    assert p == 1.0
+    assert merged_chi2_pvalue(observed, expected) == 1.0
+    # Off the null, the p-value shows both the statistic and the df: the
+    # last cell (8 + 1 against 10 + 1) holds the deficient one.
+    observed = np.array([12, 10, 8, 1], dtype=np.int64)
+    want = 4 / 10 + 0 / 10 + 4 / 11
+    p = merged_chi2_pvalue(observed, expected)
+    assert p == chi2_pvalue(want, 2)
+    assert p not in (chi2_pvalue(want, 1), chi2_pvalue(want, 3))
 
 
 def test_merged_chi2_exact_match_gives_p_one():
     observed = np.array([20, 20, 20], dtype=np.int64)
     expected = np.array([20.0, 20.0, 20.0])
-    p, chi2, df = merged_chi2_pvalue(observed, expected)
-    assert (p, chi2, df) == (1.0, 0.0, 2)
+    assert merged_chi2_pvalue(observed, expected) == 1.0
 
 
 def test_merged_chi2_rejects_degenerate_tables():
@@ -189,10 +176,9 @@ def test_battery_tails_are_correctly_rounded():
     for df in range(30, 101, 7):
         for x in (df * 0.5, df - 3.25, float(df), df + 7.5, df * 2.0):
             assert chi2_pvalue(x, df) == gamma_tails_oracle(df, x / 2)[1], (df, x)
-    for lam, ks in ((127.9921875, range(64, 201, 17)), (31.99609375, range(8, 71, 9))):
-        for k in ks:
-            want = (gamma_tails_oracle(2 * k + 2, lam)[1], gamma_tails_oracle(2 * k, lam)[0])
-            assert poisson_two_sided_pvalue(k, lam) == want, (lam, k)
+    for lam in (127.9921875, 31.99609375):
+        for k in range(int(2 * lam) + 21):
+            assert poisson_left_pvalue(k, lam) == gamma_tails_oracle(2 * k + 2, lam)[1], (lam, k)
 
 
 def test_gamma_tails_at_zero_and_infinity():
@@ -200,8 +186,8 @@ def test_gamma_tails_at_zero_and_infinity():
         assert _gamma_tails(two_a, 0.0) == (0.0, 1.0)
         assert _gamma_tails(two_a, math.inf) == (1.0, 0.0)
     assert chi2_pvalue(math.inf, 3) == 0.0
-    assert poisson_two_sided_pvalue(3, math.inf) == (0.0, 1.0)
-    assert poisson_two_sided_pvalue(0, math.inf) == (0.0, 1.0)
+    assert poisson_left_pvalue(3, math.inf) == 0.0
+    assert poisson_left_pvalue(0, math.inf) == 0.0
 
 
 @pytest.mark.parametrize(
@@ -292,13 +278,13 @@ def test_poisson_tails_take_one_kernel_run_and_are_cached(monkeypatch):
         return exact(two_a, x)
 
     monkeypatch.setattr(pvalues, "_exact_tails", spy)
-    pvalues._poisson_tails.cache_clear()
+    pvalues.poisson_left_pvalue.cache_clear()
     lam = 127.9921875
     for k in (0, 1, 100, 128, 160):
-        want = poisson_tails_oracle(k, lam)
-        assert poisson_two_sided_pvalue(k, lam) == want, k
-        assert poisson_two_sided_pvalue(k, lam) == want, k
-    assert runs == [2, 200, 256, 320]  # k = 0 is e^-lam alone
+        want = poisson_left_oracle(k, lam)
+        assert poisson_left_pvalue(k, lam) == want, k
+        assert poisson_left_pvalue(k, lam) == want, k
+    assert runs == [2, 4, 202, 258, 322]  # a = k + 1
 
 
 def test_stirling_bernoulli_numbers_are_exact():
@@ -312,4 +298,4 @@ def test_nan_statistics_are_refused():
     with pytest.raises(ValueError):
         chi2_pvalue(math.nan, 3)
     with pytest.raises(ValueError):
-        poisson_two_sided_pvalue(3, math.nan)
+        poisson_left_pvalue(3, math.nan)
