@@ -19,20 +19,14 @@ from __future__ import annotations
 
 import ctypes
 import os
-from dataclasses import dataclass
-from multiprocessing import get_context
 from pathlib import Path
 
 import numpy as np
 
 from mtstreams.mt19937 import MtState, MtStream
-from mtstreams.results import (
-    MODES,
-    CampaignReport,
-    StatusReport,
-    TestResult,
-    campaign_meta,
-)
+from mtstreams.names import MODES
+from mtstreams.record import FrozenRecord, Record
+from mtstreams.results import CampaignReport, StatusReport, TestResult, campaign_meta
 from mtstreams.stats.battery import Battery
 from mtstreams.stats.families import run_test
 from mtstreams.stats.stream import StreamView, WordPrefix
@@ -47,27 +41,31 @@ from mtstreams.results import (  # noqa: F401
 )
 
 
-@dataclass(frozen=True)
-class StatusEntry:
+class StatusEntry(FrozenRecord):
     """One status to test, with its identity and file checksum."""
 
-    technique: str
-    index: int
-    state: MtState
-    sha256: str
+    __slots__ = _fields = ("technique", "index", "state", "sha256")
+
+    def __init__(self, technique: str, index: int, state: MtState, sha256: str) -> None:
+        self._set(technique=technique, index=index, state=state, sha256=sha256)
 
 
-@dataclass
-class CampaignConfig:
-    battery: Battery
-    modes: tuple[str, ...] = MODES
-    threshold: float | None = None
-    jobs: int = 1
+class CampaignConfig(Record):
+    """A campaign's battery, modes, threshold (None: the battery's) and
+    worker count; the constructor applies the meta's threshold and mode rules."""
 
-    def __post_init__(self) -> None:
-        if self.jobs < 1:
-            raise ValueError(f"jobs must be >= 1, got {self.jobs}")
-        campaign_meta(self.battery, self.eps, self.modes, ())  # the meta's threshold and mode rules
+    __slots__ = _fields = ("battery", "modes", "threshold", "jobs")
+
+    def __init__(
+        self, battery: Battery, modes: tuple[str, ...] = MODES, threshold: float | None = None, jobs: int = 1
+    ) -> None:
+        self.battery = battery
+        self.modes = modes
+        self.threshold = threshold
+        self.jobs = jobs
+        if jobs < 1:
+            raise ValueError(f"jobs must be >= 1, got {jobs}")
+        campaign_meta(battery, self.eps, modes, ())
 
     @property
     def eps(self) -> float:
@@ -171,6 +169,8 @@ def run_campaign(entries: list[StatusEntry], config: CampaignConfig) -> Campaign
     work = [(states[s["technique"], s["index"]], config.modes, config.battery, eps) for s in meta["statuses"]]
     workers = min(config.jobs, len(work), usable_cpus())
     if workers > 1:
+        from multiprocessing import get_context  # ~7 ms of imports that one worker skips
+
         ctx = get_context("fork")
         with ctx.Pool(workers) as pool:
             outcomes = pool.starmap(run_battery_on_status, work)

@@ -5,15 +5,21 @@ deterministic: identical inputs and flags yield identical output bytes and
 exit codes. Exit codes: 0 success; 1 usage; 2 I/O or parse failure;
 3 strict-mode quality failure or verify difference.
 
-Each command loads only what it runs. ``report``, ``registry``, ``verify``
-and ``gen --technique indexed`` need the standard library alone: a status
-is 2496 bytes, seeding is pure Python, and the generator core imports
-NumPy only when it runs NumPy's C engine, which ``gen`` with ``random`` or
-``split`` does to draw words. ``test`` imports ``campaign`` and the
-battery, which bring NumPy and the test families. The families'
+Each command loads only what it runs: the parser needs only the names in
+:mod:`mtstreams.names`, and each ``_cmd_*`` function imports its own
+modules. ``verify`` loads ``statusfile`` (and the generator core's status
+record) and compares bytes, with no hashing and no JSON. ``gen`` loads
+``partition``; with ``--technique indexed`` that is the standard library
+alone, since a status is 2496 bytes and seeding is pure Python, while
+``random`` and ``split`` import NumPy to draw words. ``report`` loads
+``results`` and ``reports``, ``registry`` loads ``results``, and both read
+the battery module to rebuild a file's battery. ``test`` imports
+``campaign`` and the battery, which bring NumPy and the test families,
+and ``multiprocessing`` only when it forks workers. The families'
 chi-square and Poisson p-values compute the incomplete gamma tails in the
 standard library's ``decimal``, which ``test`` loads with them; no command
-loads SciPy.
+loads SciPy. The package's records are plain ``__slots__`` classes
+(:mod:`mtstreams.record`), whose definitions load no ``inspect``.
 
 A process gives back no memory it is about to reuse or drop. ``test``
 calls :func:`mtstreams.campaign.keep_freed_memory` before the campaign, so
@@ -31,24 +37,7 @@ from pathlib import Path
 from typing import NoReturn
 
 from mtstreams._version import VERSION
-from mtstreams.partition import (
-    generate_indexed,
-    generate_random_spacing,
-    generate_sequence_splitting,
-    write_status_set,
-)
-from mtstreams.reports import TABLES, render_report
-from mtstreams.results import (
-    DEFAULT_EXPECTED_FAIL_IDS,
-    MODES,
-    build_registry,
-    classify_status,
-    read_results_jsonl,
-    resolve_expected_ids,
-    write_registry,
-    write_results_jsonl,
-)
-from mtstreams.statusfile import TECHNIQUES, verify_sets, write_bytes_atomic
+from mtstreams.names import DEFAULT_EXPECTED_FAIL_IDS, MODES, TABLES, TECHNIQUES
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -145,6 +134,13 @@ def _build_parser() -> _Parser:
 
 
 def _cmd_gen(args: argparse.Namespace) -> int:
+    from mtstreams.partition import (
+        generate_indexed,
+        generate_random_spacing,
+        generate_sequence_splitting,
+        write_status_set,
+    )
+
     try:
         if args.technique == "split":
             draws = (args.count - 1) * args.spacing
@@ -170,6 +166,7 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 
 def _cmd_test(args: argparse.Namespace) -> int:
     from mtstreams.campaign import CampaignConfig, keep_freed_memory, load_status_entries, run_campaign, usable_cpus
+    from mtstreams.results import classify_status, resolve_expected_ids, write_results_jsonl
     from mtstreams.stats.battery import load_battery
 
     inputs = list(args.dir) + list(args.status)
@@ -201,6 +198,10 @@ def _cmd_test(args: argparse.Namespace) -> int:
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
+    from mtstreams.reports import render_report
+    from mtstreams.results import read_results_jsonl
+    from mtstreams.statusfile import write_bytes_atomic
+
     creport = read_results_jsonl(args.results)
     tables = [t.strip() for t in args.tables.split(",") if t.strip()]
     try:
@@ -216,6 +217,8 @@ def _cmd_report(args: argparse.Namespace) -> int:
 
 
 def _cmd_registry(args: argparse.Namespace) -> int:
+    from mtstreams.results import build_registry, read_results_jsonl, write_registry
+
     creport = read_results_jsonl(args.results)
     try:
         registry = build_registry(creport, args.expected_fail)
@@ -235,6 +238,8 @@ def _cmd_registry(args: argparse.Namespace) -> int:
 def _cmd_verify(args: argparse.Namespace) -> int:
     if len(args.dir) != 2:
         raise UsageError("verify needs exactly two --dir arguments")
+    from mtstreams.statusfile import verify_sets
+
     report = verify_sets(args.dir[0], args.dir[1])
     for rel in report.differing:
         print(f"differs: {rel}")

@@ -17,8 +17,9 @@ from __future__ import annotations
 
 import operator
 import struct
-from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Iterable
+
+from mtstreams.record import FrozenRecord
 
 if TYPE_CHECKING:
     import numpy as np
@@ -70,8 +71,7 @@ class ZeroStateError(ValueError):
     """Raised for the all-zero words, a fixed point of the recurrence."""
 
 
-@dataclass(frozen=True)
-class MtState:
+class MtState(FrozenRecord):
     """Immutable MT19937 status: words ``mt`` and index ``mti``.
 
     ``mt`` holds the 624 words as 2496 bytes, little-endian; the constructor
@@ -80,25 +80,25 @@ class MtState:
     kept as an ``int``; ``mti == 624`` means the next output must twist first.
     """
 
-    mt: bytes
-    mti: int
+    __slots__ = _fields = ("mt", "mti")
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.mt, bytes):
+    def __init__(self, mt: bytes | Iterable[int], mti: int) -> None:
+        if not isinstance(mt, bytes):
             try:
-                object.__setattr__(self, "mt", _WORDS.pack(*self.mt))
+                mt = _WORDS.pack(*mt)
             except struct.error as exc:
                 raise ValueError(f"state must be {N} unsigned 32-bit words: {exc}") from None
-        elif len(self.mt) != _WORDS.size:
-            raise ValueError(f"state must be {_WORDS.size} bytes, got {len(self.mt)}")
+        elif len(mt) != _WORDS.size:
+            raise ValueError(f"state must be {_WORDS.size} bytes, got {len(mt)}")
         try:
-            object.__setattr__(self, "mti", operator.index(self.mti))
+            mti = operator.index(mti)
         except TypeError:
-            raise ValueError(f"mti must be an integer, got {self.mti!r}") from None
-        if not (0 <= self.mti <= N):
-            raise ValueError(f"mti must be in [0, {N}], got {self.mti}")
-        if self.mt == _ZERO_WORDS:
+            raise ValueError(f"mti must be an integer, got {mti!r}") from None
+        if not (0 <= mti <= N):
+            raise ValueError(f"mti must be in [0, {N}], got {mti}")
+        if mt == _ZERO_WORDS:
             raise ZeroStateError("all-zero state has period 1 and is rejected")
+        self._set(mt=mt, mti=mti)
 
     @property
     def words(self) -> tuple[int, ...]:

@@ -12,25 +12,27 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass
 from pathlib import Path
 
 from mtstreams.mt19937 import N, WORD_MASK, MtState, MtStream, advance, init_genrand
+from mtstreams.record import Record
 from mtstreams.statusfile import STATUS_SUFFIX, save_status, status_filename, write_bytes_atomic
 
 MANIFEST_NAME = "manifest.txt"
 
 
-@dataclass
-class StatusSet:
-    technique: str
-    statuses: list[tuple[int, MtState]]
-    provenance: dict
+class StatusSet(Record):
+    """A technique's statuses, as (index, status) pairs, and the parameters that made them."""
 
-    def __post_init__(self) -> None:
-        for expect, (index, _) in enumerate(self.statuses):
+    __slots__ = _fields = ("technique", "statuses", "provenance")
+
+    def __init__(self, technique: str, statuses: list[tuple[int, MtState]], provenance: dict) -> None:
+        for expect, (index, _) in enumerate(statuses):
             if index != expect:
                 raise ValueError(f"indices must be 0..count-1 without gaps, got {index}")
+        self.technique = technique
+        self.statuses = statuses
+        self.provenance = provenance
 
 
 def _check_seed_and_count(seed: int, name: str, count: int) -> None:

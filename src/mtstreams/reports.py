@@ -15,9 +15,8 @@ import io
 import json
 from collections import Counter
 
+from mtstreams.names import TABLES
 from mtstreams.results import CampaignReport, classify_status, resolve_expected_ids
-
-TABLES = ("summary", "histogram", "pertest")
 
 
 def build_tables(creport: CampaignReport, expected_fail_ids=None) -> dict[str, list[dict]]:
@@ -120,10 +119,19 @@ def render_report(
     fmt: str,
     expected_fail_ids=None,
 ) -> str:
-    """Requested tables in one deterministic string ('md', 'csv', or 'json')."""
+    """Requested tables in one deterministic string ('md', 'csv', or 'json').
+
+    ``tables`` names at least one table, each once: JSON keys a table by
+    its name, so a table given twice could not render the same rows in
+    every format.
+    """
     unknown = [t for t in tables if t not in TABLES]
     if unknown:
         raise ValueError(f"unknown tables: {unknown}; choose from {TABLES}")
+    if not tables:
+        raise ValueError(f"no table given; choose from {TABLES}")
+    if len(set(tables)) != len(tables):
+        raise ValueError(f"a table is given twice: {list(tables)}")
     rows = build_tables(creport, expected_fail_ids)
     if fmt == "json":
         return json.dumps({name: rows[name] for name in tables}, sort_keys=True, indent=2) + "\n"

@@ -13,41 +13,40 @@ report, a meta line from :func:`campaign_meta` and a row line per status,
 mode and test from :func:`_row_line`. The writer writes them; the reader
 makes a report of a file's meta line and first-mode p-values and refuses
 the file unless it is exactly that report's lines.
-Only running a campaign (``mtstreams.campaign``) needs NumPy or SciPy, so
+Only running a campaign (``mtstreams.campaign``) needs NumPy, so
 ``report`` and ``registry`` load only this module, ``reports``,
-``statusfile`` and ``stats.battery``.
+``statusfile``, ``stats.battery`` and the small modules below them.
 """
 from __future__ import annotations
 
 import hashlib
 import json
 import re
-from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING
 
 from mtstreams._version import VERSION
-from mtstreams.statusfile import TECHNIQUES, write_bytes_atomic
+from mtstreams.names import DEFAULT_EXPECTED_FAIL_IDS, MODES, TECHNIQUES
+from mtstreams.record import Record
+from mtstreams.statusfile import write_bytes_atomic
 
 if TYPE_CHECKING:
     from mtstreams.stats.battery import Battery, TestDefinition
 
-MODES = ("int", "real")
-DEFAULT_EXPECTED_FAIL_IDS = frozenset({"linearcomp.r0", "linearcomp.r29"})
 
-
-@dataclass
-class TestResult:
+class TestResult(Record):
     """Outcome of one battery entry (a :class:`~mtstreams.stats.battery.TestDefinition`)
     on one status: the entry itself, its p-values and verdict, all that its
     results rows hold, so :func:`read_results_jsonl` gives back the results
     :func:`write_results_jsonl` was given."""
 
     __test__ = False  # not a pytest collection target
+    __slots__ = _fields = ("entry", "p_values", "verdict")
 
-    entry: TestDefinition
-    p_values: dict[str, float]
-    verdict: str
+    def __init__(self, entry: TestDefinition, p_values: dict[str, float], verdict: str) -> None:
+        self.entry = entry
+        self.p_values = p_values
+        self.verdict = verdict
 
     @property
     def test_id(self) -> str:
@@ -69,13 +68,15 @@ def _verdict(p_values: dict[str, float], eps: float) -> str:
     return "Pass"
 
 
-@dataclass
-class StatusReport:
+class StatusReport(Record):
     """Battery outcome for one status, in battery order, under every meta mode."""
 
-    technique: str
-    index: int
-    results: list[TestResult]
+    __slots__ = _fields = ("technique", "index", "results")
+
+    def __init__(self, technique: str, index: int, results: list[TestResult]) -> None:
+        self.technique = technique
+        self.index = index
+        self.results = results
 
     @property
     def failed_ids(self) -> list[str]:
@@ -86,22 +87,33 @@ class StatusReport:
         return len(self.failed_ids)
 
 
-@dataclass
-class CampaignReport:
+class CampaignReport(Record):
     """A campaign's meta record and one report per meta status, in meta order."""
 
-    meta: dict
-    reports: list[StatusReport] = field(default_factory=list)
+    __slots__ = _fields = ("meta", "reports")
+
+    def __init__(self, meta: dict, reports: list[StatusReport]) -> None:
+        self.meta = meta
+        self.reports = reports
 
 
-@dataclass
-class QualityRegistry:
-    """Statuses classified Good, with the modes their results stand for."""
+class QualityRegistry(Record):
+    """Statuses classified Good, as (technique, index, sha256), with the
+    modes their results stand for."""
 
-    fingerprint: str
-    expected_fail_ids: tuple[str, ...]
-    modes: tuple[str, ...]
-    entries: list[tuple[str, int, str]]
+    __slots__ = _fields = ("fingerprint", "expected_fail_ids", "modes", "entries")
+
+    def __init__(
+        self,
+        fingerprint: str,
+        expected_fail_ids: tuple[str, ...],
+        modes: tuple[str, ...],
+        entries: list[tuple[str, int, str]],
+    ) -> None:
+        self.fingerprint = fingerprint
+        self.expected_fail_ids = expected_fail_ids
+        self.modes = modes
+        self.entries = entries
 
 
 def classify_status(report: StatusReport, expected_fail_ids) -> str:

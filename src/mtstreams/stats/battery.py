@@ -16,8 +16,9 @@ from __future__ import annotations
 import hashlib
 import json
 import re
-from dataclasses import dataclass, field
 from pathlib import Path
+
+from mtstreams.record import FrozenRecord
 
 # Words one battery entry may read per status: 1 GiB of uint32, which every
 # worker holds at once (see `campaign.status_words`).
@@ -82,62 +83,58 @@ FAMILIES = {
 }
 
 
-@dataclass(frozen=True)
-class TestDefinition:
+class TestDefinition(FrozenRecord):
     """One battery entry: stable id, family name, family parameters.
 
     The id is letters, digits, '.', '_' and '-'. The parameters must be
     exactly the family's, each an int (not a bool).
     ``draws`` is the number of words the entry reads, at most MAX_DRAWS, and
-    ``statistics`` the names of the p-values its result gives, in order.
+    ``statistics`` the names of the p-values its result gives, in order;
+    the constructor derives both, and equality leaves them out.
     """
 
     __test__ = False  # not a pytest collection target
+    _fields = ("id", "family", "params")
+    __slots__ = _fields + ("draws", "statistics")
 
-    id: str
-    family: str
-    params: dict = field(default_factory=dict)
-    draws: int = field(init=False, repr=False, compare=False)
-    statistics: tuple[str, ...] = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        if not isinstance(self.id, str) or not _ID.fullmatch(self.id):
-            raise ValueError(f"test id {self.id!r} must be letters, digits, '.', '_' or '-'")
-        if self.family not in FAMILIES:
-            raise ValueError(f"test {self.id}: unknown family: {self.family}")
-        draws_of, statistics = FAMILIES[self.family]
-        for name, value in self.params.items():
+    def __init__(self, id: str, family: str, params: dict | None = None) -> None:
+        params = {} if params is None else params
+        if not isinstance(id, str) or not _ID.fullmatch(id):
+            raise ValueError(f"test id {id!r} must be letters, digits, '.', '_' or '-'")
+        if family not in FAMILIES:
+            raise ValueError(f"test {id}: unknown family: {family}")
+        draws_of, statistics = FAMILIES[family]
+        for name, value in params.items():
             if type(value) is not int:
-                raise ValueError(f"test {self.id}: parameter {name} must be an integer, got {value!r}")
+                raise ValueError(f"test {id}: parameter {name} must be an integer, got {value!r}")
         try:
-            draws = draws_of(**self.params)
+            draws = draws_of(**params)
         except TypeError as exc:  # a missing or unknown parameter name
-            raise ValueError(f"test {self.id}: {self.family} parameters: {exc}") from exc
+            raise ValueError(f"test {id}: {family} parameters: {exc}") from exc
         except ValueError as exc:
-            raise ValueError(f"test {self.id}: {exc}") from exc
+            raise ValueError(f"test {id}: {exc}") from exc
         if draws > MAX_DRAWS:
-            raise ValueError(f"test {self.id}: reads {draws} words, more than MAX_DRAWS = 2^28")
-        object.__setattr__(self, "draws", draws)
-        object.__setattr__(self, "statistics", statistics)
+            raise ValueError(f"test {id}: reads {draws} words, more than MAX_DRAWS = 2^28")
+        self._set(id=id, family=family, params=params, draws=draws, statistics=statistics)
 
 
-@dataclass(frozen=True)
-class Battery:
-    name: str
-    threshold: float
-    tests: tuple[TestDefinition, ...]
+class Battery(FrozenRecord):
+    """A named, ordered tuple of entries with unique ids, and the two-sided
+    failure threshold its campaigns use unless given another."""
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.name, str):
-            raise ValueError(f"battery name must be a string, got {self.name!r}")
-        if not isinstance(self.threshold, float) or not 0.0 < self.threshold < 0.5:
-            raise ValueError(f"threshold must be a number in (0, 0.5), got {self.threshold!r}")
-        if not self.tests:
+    __slots__ = _fields = ("name", "threshold", "tests")
+
+    def __init__(self, name: str, threshold: float, tests) -> None:
+        if not isinstance(name, str):
+            raise ValueError(f"battery name must be a string, got {name!r}")
+        if not isinstance(threshold, float) or not 0.0 < threshold < 0.5:
+            raise ValueError(f"threshold must be a number in (0, 0.5), got {threshold!r}")
+        if not tests:
             raise ValueError("a battery needs at least one test")
-        ids = [t.id for t in self.tests]
+        ids = [t.id for t in tests]
         if len(set(ids)) != len(ids):
             raise ValueError("battery test ids must be unique")
-        object.__setattr__(self, "tests", tuple(self.tests))
+        self._set(name=name, threshold=threshold, tests=tuple(tests))
 
     @property
     def test_ids(self) -> tuple[str, ...]:

@@ -11,22 +11,21 @@ byte for byte; that is what makes `diff -r`-style verification meaningful.
 
 The module, and the generator core whose statuses it reads and writes,
 load only the standard library, so ``verify`` and the results and report
-writers never load NumPy.
+writers never load NumPy. It imports ``hashlib`` where it hashes, so
+``verify``, which compares bytes, loads none.
 """
 from __future__ import annotations
 
-import hashlib
 import os
 import re
-from dataclasses import dataclass, field
 from pathlib import Path
 
 from mtstreams.mt19937 import N, MtState
+from mtstreams.names import TECHNIQUES
+from mtstreams.record import Record
 
 HEADER = "MT19937-STATUS v1"
 STATUS_SUFFIX = ".mts"
-# The partitioning techniques' slugs, as file names, results and registries carry them.
-TECHNIQUES = ("split", "random", "indexed")
 
 # ASCII digits only: \d would take any Unicode decimal digit, which int() reads.
 _STATUS_NAME = re.compile(
@@ -117,6 +116,8 @@ def load_status(path: Path | str) -> MtState:
 
 def load_status_sha256(path: Path | str) -> tuple[MtState, str]:
     """The status and the SHA-256 of the bytes it was parsed from, in one read."""
+    import hashlib
+
     path = Path(path)
     data = path.read_bytes()
     try:
@@ -131,17 +132,22 @@ def load_status_sha256(path: Path | str) -> tuple[MtState, str]:
 
 # The package does not call it; bench/ traces it by name.
 def file_sha256(path: Path | str) -> str:
+    import hashlib
+
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
-@dataclass
-class VerifyReport:
-    """Byte-level comparison of two status-set directories."""
+class VerifyReport(Record):
+    """Byte-level comparison of two status-set directories: the relative
+    paths found identical, differing, and only under the first or the second."""
 
-    identical: list[str] = field(default_factory=list)
-    differing: list[str] = field(default_factory=list)
-    only_a: list[str] = field(default_factory=list)
-    only_b: list[str] = field(default_factory=list)
+    __slots__ = _fields = ("identical", "differing", "only_a", "only_b")
+
+    def __init__(self, identical: list[str], differing: list[str], only_a: list[str], only_b: list[str]) -> None:
+        self.identical = identical
+        self.differing = differing
+        self.only_a = only_a
+        self.only_b = only_b
 
     @property
     def ok(self) -> bool:
@@ -156,13 +162,9 @@ def verify_sets(dir_a: Path | str, dir_b: Path | str) -> VerifyReport:
             raise FileNotFoundError(f"not a directory: {d}")
     files_a = {str(p.relative_to(dir_a)) for p in dir_a.rglob("*") if p.is_file()}
     files_b = {str(p.relative_to(dir_b)) for p in dir_b.rglob("*") if p.is_file()}
-    report = VerifyReport(
-        only_a=sorted(files_a - files_b),
-        only_b=sorted(files_b - files_a),
-    )
+    identical: list[str] = []
+    differing: list[str] = []
     for rel in sorted(files_a & files_b):
-        if (dir_a / rel).read_bytes() == (dir_b / rel).read_bytes():
-            report.identical.append(rel)
-        else:
-            report.differing.append(rel)
-    return report
+        same = (dir_a / rel).read_bytes() == (dir_b / rel).read_bytes()
+        (identical if same else differing).append(rel)
+    return VerifyReport(identical, differing, sorted(files_a - files_b), sorted(files_b - files_a))

@@ -1,7 +1,9 @@
 """Battery structure, parameter checks, canonical serialization, and the
 built-in defaults."""
+import copy
 import json
 import os
+import pickle
 import subprocess
 import sys
 from pathlib import Path
@@ -48,6 +50,31 @@ def test_builtin_battery_parameters_are_in_regime():
         assert p["d"] ** p["t"] >= 4 * p["n"], key
     assert by_id["linearcomp.r0"]["n_bits"] == 50000
     assert by_id["linearcomp.r0"]["n_bits"] >= 2 * 19937 + 1000
+
+
+def test_battery_and_entries_keep_value_semantics_through_pickle_and_copy():
+    # Campaign workers receive the battery pickled; a copy runs the constructor again.
+    for battery in (MINI_CRUSH_V1, pickle.loads(pickle.dumps(MINI_CRUSH_V1)), copy.deepcopy(MINI_CRUSH_V1)):
+        assert battery == MINI_CRUSH_V1 and battery.tests == MINI_CRUSH_V1.tests
+        for t, t0 in zip(battery.tests, MINI_CRUSH_V1.tests):
+            assert (t.draws, t.statistics) == (t0.draws, t0.statistics)
+    assert Battery("mini-crush-v1", 1e-9, MINI_CRUSH_V1.tests) != MINI_CRUSH_V1
+    entry = MINI_CRUSH_V1.tests[0]
+    # Equality compares the id, family and parameters: draws and statistics follow from them.
+    assert entry == TestDefinition(entry.id, entry.family, dict(entry.params))
+    assert entry != TestDefinition(entry.id, entry.family, {"n_bits": 50001, "bit_offset": 0})
+    assert entry != (entry.id, entry.family, entry.params)
+    for value in (MINI_CRUSH_V1, entry):  # hashed by their fields, which hold a dict
+        with pytest.raises(TypeError, match="unhashable"):
+            hash(value)
+    for value, field in ((MINI_CRUSH_V1, "tests"), (entry, "draws"), (entry, "id")):
+        with pytest.raises(AttributeError):
+            setattr(value, field, getattr(value, field))
+        with pytest.raises(AttributeError):
+            delattr(value, field)
+    with pytest.raises(AttributeError):
+        entry.extra = 1
+    assert entry.draws == 50000
 
 
 def test_battery_rejects_duplicate_ids():

@@ -3,8 +3,10 @@ import copy
 import gc
 import hashlib
 import json
+import multiprocessing
 import os
 import pathlib
+import pickle
 import platform
 import subprocess
 import sys
@@ -119,6 +121,28 @@ def _fabricated(rows):
         ],
     }
     return CampaignReport(meta=meta, reports=reports)
+
+
+def test_status_entries_and_results_keep_value_semantics_through_pickle():
+    # The fork pool sends statuses to its workers and results back, pickled.
+    entry = _entries(1)[0]
+    twin = pickle.loads(pickle.dumps(entry))
+    assert twin == entry and hash(twin) == hash(entry)
+    assert hash(entry) == hash((entry.technique, entry.index, entry.state, entry.sha256))
+    assert entry != StatusEntry(entry.technique, entry.index, entry.state, "f" * 64)
+    assert entry != (entry.technique, entry.index, entry.state, entry.sha256)
+    with pytest.raises(AttributeError):
+        entry.sha256 = "f" * 64
+    with pytest.raises(AttributeError):
+        del entry.state
+    result = run_test(FAST.tests[0], StreamView(entry.state, "int"), FAST.threshold)
+    twin = pickle.loads(pickle.dumps(result))
+    assert twin == result and twin.draws == result.draws
+    assert [p.hex() for p in twin.p_values.values()] == [p.hex() for p in result.p_values.values()]
+    twin.verdict = "Fail" if result.verdict == "Pass" else "Pass"  # results stay mutable
+    assert twin != result
+    with pytest.raises(TypeError, match="unhashable"):
+        hash(result)
 
 
 def test_run_campaign_meta_and_ordering():
@@ -250,7 +274,7 @@ def test_writer_refuses_a_report_the_reader_would_refuse(fast_report, tmp_path, 
 
 def test_pool_has_no_more_workers_than_statuses(monkeypatch):
     context = RecordingContext()
-    monkeypatch.setattr(campaign, "get_context", lambda method: context)
+    monkeypatch.setattr(multiprocessing, "get_context", lambda method: context)
     monkeypatch.setattr(campaign, "usable_cpus", lambda: 64)
     entries = _entries(3)
     serial = run_campaign(entries, CampaignConfig(battery=FAST, modes=("int",)))
@@ -262,7 +286,7 @@ def test_pool_has_no_more_workers_than_statuses(monkeypatch):
 
 def test_pool_is_capped_at_the_usable_cpus(monkeypatch):
     context = RecordingContext()
-    monkeypatch.setattr(campaign, "get_context", lambda method: context)
+    monkeypatch.setattr(multiprocessing, "get_context", lambda method: context)
     config = CampaignConfig(battery=FAST, modes=("int",), jobs=5000)
     monkeypatch.setattr(campaign.os, "sched_getaffinity", lambda pid: {0, 3}, raising=False)
     assert campaign.usable_cpus() == 2

@@ -248,10 +248,10 @@ def test_test_refuses_an_empty_battery_file(tmp_path, capsys):
 
 
 def test_test_caps_jobs_at_the_usable_cpus(tmp_path, fast_battery_file, capsys, monkeypatch):
-    import mtstreams.campaign as campaign
+    import multiprocessing
 
     context = RecordingContext()
-    monkeypatch.setattr(campaign, "get_context", lambda method: context)
+    monkeypatch.setattr(multiprocessing, "get_context", lambda method: context)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     assert _gen(tmp_path / "set", count=3) == 0
     capsys.readouterr()
@@ -366,6 +366,16 @@ def test_report_table_selection_and_errors(campaign_results, tmp_path, capsys):
     truncated.write_text('{"name": ')
     assert main(["test", "--battery", str(truncated), "--dir", str(tmp_path)]) == 2
     assert capsys.readouterr().err.startswith(f"error: {truncated}: Expecting value")
+
+
+def test_report_refuses_no_table_or_a_repeated_table(campaign_results, capsys):
+    capsys.readouterr()
+    for fmt in ("md", "csv", "json"):
+        for tables in ("", " , ", "summary,summary", "pertest,histogram,pertest"):
+            argv = ["report", "--results", str(campaign_results), "--tables", tables, "--format", fmt]
+            assert main(argv) == 1, (fmt, tables)
+            out, err = capsys.readouterr()
+            assert out == "" and err.startswith("usage error: "), (fmt, tables)
 
 
 def test_report_and_registry_reject_damaged_results(campaign_results, tmp_path, capsys):
@@ -569,15 +579,17 @@ def test_cli_import_loads_no_scipy():
 _SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 # Runs cli.main(argv) in a fresh interpreter; the last stdout line lists the
-# modules loaded by then.
+# modules loaded by then. The harness loads json only after taking that list.
 _RUN_MAIN = """
-import json, sys
+import sys
 from mtstreams.cli import main
 try:
-    rc = main(json.loads(sys.argv[1]))
+    rc = main(sys.argv[1:])
 except SystemExit as exc:
     rc = exc.code
-print(json.dumps({"rc": rc, "modules": sorted(sys.modules)}))
+modules = sorted(sys.modules)
+import json
+print(json.dumps({"rc": rc, "modules": modules}))
 """
 
 
@@ -589,7 +601,7 @@ def _fresh(code: str, *args: str) -> str:
 
 
 def _fresh_main(argv: list[str]) -> tuple[int, list[str]]:
-    out = json.loads(_fresh(_RUN_MAIN, json.dumps(argv)))
+    out = json.loads(_fresh(_RUN_MAIN, *argv))
     return out["rc"], out["modules"]
 
 
@@ -599,6 +611,7 @@ def _within(modules: list[str], *packages: str) -> list[str]:
 
 def test_stdlib_commands_load_no_numpy_or_scipy(campaign_results, tmp_path):
     # report, registry, verify and indexed gen never touch an array; NumPy costs ~55 ms.
+    # Nor do they load dataclasses, whose import alone brings inspect, ast and dis.
     assert _gen(tmp_path / "a") == 0 and _gen(tmp_path / "b") == 0
     commands = {
         "gen indexed": ["gen", "--technique", "indexed", "--count", "3", "--out", str(tmp_path / "c")],
@@ -607,10 +620,27 @@ def test_stdlib_commands_load_no_numpy_or_scipy(campaign_results, tmp_path):
         "verify": ["verify", "--dir", str(tmp_path / "a"), "--dir", str(tmp_path / "b")],
         "version": ["--version"],
     }
+    loaded = {}
     for name, argv in commands.items():
-        rc, modules = _fresh_main(argv)
+        rc, loaded[name] = _fresh_main(argv)
         assert rc == 0, name
-        assert _within(modules, "numpy", "scipy") == [], name
+        assert _within(loaded[name], "numpy", "scipy", "dataclasses", "inspect") == [], name
+    # Each command imports its own modules: verify compares bytes, so it hashes
+    # nothing and parses no JSON.
+    assert _within(loaded["verify"], "hashlib", "json", "mtstreams.results", "mtstreams.partition") == []
+    assert _within(loaded["gen indexed"], "mtstreams.results", "mtstreams.reports") == []
+    for name in ("report", "registry"):
+        assert _within(loaded[name], "mtstreams.partition") == [], name
+
+
+def test_test_at_one_worker_loads_no_multiprocessing(tmp_path):
+    assert _gen(tmp_path / "set", count=1) == 0
+    out = str(tmp_path / "results.jsonl")
+    argv = ["test", "--dir", str(tmp_path / "set"), "--mode", "int", "--jobs", "1", "--out", out]
+    rc, modules = _fresh_main(argv)
+    assert rc == 0
+    assert "mtstreams.campaign" in modules
+    assert _within(modules, "multiprocessing") == []
 
 
 def test_gen_loads_no_scipy_stats_or_campaign(tmp_path):
@@ -628,7 +658,7 @@ def test_test_loads_no_scipy(tmp_path):
     for jobs in ("2", "1"):
         out = str(tmp_path / f"results{jobs}.jsonl")
         argv = ["test", "--dir", str(tmp_path / "set"), "--mode", "int", "--jobs", jobs, "--out", out]
-        result = json.loads(_fresh(blocked, json.dumps(argv)))
+        result = json.loads(_fresh(blocked, *argv))
         assert result["rc"] == 0, jobs
         assert _within(result["modules"], "scipy") == ["scipy"], jobs  # only the blocking entry
     assert "decimal" in result["modules"]  # --jobs 1 computed its tails in this process

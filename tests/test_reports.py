@@ -130,12 +130,22 @@ def test_expected_ids_checked_once_per_render_whichever_tables(monkeypatch):
         return real_resolve(test_ids, expected_fail_ids)
 
     monkeypatch.setattr(reports, "resolve_expected_ids", counting_resolve)
-    for tables in (list(TABLES), ["pertest"], ["histogram", "histogram"]):
+    for tables in (list(TABLES), ["pertest"]):
         calls.clear()
         render_report(_creport(), tables, "md", EXPECTED)
         assert len(calls) == 1, tables
         with pytest.raises(ValueError, match="not in battery"):
             render_report(_creport(), tables, "md", frozenset({"zzz"}))
+
+
+@pytest.mark.parametrize("fmt", ["md", "csv", "json"])
+def test_no_table_or_a_repeated_table_is_refused_in_every_format(fmt):
+    # JSON keys a table by its name, so a repeat could not show the same rows everywhere.
+    with pytest.raises(ValueError, match="no table given"):
+        render_report(_creport(), [], fmt, EXPECTED)
+    for tables in (["histogram", "histogram"], ["summary", "pertest", "summary"]):
+        with pytest.raises(ValueError, match="given twice"):
+            render_report(_creport(), tables, fmt, EXPECTED)
 
 
 def test_unknown_table_or_format_raise():
