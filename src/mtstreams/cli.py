@@ -9,9 +9,10 @@ Each command loads only what it runs: the parser needs only the names in
 :mod:`mtstreams.names`, and each ``_cmd_*`` function imports its own
 modules. ``verify`` loads ``statusfile`` (and the generator core's status
 record) and compares bytes, with no hashing and no JSON. ``gen`` loads
-``partition``; with ``--technique indexed`` that is the standard library
-alone, since a status is 2496 bytes and seeding is pure Python, while
-``random`` and ``split`` import NumPy to draw words. ``report`` loads
+``partition``; with ``--technique indexed`` or ``random`` that is the
+standard library alone, since a status is 2496 bytes, seeding is pure
+Python and a random status's words come from the standard library's
+MT19937, while ``split`` imports NumPy to skip draws. ``report`` loads
 ``results`` and ``reports``, ``registry`` loads ``results``, and both read
 the battery module to rebuild a file's battery. ``test`` imports
 ``campaign`` and the battery, which bring NumPy and the test families,

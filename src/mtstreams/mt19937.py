@@ -2,22 +2,28 @@
 
 A generator status is 624 unsigned 32-bit words plus an index; it is held
 in an immutable value object, whose words are 2496 bytes, little-endian,
-and every operation returns a fresh status. Twisting, drawing and skipping
-run on NumPy's C MT19937 (``numpy.random.MT19937``), whose state is this
-status: key = the words, pos = the index. Every draw comes from
-:class:`MtStream`, as tempered 32-bit words; a uniform in [0, 1) is a word
-times 2^-32. Only seeding (the 2002 ``init_genrand``) is written out here,
-in pure Python, so seeding, a status and its file need only the standard
-library: the functions that run the C engine import NumPy when called. The
-frozen reference outputs of the canonical implementation and an independent
-twist and untempering in the test suite's oracles check every operation
-word for word.
+and every operation returns a fresh status. Two C engines run a status,
+and both take it as it is: the words and the index. Status-sized work
+runs on the standard library's ``random.Random``, the reference
+``genrand_int32``, already loaded when the CLI starts: :func:`twist`
+and :func:`blocks`, whose 624-word runs are the words of a random-spacing
+status. Bulk work runs on NumPy's ``numpy.random.MT19937``, which draws
+and skips long runs faster: :class:`MtStream`, the tempered 32-bit words
+that the tests read (a uniform in [0, 1) is a word times 2^-32), and
+:func:`advance`. Seeding (the 2002 ``init_genrand``) is written out here
+in pure Python. So seeding, twisting, random-spacing statuses and their
+files need only the standard library; the functions that run NumPy's
+engine import it when called. The frozen reference outputs of the
+canonical implementation and an independent twist and untempering in the
+test suite's oracles check every operation word for word, and a test
+checks that the two engines agree.
 """
 from __future__ import annotations
 
 import operator
+import random
 import struct
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING, Iterable, Iterator
 
 from mtstreams.record import FrozenRecord
 
@@ -123,7 +129,7 @@ def init_genrand(seed: int) -> MtState:
 
 
 def _engine(words: tuple[int, ...], pos: int) -> np.random.MT19937:
-    """A fresh C generator whose next draw is word ``pos`` of ``words``."""
+    """A fresh NumPy generator whose next draw is word ``pos`` of ``words``."""
     import numpy as np
 
     engine = np.random.MT19937(0)  # the seed's state is replaced at once
@@ -137,11 +143,31 @@ def _state_of(engine: np.random.MT19937, mti: int | None = None) -> MtState:
     return MtState(state["key"].astype("<u4").tobytes(), state["pos"] if mti is None else mti)
 
 
+def _std_engine(words: tuple[int, ...], pos: int) -> random.Random:
+    """A fresh standard-library generator whose next draw is word ``pos`` of ``words``."""
+    engine = random.Random(0)  # the seed's state is replaced at once
+    engine.setstate((3, words + (pos,), None))
+    return engine
+
+
 def twist(state: MtState) -> MtState:
     """One full state regeneration; the returned status has mti = 0."""
-    engine = _engine(state.words, N)
-    engine.random_raw(1, output=False)
-    return _state_of(engine, 0)
+    engine = _std_engine(state.words, N)
+    engine.getrandbits(32)
+    return MtState(engine.getstate()[1][:N], 0)
+
+
+def blocks(state: MtState) -> Iterator[bytes]:
+    """Successive runs of 624 tempered words drawn from ``state``, without end.
+
+    Each run is 2496 little-endian bytes, the ``mt`` of a status, and holds
+    the words that :class:`MtStream` would draw next, in order.
+    ``getrandbits`` fills its integer from the least significant word up,
+    one draw per word, so the integer's little-endian bytes are the draws.
+    """
+    engine = _std_engine(state.words, state.mti)
+    while True:
+        yield engine.getrandbits(32 * N).to_bytes(_WORDS.size, "little")
 
 
 def advance(state: MtState, n: int) -> MtState:

@@ -12,9 +12,10 @@ from __future__ import annotations
 
 import hashlib
 import math
+from itertools import islice
 from pathlib import Path
 
-from mtstreams.mt19937 import N, WORD_MASK, MtState, MtStream, advance, init_genrand
+from mtstreams.mt19937 import N, WORD_MASK, MtState, advance, blocks, init_genrand
 from mtstreams.record import Record
 from mtstreams.statusfile import STATUS_SUFFIX, save_status, status_filename, write_bytes_atomic
 
@@ -64,14 +65,14 @@ def generate_random_spacing(master_seed: int, count: int) -> StatusSet:
     """Each status's 624 words are consecutive outputs of a master stream.
 
     Statuses set mti = 624 so their first use performs a full twist. No
-    status can be all zero: the master starts at mti = 624, so each take of
+    status can be all zero: the master starts at mti = 624, so each block of
     624 words is one whole twisted block, tempered; tempering maps only 0 to
     0; and a twisted block is all zero only if the 19937-bit state is,
     which ``init_genrand`` never gives and no twist of a non-zero state reaches.
     """
     _check_seed_and_count(master_seed, "master_seed", count)
-    master = MtStream(init_genrand(master_seed))
-    statuses = [(i, MtState(master.take(N).astype("<u4").tobytes(), N)) for i in range(count)]
+    master = blocks(init_genrand(master_seed))
+    statuses = [(i, MtState(block, N)) for i, block in enumerate(islice(master, count))]
     provenance = {"seed": master_seed, "count": count}
     return StatusSet("random", statuses, provenance)
 

@@ -610,11 +610,13 @@ def _within(modules: list[str], *packages: str) -> list[str]:
 
 
 def test_stdlib_commands_load_no_numpy_or_scipy(campaign_results, tmp_path):
-    # report, registry, verify and indexed gen never touch an array; NumPy costs ~55 ms.
+    # report, registry, verify and gen never touch an array; NumPy costs ~55 ms. A
+    # random status's words come from the standard library's MT19937 engine.
     # Nor do they load dataclasses, whose import alone brings inspect, ast and dis.
     assert _gen(tmp_path / "a") == 0 and _gen(tmp_path / "b") == 0
     commands = {
         "gen indexed": ["gen", "--technique", "indexed", "--count", "3", "--out", str(tmp_path / "c")],
+        "gen random": ["gen", "--technique", "random", "--count", "3", "--out", str(tmp_path / "d")],
         "report": ["report", "--results", str(campaign_results), "--out", str(tmp_path / "r.md")],
         "registry": ["registry", "--results", str(campaign_results), "--out", str(tmp_path / "reg.txt")],
         "verify": ["verify", "--dir", str(tmp_path / "a"), "--dir", str(tmp_path / "b")],
@@ -665,9 +667,11 @@ def test_test_loads_no_scipy(tmp_path):
 
 
 def test_package_import_loads_no_numpy():
-    # A status is bytes: seeding, status files and partition need no NumPy until a draw.
+    # A status is bytes: seeding, status files and partition need no NumPy until a
+    # bulk draw, and twist runs on the standard library's engine.
     code = (
         "import sys, mtstreams, mtstreams.mt19937, mtstreams.statusfile, mtstreams.partition\n"
+        "assert mtstreams.mt19937.twist(mtstreams.mt19937.init_genrand(5489)).mti == 0\n"
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'numpy'))"
     )
     assert _fresh(code) == "[]"

@@ -2,6 +2,7 @@
 import json
 import pickle
 import tracemalloc
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -16,6 +17,7 @@ from mtstreams.mt19937 import (
     MtStream,
     ZeroStateError,
     advance,
+    blocks,
     init_genrand,
     twist,
 )
@@ -63,6 +65,29 @@ def test_twist_matches_first_output():
     twist_words(words)
     reference = np.array(REFERENCE[5489][:N], dtype=np.uint32)
     assert np.array_equal(untemper_words(reference), words)
+
+
+def test_blocks_start_with_the_reference_outputs():
+    # The first draws from init_genrand(5489) pin how the standard library's
+    # engine takes a status (its setstate layout) and the word order of
+    # getrandbits.
+    expected = REFERENCE[5489]
+    drawn = b"".join(islice(blocks(init_genrand(5489)), -(-len(expected) // N)))
+    assert list(np.frombuffer(drawn, "<u4")[: len(expected)]) == expected
+
+
+_WORDS = st.binary(min_size=4 * N, max_size=4 * N).filter(any)
+
+
+@settings(max_examples=60, deadline=None)
+@given(words=_WORDS, mti=st.sampled_from((0, 1, 397, 623, N)), k=st.integers(1, 3))
+def test_blocks_equal_stream_draws(words, mti, k):
+    # The two C engines agree word for word: the standard library's, which
+    # draws status-sized blocks, and NumPy's, which draws bulk reads.
+    state = MtState(words, mti)
+    drawn = list(islice(blocks(state), k))
+    assert all(len(block) == 4 * N for block in drawn)
+    assert b"".join(drawn) == MtStream(state).take(N * k).astype("<u4").tobytes()
 
 
 def test_twist_never_zero_state():

@@ -37,13 +37,28 @@ def test_sequence_splitting_rejects_zero_spacing_in_strict_mode():
         generate_sequence_splitting(1, spacing=0, count=2)
 
 
-def test_random_spacing_words_are_master_outputs():
+# Manifest fingerprints of 512-status random sets, frozen when their words
+# were drawn by MtStream; the standard-library engine writes the same bytes.
+RANDOM_512_FINGERPRINTS = {
+    0: "98fae79c18fec3f7f1b6893da0123eecd85168b11f9bb81fd8beb8b966938b92",
+    2**32 - 1: "8dc8e5656ed20659cc3bd02d9269ad7e2145b8d43b5b978ee39a84d4c62d215f",
+}
+
+
+def test_random_spacing_words_are_master_outputs(tmp_path):
     count = 5
     sset = generate_random_spacing(42, count)
     master = MtStream(init_genrand(42)).take(N * count)
     for i, state in sset.statuses:
         assert np.array_equal(np.frombuffer(state.mt, "<u4"), master[i * N : (i + 1) * N]), i
         assert state.mti == N
+    # The NumPy master stream, run end to end, pins every word of a full set.
+    count = 512
+    for seed, fingerprint in RANDOM_512_FINGERPRINTS.items():
+        sset = generate_random_spacing(seed, count)
+        words = b"".join(state.mt for _, state in sset.statuses)
+        assert words == MtStream(init_genrand(seed)).take(N * count).astype("<u4").tobytes(), seed
+        assert write_status_set(sset, tmp_path / str(seed)) == fingerprint, seed
 
 
 def test_random_spacing_statuses_pairwise_distinct():
