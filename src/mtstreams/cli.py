@@ -25,14 +25,16 @@ loads SciPy. The package's records are plain ``__slots__`` classes
 A process gives back no memory it is about to reuse or drop. ``test``
 calls :func:`mtstreams.campaign.keep_freed_memory` before the campaign, so
 under glibc each status reuses the pages the one before it freed instead
-of faulting them in again. The process entry, :func:`entry`, freezes the
-collector's objects after :func:`main` returns, so the exit scans none of
-them; :func:`main` itself leaves an in-process caller's collector alone.
+of faulting them in again. The process entry, :func:`entry`, starts no
+idle BLAS thread, and it freezes the collector's objects after
+:func:`main` returns, so the exit scans none of them; :func:`main` itself
+leaves an in-process caller's environment and collector alone.
 """
 from __future__ import annotations
 
 import argparse
 import gc
+import os
 import sys
 from pathlib import Path
 from typing import NoReturn
@@ -274,11 +276,15 @@ def entry() -> NoReturn:
     """The process entry of ``python -m mtstreams.cli`` and the ``mtstreams``
     script: run :func:`main` and exit with its code.
 
-    ``gc.freeze()`` first moves every live object out of the collector's
-    reach, so the interpreter's final collection has nothing to scan. The
-    process is about to drop them all, and the scan cost 9-17 ms per
-    stdlib-only command, 20 ms once NumPy was loaded.
+    ``OPENBLAS_NUM_THREADS`` is 1 unless the caller sets it: the package
+    makes no BLAS call, and NumPy's OpenBLAS would otherwise start a worker
+    thread for each further CPU when it loads, which spins and costs CPU.
+    After ``main``, ``gc.freeze()`` moves every live object out of the
+    collector's reach, so the interpreter's final collection has nothing to
+    scan. The process is about to drop them all, and the scan cost 9-17 ms
+    per stdlib-only command, 20 ms once NumPy was loaded.
     """
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     rc = main()
     gc.freeze()
     sys.exit(rc)

@@ -128,19 +128,14 @@ def init_genrand(seed: int) -> MtState:
     return MtState(mt, N)
 
 
-def _engine(words: tuple[int, ...], pos: int) -> np.random.MT19937:
-    """A fresh NumPy generator whose next draw is word ``pos`` of ``words``."""
+def _engine(state: MtState) -> np.random.MT19937:
+    """A fresh NumPy generator whose next draw is the status's next word."""
     import numpy as np
 
     engine = np.random.MT19937(0)  # the seed's state is replaced at once
-    engine.state = {"bit_generator": "MT19937", "state": {"key": words, "pos": pos}}
+    key = np.frombuffer(state.mt, "<u4")
+    engine.state = {"bit_generator": "MT19937", "state": {"key": key, "pos": state.mti}}
     return engine
-
-
-def _state_of(engine: np.random.MT19937, mti: int | None = None) -> MtState:
-    """The engine's status; its index is ``mti`` if given, else the engine's position."""
-    state = engine.state["state"]
-    return MtState(state["key"].astype("<u4").tobytes(), state["pos"] if mti is None else mti)
 
 
 def _std_engine(words: tuple[int, ...], pos: int) -> random.Random:
@@ -180,20 +175,21 @@ def advance(state: MtState, n: int) -> MtState:
         raise ValueError(f"draw count must be >= 0, got {n}")
     if n == 0:
         return state
-    engine = _engine(state.words, state.mti)
+    engine = _engine(state)
     engine.random_raw(n, output=False)
-    return _state_of(engine)
+    after = engine.state["state"]
+    return MtState(after["key"].astype("<u4").tobytes(), after["pos"])
 
 
 class MtStream:
     """Mutable bulk reader over a copy of a status.
 
-    The originating :class:`MtState` is never modified; ``state`` takes a
-    snapshot of the current position.
+    The originating :class:`MtState` is never modified; :func:`advance`
+    gives the status after n draws.
     """
 
     def __init__(self, state: MtState) -> None:
-        self._engine = _engine(state.words, state.mti)
+        self._engine = _engine(state)
 
     def take(self, n: int) -> np.ndarray:
         """Next n tempered 32-bit outputs as a uint32 array."""
@@ -206,7 +202,3 @@ class MtStream:
             stop = min(start + TAKE_CHUNK, n)
             out[start:stop] = self._engine.random_raw(stop - start)
         return out
-
-    @property
-    def state(self) -> MtState:
-        return _state_of(self._engine)

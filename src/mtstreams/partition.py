@@ -17,7 +17,7 @@ from pathlib import Path
 
 from mtstreams.mt19937 import N, WORD_MASK, MtState, advance, blocks, init_genrand
 from mtstreams.record import Record
-from mtstreams.statusfile import STATUS_SUFFIX, save_status, status_filename, write_bytes_atomic
+from mtstreams.statusfile import STATUS_SUFFIX, save_status, serialize_status, status_filename, write_bytes_atomic
 
 MANIFEST_NAME = "manifest.txt"
 
@@ -92,7 +92,9 @@ def write_status_set(sset: StatusSet, out_dir: Path | str) -> str:
 
     Raises FileExistsError, before writing anything, when ``out_dir`` holds
     a status file that the set does not write. Rewriting the same set, or
-    a superset of it, in place is allowed.
+    a superset of it, in place is allowed. However a rewrite ends, it leaves
+    no manifest that vouches for bytes the directory no longer holds: an
+    old manifest goes before the first file it lists gets other bytes.
 
     The fingerprint is the SHA-256 of the manifest bytes, which in turn
     lists the SHA-256 of every status file, so it pins the whole set.
@@ -109,14 +111,29 @@ def write_status_set(sset: StatusSet, out_dir: Path | str) -> str:
                 f"first {stale[0]}; write the set to an empty directory"
             )
     out_dir.mkdir(parents=True, exist_ok=True)
+    manifest_path = out_dir / MANIFEST_NAME
+    listed = _listed(manifest_path)
     lines = ["# mtstreams manifest v1", f"# technique: {sset.technique}"]
     lines.extend(f"# {key}: {sset.provenance[key]}" for key in sorted(sset.provenance))
     for name, index, state in files:
+        if name in listed:
+            digest = hashlib.sha256(serialize_status(state).encode("ascii")).hexdigest()
+            if listed[name] != f"{digest} {sset.technique} {index}":
+                manifest_path.unlink()
+                listed = {}
         digest = hashlib.sha256(save_status(out_dir / name, state)).hexdigest()
         lines.append(f"{name} {digest} {sset.technique} {index}")
     manifest = "\n".join(lines) + "\n"
-    write_bytes_atomic(out_dir / MANIFEST_NAME, manifest.encode("ascii"))
+    write_bytes_atomic(manifest_path, manifest.encode("ascii"))
     return hashlib.sha256(manifest.encode("ascii")).hexdigest()
+
+
+def _listed(manifest_path: Path) -> dict[str, str]:
+    """An existing manifest's status lines as file name -> rest of the line; empty if there is none."""
+    if not manifest_path.is_file():
+        return {}
+    lines = manifest_path.read_text("ascii", "replace").splitlines()
+    return dict(line.partition(" ")[::2] for line in lines if not line.startswith("#"))
 
 
 def overlap_probability(period_log2: int, streams: int, length: int) -> float:

@@ -56,12 +56,15 @@ class StreamView:
 
     ``source`` is an :class:`MtState` or any object with a
     ``take(n) -> uint32 array`` method (a :class:`WordPrefix` in campaigns,
-    fixtures in tests).
+    fixtures in tests). A word array is refused: its ``take`` is NumPy's
+    indexed take, not a read of the next words.
     """
 
     def __init__(self, source: MtState | object, mode: Mode | str) -> None:
         if isinstance(source, MtState):
             source = MtStream(source)
+        elif isinstance(source, np.ndarray):
+            raise TypeError("source is a word array; wrap it in WordPrefix to read it as a stream")
         if not callable(getattr(source, "take", None)):
             raise TypeError("source must be an MtState or expose take(n)")
         self._stream = source

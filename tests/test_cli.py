@@ -707,6 +707,40 @@ def test_process_entry_exits_with_main_codes_and_output(tmp_path):
     assert verify.stdout.endswith(" identical, 2 differing, 0 unmatched\n")
 
 
+# Runs cli.entry() in a fresh interpreter with a main that loads NumPy and
+# prints the process's thread count and its OPENBLAS_NUM_THREADS.
+_ENTRY_THREADS = """
+import os
+import mtstreams.cli as cli
+
+def main():
+    import numpy
+    print(len(os.listdir("/proc/self/task")), os.environ["OPENBLAS_NUM_THREADS"])
+    return 0
+
+cli.main = main
+cli.entry()
+"""
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="counts threads in Linux's /proc")
+def test_process_entry_starts_no_blas_thread():
+    # The package makes no BLAS call; OpenBLAS would start a spinning worker per further CPU.
+    # With the variable unset the process keeps one thread; a caller's own value stands.
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    for extra, expected in (({}, "1 1\n"), ({"OPENBLAS_NUM_THREADS": "2"}, " 2\n")):
+        run = subprocess.run(
+            [sys.executable, "-c", _ENTRY_THREADS], env=dict(env, PYTHONPATH=_SRC, **extra), capture_output=True, text=True
+        )
+        assert run.returncode == 0 and run.stdout.endswith(expected), (extra, run.stdout, run.stderr)
+
+
+def test_package_version_is_the_project_version():
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    assert tomllib.loads(pyproject.read_text())["project"]["version"] == VERSION
+
+
 def test_deeply_nested_json_is_a_parse_error_naming_the_file(tmp_path):
     deep = tmp_path / "deep.json"
     deep.write_text("[" * 3000 + "]" * 3000)

@@ -414,6 +414,14 @@ def test_word_prefix_serves_zero_copy_slices_and_never_a_short_read():
         view.take_words(8)
 
 
+def test_stream_view_refuses_a_word_array():
+    # An array's own take is NumPy's indexed take: take(5) would be words[5].
+    words = _words(0, 100)
+    with pytest.raises(TypeError, match="WordPrefix"):
+        StreamView(words, "int")
+    assert StreamView(WordPrefix(words), "int").take_words(5).tolist() == words[:5].tolist()
+
+
 def test_validation_errors_carry_test_id():
     # An entry is checked once, when it is defined; the bounds themselves
     # are tested in test_battery.py.

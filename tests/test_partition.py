@@ -130,6 +130,27 @@ def test_failed_manifest_write_leaves_the_old_manifest(tmp_path, monkeypatch):
     assert not [p for p in tmp_path.iterdir() if p.name.endswith(".tmp")]
 
 
+def test_interrupted_rewrite_leaves_no_manifest_over_mixed_bytes(tmp_path, monkeypatch):
+    import mtstreams.partition as partition
+
+    write_status_set(generate_indexed(0, 4), tmp_path)
+    save_status, calls = partition.save_status, []
+
+    def fail_on_third(path, state):
+        calls.append(path)
+        if len(calls) == 3:
+            raise OSError(28, "No space left on device")
+        return save_status(path, state)
+
+    monkeypatch.setattr(partition, "save_status", fail_on_third)
+    with pytest.raises(OSError):
+        write_status_set(generate_indexed(100, 4), tmp_path)
+    assert not (tmp_path / MANIFEST_NAME).exists()
+    monkeypatch.undo()
+    fresh = write_status_set(generate_indexed(100, 4), tmp_path / "fresh")
+    assert write_status_set(generate_indexed(100, 4), tmp_path) == fresh
+
+
 def test_overlap_probability_edge_cases():
     assert overlap_probability(16, streams=1, length=10**6) == 0.0
     assert overlap_probability(16, streams=8, length=0) == 0.0
