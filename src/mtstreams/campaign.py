@@ -2,14 +2,15 @@
 
 A work unit is one status. It generates the longest prefix any battery
 entry reads (the largest ``draws``) once, as a read-only array, and runs
-every battery test once on a zero-copy prefix of it. The real map w * 2^-32 is
-exact for 32-bit words, and floor(u * 2^32) gives every word back (see
-:mod:`mtstreams.stats.stream`), so the same results stand for the int and
-the real pathway: the unit yields one report, and the requested modes are
-recorded once, in the meta, which :func:`mtstreams.results.campaign_meta`
-builds before any unit runs. Units are pure computations, run and reported
-in the meta's (technique, index) order, so neither the worker count nor the
-order of the entries changes the output bytes.
+every battery test once on a view that reads a zero-copy prefix of it.
+The real map w * 2^-32 is exact for 32-bit words, and floor(u * 2^32)
+gives every word back (see README "Modes"), so the same results stand
+for the int and the real pathway: the unit yields one report, and the
+requested modes are recorded once, in the meta, which
+:func:`mtstreams.results.campaign_meta` builds before any unit runs.
+Units are pure computations, run and reported in the meta's (technique,
+index) order, so neither the worker count nor the order of the entries
+changes the output bytes.
 
 This is the module that loads NumPy and the test families; only the
 ``test`` command imports it. The records it returns, the results and
@@ -29,7 +30,7 @@ from mtstreams.record import FrozenRecord, Record
 from mtstreams.results import CampaignReport, StatusReport, TestResult, campaign_meta
 from mtstreams.stats.battery import Battery
 from mtstreams.stats.families import run_test
-from mtstreams.stats.stream import StreamView, WordPrefix
+from mtstreams.stats.stream import StreamView
 from mtstreams.statusfile import STATUS_SUFFIX, StatusFormatError, load_status_sha256, parse_status_filename
 
 # Unused here: bench/ (its tracer targets and probes) imports these from this module.
@@ -152,7 +153,7 @@ def run_battery_on_status(
     The results hold for every mode in ``modes``; the views carry the first.
     """
     words = status_words(state, battery)
-    return [run_test(t, StreamView(WordPrefix(words), modes[0]), eps) for t in battery.tests]
+    return [run_test(t, StreamView(words, modes[0]), eps) for t in battery.tests]
 
 
 def run_campaign(entries: list[StatusEntry], config: CampaignConfig) -> CampaignReport:

@@ -137,6 +137,7 @@ def _build_parser() -> _Parser:
 
 
 def _cmd_gen(args: argparse.Namespace) -> int:
+    from mtstreams.mt19937 import ADVANCE_LIMIT
     from mtstreams.partition import (
         generate_indexed,
         generate_random_spacing,
@@ -147,7 +148,8 @@ def _cmd_gen(args: argparse.Namespace) -> int:
     try:
         if args.technique == "split":
             draws = (args.count - 1) * args.spacing
-            if draws > WARN_ADVANCE_DRAWS:
+            # A spacing the generator refuses gets its usage error below, not a warning.
+            if draws > WARN_ADVANCE_DRAWS and args.spacing < ADVANCE_LIMIT:
                 secs = draws * ADVANCE_S_PER_DRAW
                 print(
                     f"warning: split advances {draws} draws, about {secs:.0f} s ({secs / 3600:.1f} h) "

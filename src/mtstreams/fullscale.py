@@ -19,7 +19,6 @@ the mean fitted from its Suspect count (``tests/test_fullscale.py``).
 
 FULL_SCALE_STATUS_COUNT = 4096
 FULL_SCALE_BATTERY_SIZE = 106
-FULL_SCALE_CPU_YEARS = 33
 
 # Suspect statuses out of 4096 (identical across the three hardware/compiler
 # configurations of the reference campaign).
@@ -60,7 +59,5 @@ FULL_SCALE_TOP_TESTS = {
     "77:RandomWalk1": {"indexed": 0.88, "random": 1.17, "split": 1.0},
 }
 
-# Reference generation cost: 4096 random-spacing statuses written in about
-# 700 ms; sequence splitting at full scale spaces statuses 10^12 draws apart.
-FULL_SCALE_GENERATION_MS = 700
+# Sequence splitting at full scale spaces statuses 10^12 draws apart.
 FULL_SCALE_SPLIT_SPACING = 10**12

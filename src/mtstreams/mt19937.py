@@ -38,6 +38,8 @@ _ZERO_WORDS = bytes(_WORDS.size)
 # MtStream.take draws this many words at a time: NumPy's random_raw returns
 # uint64, so a chunk bounds that temporary at 512 KB.
 TAKE_CHUNK = 2**16
+# advance skips draws with NumPy's random_raw, whose count is an int64.
+ADVANCE_LIMIT = 2**63
 PHI_EXPONENTS = (
     0, 1189, 1416, 1585, 1643, 1870, 2493, 2773, 3000, 3227,
     3454, 3681, 3908, 4135, 4362, 4753, 5661, 6337, 6569, 7129,
@@ -171,8 +173,8 @@ def advance(state: MtState, n: int) -> MtState:
     The status is the one that drawing n words from :class:`MtStream` leaves:
     the twist that a block's end calls for waits for the next draw.
     """
-    if n < 0:
-        raise ValueError(f"draw count must be >= 0, got {n}")
+    if not 0 <= n < ADVANCE_LIMIT:
+        raise ValueError(f"draw count must be in [0, 2^63), got {n}")
     if n == 0:
         return state
     engine = _engine(state)

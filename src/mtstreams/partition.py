@@ -15,7 +15,7 @@ import math
 from itertools import islice
 from pathlib import Path
 
-from mtstreams.mt19937 import N, WORD_MASK, MtState, advance, blocks, init_genrand
+from mtstreams.mt19937 import ADVANCE_LIMIT, N, WORD_MASK, MtState, advance, blocks, init_genrand
 from mtstreams.record import Record
 from mtstreams.statusfile import STATUS_SUFFIX, save_status, serialize_status, status_filename, write_bytes_atomic
 
@@ -23,14 +23,11 @@ MANIFEST_NAME = "manifest.txt"
 
 
 class StatusSet(Record):
-    """A technique's statuses, as (index, status) pairs, and the parameters that made them."""
+    """A technique's statuses, status i at position i, and the parameters that made them."""
 
     __slots__ = _fields = ("technique", "statuses", "provenance")
 
-    def __init__(self, technique: str, statuses: list[tuple[int, MtState]], provenance: dict) -> None:
-        for expect, (index, _) in enumerate(statuses):
-            if index != expect:
-                raise ValueError(f"indices must be 0..count-1 without gaps, got {index}")
+    def __init__(self, technique: str, statuses: list[MtState], provenance: dict) -> None:
         self.technique = technique
         self.statuses = statuses
         self.provenance = provenance
@@ -47,16 +44,19 @@ def generate_sequence_splitting(base_seed: int, spacing: int, count: int) -> Sta
     """Status i = the base stream advanced by i * spacing draws.
 
     Status 0 is the freshly seeded state. Spacing must be >= 1: at 0 all
-    statuses would coincide.
+    statuses would coincide. It must be below 2^63, the bound of
+    :func:`~mtstreams.mt19937.advance`.
     """
     _check_seed_and_count(base_seed, "base_seed", count)
     if spacing < 1:
         raise ValueError(f"spacing must be > 0, got {spacing}")
+    if spacing >= ADVANCE_LIMIT:
+        raise ValueError(f"spacing must be below 2^63, got {spacing}")
     state = init_genrand(base_seed)
-    statuses = [(0, state)]
-    for i in range(1, count):
+    statuses = [state]
+    for _ in range(count - 1):
         state = advance(state, spacing)
-        statuses.append((i, state))
+        statuses.append(state)
     provenance = {"seed": base_seed, "spacing": spacing, "count": count}
     return StatusSet("split", statuses, provenance)
 
@@ -72,7 +72,7 @@ def generate_random_spacing(master_seed: int, count: int) -> StatusSet:
     """
     _check_seed_and_count(master_seed, "master_seed", count)
     master = blocks(init_genrand(master_seed))
-    statuses = [(i, MtState(block, N)) for i, block in enumerate(islice(master, count))]
+    statuses = [MtState(block, N) for block in islice(master, count)]
     provenance = {"seed": master_seed, "count": count}
     return StatusSet("random", statuses, provenance)
 
@@ -82,7 +82,7 @@ def generate_indexed(start: int, count: int) -> StatusSet:
     _check_seed_and_count(start, "start", count)
     if start + count - 1 > WORD_MASK:
         raise ValueError(f"seed range [{start}, {start + count - 1}] exceeds 32 bits")
-    statuses = [(i, init_genrand(start + i)) for i in range(count)]
+    statuses = [init_genrand(start + i) for i in range(count)]
     provenance = {"seed": start, "count": count}
     return StatusSet("indexed", statuses, provenance)
 
@@ -100,7 +100,7 @@ def write_status_set(sset: StatusSet, out_dir: Path | str) -> str:
     lists the SHA-256 of every status file, so it pins the whole set.
     """
     out_dir = Path(out_dir)
-    files = [(status_filename(sset.technique, index), index, state) for index, state in sset.statuses]
+    files = [(status_filename(sset.technique, index), index, state) for index, state in enumerate(sset.statuses)]
     if out_dir.is_dir():
         # A reader of the directory takes every status file in it, so one
         # this set does not rewrite would be tested as part of the set.

@@ -23,15 +23,12 @@ import hashlib
 import json
 import re
 from pathlib import Path
-from typing import TYPE_CHECKING
 
 from mtstreams._version import VERSION
 from mtstreams.names import DEFAULT_EXPECTED_FAIL_IDS, MODES, TECHNIQUES
 from mtstreams.record import Record
+from mtstreams.stats.battery import Battery, TestDefinition, battery_doc, battery_sha256, dump_battery, parse_battery
 from mtstreams.statusfile import write_bytes_atomic
-
-if TYPE_CHECKING:
-    from mtstreams.stats.battery import Battery, TestDefinition
 
 
 class TestResult(Record):
@@ -158,9 +155,6 @@ def build_registry(creport: CampaignReport, expected_fail_ids=None) -> QualityRe
 
 def campaign_fingerprint(battery, eps: float, modes: tuple[str, ...], version: str = VERSION) -> str:
     """Self-describing campaign identity: battery, threshold, modes, version."""
-    # Imported here, not at the top, so that `gen` loads no battery module.
-    from mtstreams.stats.battery import dump_battery
-
     blob = "\n".join([dump_battery(battery), "%.17g" % eps, ",".join(modes), version])
     return hashlib.sha256(blob.encode("ascii")).hexdigest()
 
@@ -178,8 +172,6 @@ def campaign_meta(battery, threshold: float, modes, statuses, version: str = VER
     technique from TECHNIQUES, a non-negative int index and a SHA-256 of 64
     lowercase hex digits.
     """
-    from mtstreams.stats.battery import battery_doc, battery_sha256
-
     if not isinstance(threshold, float) or not 0.0 < threshold < 0.5:
         raise ValueError(f"threshold must be a number in (0, 0.5), got {threshold!r}")
     modes = list(modes)
@@ -239,8 +231,6 @@ def _row_line(technique: str, index: int, mode: str, result: TestResult, thresho
 
 def _meta_battery(meta):
     """The battery of a meta record equal to its :func:`campaign_meta` rebuild, or ValueError."""
-    from mtstreams.stats.battery import parse_battery
-
     if not isinstance(meta, dict) or meta.get("type") != "meta":
         raise ValueError("not a meta record")
     if "battery_definition" not in meta:

@@ -1,14 +1,15 @@
 """The five test families and the dispatch that runs them.
 
 `run_test` reads an entry's words from a
-:class:`~mtstreams.stats.stream.StreamView` once, as many as its
-``draws`` (:mod:`mtstreams.stats.battery` checks the parameters and sizes
-the read), and passes the array to the family. Families are pure
-functions of (words, **params) that return their p-values alone, a tuple
-in the order of the entry's ``statistics``. Only the battery module names
-them: `run_test` pairs each value with its name, as a results row holds
-them, and gives the two-sided verdict: Fail iff any sub-p-value p
-satisfies p < eps or p > 1 - eps (strict, so p = eps passes).
+:class:`~mtstreams.stats.stream.StreamView`, over a status or a word
+array, once, as many as its ``draws`` (:mod:`mtstreams.stats.battery`
+checks the parameters and sizes the read), and passes the array to the
+family. Families are pure functions of (words, **params) that return
+their p-values alone, a tuple in the order of the entry's
+``statistics``. Only the battery module names them: `run_test` pairs
+each value with its name, as a results row holds them, and gives the
+two-sided verdict: Fail iff any sub-p-value p satisfies p < eps or
+p > 1 - eps (strict, so p = eps passes).
 
 Only ClosePairs reads floats, w * 2^-32. The cell families read words: the
 cell of a uniform u = w * 2^-32 among d is floor(u * d) = (w * d) >> 32,

@@ -2,18 +2,18 @@
 
 Words are the only draws: a battery entry reads its words once, as one
 array, and its family derives whatever it needs from them (uniforms as
-w * 2^-32, bits from each word). A view's mode names the pathway its
-results are reported under:
+w * 2^-32, bits from each word). A view reads one of two sources: an
+:class:`MtState`, drawn through :class:`MtStream`, or a 1-D ``uint32``
+word array, such as the prefix a campaign generates once per status. A
+view's mode names the pathway its results are reported under:
 
 - ``Mode.INT``: statistics of the raw 32-bit outputs;
 - ``Mode.REAL``: statistics of the binary64 uniforms, with words derived
   back as floor(u * 2^32).
 
 For a 32-bit generator the real map is lossless, so both pathways read
-the same numbers and a test runs once for both. No runtime check is
-needed, because none could fail: every uint32 is exact in binary64 (32 of
-53 significant bits), scaling by 2^-32 or 2^32 only moves the exponent,
-and :meth:`StreamView.take_words` only ever returns uint32 words.
+the same numbers and a test runs once for both; README "Modes" says why
+no runtime check is needed.
 """
 from __future__ import annotations
 
@@ -29,47 +29,31 @@ class Mode(enum.Enum):
     REAL = "real"
 
 
-class WordPrefix:
-    """Zero-copy reader over a word array, from its start.
-
-    Each ``take`` returns the next slice of the array itself. A read past
-    the end raises IndexError; it never returns a short array.
-    """
-
-    def __init__(self, words: np.ndarray) -> None:
-        self._words = words
-        self._pos = 0
-
-    def take(self, n: int) -> np.ndarray:
-        end = self._pos + n
-        if end > self._words.size:
-            raise IndexError(
-                f"read of {n} words at draw {self._pos} passes the end of a {self._words.size}-word prefix"
-            )
-        out = self._words[self._pos : end]
-        self._pos = end
-        return out
-
-
 class StreamView:
-    """Sequential reader of words from one source.
+    """Sequential reader of words from an :class:`MtState` or a word array.
 
-    ``source`` is an :class:`MtState` or any object with a
-    ``take(n) -> uint32 array`` method (a :class:`WordPrefix` in campaigns,
-    fixtures in tests). A word array is refused: its ``take`` is NumPy's
-    indexed take, not a read of the next words.
+    An array is read from its start, as successive slices of the array
+    itself; a read past its end raises IndexError, never a short read.
     """
 
-    def __init__(self, source: MtState | object, mode: Mode | str) -> None:
+    def __init__(self, source: MtState | np.ndarray, mode: Mode | str) -> None:
         if isinstance(source, MtState):
-            source = MtStream(source)
-        elif isinstance(source, np.ndarray):
-            raise TypeError("source is a word array; wrap it in WordPrefix to read it as a stream")
-        if not callable(getattr(source, "take", None)):
-            raise TypeError("source must be an MtState or expose take(n)")
-        self._stream = source
+            self._stream = MtStream(source)
+        elif isinstance(source, np.ndarray) and source.ndim == 1 and source.dtype == np.uint32:
+            self._stream = None
+            self._words = source
+            self._pos = 0
+        else:
+            raise TypeError("source must be an MtState or a 1-D uint32 word array")
         self.mode = Mode(mode)
 
     def take_words(self, n: int) -> np.ndarray:
         """n 32-bit words as uint32."""
-        return self._stream.take(n)
+        if self._stream is not None:
+            return self._stream.take(n)
+        end = self._pos + n
+        if end > self._words.size:
+            raise IndexError(f"read of {n} words at draw {self._pos} passes the end of a {self._words.size}-word array")
+        out = self._words[self._pos : end]
+        self._pos = end
+        return out

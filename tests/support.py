@@ -73,53 +73,35 @@ def untempered_draws(words: np.ndarray, mti: int, n: int) -> tuple[np.ndarray, n
     return out, mt, mti
 
 
-class SplitMix32:
-    """Nonlinear control generator: 64-bit SplitMix mixer, top 32 bits.
+def splitmix32_words(seed: int, n: int) -> np.ndarray:
+    """n words of a nonlinear control generator: the 64-bit SplitMix mixer
+    from ``seed``, top 32 bits.
 
     Used where a test needs a stream that is NOT GF(2)-linear (its linear
-    complexity behaves generically). Duck-types the bulk-reader interface.
+    complexity behaves generically).
     """
-
-    GAMMA = 0x9E3779B97F4A7C15
-
-    def __init__(self, seed: int = 0) -> None:
-        self._x = np.uint64(seed)
-        self._step = np.uint64(self.GAMMA)
-
-    def take(self, n: int) -> np.ndarray:
-        with np.errstate(over="ignore"):
-            z = self._x + np.arange(1, n + 1, dtype=np.uint64) * self._step
-            self._x = self._x + np.uint64(n) * self._step
-            z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-            z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-            z = z ^ (z >> np.uint64(31))
-        return (z >> np.uint64(32)).astype(np.uint32)
+    with np.errstate(over="ignore"):
+        z = np.uint64(seed) + np.arange(1, n + 1, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
+        z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+        z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+        z = z ^ (z >> np.uint64(31))
+    return (z >> np.uint64(32)).astype(np.uint32)
 
 
-class ConstantStream:
-    """Degenerate word source: every draw is the same 32-bit value."""
-
-    def __init__(self, value: int) -> None:
-        self._value = np.uint32(value)
-
-    def take(self, n: int) -> np.ndarray:
-        return np.full(n, self._value, dtype=np.uint32)
+def constant_words(value: int, n: int) -> np.ndarray:
+    """Degenerate words: n copies of the same 32-bit value."""
+    return np.full(n, value, dtype=np.uint32)
 
 
-class RealDerivedStream:
-    """Words of another source taken the long way round: each word w becomes
-    the binary64 uniform w / 2^32, and is recovered as floor(u * 2^32).
+def real_derived_words(words: np.ndarray) -> np.ndarray:
+    """Words taken the long way round: each word w becomes the binary64
+    uniform w / 2^32, and is recovered as floor(u * 2^32).
 
     An independent route to the real pathway's words, for checking that
     real-mode results equal int-mode results.
     """
-
-    def __init__(self, source) -> None:
-        self._source = source
-
-    def take(self, n: int) -> np.ndarray:
-        u = self._source.take(n).astype(np.float64) / 4294967296.0
-        return np.floor(u * 4294967296.0).astype(np.uint32)
+    u = words.astype(np.float64) / 4294967296.0
+    return np.floor(u * 4294967296.0).astype(np.uint32)
 
 
 def lcg_words(a: int, c: int, n: int, bits: int = 32) -> np.ndarray:

@@ -47,12 +47,12 @@ from mtstreams.stats.walks import h_null, m_null, r_null
 from mtstreams.statusfile import load_status, parse_status, serialize_status
 
 from support import (
-    SplitMix32,
     bit_lane,
     chi2_sf_oracle,
     complexity_count,
     poisson_left_oracle,
     recompute_tables_from_jsonl,
+    splitmix32_words,
     toy_overlap_frequency,
 )
 
@@ -81,7 +81,7 @@ def test_criterion_02_linearcomp_designated_failure_all_techniques():
     ]
     for technique, sset in sets.items():
         assert len(sset.statuses) == 10
-        for index, state in sset.statuses:
+        for index, state in enumerate(sset.statuses):
             for definition in definitions:
                 result = run_test(definition, StreamView(state, Mode.INT), 1e-10)
                 lane = bit_lane(MtStream(state).take(50000), definition.params["bit_offset"])
@@ -90,8 +90,9 @@ def test_criterion_02_linearcomp_designated_failure_all_techniques():
                 assert result.p_values["saturation"] < 1e-10
     # The nonlinear control generator passes the identical test.
     for definition in definitions:
-        control = run_test(definition, StreamView(SplitMix32(99), Mode.INT), 1e-10)
-        lane = bit_lane(SplitMix32(99).take(50000), definition.params["bit_offset"])
+        words = splitmix32_words(99, 50000)
+        control = run_test(definition, StreamView(words, Mode.INT), 1e-10)
+        lane = bit_lane(words, definition.params["bit_offset"])
         assert abs(berlekamp_massey(lane) - 25000) <= 3
         assert control.verdict == "Pass"
 
@@ -179,7 +180,7 @@ def test_criterion_04_calibration_500_statuses():
 def test_criterion_05_sequence_splitting_continuity():
     spacing, count = 10**4, 8
     sset = generate_sequence_splitting(2024, spacing, count)
-    statuses = dict(sset.statuses)
+    statuses = sset.statuses
     for i in range(count - 1):
         assert advance(statuses[i], spacing) == statuses[i + 1], i
     # The concatenated segments equal one uninterrupted run.

@@ -75,6 +75,16 @@ def test_gen_split_zero_spacing_is_usage_error(tmp_path, capsys):
         assert not (tmp_path / "s").exists()
 
 
+def test_gen_split_refuses_a_spacing_of_2_to_the_63_or_more_before_any_warning(tmp_path, capsys):
+    # 2^128 is the spacing a jump-ahead would allow; advance skips at most 2^63 - 1.
+    for count, spacing in ((2, 2**128), (2, 2**63), (1, 2**63)):
+        assert _gen(tmp_path / "s", technique="split", count=count, extra=("--spacing", str(spacing))) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"usage error: spacing must be below 2^63, got {spacing}\n"
+        assert not (tmp_path / "s").exists()
+
+
 def test_gen_split_warns_before_hours_of_advance(tmp_path, capsys, monkeypatch):
     import mtstreams.partition as partition
 

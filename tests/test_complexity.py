@@ -12,7 +12,7 @@ from mtstreams.partition import generate_indexed, generate_random_spacing, gener
 from mtstreams.stats.battery import MINI_CRUSH_V1
 from mtstreams.stats.complexity import _TRIM, berlekamp_massey, linear_complexity_pvalue
 
-from support import SplitMix32, bit_by_bit_bm, bit_lane, complexity_count, connection_polynomial_bm, textbook_bm
+from support import bit_by_bit_bm, bit_lane, complexity_count, connection_polynomial_bm, splitmix32_words, textbook_bm
 
 PHI_DEGREE = 19937
 
@@ -144,7 +144,7 @@ def test_mt_short_sample_looks_random():
 
 
 def test_nonlinear_control_passes():
-    bits = (SplitMix32(1).take(3000) >> 31).astype(np.uint8)
+    bits = (splitmix32_words(1, 3000) >> 31).astype(np.uint8)
     length = berlekamp_massey(bits)
     assert abs(length - 1500) <= 3
     assert linear_complexity_pvalue(length, 3000) > 1e-10
@@ -222,9 +222,9 @@ def test_exhaustive_small_lengths_match_closed_form():
 def _technique_statuses() -> list[MtState]:
     """One status from each gen technique."""
     return [
-        generate_indexed(7, 1).statuses[0][1],
-        generate_random_spacing(8, 1).statuses[0][1],
-        generate_sequence_splitting(9, 1000, 2).statuses[1][1],
+        generate_indexed(7, 1).statuses[0],
+        generate_random_spacing(8, 1).statuses[0],
+        generate_sequence_splitting(9, 1000, 2).statuses[1],
     ]
 
 

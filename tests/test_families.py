@@ -19,16 +19,16 @@ from mtstreams.stats.families import (
     word_cells,
 )
 from mtstreams.stats.pvalues import chi2_pvalue, poisson_left_pvalue
-from mtstreams.stats.stream import Mode, StreamView, WordPrefix
+from mtstreams.stats.stream import Mode, StreamView
 
 from support import (
-    ConstantStream,
-    RealDerivedStream,
-    SplitMix32,
     bit_lane,
     brute_force_collisions,
     brute_force_min_toroidal_distance,
+    constant_words,
     defective_sources,
+    real_derived_words,
+    splitmix32_words,
 )
 
 EPS = 1e-10
@@ -78,13 +78,13 @@ def test_linearcomp_mt_saturates_and_fails():
 
 
 def test_linearcomp_nonlinear_control_passes():
-    view = StreamView(SplitMix32(7), Mode.INT)
+    words = splitmix32_words(7, 5000)
     result = run_test(
         TestDefinition("unit.ctl", "LinearComp", {"n_bits": 5000, "bit_offset": 0}),
-        view,
+        StreamView(words, Mode.INT),
         EPS,
     )
-    complexity = berlekamp_massey(bit_lane(SplitMix32(7).take(5000), 0))
+    complexity = berlekamp_massey(bit_lane(words, 0))
     assert abs(complexity - 2500) <= 3
     assert result.p_values == {"saturation": linear_complexity_pvalue(complexity, 5000)}
     assert result.verdict == "Pass"
@@ -129,11 +129,11 @@ def test_collisionover_matches_brute_force_on_real_streams():
 
 
 def test_collisionover_degenerate_stream_fails():
-    view = StreamView(ConstantStream(0), Mode.INT)
+    words = constant_words(0, 2**12 + 1)
     result = run_test(
-        TestDefinition("unit.c", "CollisionOver", {"n": 2**12, "d": 128, "t": 2}), view, EPS
+        TestDefinition("unit.c", "CollisionOver", {"n": 2**12, "d": 128, "t": 2}), StreamView(words, Mode.INT), EPS
     )
-    assert collision_count(ConstantStream(0).take(2**12 + 1), 2**12, 128, 2) == 2**12 - 1
+    assert collision_count(words, 2**12, 128, 2) == 2**12 - 1
     assert result.verdict == "Fail"
     assert result.p_values["collisions"] == 1.0
 
@@ -143,7 +143,7 @@ def test_collisionover_sorted_count_equals_unique_count():
     # cycle so most tuples collide.
     cycle = np.resize(np.array([0, 2**31, 5, 2**32 - 1, 7 << 22], dtype=np.uint32), 2**13 + 3)
     cases = [(_view(seed), p) for seed in (0, 4) for p in ({"n": 2**14, "d": 1024, "t": 2}, {"n": 2**13, "d": 32, "t": 4})]
-    cases.append((StreamView(WordPrefix(cycle), Mode.INT), {"n": 2**13, "d": 32, "t": 4}))
+    cases.append((StreamView(cycle, Mode.INT), {"n": 2**13, "d": 32, "t": 4}))
     for view, p in cases:
         n, d, t = p["n"], p["d"], p["t"]
         words = view.take_words(n + t - 1)
@@ -169,9 +169,9 @@ def test_closepairs_antipodal_pair_distance():
 
 
 def test_closepairs_duplicate_point_fails_with_p_one():
-    view = StreamView(ConstantStream(12345), Mode.INT)
-    result = run_test(TestDefinition("unit.cp", "ClosePairs", {"n": 256, "t": 2}), view, EPS)
-    assert torus_min_distance(ConstantStream(12345).take(512).reshape(256, 2) * 2.0**-32) == 0.0
+    words = constant_words(12345, 512)
+    result = run_test(TestDefinition("unit.cp", "ClosePairs", {"n": 256, "t": 2}), StreamView(words, Mode.INT), EPS)
+    assert torus_min_distance(words.reshape(256, 2) * 2.0**-32) == 0.0
     assert result.p_values["min_distance"] == 1.0
     assert result.verdict == "Fail"
 
@@ -252,7 +252,7 @@ def test_closepairs_volume_constant():
 
 
 def test_randomwalk_biased_stream_fails_everywhere():
-    view = StreamView(ConstantStream(0xFFFFFFFF), Mode.INT)
+    view = StreamView(constant_words(0xFFFFFFFF, 250), Mode.INT)
     result = run_test(
         TestDefinition("unit.rw", "RandomWalk1", {"walks": 1000, "steps": 8}), view, EPS
     )
@@ -278,19 +278,18 @@ def test_randomwalk_draws_round_up_to_whole_words():
 
 def test_serial_perfectly_balanced_counts_fail_as_too_good():
     cells, n = 16, 160
-    words = [(i % cells) * (2**32 // cells) for i in range(n)]
-    view = StreamView(WordPrefix(np.asarray(words, dtype=np.uint32)), Mode.INT)
+    words = np.array([(i % cells) * (2**32 // cells) for i in range(n)], dtype=np.uint32)
     result = run_test(
-        TestDefinition("unit.s", "SerialUniformity", {"n": n, "cells": cells}), view, EPS
+        TestDefinition("unit.s", "SerialUniformity", {"n": n, "cells": cells}), StreamView(words, Mode.INT), EPS
     )
-    counts = np.bincount(word_cells(np.asarray(words, dtype=np.uint32), cells), minlength=cells)
+    counts = np.bincount(word_cells(words, cells), minlength=cells)
     assert counts.tolist() == [n // cells] * cells  # so the statistic is 0.0
     assert result.p_values["chi2"] == chi2_pvalue(0.0, cells - 1) == 1.0
     assert result.verdict == "Fail"
 
 
 def test_serial_single_cell_pileup_fails():
-    view = StreamView(ConstantStream(0), Mode.INT)
+    view = StreamView(constant_words(0, 160), Mode.INT)
     result = run_test(
         TestDefinition("unit.s", "SerialUniformity", {"n": 160, "cells": 16}), view, EPS
     )
@@ -380,7 +379,7 @@ def test_int_and_real_modes_agree_on_mt():
     ]:
         definition = TestDefinition("u.t", family, params)
         a = run_test(definition, _view(3, Mode.INT), EPS)
-        b = run_test(definition, StreamView(RealDerivedStream(MtStream(init_genrand(3))), Mode.REAL), EPS)
+        b = run_test(definition, StreamView(real_derived_words(_words(3, definition.draws)), Mode.REAL), EPS)
         assert a == b, family
 
 
@@ -396,30 +395,28 @@ def test_real_map_gives_back_every_word():
     assert np.array_equal(np.floor(u * 2.0**32), words)
 
 
-def test_word_prefix_serves_zero_copy_slices_and_never_a_short_read():
+def test_stream_view_reads_a_word_array_as_successive_zero_copy_slices():
     words = np.arange(10, dtype=np.uint32)
     words.flags.writeable = False
-    prefix = WordPrefix(words)
-    first = prefix.take(4)
+    view = StreamView(words, "real")
+    first = view.take_words(4)
     assert np.shares_memory(first, words)
     assert first.tolist() == [0, 1, 2, 3]
-    assert prefix.take(6).tolist() == [4, 5, 6, 7, 8, 9]
     with pytest.raises(IndexError, match="passes the end"):
-        prefix.take(1)
+        view.take_words(7)
+    assert view.take_words(6).tolist() == [4, 5, 6, 7, 8, 9]
+    with pytest.raises(IndexError, match="passes the end"):
+        view.take_words(1)
     with pytest.raises(ValueError):
         first[0] = 1
-    view = StreamView(WordPrefix(words), "real")
-    assert view.take_words(3).tolist() == [0, 1, 2]
-    with pytest.raises(IndexError):
-        view.take_words(8)
 
+    class TakeOnly:
+        def take(self, n):
+            return np.zeros(n, dtype=np.uint32)
 
-def test_stream_view_refuses_a_word_array():
-    # An array's own take is NumPy's indexed take: take(5) would be words[5].
-    words = _words(0, 100)
-    with pytest.raises(TypeError, match="WordPrefix"):
-        StreamView(words, "int")
-    assert StreamView(WordPrefix(words), "int").take_words(5).tolist() == words[:5].tolist()
+    for source in (words.astype(np.int64), words.reshape(2, 5), TakeOnly()):
+        with pytest.raises(TypeError, match="1-D uint32 word array"):
+            StreamView(source, "int")
 
 
 def test_validation_errors_carry_test_id():
@@ -456,7 +453,7 @@ POSITIVE_CONTROLS = {
 
 def test_battery_fails_each_defective_source_and_only_linearcomp_on_mt():
     failed = {
-        name: {e.id for e in MINI_CRUSH_V1.tests if run_test(e, StreamView(WordPrefix(words), "int"), EPS).failed}
+        name: {e.id for e in MINI_CRUSH_V1.tests if run_test(e, StreamView(words, "int"), EPS).failed}
         for name, words in defective_sources(10**6).items()
     }
     assert failed.pop("mt") == {"linearcomp.r0", "linearcomp.r29"}

@@ -218,6 +218,13 @@ def test_advance_rejects_negative():
         advance(init_genrand(1), -1)
 
 
+def test_advance_refuses_a_count_of_2_to_the_63_or_more():
+    # NumPy's random_raw takes an int64 count; a larger one would overflow there.
+    for n in (2**63, 2**128):
+        with pytest.raises(ValueError, match=r"\[0, 2\^63\)"):
+            advance(init_genrand(1), n)
+
+
 def test_stream_determinism_across_random_states():
     rng = np.random.default_rng(4242)
     for _ in range(100):

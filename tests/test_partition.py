@@ -18,17 +18,17 @@ from support import HalfWriteThenFail, toy_overlap_frequency
 
 def test_sequence_splitting_status_zero_is_fresh_state():
     sset = generate_sequence_splitting(42, spacing=1000, count=1)
-    assert sset.statuses == [(0, init_genrand(42))]
+    assert sset.statuses == [init_genrand(42)]
 
 
 def test_sequence_splitting_continuity():
     spacing, count = 1000, 8
     sset = generate_sequence_splitting(2024, spacing, count)
     long_run = MtStream(init_genrand(2024)).take(spacing * count)
-    for i, state in sset.statuses:
+    for i, state in enumerate(sset.statuses):
         segment = MtStream(state).take(spacing)
         assert np.array_equal(segment, long_run[i * spacing : (i + 1) * spacing]), i
-    for (i, a), (_, b) in zip(sset.statuses, sset.statuses[1:]):
+    for i, (a, b) in enumerate(zip(sset.statuses, sset.statuses[1:])):
         assert advance(a, spacing) == b, i
 
 
@@ -49,36 +49,36 @@ def test_random_spacing_words_are_master_outputs(tmp_path):
     count = 5
     sset = generate_random_spacing(42, count)
     master = MtStream(init_genrand(42)).take(N * count)
-    for i, state in sset.statuses:
+    for i, state in enumerate(sset.statuses):
         assert np.array_equal(np.frombuffer(state.mt, "<u4"), master[i * N : (i + 1) * N]), i
         assert state.mti == N
     # The NumPy master stream, run end to end, pins every word of a full set.
     count = 512
     for seed, fingerprint in RANDOM_512_FINGERPRINTS.items():
         sset = generate_random_spacing(seed, count)
-        words = b"".join(state.mt for _, state in sset.statuses)
+        words = b"".join(state.mt for state in sset.statuses)
         assert words == MtStream(init_genrand(seed)).take(N * count).astype("<u4").tobytes(), seed
         assert write_status_set(sset, tmp_path / str(seed)) == fingerprint, seed
 
 
 def test_random_spacing_statuses_pairwise_distinct():
     sset = generate_random_spacing(42, 256)
-    seen = {s.mt for _, s in sset.statuses}
+    seen = {s.mt for s in sset.statuses}
     assert len(seen) == 256
 
 
 def test_indexed_matches_init_genrand():
     sset = generate_indexed(100, 10)
-    for i, state in sset.statuses:
+    for i, state in enumerate(sset.statuses):
         assert state == init_genrand(100 + i), i
 
 
 def test_indexed_overlapping_ranges_share_exactly_the_overlap():
-    a = dict(generate_indexed(0, 8).statuses)
-    b = dict(generate_indexed(4, 8).statuses)
+    a = generate_indexed(0, 8).statuses
+    b = generate_indexed(4, 8).statuses
     for i in range(4):
         assert b[i] == a[i + 4]
-    assert len({s.mt for s in a.values()} | {s.mt for s in b.values()}) == 12
+    assert len({s.mt for s in a} | {s.mt for s in b}) == 12
 
 
 def test_indexed_rejects_seed_overflow():
