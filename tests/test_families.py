@@ -395,7 +395,8 @@ def test_real_map_gives_back_every_word():
     assert np.array_equal(np.floor(u * 2.0**32), words)
 
 
-def test_stream_view_reads_a_word_array_as_successive_zero_copy_slices():
+def test_word_prefix_serves_zero_copy_slices_and_never_a_short_read():
+    # A campaign's shared read-only prefix goes straight to the view.
     words = np.arange(10, dtype=np.uint32)
     words.flags.writeable = False
     view = StreamView(words, "real")
@@ -410,11 +411,18 @@ def test_stream_view_reads_a_word_array_as_successive_zero_copy_slices():
     with pytest.raises(ValueError):
         first[0] = 1
 
+
+def test_stream_view_refuses_a_word_array():
+    # Only a 1-D uint32 array is read as words; any other array, or an
+    # object with a take(n) of its own, is refused rather than guessed at.
+    words = _words(0, 100)
+    assert StreamView(words, "int").take_words(5).tolist() == words[:5].tolist()
+
     class TakeOnly:
         def take(self, n):
             return np.zeros(n, dtype=np.uint32)
 
-    for source in (words.astype(np.int64), words.reshape(2, 5), TakeOnly()):
+    for source in (words.astype(np.int64), words.reshape(10, 10), TakeOnly()):
         with pytest.raises(TypeError, match="1-D uint32 word array"):
             StreamView(source, "int")
 
