@@ -162,7 +162,9 @@ def run_campaign(entries: list[StatusEntry], config: CampaignConfig) -> Campaign
     statuses, whatever the order of ``entries``.
 
     The meta record is built first, so entries that list a status twice or
-    carry a malformed ``sha256`` raise ValueError before any unit runs.
+    carry a malformed ``sha256`` raise ValueError before any unit runs. A
+    worker that dies mid-unit raises ChildProcessError naming the first
+    status that did not finish.
     """
     eps = config.eps
     meta = campaign_meta(config.battery, eps, config.modes, [(e.technique, e.index, e.sha256) for e in entries])
@@ -170,12 +172,48 @@ def run_campaign(entries: list[StatusEntry], config: CampaignConfig) -> Campaign
     work = [(states[s["technique"], s["index"]], config.modes, config.battery, eps) for s in meta["statuses"]]
     workers = min(config.jobs, len(work), usable_cpus())
     if workers > 1:
-        from multiprocessing import get_context  # ~7 ms of imports that one worker skips
-
-        ctx = get_context("fork")
-        with ctx.Pool(workers) as pool:
-            outcomes = pool.starmap(run_battery_on_status, work)
+        outcomes = _run_in_workers(work, meta["statuses"], workers)
     else:
         outcomes = [run_battery_on_status(*w) for w in work]
     reports = [StatusReport(s["technique"], s["index"], results) for s, results in zip(meta["statuses"], outcomes)]
     return CampaignReport(meta=meta, reports=reports)
+
+
+def _run_in_workers(work: list[tuple], statuses: list[dict], workers: int) -> list[list[TestResult]]:
+    """Run the units on a pool of forked workers, which ignore SIGINT; the
+    outcomes come back in the order of ``work``.
+
+    If a worker dies, the pool fails every unit it had not finished, and
+    the first of them in ``work`` order is named. On an error or an
+    interrupt, the units not yet queued for a worker are cancelled and the
+    call returns at once; the workers finish the few they hold, and the
+    interpreter waits for them at exit. (Had it joined them here, a second
+    interrupt could cut the join short and leave the pool's shutdown
+    waiting forever.)
+    """
+    import signal
+    from concurrent.futures import ProcessPoolExecutor  # imports that one worker skips
+    from concurrent.futures.process import BrokenProcessPool
+    from multiprocessing import get_context
+
+    pool = ProcessPoolExecutor(
+        workers, mp_context=get_context("fork"), initializer=signal.signal, initargs=(signal.SIGINT, signal.SIG_IGN)
+    )
+    futures = []
+    try:
+        for w in work:
+            futures.append(pool.submit(run_battery_on_status, *w))
+        outcomes = []
+        for s, future in zip(statuses, futures):
+            try:
+                outcomes.append(future.result())
+            except BrokenProcessPool as exc:
+                name = f"{s['technique']}/{s['index']}"
+                raise ChildProcessError(f"a worker process died before status {name} finished") from exc
+    except BaseException:
+        for future in futures:
+            future.cancel()
+        pool.shutdown(wait=False)
+        raise
+    pool.shutdown()
+    return outcomes

@@ -2,8 +2,9 @@
 
 Subcommands: gen, test, report, registry, verify. Every invocation is
 deterministic: identical inputs and flags yield identical output bytes and
-exit codes. Exit codes: 0 success; 1 usage; 2 I/O or parse failure;
-3 strict-mode quality failure or verify difference.
+exit codes. Exit codes: 0 success; 1 usage; 2 I/O or parse failure, or
+a ``test`` worker that died; 3 strict-mode quality failure or verify
+difference; 130 interrupted (SIGINT).
 
 Each command loads only what it runs: the parser needs only the names in
 :mod:`mtstreams.names`, and each ``_cmd_*`` function imports its own
@@ -16,11 +17,12 @@ MT19937, while ``split`` imports NumPy to skip draws. ``report`` loads
 ``results`` and ``reports``, ``registry`` loads ``results``, and both read
 the battery module to rebuild a file's battery. ``test`` imports
 ``campaign`` and the battery, which bring NumPy and the test families,
-and ``multiprocessing`` only when it forks workers. The families'
-chi-square and Poisson p-values compute the incomplete gamma tails in the
-standard library's ``decimal``, which ``test`` loads with them; no command
-loads SciPy. The package's records are plain ``__slots__`` classes
-(:mod:`mtstreams.record`), whose definitions load no ``inspect``.
+and ``concurrent.futures`` with ``multiprocessing`` only when it forks
+workers. The families' chi-square and Poisson p-values compute the
+incomplete gamma tails in the standard library's ``decimal``, which
+``test`` loads with them; no command loads SciPy. The package's records
+are plain ``__slots__`` classes (:mod:`mtstreams.record`), whose
+definitions load no ``inspect``.
 
 A process gives back no memory it is about to reuse or drop. ``test``
 calls :func:`mtstreams.campaign.keep_freed_memory` before the campaign, so
@@ -46,6 +48,7 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_IO = 2
 EXIT_QUALITY = 3
+EXIT_INTERRUPTED = 130  # 128 + SIGINT
 
 DEFAULT_EXPECTED = ",".join(sorted(DEFAULT_EXPECTED_FAIL_IDS))
 
@@ -285,9 +288,22 @@ def entry() -> NoReturn:
     collector's reach, so the interpreter's final collection has nothing to
     scan. The process is about to drop them all, and the scan cost 9-17 ms
     per stdlib-only command, 20 ms once NumPy was loaded.
+
+    A SIGINT (Ctrl-C) prints one line on stderr in place of a traceback and
+    exits 130, the shell's code for it. ``test``'s pool workers ignore it,
+    and so does the process once interrupted, while its exit waits for them
+    to finish the units they hold. A results file is written whole or not
+    at all.
     """
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
-    rc = main()
+    try:
+        rc = main()
+    except KeyboardInterrupt:
+        import signal
+
+        signal.signal(signal.SIGINT, signal.SIG_IGN)  # while the exit waits for any workers
+        print("interrupted", file=sys.stderr)
+        rc = EXIT_INTERRUPTED
     gc.freeze()
     sys.exit(rc)
 

@@ -14,14 +14,8 @@ before that rounding grows with a and |x - a|, by about (a + |x - a|) *
 unless the true one lies about that close to a rounding boundary.
 
 :func:`_exact_tails` sums the power series or the continued fraction, about
-sqrt(a) 36-digit steps near x = a. A battery asks for the same few a on
-every status, with x near a. So from a = 16 on, for |x - a| <= 6 sqrt(a),
-x is served by an anchor x0: the nearest point of a grid of spacing about
-sqrt(a) / 2. The first tail near x0 runs the kernel at x0 and expands the
-density there; each later one adds a ~35-term polynomial in x - x0,
-evaluated in 192-bit fixed point, to the anchor's tail (:func:`_anchor`).
-A Poisson tail takes one kernel run and is cached, since a test's mean stays
-fixed and its count takes few values.
+sqrt(a) 36-digit steps near x = a. A Poisson tail is cached, since a test's
+mean stays fixed and its count takes few values.
 """
 from __future__ import annotations
 
@@ -41,9 +35,6 @@ _BERNOULLI = (
     (-236364091, 2730), (8553103, 6), (-23749461029, 870),
 )
 _STIRLING_FROM_TWO_A = 128  # a >= 64
-_ANCHOR_FROM_TWO_A = 32  # a >= 16
-_ANCHOR_SPAN = 6.0  # anchors serve |x - a| <= 6 sqrt(a)
-_FIXED_BITS = 192
 # A merged chi-square cell's least expected count (see `merged_chi2_pvalue`).
 MIN_EXPECTED = 5.0
 _CONTEXT = Context(prec=_DIGITS, Emax=MAX_EMAX, Emin=MIN_EMIN)
@@ -76,9 +67,9 @@ def _prefactor(two_a: int, x: Decimal) -> Decimal:
     return (a / (2 * Decimal(_PI))).sqrt() * power * (a - x - series / a).exp()
 
 
-def _exact_tails(two_a: int, x: Decimal) -> tuple[Decimal, Decimal, Decimal]:
-    """(P(a, x), Q(a, x), x^a e^-x / Gamma(a)) for a = two_a / 2 and a
-    finite x > 0, as Decimals of the current context.
+def _exact_tails(two_a: int, x: Decimal) -> tuple[Decimal, Decimal]:
+    """(P(a, x), Q(a, x)) for a = two_a / 2 and a finite x > 0, as Decimals
+    of the current context.
 
     With x < a + 1, P is the power series e^-x x^a / Gamma(a) * sum_n x^n /
     (a (a + 1) ... (a + n)); otherwise Q is Legendre's continued fraction,
@@ -99,7 +90,7 @@ def _exact_tails(two_a: int, x: Decimal) -> tuple[Decimal, Decimal, Decimal]:
             term = term * x / denom
             total += term
         p = prefactor * total
-        return p, 1 - p, prefactor
+        return p, 1 - p
     # For x >= a + 1 both of Lentz's ratios, 1/d and c, stay >= i + 1, so
     # neither needs the method's usual guard against 0.
     b = x + 1 - a
@@ -118,91 +109,7 @@ def _exact_tails(two_a: int, x: Decimal) -> tuple[Decimal, Decimal, Decimal]:
         if abs(delta - 1) < eps:
             break
     q = prefactor * h
-    return 1 - q, q, prefactor
-
-
-def _anchor_step(two_a: int) -> int:
-    """The power of two in (sqrt(a) / 4, sqrt(a) / 2], >= 2 for a >= 16."""
-    return 1 << ((two_a >> 3).bit_length() - 1) // 2
-
-
-def _anchor_point(two_a: int, x: float) -> int | None:
-    """The grid point x0 whose anchor serves x, or None where none does."""
-    a = two_a / 2
-    if two_a < _ANCHOR_FROM_TWO_A or abs(x - a) > _ANCHOR_SPAN * math.sqrt(a):
-        return None
-    step = _anchor_step(two_a)
-    x0 = step * round(x / step)
-    return x0 if x0 >= 4 * step else None
-
-
-@functools.lru_cache(maxsize=1024)
-def _anchor(two_a: int, x0: int) -> tuple[bool, int, tuple[int, ...]]:
-    """(upper, base, coefficients) of the tails near the grid point x0, as
-    integers in units of 2^-_FIXED_BITS.
-
-    With t = (x - x0) / r, r = step / 2 and |t| <= 1, the tail is base +
-    sum_k D_k t^k: for x0 < a, P(a, x) with base = P(a, x0); otherwise
-    (upper), Q(a, x) with base = Q(a, x0). The sum is the integral of the
-    density g(x0) f(s), f(s) = (1 + s/x0)^(a-1) e^-s, over [0, x - x0], with
-    Q's sign folded into D_k = +-g(x0) f_(k-1) r^k / k. Since (x0 + s) f' =
-    (a - 1 - x0 - s) f, f's Taylor coefficients obey f_0 = 1 and
-    f_(k+1) = ((a - 1 - x0 - k) f_k - f_(k-1)) / (x0 (k + 1)). They are
-    computed in decimal and kept, highest first, until three D_k in a row
-    fall below 10^-(digits + 3) of base; f is analytic within |s| < x0 >=
-    4 step, so the terms, once past f's Gaussian width, shrink at least
-    8-fold each.
-    """
-    with localcontext(_CONTEXT):  # pinned: the values are cached
-        a = Decimal(two_a) / 2
-        x = Decimal(x0)
-        p, q, prefactor = _exact_tails(two_a, x)
-        upper = x >= a
-        base = q if upper else p
-        g = -prefactor / x if upper else prefactor / x
-        tol = base.scaleb(-_DIGITS - 3)
-        r = Decimal(_anchor_step(two_a) // 2)
-        u = a - 1 - x
-        f_prev, f = Decimal(0), Decimal(1)
-        coefficients = []
-        scale = Decimal(1)
-        small = k = 0
-        while small < 3:
-            scale *= r
-            c = g * f * scale / (k + 1)  # D_(k + 1)
-            coefficients.append(c)
-            small = small + 1 if abs(c) < tol else 0
-            f_prev, f = f, ((u - k) * f - f_prev) / (x * (k + 1))
-            k += 1
-
-    def fixed(value) -> int:
-        num, den = value.as_integer_ratio()
-        return (num << _FIXED_BITS) // den
-
-    return bool(upper), fixed(base), tuple(map(fixed, reversed(coefficients)))
-
-
-def _anchored_tails(two_a: int, x: float, x0: int) -> tuple[float, float]:
-    """(P(a, x), Q(a, x)) from x0's anchor, by Horner's rule in integers.
-
-    x = n / 2^e exactly, so t = (x - x0) / r = (n - x0 2^e) / 2^(e + log2 r)
-    and each step's product is one shift; a step rounds down by less than a
-    unit and |t| <= 1 keeps earlier errors from growing. Integer true
-    division rounds each tail once.
-    """
-    upper, base, coefficients = _anchor(two_a, x0)
-    n, den = x.as_integer_ratio()
-    e = den.bit_length() - 1
-    h = n - (x0 << e)
-    shift = e + _anchor_step(two_a).bit_length() - 2
-    total = 0
-    for c in coefficients:
-        total = (total + c) * h >> shift
-    tail = base + total
-    other = (1 << _FIXED_BITS) - tail
-    if upper:
-        tail, other = other, tail
-    return tail / (1 << _FIXED_BITS), other / (1 << _FIXED_BITS)
+    return 1 - q, q
 
 
 def _gamma_tails(two_a: int, x: float) -> tuple[float, float]:
@@ -211,11 +118,8 @@ def _gamma_tails(two_a: int, x: float) -> tuple[float, float]:
         return 0.0, 1.0
     if x == math.inf:
         return 1.0, 0.0
-    x0 = _anchor_point(two_a, x)
-    if x0 is not None:
-        return _anchored_tails(two_a, x, x0)
     with localcontext(_CONTEXT):
-        p, q, _ = _exact_tails(two_a, Decimal(x))  # x exact
+        p, q = _exact_tails(two_a, Decimal(x))  # x exact
         return float(p), float(q)
 
 

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import json
 import math
+from concurrent.futures import Future
 from fractions import Fraction
 from pathlib import Path
 
@@ -154,24 +155,23 @@ class HalfWriteThenFail:
 
 
 class RecordingContext:
-    """Stands in for a multiprocessing context: its Pool records the size it
-    is asked for, starts no process and runs the work in this one."""
+    """Stands in for ``ProcessPoolExecutor``: each pool it is asked for
+    records its worker count, starts no process and runs the work in this one."""
 
     def __init__(self) -> None:
         self.sizes: list[int] = []
 
-    def Pool(self, processes: int) -> "RecordingContext":
-        self.sizes.append(processes)
+    def __call__(self, max_workers: int, **options) -> "RecordingContext":
+        self.sizes.append(max_workers)
         return self
 
-    def __enter__(self) -> "RecordingContext":
-        return self
+    def submit(self, fn, *args) -> Future:
+        future = Future()
+        future.set_result(fn(*args))
+        return future
 
-    def __exit__(self, *exc) -> bool:
-        return False
-
-    def starmap(self, fn, items) -> list:
-        return [fn(*x) for x in items]
+    def shutdown(self, wait: bool = True) -> None:
+        pass
 
 
 def textbook_bm(bits) -> int:

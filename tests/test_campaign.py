@@ -1,9 +1,9 @@
 """Campaign orchestration: determinism, aggregation, registry, JSONL."""
+import concurrent.futures
 import copy
 import gc
 import hashlib
 import json
-import multiprocessing
 import os
 import pathlib
 import pickle
@@ -274,7 +274,7 @@ def test_writer_refuses_a_report_the_reader_would_refuse(fast_report, tmp_path, 
 
 def test_pool_has_no_more_workers_than_statuses(monkeypatch):
     context = RecordingContext()
-    monkeypatch.setattr(multiprocessing, "get_context", lambda method: context)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", context)
     monkeypatch.setattr(campaign, "usable_cpus", lambda: 64)
     entries = _entries(3)
     serial = run_campaign(entries, CampaignConfig(battery=FAST, modes=("int",)))
@@ -286,7 +286,7 @@ def test_pool_has_no_more_workers_than_statuses(monkeypatch):
 
 def test_pool_is_capped_at_the_usable_cpus(monkeypatch):
     context = RecordingContext()
-    monkeypatch.setattr(multiprocessing, "get_context", lambda method: context)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", context)
     config = CampaignConfig(battery=FAST, modes=("int",), jobs=5000)
     monkeypatch.setattr(campaign.os, "sched_getaffinity", lambda pid: {0, 3}, raising=False)
     assert campaign.usable_cpus() == 2
@@ -300,6 +300,21 @@ def test_pool_is_capped_at_the_usable_cpus(monkeypatch):
     monkeypatch.setattr(campaign.os, "cpu_count", lambda: None)
     assert campaign.usable_cpus() == 1
     assert context.sizes == [2, 3]
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="the pool forks its workers")
+def test_pool_workers_ignore_sigint(monkeypatch):
+    # A Ctrl-C reaches every process of the group; only the parent acts on it.
+    import functools
+    import signal
+
+    @functools.wraps(campaign.run_battery_on_status)
+    def disposition(*args):
+        return signal.getsignal(signal.SIGINT)
+
+    monkeypatch.setattr(campaign, "run_battery_on_status", disposition)
+    work = [(e.state, ("int",), FAST, FAST.threshold) for e in _entries(2)]
+    assert campaign._run_in_workers(work, [{}, {}], 2) == [signal.SIG_IGN, signal.SIG_IGN]
 
 
 def test_concurrent_campaigns_do_not_share_inputs():

@@ -258,10 +258,10 @@ def test_test_refuses_an_empty_battery_file(tmp_path, capsys):
 
 
 def test_test_caps_jobs_at_the_usable_cpus(tmp_path, fast_battery_file, capsys, monkeypatch):
-    import multiprocessing
+    import concurrent.futures
 
     context = RecordingContext()
-    monkeypatch.setattr(multiprocessing, "get_context", lambda method: context)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", context)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     assert _gen(tmp_path / "set", count=3) == 0
     capsys.readouterr()
@@ -652,7 +652,7 @@ def test_test_at_one_worker_loads_no_multiprocessing(tmp_path):
     rc, modules = _fresh_main(argv)
     assert rc == 0
     assert "mtstreams.campaign" in modules
-    assert _within(modules, "multiprocessing") == []
+    assert _within(modules, "multiprocessing", "concurrent.futures") == []
 
 
 def test_gen_loads_no_scipy_stats_or_campaign(tmp_path):
@@ -715,6 +715,77 @@ def test_process_entry_exits_with_main_codes_and_output(tmp_path):
         "differs: indexed_00002.mts",
     ]
     assert verify.stdout.endswith(" identical, 2 differing, 0 unmatched\n")
+
+
+# Runs cli.main(argv) in a fresh interpreter on two workers, whatever the
+# host, where the worker that takes status indexed/0 SIGKILLs itself, as
+# the OOM killer would.
+_KILL_A_WORKER = """
+import functools, os, signal, sys
+import mtstreams.campaign as campaign
+from mtstreams.cli import main
+from mtstreams.mt19937 import init_genrand
+
+unit = campaign.run_battery_on_status
+
+@functools.wraps(unit)
+def dying(state, *rest):
+    if state == init_genrand(0):
+        os.kill(os.getpid(), signal.SIGKILL)
+    return unit(state, *rest)
+
+campaign.run_battery_on_status = dying
+campaign.usable_cpus = lambda: 2
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="the pool forks its workers")
+def test_a_dead_worker_ends_test_with_exit_2(tmp_path, fast_battery_file):
+    assert _gen(tmp_path / "set", count=6) == 0
+    out = tmp_path / "r.jsonl"
+    argv = ["test", "--dir", str(tmp_path / "set"), "--battery", fast_battery_file, "--jobs", "2", "--out", str(out)]
+    # A pool that waits forever for the dead worker's unit fails here instead of stalling the suite.
+    run = subprocess.run(
+        [sys.executable, "-c", _KILL_A_WORKER, *argv],
+        env=dict(os.environ, PYTHONPATH=_SRC),
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert run.returncode == 2, run.stderr
+    assert run.stderr == "error: a worker process died before status indexed/0 finished\n"
+    assert not out.exists()
+
+
+def test_an_interrupt_exits_130_with_one_line(tmp_path, capsys, monkeypatch):
+    import signal
+
+    import mtstreams.campaign as campaign
+    from mtstreams import cli
+
+    def interrupted(entries, config):
+        raise KeyboardInterrupt
+
+    assert _gen(tmp_path / "set", count=2) == 0
+    capsys.readouterr()
+    out = tmp_path / "r.jsonl"
+    handlers = []
+    monkeypatch.setattr(campaign, "run_campaign", interrupted)
+    # The entry's process-wide settings, recorded and kept out of this process.
+    monkeypatch.setattr(signal, "signal", lambda sig, handler: handlers.append((sig, handler)))
+    monkeypatch.setattr(gc, "freeze", lambda: None)
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    monkeypatch.setattr(sys, "argv", ["mtstreams", "test", "--dir", str(tmp_path / "set"), "--out", str(out)])
+    with pytest.raises(SystemExit) as exc:
+        try:
+            cli.entry()
+        except KeyboardInterrupt:  # let through, it would stop the whole run
+            pytest.fail("KeyboardInterrupt escaped the process entry")
+    assert exc.value.code == 130
+    assert capsys.readouterr() == ("", "interrupted\n")
+    assert handlers == [(signal.SIGINT, signal.SIG_IGN)]  # a second Ctrl-C cannot cut the exit short
+    assert not out.exists()
 
 
 # Runs cli.entry() in a fresh interpreter with a main that loads NumPy and

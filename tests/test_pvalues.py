@@ -8,8 +8,6 @@ import pytest
 from mtstreams.stats import pvalues
 from mtstreams.stats.pvalues import (
     _BERNOULLI,
-    _anchor_point,
-    _anchor_step,
     _gamma_tails,
     chi2_pvalue,
     merged_chi2_pvalue,
@@ -235,38 +233,30 @@ def _lines_run(fn, *args):
 
 def test_gamma_tails_at_large_a_are_correctly_rounded_in_bounded_work():
     # A custom battery may ask for df = 2^20 cells or a count of 2^14. The
-    # kernel takes ~sqrt(a) steps near x = a; a tail from a built anchor runs
-    # one ~35-term loop.
+    # kernel takes ~sqrt(a) steps near x = a, on every call.
     for two_a, xs in ((2**20, (2.0**19 - 1500.0, 2.0**19, 2.0**19 + 2000.5)), (2**15, (2.0**14 - 200.0, 2.0**14, 2.0**14 + 250.0))):
         for x in xs:
-            pvalues._anchor.cache_clear()
-            got, lines = _lines_run(_gamma_tails, two_a, x)
-            assert lines < 40 * math.sqrt(two_a), (two_a, x, lines)
-            assert got == gamma_tails_oracle(two_a, x), (two_a, x)
-            again, lines = _lines_run(_gamma_tails, two_a, x + 0.75)
-            assert lines < 200, (two_a, x, lines)
-            assert again == gamma_tails_oracle(two_a, x + 0.75), (two_a, x)
+            for y in (x, x + 0.75):
+                got, lines = _lines_run(_gamma_tails, two_a, y)
+                assert lines < 40 * math.sqrt(two_a), (two_a, y, lines)
+                assert got == gamma_tails_oracle(two_a, y), (two_a, y)
 
 
-# Each anchor serves [x0 - step/2, x0 + step/2]; check both ends, the grid
-# point, the region's edges at a +- 6 sqrt(a), and x0 = 4 steps, the lowest.
+# The kernel near x = a, on a power-of-two grid of spacing step in
+# (sqrt(a) / 4, sqrt(a) / 2] from 4 steps up: each grid point, the points
+# half a step off and just inside them, and the edges at a +- 6 sqrt(a).
 @pytest.mark.parametrize("two_a", [32, 33, 36, 92, 96, 127, 128, 1023, 4097])
 def test_anchored_tails_are_correctly_rounded_across_each_interval(two_a):
     a = two_a / 2
-    step = _anchor_step(two_a)
-    assert math.sqrt(a) / 4 < step <= math.sqrt(a) / 2
+    step = 1 << ((two_a >> 3).bit_length() - 1) // 2
     reach = 6 * math.sqrt(a)
     xs = [a - reach, a + reach, max(4 * step - step / 2, a - reach)]
     for x0 in range(step * math.ceil((a - reach) / step), int(a + reach) + 1, step):
         xs += [x0 - step / 2, x0 - step / 2 + 2**-30, x0, x0 + step / 2 - 2**-30, x0 + step / 2]
     for x in xs:
-        if _anchor_point(two_a, x) is None:
+        if abs(x - a) > reach or round(x / step) < 4:
             continue
         assert _gamma_tails(two_a, x) == gamma_tails_oracle(two_a, x), x
-    assert _anchor_point(two_a, a) is not None
-    assert _anchor_point(two_a, a + reach * 1.01) is None
-    assert _anchor_point(two_a, a - reach * 1.01) is None
-    assert _anchor_point(31, 15.5) is None  # below a = 16 the kernel runs
 
 
 def test_poisson_tails_take_one_kernel_run_and_are_cached(monkeypatch):
