@@ -180,18 +180,21 @@ def run_campaign(entries: list[StatusEntry], config: CampaignConfig) -> Campaign
 
 
 def _run_in_workers(work: list[tuple], statuses: list[dict], workers: int) -> list[list[TestResult]]:
-    """Run the units on a pool of forked workers, which ignore SIGINT; the
-    outcomes come back in the order of ``work``.
+    """Run the units through the ``map`` of a pool of forked workers, which
+    ignore SIGINT; the outcomes come back in the order of ``work``.
 
     If a worker dies, the pool fails every unit it had not finished, and
     the first of them in ``work`` order is named. On an error or an
-    interrupt, the units not yet queued for a worker are cancelled and the
-    call returns at once; the workers finish the few they hold, and the
-    interpreter waits for them at exit. (Had it joined them here, a second
-    interrupt could cut the join short and leave the pool's shutdown
-    waiting forever.)
+    interrupt, a thread of its own shuts the pool down, cancelling the
+    units not yet queued for a worker, and the call returns at once. That
+    thread keeps the pool alive until the units are cancelled (a pool
+    collected sooner runs them all), and it alone waits for the few the
+    workers hold; the interpreter waits for it at exit. (A join here could
+    be cut short by a second interrupt, leaving the pool's shutdown waiting
+    forever.)
     """
     import signal
+    import threading
     from concurrent.futures import ProcessPoolExecutor  # imports that one worker skips
     from concurrent.futures.process import BrokenProcessPool
     from multiprocessing import get_context
@@ -199,21 +202,16 @@ def _run_in_workers(work: list[tuple], statuses: list[dict], workers: int) -> li
     pool = ProcessPoolExecutor(
         workers, mp_context=get_context("fork"), initializer=signal.signal, initargs=(signal.SIGINT, signal.SIG_IGN)
     )
-    futures = []
+    outcomes = []
     try:
-        for w in work:
-            futures.append(pool.submit(run_battery_on_status, *w))
-        outcomes = []
-        for s, future in zip(statuses, futures):
-            try:
-                outcomes.append(future.result())
-            except BrokenProcessPool as exc:
-                name = f"{s['technique']}/{s['index']}"
-                raise ChildProcessError(f"a worker process died before status {name} finished") from exc
-    except BaseException:
-        for future in futures:
-            future.cancel()
-        pool.shutdown(wait=False)
+        for results in pool.map(run_battery_on_status, *zip(*work)):
+            outcomes.append(results)
+    except BaseException as exc:
+        threading.Thread(target=pool.shutdown, kwargs={"cancel_futures": True}).start()
+        if isinstance(exc, BrokenProcessPool):
+            s = statuses[len(outcomes)]
+            name = f"{s['technique']}/{s['index']}"
+            raise ChildProcessError(f"a worker process died before status {name} finished") from exc
         raise
     pool.shutdown()
     return outcomes

@@ -2,9 +2,11 @@
 
 Subcommands: gen, test, report, registry, verify. Every invocation is
 deterministic: identical inputs and flags yield identical output bytes and
-exit codes. Exit codes: 0 success; 1 usage; 2 I/O or parse failure, or
-a ``test`` worker that died; 3 strict-mode quality failure or verify
-difference; 130 interrupted (SIGINT).
+exit codes. Exit codes: 0 success; 1 usage; 2 I/O or parse failure, a
+``test --out`` that is a directory or lies in a missing one (refused
+before any status loads), or a ``test`` unit that raised or worker that
+died; 3 strict-mode quality failure or verify difference; 130
+interrupted (SIGINT).
 
 Each command loads only what it runs: the parser needs only the names in
 :mod:`mtstreams.names`, and each ``_cmd_*`` function imports its own
@@ -173,13 +175,20 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 
 
 def _cmd_test(args: argparse.Namespace) -> int:
+    inputs = list(args.dir) + list(args.status)
+    if not inputs:
+        raise UsageError("give at least one --dir or --status")
+    # The results are written after the last unit: a path that cannot take them is refused first.
+    out = Path(args.out)
+    if out.is_dir():
+        raise IsADirectoryError(f"--out {args.out} is a directory")
+    if not out.parent.is_dir():
+        raise FileNotFoundError(f"--out {args.out}: no directory {out.parent}")
+
     from mtstreams.campaign import CampaignConfig, keep_freed_memory, load_status_entries, run_campaign, usable_cpus
     from mtstreams.results import classify_status, resolve_expected_ids, write_results_jsonl
     from mtstreams.stats.battery import load_battery
 
-    inputs = list(args.dir) + list(args.status)
-    if not inputs:
-        raise UsageError("give at least one --dir or --status")
     battery = load_battery(args.battery)
     modes = MODES if args.mode == "both" else (args.mode,)
     cpus = usable_cpus()

@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import json
 import math
-from concurrent.futures import Future
 from fractions import Fraction
 from pathlib import Path
 
@@ -165,12 +164,10 @@ class RecordingContext:
         self.sizes.append(max_workers)
         return self
 
-    def submit(self, fn, *args) -> Future:
-        future = Future()
-        future.set_result(fn(*args))
-        return future
+    def map(self, fn, *iterables) -> list:
+        return list(map(fn, *iterables))
 
-    def shutdown(self, wait: bool = True) -> None:
+    def shutdown(self, wait: bool = True, *, cancel_futures: bool = False) -> None:
         pass
 
 

@@ -1,6 +1,7 @@
 """The pair runner's summary: fixed numbers in, known quartiles and counts out."""
 import importlib.util
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -65,3 +66,15 @@ def test_summarize_fixed_numbers():
 def test_summarize_flags_an_incorrect_run():
     pairs = [{"parent": _run(4.0, 80.0), "change": _run(3.0, 80.0, correct=False)}] * 2
     assert bench_pairs.summarize(pairs, {"wall_s": "lower"})["runs_correct"] is False
+
+
+@pytest.mark.parametrize("flag", [0, 1])
+def test_machine_record_says_whether_imports_write_bytecode(monkeypatch, flag):
+    monkeypatch.setattr(bench_pairs, "sys", SimpleNamespace(flags=SimpleNamespace(dont_write_bytecode=flag)))
+    machine = {"workload": "spot-check", "seed": 7, "python": "3.11.7", "numpy": "2.4.6", "scipy": "1.17.1"}
+    assert bench_pairs.machine_record(machine) == {
+        "python": "3.11.7",
+        "numpy": "2.4.6",
+        "scipy": "1.17.1",
+        "dont_write_bytecode": bool(flag),
+    }

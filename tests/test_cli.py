@@ -295,6 +295,29 @@ def test_test_io_errors(tmp_path, fast_battery_file, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("out", ["missing/sub/r.jsonl", "set"])
+def test_test_refuses_a_bad_out_before_any_unit(tmp_path, fast_battery_file, capsys, monkeypatch, out):
+    # A missing directory, and a directory: the results could never be written.
+    import mtstreams.campaign as campaign
+
+    def never(*args):
+        pytest.fail("a status was loaded or tested before --out was checked")
+
+    assert _gen(tmp_path / "set", count=2) == 0
+    capsys.readouterr()
+    monkeypatch.setattr(campaign, "load_status_entries", never)
+    monkeypatch.setattr(campaign, "run_battery_on_status", never)
+    argv = ["test", "--dir", str(tmp_path / "set"), "--battery", fast_battery_file, "--jobs", "1"]
+    argv += ["--out", str(tmp_path / out)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: --out {tmp_path / out}") and err.count("\n") == 1, err
+    rc, modules = _fresh_main(argv)
+    assert rc == 2
+    assert _within(modules, "numpy", "mtstreams.campaign") == []
+    assert not (tmp_path / "missing").exists()
+
+
 # --- report --------------------------------------------------------------------
 
 
@@ -758,6 +781,112 @@ def test_a_dead_worker_ends_test_with_exit_2(tmp_path, fast_battery_file):
     assert not out.exists()
 
 
+# Runs cli.main(argv) in a fresh interpreter on up to two workers, whatever
+# the host, where the unit of status indexed/3 raises ValueError. stdout
+# shows what run_campaign raised.
+_FAIL_A_UNIT = """
+import functools, sys
+import mtstreams.campaign as campaign
+from mtstreams.cli import main
+from mtstreams.mt19937 import init_genrand
+
+unit, run = campaign.run_battery_on_status, campaign.run_campaign
+
+@functools.wraps(unit)
+def failing(state, *rest):
+    if state == init_genrand(3):
+        raise ValueError("no battery for status 3")
+    return unit(state, *rest)
+
+def reporting(entries, config):
+    try:
+        return run(entries, config)
+    except BaseException as exc:
+        print(type(exc).__name__, exc)
+        raise
+
+campaign.run_battery_on_status = failing
+campaign.run_campaign = reporting
+campaign.usable_cpus = lambda: 2
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_an_error_in_a_unit_ends_test_with_exit_2(tmp_path, fast_battery_file, jobs):
+    assert _gen(tmp_path / "set", count=6) == 0
+    out = tmp_path / "r.jsonl"
+    argv = ["test", "--dir", str(tmp_path / "set"), "--battery", fast_battery_file, "--jobs", jobs, "--out", str(out)]
+    run = subprocess.run(
+        [sys.executable, "-c", _FAIL_A_UNIT, *argv],
+        env=dict(os.environ, PYTHONPATH=_SRC),
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert run.returncode == 2, run.stderr
+    assert run.stdout == "ValueError no battery for status 3\n"  # the unit's own exception, raised again
+    assert run.stderr == "error: no battery for status 3\n"
+    assert not out.exists()
+
+
+# Prepended to a script: records the pid of each process forked from it, one
+# a line, in the file that $PIDS names.
+_RECORD_FORKS = """
+import os
+
+def _record_pid():
+    with open(os.environ["PIDS"], "a") as fh:
+        fh.write(f"{os.getpid()}\\n")
+
+os.register_at_fork(after_in_child=_record_pid)
+"""
+
+# Runs cli.main(argv) in a fresh interpreter on two workers, whatever the host.
+_ON_TWO_WORKERS = """
+import sys
+import mtstreams.campaign as campaign
+from mtstreams.cli import main
+
+campaign.usable_cpus = lambda: 2
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+def _running(pid: int) -> bool:
+    """Whether process pid exists and is not a zombie."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except FileNotFoundError:
+        return False
+    return stat[stat.rindex(")") + 2] != "Z"  # the state follows the parenthesised name
+
+
+@pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="reads process states from /proc")
+@pytest.mark.parametrize(
+    "script, rc", [(_ON_TWO_WORKERS, 0), (_FAIL_A_UNIT, 2), (_KILL_A_WORKER, 2)], ids=["finishes", "raises", "killed"]
+)
+def test_no_worker_outlives_test(tmp_path, fast_battery_file, script, rc):
+    # On an error the call returns before the pool is shut down: the exit must still end every worker.
+    assert _gen(tmp_path / "set", count=6) == 0
+    pids = tmp_path / "pids"
+    argv = ["test", "--dir", str(tmp_path / "set"), "--battery", fast_battery_file, "--jobs", "2"]
+    argv += ["--out", str(tmp_path / "r.jsonl")]
+    # Output to a file, not a pipe, which a leaked worker would hold open past the command's exit.
+    with open(tmp_path / "stderr", "w") as stderr:
+        run = subprocess.run(
+            [sys.executable, "-c", _RECORD_FORKS + script, *argv],
+            env=dict(os.environ, PYTHONPATH=_SRC, PIDS=str(pids)),
+            stdout=subprocess.DEVNULL,
+            stderr=stderr,
+            timeout=60,
+        )
+    assert run.returncode == rc, (tmp_path / "stderr").read_text()
+    workers = [int(line) for line in pids.read_text().split()]
+    assert len(workers) == 2
+    assert [pid for pid in workers if _running(pid)] == []
+
+
 def test_an_interrupt_exits_130_with_one_line(tmp_path, capsys, monkeypatch):
     import signal
 
@@ -786,6 +915,55 @@ def test_an_interrupt_exits_130_with_one_line(tmp_path, capsys, monkeypatch):
     assert capsys.readouterr() == ("", "interrupted\n")
     assert handlers == [(signal.SIGINT, signal.SIG_IGN)]  # a second Ctrl-C cannot cut the exit short
     assert not out.exists()
+
+
+# Runs cli.entry() in a fresh interpreter on two workers, whatever the host,
+# where a Ctrl-C arrives while the pool's map queues the 250th unit. Each unit
+# that runs writes a line to the file that $UNITS names, and takes 20 ms more.
+_INTERRUPT_THE_QUEUEING = """
+import functools, os, time
+from concurrent.futures import ProcessPoolExecutor
+import mtstreams.campaign as campaign
+from mtstreams import cli
+
+unit, submit, queued = campaign.run_battery_on_status, ProcessPoolExecutor.submit, []
+
+@functools.wraps(unit)
+def slow(*args):
+    with open(os.environ["UNITS"], "a") as fh:
+        fh.write("unit\\n")
+    time.sleep(0.02)
+    return unit(*args)
+
+def interrupted(self, *args):
+    queued.append(args)
+    if len(queued) == 250:
+        raise KeyboardInterrupt
+    return submit(self, *args)
+
+campaign.run_battery_on_status = slow
+ProcessPoolExecutor.submit = interrupted
+campaign.usable_cpus = lambda: 2
+cli.entry()
+"""
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="the pool forks its workers")
+def test_an_interrupt_while_units_are_queued_cancels_them(tmp_path, fast_battery_file):
+    assert _gen(tmp_path / "set", count=300) == 0
+    units = tmp_path / "units"
+    argv = ["test", "--dir", str(tmp_path / "set"), "--battery", fast_battery_file, "--jobs", "2"]
+    argv += ["--out", str(tmp_path / "r.jsonl")]
+    run = subprocess.run(
+        [sys.executable, "-c", _INTERRUPT_THE_QUEUEING, *argv],
+        env=dict(os.environ, PYTHONPATH=_SRC, UNITS=str(units)),
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert (run.returncode, run.stderr) == (130, "interrupted\n")
+    # The workers end the few units they hold; the other 249 queued are cancelled.
+    assert len(units.read_text().split()) < 20
 
 
 # Runs cli.entry() in a fresh interpreter with a main that loads NumPy and

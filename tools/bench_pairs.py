@@ -11,7 +11,8 @@ once in each tree, alternating which side runs first: the parent in even
 pairs, the change (HEAD) in odd ones. T, the workloads and the end-to-end
 metrics are those ``BENCHMARK.json`` declares. The output records, per
 workload and metric, each side's runs and quartiles, how many pairs the
-change won and lost, the failed operations, and the machine and versions.
+change won and lost, the failed operations, and the machine and versions,
+and whether the runs wrote bytecode caches.
 
 A run takes about T seconds and shares the host with whatever else runs
 there; set TMPDIR to choose where the trees and their outputs go.
@@ -111,6 +112,18 @@ def run_bench(tree: Path, workload: str, seed: int, seconds: float) -> tuple[dic
     return json.loads(lines[-1]), machine
 
 
+def machine_record(machine: dict) -> dict:
+    """A run's machine record, less its workload and seed, with this
+    process's ``sys.flags.dont_write_bytecode``. Set by
+    PYTHONDONTWRITEBYTECODE, which the runs inherit, it means no import in
+    them writes a ``__pycache__``: every process compiles each module whose
+    cache is missing or stale, except those ``bench/run.py`` compiles with
+    ``compileall`` before its steps."""
+    record = {k: v for k, v in machine.items() if k not in ("workload", "seed")}
+    record["dont_write_bytecode"] = bool(sys.flags.dont_write_bytecode)
+    return record
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", required=True, help="parent revision; the change is HEAD")
@@ -142,7 +155,7 @@ def main() -> int:
                 pairs.append(pair)
             summaries[workload] = summarize(pairs, better)
 
-    machine = {k: v for k, v in machine.items() if k not in ("workload", "seed")}
+    machine = machine_record(machine)
     record = {
         "command": f"python3 bench/run.py --workload W --seed S --seconds {seconds:g} --trace 0",
         "tool": f"python3 tools/bench_pairs.py --parent {args.parent} --seeds {args.seeds}",
