@@ -19,13 +19,14 @@ bits, and LinearComp one bit of each word.
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 
 import numpy as np
 
 from mtstreams.results import TestResult, _verdict
 from mtstreams.stats.battery import TestDefinition
 from mtstreams.stats.complexity import berlekamp_massey, linear_complexity_pvalue
-from mtstreams.stats.pvalues import chi2_pvalue, merged_chi2_pvalue, poisson_left_pvalue
+from mtstreams.stats.pvalues import chi2_pvalue, merged_cells, poisson_left_pvalue
 from mtstreams.stats.stream import StreamView
 from mtstreams.stats.walks import h_null, m_null, r_null, walk_statistics
 
@@ -118,14 +119,24 @@ def close_pairs_test(words: np.ndarray, n: int, t: int) -> tuple[float]:
     return (math.exp(-lam),)
 
 
+@lru_cache(maxsize=None)
+def _merged_law(law, walks: int, steps: int) -> tuple[np.ndarray, np.ndarray, int]:
+    """The first index and expectation of each merged cell of ``walks``
+    draws from ``law(steps)`` (see `merged_cells`), and the law's size."""
+    null = law(steps)
+    starts, expected = merged_cells((walks * null).tolist())
+    return np.array(starts), np.array(expected), null.size
+
+
 def random_walk_test(words: np.ndarray, walks: int, steps: int) -> tuple[float, float, float]:
     """Chi-square p-values of the H, M and R walk statistics, in that order,
     against their exact null laws."""
-    h, m, r = walk_statistics(words, walks, steps)
-    return tuple(
-        merged_chi2_pvalue(np.bincount(values, minlength=null.size), walks * null)
-        for values, null in ((h, h_null(steps)), (m, m_null(steps)), (r, r_null(steps)))
-    )
+    p_values = []
+    for values, law in zip(walk_statistics(words, walks, steps), (h_null, m_null, r_null)):
+        starts, e, size = _merged_law(law, walks, steps)
+        o = np.add.reduceat(np.bincount(values, minlength=size), starts)
+        p_values.append(chi2_pvalue(float(np.sum((o - e) ** 2 / e)), e.size - 1))
+    return tuple(p_values)
 
 
 def serial_uniformity_test(words: np.ndarray, n: int, cells: int) -> tuple[float]:

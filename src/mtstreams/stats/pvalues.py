@@ -23,8 +23,6 @@ import functools
 import math
 from decimal import MAX_EMAX, MIN_EMIN, Context, Decimal, localcontext
 
-import numpy as np
-
 _DIGITS = 36
 _PI = "3.14159265358979323846264338327950288419716939937510"
 # B_2, B_4, ..., B_28 as (numerator, denominator). With these 14 terms,
@@ -35,7 +33,7 @@ _BERNOULLI = (
     (-236364091, 2730), (8553103, 6), (-23749461029, 870),
 )
 _STIRLING_FROM_TWO_A = 128  # a >= 64
-# A merged chi-square cell's least expected count (see `merged_chi2_pvalue`).
+# A merged chi-square cell's least expected count (see `merged_cells`).
 MIN_EXPECTED = 5.0
 _CONTEXT = Context(prec=_DIGITS, Emax=MAX_EMAX, Emin=MIN_EMIN)
 
@@ -146,36 +144,26 @@ def poisson_left_pvalue(observed: int, lam: float) -> float:
         return float(_exact_tails(2 * int(observed) + 2, Decimal(lam))[1])  # lam exact
 
 
-def merged_chi2_pvalue(observed: np.ndarray, expected: np.ndarray) -> float:
-    """Chi-square right-tail p after ascending adjacent-cell merging.
+def merged_cells(expected: list[float]) -> tuple[list[int], list[float]]:
+    """Each merged chi-square cell's first index and expectation.
 
     Cells are scanned in ascending index order and merged with their
     successors until each merged cell's expectation reaches MIN_EXPECTED;
     a deficient final cell is folded into the previous one.
     """
-    observed = np.asarray(observed, dtype=np.float64)
-    expected = np.asarray(expected, dtype=np.float64)
-    if observed.shape != expected.shape:
-        raise ValueError("observed and expected must have equal length")
-    obs_cells: list[float] = []
-    exp_cells: list[float] = []
-    acc_o = 0.0
-    acc_e = 0.0
-    for o, e in zip(observed.tolist(), expected.tolist()):
-        acc_o += o
-        acc_e += e
-        if acc_e >= MIN_EXPECTED:
-            obs_cells.append(acc_o)
-            exp_cells.append(acc_e)
-            acc_o = 0.0
-            acc_e = 0.0
-    if acc_e > 0.0:
-        if not exp_cells:
+    ends: list[int] = []
+    cells: list[float] = []
+    acc = 0.0
+    for i, e in enumerate(expected):
+        acc += e
+        if acc >= MIN_EXPECTED:
+            ends.append(i + 1)
+            cells.append(acc)
+            acc = 0.0
+    if acc > 0.0:
+        if not cells:
             raise ValueError("total expectation below the merge threshold")
-        obs_cells[-1] += acc_o
-        exp_cells[-1] += acc_e
-    if len(exp_cells) < 2:
+        cells[-1] += acc
+    if len(cells) < 2:
         raise ValueError("fewer than 2 cells after merging")
-    o_arr = np.array(obs_cells)
-    e_arr = np.array(exp_cells)
-    return chi2_pvalue(float(np.sum((o_arr - e_arr) ** 2 / e_arr)), len(exp_cells) - 1)
+    return [0] + ends[:-1], cells

@@ -16,10 +16,9 @@ Vol. 1, ch. III; L'Ecuyer and Simard, TestU01, ACM TOMS 33(4), 2007):
   (reflection principle; only one of the two terms has the parity of l),
 - P(R = r) = C(l - r, l/2) * 2^r / 2^l.
 
-Numerators are exact integers, each law one linear pass of a multiplicative
-recurrence over the binomial row, and each probability is rounded once to
-the nearest binary64 by integer true division. Distributions are cached per
-l.
+Numerators are exact integers (H and M read one cached binomial row, R
+recurs down from C(l, l/2)), each rounded once to the nearest binary64 by
+integer true division. Distributions are cached per l.
 
 ``walk_statistics`` reads each walk 16 steps at a time, one 16-bit chunk
 per lookup. When 16 divides l, as for both walks of ``mini-crush-v1``, a
@@ -40,6 +39,7 @@ once when 1 <= S_l <= pad, a return that R then subtracts.
 """
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 
 import numpy as np
@@ -52,7 +52,7 @@ def _check_steps(l: int) -> None:
         raise ValueError(f"walk length must be even and >= 2, got {l}")
 
 
-def _law(counts: list[int], l: int) -> np.ndarray:
+def _law(counts: list[int] | tuple[int, ...], l: int) -> np.ndarray:
     """Frozen array of counts[i] / 2^l, each correctly rounded."""
     total = 1 << l
     arr = np.array([c / total for c in counts])
@@ -60,12 +60,13 @@ def _law(counts: list[int], l: int) -> np.ndarray:
     return arr
 
 
-def _binomial_row(l: int) -> list[int]:
+@lru_cache(maxsize=None)
+def _binomial_row(l: int) -> tuple[int, ...]:
     """C(l, k) for k = 0..l, by C(l, k + 1) = C(l, k) * (l - k) / (k + 1)."""
     row = [1]
     for k in range(l):
         row.append(row[-1] * (l - k) // (k + 1))
-    return row
+    return tuple(row)
 
 
 @lru_cache(maxsize=None)
@@ -90,7 +91,7 @@ def r_null(l: int) -> np.ndarray:
     half = l // 2
     # C(l - r, half), from the central C(l, half) by
     # C(a - 1, half) = C(a, half) * (a - half) / a.
-    c = _binomial_row(l)[half]
+    c = math.comb(l, half)
     counts = []
     for r in range(half + 1):
         counts.append(c << r)

@@ -154,14 +154,29 @@ class VerifyReport(Record):
         return not (self.differing or self.only_a or self.only_b)
 
 
+def _regular_files(root: Path) -> set[str]:
+    """Paths relative to root of the regular files below it. Like
+    `Path.rglob`, it does not descend into symlinked directories."""
+    files: set[str] = set()
+    pending = [""]
+    while pending:
+        rel = pending.pop()
+        with os.scandir(root / rel) as entries:
+            for entry in entries:
+                if entry.is_dir(follow_symlinks=False):
+                    pending.append(os.path.join(rel, entry.name))
+                elif entry.is_file():
+                    files.add(os.path.join(rel, entry.name))
+    return files
+
+
 def verify_sets(dir_a: Path | str, dir_b: Path | str) -> VerifyReport:
     """Recursive byte comparison of all regular files under two directories."""
     dir_a, dir_b = Path(dir_a), Path(dir_b)
     for d in (dir_a, dir_b):
         if not d.is_dir():
             raise FileNotFoundError(f"not a directory: {d}")
-    files_a = {str(p.relative_to(dir_a)) for p in dir_a.rglob("*") if p.is_file()}
-    files_b = {str(p.relative_to(dir_b)) for p in dir_b.rglob("*") if p.is_file()}
+    files_a, files_b = _regular_files(dir_a), _regular_files(dir_b)
     identical: list[str] = []
     differing: list[str] = []
     for rel in sorted(files_a & files_b):

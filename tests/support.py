@@ -347,6 +347,46 @@ def chi2_sf_oracle(x: float, df: int) -> float:
     return float(quad(density, [mpf(x), mp.inf]))
 
 
+def merged_chi2_pvalue(observed: np.ndarray, expected: np.ndarray) -> float:
+    """Chi-square right-tail p after ascending adjacent-cell merging.
+
+    Cells are scanned in ascending index order and merged with their
+    successors until each merged cell's expectation reaches MIN_EXPECTED;
+    a deficient final cell is folded into the previous one.
+
+    The package's merge done again on every table, kept as the reference
+    for the cells that `mtstreams.stats.families` merges once per law.
+    """
+    from mtstreams.stats.pvalues import MIN_EXPECTED, chi2_pvalue
+
+    observed = np.asarray(observed, dtype=np.float64)
+    expected = np.asarray(expected, dtype=np.float64)
+    if observed.shape != expected.shape:
+        raise ValueError("observed and expected must have equal length")
+    obs_cells: list[float] = []
+    exp_cells: list[float] = []
+    acc_o = 0.0
+    acc_e = 0.0
+    for o, e in zip(observed.tolist(), expected.tolist()):
+        acc_o += o
+        acc_e += e
+        if acc_e >= MIN_EXPECTED:
+            obs_cells.append(acc_o)
+            exp_cells.append(acc_e)
+            acc_o = 0.0
+            acc_e = 0.0
+    if acc_e > 0.0:
+        if not exp_cells:
+            raise ValueError("total expectation below the merge threshold")
+        obs_cells[-1] += acc_o
+        exp_cells[-1] += acc_e
+    if len(exp_cells) < 2:
+        raise ValueError("fewer than 2 cells after merging")
+    o_arr = np.array(obs_cells)
+    e_arr = np.array(exp_cells)
+    return chi2_pvalue(float(np.sum((o_arr - e_arr) ** 2 / e_arr)), len(exp_cells) - 1)
+
+
 def poisson_left_oracle(k: int, lam: float) -> float:
     """P(X <= k) by direct high-precision summation (mpmath)."""
     from mpmath import factorial, mp, mpf

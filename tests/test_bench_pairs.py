@@ -63,6 +63,31 @@ def test_summarize_fixed_numbers():
     assert rss["median_change_ratio"] == 0.0
 
 
+@pytest.mark.parametrize(
+    "change_wall, change_rss, wall_past, rate_past, rss_past",
+    [
+        # 22.5% slower is inside wall_s's 25% bound, 30% past it.
+        (4.9, 80.0, False, False, False),
+        (5.2, 80.0, True, True, False),
+        # 9.5% more memory is inside peak_rss_mb's 10% bound, 10.5% past it.
+        (3.0, 87.6, False, False, False),
+        (3.0, 88.4, False, False, True),
+    ],
+)
+def test_summarize_flags_a_median_past_its_bound(change_wall, change_rss, wall_past, rate_past, rss_past):
+    pairs = [{"parent": _run(4.0, 80.0), "change": _run(change_wall, change_rss)}] * 3
+    better = {"wall_s": "lower", "units_per_s": "higher", "peak_rss_mb": "lower"}
+    bounds = {"wall_s": 0.25, "units_per_s": 0.2, "peak_rss_mb": 0.1}
+    metrics = bench_pairs.summarize(pairs, better, bounds)["metrics"]
+    assert metrics["wall_s"]["bound"] == 0.25
+    assert metrics["wall_s"]["past_bound"] is wall_past
+    # units_per_s = 1 / wall falls by 18.4% at 4.9 s, inside its 20% bound, and 23.1% at 5.2 s.
+    assert metrics["units_per_s"]["past_bound"] is rate_past
+    assert metrics["peak_rss_mb"]["past_bound"] is rss_past
+    # A metric without a bound records none.
+    assert "past_bound" not in bench_pairs.summarize(pairs, better)["metrics"]["wall_s"]
+
+
 def test_summarize_flags_an_incorrect_run():
     pairs = [{"parent": _run(4.0, 80.0), "change": _run(3.0, 80.0, correct=False)}] * 2
     assert bench_pairs.summarize(pairs, {"wall_s": "lower"})["runs_correct"] is False

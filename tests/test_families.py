@@ -14,12 +14,14 @@ from mtstreams.stats.complexity import berlekamp_massey, linear_complexity_pvalu
 from mtstreams.stats.families import (
     close_pairs_test,
     collision_count,
+    random_walk_test,
     run_test,
     torus_min_distance,
     word_cells,
 )
-from mtstreams.stats.pvalues import chi2_pvalue, poisson_left_pvalue
+from mtstreams.stats.pvalues import chi2_pvalue, merged_cells, poisson_left_pvalue
 from mtstreams.stats.stream import Mode, StreamView
+from mtstreams.stats.walks import _binomial_row, h_null, m_null, r_null, walk_statistics
 
 from support import (
     bit_lane,
@@ -27,6 +29,7 @@ from support import (
     brute_force_min_toroidal_distance,
     constant_words,
     defective_sources,
+    merged_chi2_pvalue,
     real_derived_words,
     splitmix32_words,
 )
@@ -271,6 +274,46 @@ def test_randomwalk_mt_passes():
 def test_randomwalk_draws_round_up_to_whole_words():
     result = _run("RandomWalk1", {"walks": 1001, "steps": 8})
     assert result.draws == math.ceil(1001 * 8 / 32)
+
+
+# Steps 1024 and 128 are the built-in entries' walks, read from 16-bit
+# halves of words; 100 and 8 go through the padded chunk path.
+@pytest.mark.parametrize("walks, steps", [(10**4, 1024), (10**4, 128), (2000, 100), (2000, 8)])
+def test_randomwalk_p_values_equal_the_per_table_merge(walks, steps):
+    draws = -(-walks * steps // 32)
+    for seed in range(100):
+        words = MtStream(init_genrand(seed)).take(draws)
+        got = random_walk_test(words, walks, steps)
+        laws = (h_null(steps), m_null(steps), r_null(steps))
+        want = [
+            merged_chi2_pvalue(np.bincount(values, minlength=law.size), walks * law)
+            for values, law in zip(walk_statistics(words, walks, steps), laws)
+        ]
+        assert [p.hex() for p in got] == [p.hex() for p in want], seed
+
+
+def test_randomwalk_merges_each_law_once_per_shape(monkeypatch):
+    calls = []
+
+    def counting(expected):
+        calls.append(len(expected))
+        return merged_cells(expected)
+
+    monkeypatch.setattr(families, "merged_cells", counting)
+    families._merged_law.cache_clear()
+    words = MtStream(init_genrand(3)).take(1000 * 8 // 32)
+    first = random_walk_test(words, 1000, 8)
+    assert random_walk_test(words, 1000, 8) == first
+    assert calls == [9, 9, 5]
+    random_walk_test(words[:-1], 996, 8)
+    assert calls == [9, 9, 5] * 2
+
+
+def test_randomwalk_laws_share_one_binomial_row():
+    for cached in (h_null, m_null, r_null, _binomial_row):
+        cached.cache_clear()
+    h_null(1024), m_null(1024), r_null(1024)
+    assert _binomial_row.cache_info().misses == 1
 
 
 # --- SerialUniformity -------------------------------------------------------

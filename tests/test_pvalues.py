@@ -1,6 +1,9 @@
 """Tail-probability helpers against independent high-precision oracles."""
 import math
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,7 +13,7 @@ from mtstreams.stats.pvalues import (
     _BERNOULLI,
     _gamma_tails,
     chi2_pvalue,
-    merged_chi2_pvalue,
+    merged_cells,
     poisson_left_pvalue,
 )
 
@@ -118,42 +121,56 @@ def test_poisson_rejects_bad_arguments():
         poisson_left_pvalue(2, 0.0)
 
 
+def _merged_chi2(observed, expected):
+    """Chi-square p of observed counts over `merged_cells` of expected."""
+    starts, cells = merged_cells(expected)
+    o = np.add.reduceat(np.asarray(observed, dtype=np.int64), starts)
+    e = np.array(cells)
+    return chi2_pvalue(float(np.sum((o - e) ** 2 / e)), len(cells) - 1)
+
+
 def test_merged_chi2_merges_small_cells():
-    observed = np.array([1, 2, 50, 47], dtype=np.int64)
-    expected = np.array([1.5, 2.5, 48.0, 48.0])
+    observed = [1, 2, 50, 47]
+    expected = [1.5, 2.5, 48.0, 48.0]
     # First two cells merge into the third until every cell expects >= 5.
+    assert merged_cells(expected) == ([0, 3], [52.0, 48.0])
     merged_obs = np.array([53, 47])
     merged_exp = np.array([52.0, 48.0])
     want = float(np.sum((merged_obs - merged_exp) ** 2 / merged_exp))
-    assert merged_chi2_pvalue(observed, expected) == chi2_pvalue(want, 1)
+    assert _merged_chi2(observed, expected) == chi2_pvalue(want, 1)
 
 
 def test_merged_chi2_folds_deficient_tail():
-    observed = np.array([10, 10, 10, 1], dtype=np.int64)
-    expected = np.array([10.0, 10.0, 10.0, 1.0])
-    assert merged_chi2_pvalue(observed, expected) == 1.0
+    expected = [10.0, 10.0, 10.0, 1.0]
+    assert merged_cells(expected) == ([0, 1, 2], [10.0, 10.0, 11.0])
+    assert _merged_chi2([10, 10, 10, 1], expected) == 1.0
     # Off the null, the p-value shows both the statistic and the df: the
     # last cell (8 + 1 against 10 + 1) holds the deficient one.
-    observed = np.array([12, 10, 8, 1], dtype=np.int64)
     want = 4 / 10 + 0 / 10 + 4 / 11
-    p = merged_chi2_pvalue(observed, expected)
+    p = _merged_chi2([12, 10, 8, 1], expected)
     assert p == chi2_pvalue(want, 2)
     assert p not in (chi2_pvalue(want, 1), chi2_pvalue(want, 3))
 
 
 def test_merged_chi2_exact_match_gives_p_one():
-    observed = np.array([20, 20, 20], dtype=np.int64)
-    expected = np.array([20.0, 20.0, 20.0])
-    assert merged_chi2_pvalue(observed, expected) == 1.0
+    expected = [20.0, 20.0, 20.0]
+    assert merged_cells(expected) == ([0, 1, 2], expected)
+    assert _merged_chi2([20, 20, 20], expected) == 1.0
 
 
 def test_merged_chi2_rejects_degenerate_tables():
     with pytest.raises(ValueError, match="fewer than 2 cells"):
-        merged_chi2_pvalue(np.array([5, 5]), np.array([4.0, 4.0]))
+        merged_cells([4.0, 4.0])
     with pytest.raises(ValueError, match="below the merge threshold"):
-        merged_chi2_pvalue(np.array([1, 1]), np.array([1.0, 1.0]))
-    with pytest.raises(ValueError):
-        merged_chi2_pvalue(np.array([1, 2, 3]), np.array([1.0, 2.0]))
+        merged_cells([1.0, 1.0])
+
+
+def test_pvalues_module_loads_no_numpy():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    code = "import sys, mtstreams.stats.pvalues; print(sorted(m for m in sys.modules if m.split('.')[0] == 'numpy'))"
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 # --- correct rounding: every tail equals mpmath's 60-digit value rounded once --

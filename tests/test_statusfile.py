@@ -142,6 +142,29 @@ def test_verify_sets_reflexive_and_detects_flip(tmp_path):
     assert verify_sets(a, b).only_b == ["extra.txt"]
 
 
+def test_verify_sets_walks_subdirectories_but_not_symlinked_ones(tmp_path):
+    a = tmp_path / "a"
+    b = tmp_path / "b"
+    for d in (a, b):
+        (d / "nested" / "deeper").mkdir(parents=True)
+        save_status(d / "nested" / "deeper" / "indexed_00000.mts", init_genrand(1))
+        (d / "top.txt").write_text("same\n")
+    (a / "nested" / "only_a.txt").write_text("a\n")
+    (b / "nested" / "deeper" / "top.txt").write_text("b\n")
+    (a / "link").symlink_to(a / "nested", target_is_directory=True)
+    (b / "top_link.txt").symlink_to(b / "top.txt")
+    report = verify_sets(a, b)
+    assert report.identical == ["nested/deeper/indexed_00000.mts", "top.txt"]
+    assert report.differing == []
+    assert report.only_a == ["nested/only_a.txt"]
+    # A symlinked file counts as the file it names.
+    assert report.only_b == ["nested/deeper/top.txt", "top_link.txt"]
+    # The walk lists what `Path.rglob` lists of regular files.
+    for d in (a, b):
+        rglob = {str(p.relative_to(d)) for p in d.rglob("*") if p.is_file()}
+        assert rglob == set(verify_sets(d, d).identical)
+
+
 def test_verify_sets_missing_directory(tmp_path):
     with pytest.raises(FileNotFoundError):
         verify_sets(tmp_path / "nope", tmp_path)

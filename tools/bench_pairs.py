@@ -11,8 +11,10 @@ once in each tree, alternating which side runs first: the parent in even
 pairs, the change (HEAD) in odd ones. T, the workloads and the end-to-end
 metrics are those ``BENCHMARK.json`` declares. The output records, per
 workload and metric, each side's runs and quartiles, how many pairs the
-change won and lost, the failed operations, and the machine and versions,
-and whether the runs wrote bytecode caches.
+change won and lost, whether the change's median is worse than the
+parent's by more than the metric's declared ``bound`` (a fraction), the
+failed operations, and the machine and versions, and whether the runs
+wrote bytecode caches.
 
 A run takes about T seconds and shares the host with whatever else runs
 there; set TMPDIR to choose where the trees and their outputs go.
@@ -47,13 +49,16 @@ def quartiles(values: list[float]) -> dict[str, float]:
     return {"q1": round(q1, 4), "median": round(median, 4), "q3": round(q3, 4)}
 
 
-def summarize(pairs: list[dict[str, dict]], better: dict[str, str]) -> dict:
+def summarize(pairs: list[dict[str, dict]], better: dict[str, str], bounds: dict[str, float] | None = None) -> dict:
     """One workload's pairs -> its summary.
 
     ``pairs`` holds, per seed, each side's result object (the last stdout
     line of ``bench/run.py``); ``better`` maps each metric to "lower" or
     "higher". A pair counts as won (lost) when the change's value is
-    strictly better (worse) than the parent's.
+    strictly better (worse) than the parent's. A metric named in
+    ``bounds`` also records its bound and ``past_bound``: whether the
+    change's median is worse than the parent's by more than that fraction
+    of the parent's median.
     """
     runs = [pair[side] for pair in pairs for side in SIDES]
     metrics = {}
@@ -62,19 +67,21 @@ def summarize(pairs: list[dict[str, dict]], better: dict[str, str]) -> dict:
         sign = 1.0 if direction == "lower" else -1.0
         gains = [sign * (p - c) for p, c in zip(values["parent"], values["change"])]
         parent, change = quartiles(values["parent"]), quartiles(values["change"])
+        ratio = statistics.median(values["change"]) / statistics.median(values["parent"]) - 1.0
         metrics[name] = {
             "unit": pairs[0]["parent"]["metrics"][name]["unit"],
             "parent": parent,
             "change": change,
             "change_better_pairs": sum(g > 0 for g in gains),
             "change_worse_pairs": sum(g < 0 for g in gains),
-            "median_change_ratio": round(
-                statistics.median(values["change"]) / statistics.median(values["parent"]) - 1.0, 4
-            ),
+            "median_change_ratio": round(ratio, 4),
             "parent_iqr": round(parent["q3"] - parent["q1"], 4),
             "parent_runs": [round(v, 4) for v in values["parent"]],
             "change_runs": [round(v, 4) for v in values["change"]],
         }
+        if bounds and name in bounds:
+            metrics[name]["bound"] = bounds[name]
+            metrics[name]["past_bound"] = sign * ratio > bounds[name]
     return {
         "runs_correct": all(r["correct"] for r in runs),
         "failed_operations": sum(r["failed"] for r in runs),
@@ -134,6 +141,7 @@ def main() -> int:
     spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="ascii"))
     seconds = spec["run_seconds"]
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    bounds = {m["name"]: m["bound"] for m in spec["end_to_end"]}
     seeds = parse_seeds(args.seeds)
     if len(seeds) < 2:
         parser.error("quartiles need at least two seeds")
@@ -153,7 +161,7 @@ def main() -> int:
                     wall = pair[side]["metrics"]["wall_s"]["value"]
                     print(f"{workload} seed {seed} {side}: wall_s {wall:.3f}", file=sys.stderr)
                 pairs.append(pair)
-            summaries[workload] = summarize(pairs, better)
+            summaries[workload] = summarize(pairs, better, bounds)
 
     machine = machine_record(machine)
     record = {
