@@ -1,11 +1,17 @@
-"""The pair runner's summary: fixed numbers in, known quartiles and counts out."""
+"""The pair runner: its summary (fixed numbers in, known quartiles and
+counts out), its refusals, and its campaign block on two small trees."""
 import importlib.util
+import os
+import shutil
+import subprocess
+import sys
 from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
 
-_PATH = Path(__file__).resolve().parents[1] / "tools" / "bench_pairs.py"
+_ROOT = Path(__file__).resolve().parents[1]
+_PATH = _ROOT / "tools" / "bench_pairs.py"
 _SPEC = importlib.util.spec_from_file_location("bench_pairs", _PATH)
 bench_pairs = importlib.util.module_from_spec(_SPEC)
 _SPEC.loader.exec_module(bench_pairs)
@@ -103,3 +109,66 @@ def test_machine_record_says_whether_imports_write_bytecode(monkeypatch, flag):
         "scipy": "1.17.1",
         "dont_write_bytecode": bool(flag),
     }
+
+
+@pytest.mark.parametrize("where", ["a directory", "in a missing directory"])
+def test_a_bad_out_is_refused_before_any_tree_is_built(tmp_path, monkeypatch, capsys, where):
+    out = tmp_path if where == "a directory" else tmp_path / "missing" / "bench.json"
+    monkeypatch.setattr(bench_pairs, "build_tree", lambda rev, dest: pytest.fail("built a tree"))
+    monkeypatch.setattr(sys, "argv", ["bench_pairs.py", "--parent", "HEAD", "--seeds", "0-1", "--out", str(out)])
+    with pytest.raises(SystemExit) as exc:
+        bench_pairs.main()
+    assert exc.value.code == 2
+    assert f"--out {out} is a directory or lies in a missing one" in capsys.readouterr().err
+
+
+def test_the_tool_loads_neither_numpy_nor_the_package():
+    # A child's ru_maxrss starts at its parent's peak, so the tool must stay small.
+    code = (
+        "import importlib.util, sys\n"
+        f"spec = importlib.util.spec_from_file_location('bench_pairs', {str(_PATH)!r})\n"
+        "spec.loader.exec_module(importlib.util.module_from_spec(spec))\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] in ('numpy', 'mtstreams')))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(_ROOT / "src"))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+    assert out.stdout == "[]\n"
+
+
+def _trees(tmp_path: Path) -> dict[str, Path]:
+    trees = {side: tmp_path / side for side in bench_pairs.SIDES}
+    for tree in trees.values():
+        shutil.copytree(_ROOT / "src", tree / "src", ignore=shutil.ignore_patterns("__pycache__"))
+    return trees
+
+
+def test_campaign_block_of_two_small_trees(tmp_path):
+    block = bench_pairs.campaign(_trees(tmp_path), 2, [0, 1])
+    assert block["statuses"] == 2
+    assert block["status_set"] == "gen --technique random --seed 0 --count 2"
+    assert list(block["steps"]) == ["test_jobs1", "test_jobs2", "report", "registry"]
+    # Every check passed: each side's --jobs 1 and --jobs 2 results match, in both pairs.
+    assert block["runs_correct"] is True and block["failed_operations"] == 0
+    assert block["same_bytes"] == dict.fromkeys(bench_pairs.OUTPUTS, True)
+    assert block["sha256"]["parent"] == block["sha256"]["change"]
+    steps = [f"{step}.{metric}" for step in block["steps"] for metric in ("wall_s", "cpu_s", "peak_rss_mb")]
+    rates = ["test_jobs1.statuses_per_cpu_s", "test_jobs2.statuses_per_cpu_s"]
+    assert sorted(block["metrics"]) == sorted(steps + rates + ["jobs2_efficiency", "bytes_per_status"])
+    for metric in block["metrics"].values():
+        assert len(metric["parent_runs"]) == len(metric["change_runs"]) == 2
+        assert metric["change_better_pairs"] + metric["change_worse_pairs"] <= 2
+    size = block["metrics"]["bytes_per_status"]
+    assert size["unit"] == "B" and size["parent_runs"] == size["change_runs"]
+    assert block["metrics"]["jobs2_efficiency"]["unit"] == "ratio"
+
+
+def test_campaign_refuses_trees_whose_status_sets_differ(tmp_path):
+    trees = _trees(tmp_path)
+    statusfile = trees["change"] / "src" / "mtstreams" / "statusfile.py"
+    text = statusfile.read_text(encoding="ascii")
+    assert 'HEADER = "MT19937-STATUS v1"' in text
+    statusfile.write_text(text.replace('HEADER = "MT19937-STATUS v1"', 'HEADER = "MT19937-STATUS v0"'), encoding="ascii")
+    with pytest.raises(RuntimeError, match=r"mtstreams verify .* exited 3"):
+        bench_pairs.campaign(trees, 2, [0, 1])
+    # Refused before any timed step ran.
+    assert not (trees["parent"] / bench_pairs.WORK / "results1.jsonl").exists()

@@ -1,38 +1,70 @@
-"""Alternating parent/change pairs of the benchmark, summarised in one JSON file.
+"""Alternating parent/change pairs, summarised in one JSON file.
 
-    python3 tools/bench_pairs.py --parent REV --seeds A-B --out BENCH_<n>.json
+    python3 tools/bench_pairs.py --parent REV --seeds A-B [--campaign N] --out FILE
 
 Builds a ``git archive`` tree of REV and of HEAD in a temporary directory,
-then for every workload and seed runs
+then runs one pair per seed, alternating which side runs first: the parent
+in even pairs, the change (HEAD) in odd ones. Per metric, the output
+records each side's runs and quartiles and how many pairs the change won
+and lost; it also records the machine, the versions, and whether the runs
+wrote bytecode caches. An ``--out`` that is a directory or lies in a
+missing one is refused (exit 2) before any tree is built.
 
-    python3 bench/run.py --workload W --seed S --seconds T --trace 0
+Without ``--campaign``, each pair runs, in each tree and for every
+workload, ``python3 bench/run.py --workload W --seed S --seconds T --trace
+0`` (about T s). T, the workloads and the end-to-end metrics are those
+``BENCHMARK.json`` declares; the ``workloads`` block also records the
+failed operations and whether the change's median is worse than the
+parent's by more than the metric's ``bound`` (a fraction).
 
-once in each tree, alternating which side runs first: the parent in even
-pairs, the change (HEAD) in odd ones. T, the workloads and the end-to-end
-metrics are those ``BENCHMARK.json`` declares. The output records, per
-workload and metric, each side's runs and quartiles, how many pairs the
-change won and lost, whether the change's median is worse than the
-parent's by more than the metric's declared ``bound`` (a fraction), the
-failed operations, and the machine and versions, and whether the runs
-wrote bytecode caches.
+With ``--campaign N``, each tree runs ``python -m mtstreams.cli`` on its own
+``src``. Untimed, each tree makes ``gen --technique random --seed A --count
+N`` (A the first seed), ``verify`` must find the two sets identical, and
+``src`` is byte-compiled. Each side of a pair then runs ``test --jobs 1``,
+``test --jobs 2``, ``report`` and ``registry``, each reaped with
+``os.wait4`` for its own wall time, CPU time (pool workers included) and
+peak RSS, not corrected for the host's speed. The ``campaign`` block adds
+statuses per CPU-second of each ``test``, the ``--jobs 2`` efficiency (wall
+at 1 over twice the wall at 2), results bytes per status, and
+``same_bytes``: per output file, whether the sides wrote the same bytes,
+which a change may move on purpose. A failed step, or a side whose ``--jobs
+1`` and ``--jobs 2`` results differ or whose bytes change between pairs,
+stops the tool with an error naming it. A child's peak RSS starts at this
+process's, so this module imports neither NumPy nor the package. At N =
+2048 a pair takes about 2 min on 2 cores.
 
-A run takes about T seconds and shares the host with whatever else runs
-there; set TMPDIR to choose where the trees and their outputs go.
+The runs share the host with whatever else runs there; set TMPDIR to
+choose where the trees and their outputs go.
 """
 from __future__ import annotations
 
 import argparse
+import hashlib
 import io
 import json
+import os
+import platform
 import statistics
 import subprocess
 import sys
 import tarfile
 import tempfile
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SIDES = ("parent", "change")
+WORK = "campaign"  # a campaign tree's directory for its children and their files
+CAMPAIGN_STEPS = {
+    "test_jobs1": ["test", "--dir", "set", "--jobs", "1", "--out", "results1.jsonl"],
+    "test_jobs2": ["test", "--dir", "set", "--jobs", "2", "--out", "results2.jsonl"],
+    "report": ["report", "--results", "results1.jsonl", "--out", "report.md"],
+    "registry": ["registry", "--results", "results1.jsonl", "--out", "registry.txt"],
+}
+OUTPUTS = ("results1.jsonl", "report.md", "registry.txt", "registry.json")
+CAMPAIGN_COMMAND = "PYTHONPATH=<tree>/src python3 -m mtstreams.cli STEP, in the tree's campaign directory"
+CAMPAIGN_NOTE = ("each value is one child process's, reaped with os.wait4: wall, CPU with its pool workers, "
+                 "peak RSS; raw, not corrected for the host's speed; quartiles are over the runs of a side")
 
 
 def parse_seeds(text: str) -> list[int]:
@@ -119,13 +151,85 @@ def run_bench(tree: Path, workload: str, seed: int, seconds: float) -> tuple[dic
     return json.loads(lines[-1]), machine
 
 
+def run_cli(tree: Path, args: list[str]) -> tuple[float, float, float]:
+    """(wall s, CPU s, peak RSS MB) of ``python -m mtstreams.cli ARGS`` in
+    tree's WORK. wait4 merges the rusage of every process the child reaped,
+    so CPU includes pool workers; ``RUSAGE_CHILDREN`` could not give the
+    step's own peak, as its maxrss is a high-water mark over all children."""
+    work = tree / WORK
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"))
+    with open(work / "step.log", "wb") as log:
+        start = time.perf_counter()
+        proc = subprocess.Popen([sys.executable, "-m", "mtstreams.cli", *args], cwd=work, env=env,
+                                stdout=log, stderr=subprocess.STDOUT)
+        _, status, ru = os.wait4(proc.pid, 0)
+        wall = time.perf_counter() - start
+    proc.returncode = os.waitstatus_to_exitcode(status)
+    if proc.returncode != 0:
+        log = (work / "step.log").read_text(errors="replace")
+        raise RuntimeError(f"mtstreams {' '.join(args)} in {tree} exited {proc.returncode}:\n{log}")
+    return wall, ru.ru_utime + ru.ru_stime, ru.ru_maxrss / 1024.0
+
+
+def sha256(path: Path) -> str:
+    digest = hashlib.sha256()
+    with open(path, "rb") as f:  # in chunks: this process's peak RSS is every child's floor
+        for chunk in iter(lambda: f.read(1 << 16), b""):
+            digest.update(chunk)
+    return digest.hexdigest()
+
+
+def campaign(trees: dict[str, Path], count: int, seeds: list[int]) -> dict:
+    """The ``campaign`` block of ``count`` statuses, one pair per seed (see the module
+    docstring); ``trees`` maps each side to a directory holding ``src``."""
+    trees = {side: tree.resolve() for side, tree in trees.items()}
+    for tree in trees.values():
+        (tree / WORK).mkdir()
+        run_cli(tree, ["gen", "--technique", "random", "--seed", str(seeds[0]), "--count", str(count), "--out", "set"])
+    run_cli(trees["change"], ["verify", *(a for side in SIDES for a in ("--dir", str(trees[side] / WORK / "set")))])
+    for tree in trees.values():
+        subprocess.run([sys.executable, "-m", "compileall", "-q", str(tree / "src")], check=True, stdout=subprocess.DEVNULL)
+    pairs, digests = [], {}
+    for i, seed in enumerate(seeds):
+        pair = {}
+        for side in SIDES if i % 2 == 0 else SIDES[::-1]:
+            work = trees[side] / WORK
+            steps = {name: run_cli(trees[side], args) for name, args in CAMPAIGN_STEPS.items()}
+            metrics = {"jobs2_efficiency": (steps["test_jobs1"][0] / (2 * steps["test_jobs2"][0]), "ratio"),
+                       "bytes_per_status": ((work / "results1.jsonl").stat().st_size / count, "B")}
+            for name, (wall, cpu, rss) in steps.items():
+                metrics |= {f"{name}.wall_s": (wall, "s"), f"{name}.cpu_s": (cpu, "s"), f"{name}.peak_rss_mb": (rss, "MB")}
+                if name.startswith("test"):
+                    metrics[f"{name}.statuses_per_cpu_s"] = (count / cpu, "1/s")
+            # Shaped like a bench/run.py result object; a failed step or check raises.
+            pair[side] = {"correct": True, "attempted": len(steps), "failed": 0,
+                          "metrics": {name: {"value": v, "unit": unit} for name, (v, unit) in metrics.items()}}
+            run = {name: sha256(work / name) for name in OUTPUTS}
+            if sha256(work / "results2.jsonl") != run["results1.jsonl"]:
+                raise RuntimeError(f"{side}: test --jobs 1 and --jobs 2 wrote different results.jsonl bytes")
+            if digests.setdefault(side, run) != run:
+                raise RuntimeError(f"{side}: seed {seed} wrote other bytes than seed {seeds[0]}: {run}")
+            print(f"campaign seed {seed} {side}: test --jobs 1 wall_s {steps['test_jobs1'][0]:.3f}", file=sys.stderr)
+        pairs.append(pair)
+    better = {name: "higher" if m["unit"] in ("1/s", "ratio") else "lower"
+              for name, m in pairs[0]["parent"]["metrics"].items()}
+    return {
+        "statuses": count,
+        "status_set": f"gen --technique random --seed {seeds[0]} --count {count}",
+        "steps": {name: " ".join(args) for name, args in CAMPAIGN_STEPS.items()},
+        "same_bytes": {name: digests["parent"][name] == digests["change"][name] for name in OUTPUTS},
+        "sha256": digests,
+        **summarize(pairs, better),
+    }
+
+
 def machine_record(machine: dict) -> dict:
     """A run's machine record, less its workload and seed, with this
     process's ``sys.flags.dont_write_bytecode``. Set by
     PYTHONDONTWRITEBYTECODE, which the runs inherit, it means no import in
     them writes a ``__pycache__``: every process compiles each module whose
-    cache is missing or stale, except those ``bench/run.py`` compiles with
-    ``compileall`` before its steps."""
+    cache is missing or stale, except those ``compileall`` writes before the
+    steps (``bench/run.py`` and ``--campaign`` both run it)."""
     record = {k: v for k, v in machine.items() if k not in ("workload", "seed")}
     record["dont_write_bytecode"] = bool(sys.flags.dont_write_bytecode)
     return record
@@ -136,7 +240,12 @@ def main() -> int:
     parser.add_argument("--parent", required=True, help="parent revision; the change is HEAD")
     parser.add_argument("--seeds", required=True, help="inclusive seed range A-B, one pair per seed")
     parser.add_argument("--out", required=True, help="output JSON path")
+    parser.add_argument("--campaign", type=int, metavar="N",
+                        help="time test, report and registry on N gen random statuses, not the benchmark")
     args = parser.parse_args()
+    # The file is written after the last pair: a path that cannot take it is refused first.
+    if Path(args.out).is_dir() or not Path(args.out).parent.is_dir():
+        parser.error(f"--out {args.out} is a directory or lies in a missing one")
 
     spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="ascii"))
     seconds = spec["run_seconds"]
@@ -152,7 +261,7 @@ def main() -> int:
         hashes = {side: build_tree(revs[side], trees[side]) for side in SIDES}
         machine: dict = {}
         summaries = {}
-        for workload in (w["name"] for w in spec["workloads"]):
+        for workload in (w["name"] for w in spec["workloads"] if args.campaign is None):
             pairs = []
             for i, seed in enumerate(seeds):
                 pair = {}
@@ -162,6 +271,12 @@ def main() -> int:
                     print(f"{workload} seed {seed} {side}: wall_s {wall:.3f}", file=sys.stderr)
                 pairs.append(pair)
             summaries[workload] = summarize(pairs, better, bounds)
+        if args.campaign is not None:
+            summaries = campaign(trees, args.campaign, seeds)
+            from importlib.metadata import version
+
+            machine = {"nproc": os.cpu_count(), "python": platform.python_version(),
+                       "numpy": version("numpy"), "scipy": version("scipy")}
 
     machine = machine_record(machine)
     record = {
@@ -179,6 +294,10 @@ def main() -> int:
         "versions": {k: machine[k] for k in ("python", "numpy", "scipy")},
         "workloads": summaries,
     }
+    if args.campaign is not None:
+        record["campaign"] = record.pop("workloads")
+        record.update(command=CAMPAIGN_COMMAND, tool=f"{record['tool']} --campaign {args.campaign}",
+                      metrics_note=CAMPAIGN_NOTE)
     Path(args.out).write_text(json.dumps(record, indent=1) + "\n", encoding="ascii")
     return 0
 
