@@ -156,19 +156,31 @@ def test_campaign_block_of_two_small_trees(tmp_path):
     assert sorted(block["metrics"]) == sorted(steps + rates + ["jobs2_efficiency", "bytes_per_status"])
     for metric in block["metrics"].values():
         assert len(metric["parent_runs"]) == len(metric["change_runs"]) == 2
-        assert metric["change_better_pairs"] + metric["change_worse_pairs"] <= 2
     size = block["metrics"]["bytes_per_status"]
     assert size["unit"] == "B" and size["parent_runs"] == size["change_runs"]
     assert block["metrics"]["jobs2_efficiency"]["unit"] == "ratio"
 
 
+def _edit(path: Path, old: str, new: str) -> None:
+    text = path.read_text(encoding="ascii")
+    assert old in text
+    path.write_text(text.replace(old, new), encoding="ascii")
+
+
 def test_campaign_refuses_trees_whose_status_sets_differ(tmp_path):
     trees = _trees(tmp_path)
-    statusfile = trees["change"] / "src" / "mtstreams" / "statusfile.py"
-    text = statusfile.read_text(encoding="ascii")
-    assert 'HEADER = "MT19937-STATUS v1"' in text
-    statusfile.write_text(text.replace('HEADER = "MT19937-STATUS v1"', 'HEADER = "MT19937-STATUS v0"'), encoding="ascii")
+    _edit(trees["change"] / "src" / "mtstreams" / "statusfile.py", 'HEADER = "MT19937-STATUS v1"', 'HEADER = "MT19937-STATUS v0"')
     with pytest.raises(RuntimeError, match=r"mtstreams verify .* exited 3"):
         bench_pairs.campaign(trees, 2, [0, 1])
     # Refused before any timed step ran.
     assert not (trees["parent"] / bench_pairs.WORK / "results1.jsonl").exists()
+
+
+def test_campaign_stops_on_a_side_whose_jobs_change_its_results(tmp_path):
+    trees = _trees(tmp_path)
+    # The change's test appends one line feed to its results at --jobs 2.
+    write = "    write_results_jsonl(creport, args.out)\n"
+    append = "    if jobs == 2:\n        with open(args.out, 'a') as f:\n            f.write('\\n')\n"
+    _edit(trees["change"] / "src" / "mtstreams" / "cli.py", write, write + append)
+    with pytest.raises(RuntimeError, match="^change: test --jobs 1 and --jobs 2 wrote different results.jsonl bytes$"):
+        bench_pairs.campaign(trees, 2, [0, 1])

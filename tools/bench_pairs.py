@@ -166,8 +166,8 @@ def run_cli(tree: Path, args: list[str]) -> tuple[float, float, float]:
         wall = time.perf_counter() - start
     proc.returncode = os.waitstatus_to_exitcode(status)
     if proc.returncode != 0:
-        log = (work / "step.log").read_text(errors="replace")
-        raise RuntimeError(f"mtstreams {' '.join(args)} in {tree} exited {proc.returncode}:\n{log}")
+        output = (work / "step.log").read_text(errors="replace")
+        raise RuntimeError(f"mtstreams {' '.join(args)} in {tree} exited {proc.returncode}:\n{output}")
     return wall, ru.ru_utime + ru.ru_stime, ru.ru_maxrss / 1024.0
 
 
