@@ -18,11 +18,15 @@ registry files and the classifier live in :mod:`mtstreams.results`.
 """
 from __future__ import annotations
 
+import contextlib
 import ctypes
 import os
+import signal
+from collections.abc import Iterator
 from pathlib import Path
 
 import numpy as np
+import numpy.random  # noqa: F401  (loaded once here, before any fork, not in each worker's first unit)
 
 from mtstreams.mt19937 import MtState, MtStream
 from mtstreams.names import MODES
@@ -171,47 +175,69 @@ def run_campaign(entries: list[StatusEntry], config: CampaignConfig) -> Campaign
     states = {(e.technique, e.index): e.state for e in entries}
     work = [(states[s["technique"], s["index"]], config.modes, config.battery, eps) for s in meta["statuses"]]
     workers = min(config.jobs, len(work), usable_cpus())
-    if workers > 1:
-        outcomes = _run_in_workers(work, meta["statuses"], workers)
-    else:
-        outcomes = [run_battery_on_status(*w) for w in work]
-    reports = [StatusReport(s["technique"], s["index"], results) for s, results in zip(meta["statuses"], outcomes)]
+    outcomes = _run_in_workers(work, meta["statuses"], workers) if workers > 1 else (run_battery_on_status(*w) for w in work)
+    # strict: zip reads the outcomes to their end, where a pool shuts down; closing: an interrupt cancels the rest.
+    with contextlib.closing(outcomes):
+        reports = [StatusReport(s["technique"], s["index"], r) for s, r in zip(meta["statuses"], outcomes, strict=True)]
     return CampaignReport(meta=meta, reports=reports)
 
 
-def _run_in_workers(work: list[tuple], statuses: list[dict], workers: int) -> list[list[TestResult]]:
+def _start_worker(cpus) -> None:
+    """A pool worker's initializer: ignore SIGINT, then, if ``cpus`` is a
+    queue, move to the CPU taken from it and allow every usable CPU again.
+
+    A kernel that does not balance load leaves a forked worker on its
+    parent's CPU, and there it stays once its affinity is widened again;
+    a kernel that does may still move it. An OSError leaves it where it is.
+    """
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    if cpus is None:
+        return
+    try:
+        usable = os.sched_getaffinity(0)
+        os.sched_setaffinity(0, {cpus.get()})
+        os.sched_setaffinity(0, usable)
+    except OSError:
+        pass
+
+
+def _run_in_workers(work: list[tuple], statuses: list[dict], workers: int) -> Iterator[list[TestResult]]:
     """Run the units through the ``map`` of a pool of forked workers, which
-    ignore SIGINT; the outcomes come back in the order of ``work``.
+    ignore SIGINT and start on CPUs of their own where the platform lets
+    them; yield the outcomes in the order of ``work``.
 
     If a worker dies, the pool fails every unit it had not finished, and
-    the first of them in ``work`` order is named. On an error or an
-    interrupt, a thread of its own shuts the pool down, cancelling the
-    units not yet queued for a worker, and the call returns at once. That
-    thread keeps the pool alive until the units are cancelled (a pool
-    collected sooner runs them all), and it alone waits for the few the
-    workers hold; the interpreter waits for it at exit. (A join here could
-    be cut short by a second interrupt, leaving the pool's shutdown waiting
-    forever.)
+    the first of them in ``work`` order is named. On an error, an
+    interrupt or the generator's close, a thread of its own shuts the pool
+    down, cancelling the units not yet queued for a worker, and the call
+    returns at once. That thread keeps the pool alive until the units are
+    cancelled (a pool collected sooner runs them all), and it alone waits
+    for the few the workers hold; the interpreter waits for it at exit. (A
+    join here could be cut short by a second interrupt, leaving the pool's
+    shutdown waiting forever.)
     """
-    import signal
     import threading
     from concurrent.futures import ProcessPoolExecutor  # imports that one worker skips
     from concurrent.futures.process import BrokenProcessPool
     from multiprocessing import get_context
 
-    pool = ProcessPoolExecutor(
-        workers, mp_context=get_context("fork"), initializer=signal.signal, initargs=(signal.SIGINT, signal.SIG_IGN)
-    )
-    outcomes = []
+    context = get_context("fork")
+    cpus = None
+    if hasattr(os, "sched_getaffinity") and hasattr(os, "sched_setaffinity"):
+        usable = sorted(os.sched_getaffinity(0))
+        cpus = context.SimpleQueue()
+        for i in range(workers):
+            cpus.put(usable[i % len(usable)])
+    pool = ProcessPoolExecutor(workers, mp_context=context, initializer=_start_worker, initargs=(cpus,))
+    done = 0  # the outcomes yielded
     try:
-        for results in pool.map(run_battery_on_status, *zip(*work)):
-            outcomes.append(results)
+        for done, results in enumerate(pool.map(run_battery_on_status, *zip(*work)), 1):
+            yield results
     except BaseException as exc:
         threading.Thread(target=pool.shutdown, kwargs={"cancel_futures": True}).start()
         if isinstance(exc, BrokenProcessPool):
-            s = statuses[len(outcomes)]
+            s = statuses[done]
             name = f"{s['technique']}/{s['index']}"
             raise ChildProcessError(f"a worker process died before status {name} finished") from exc
         raise
     pool.shutdown()
-    return outcomes

@@ -1,6 +1,8 @@
 """The pair runner: its summary (fixed numbers in, known quartiles and
-counts out), its refusals, and its campaign block on two small trees."""
+counts out), its refusals, its campaign block on two small trees, and
+each run's CPU/wall of its test steps."""
 import importlib.util
+import json
 import os
 import shutil
 import subprocess
@@ -184,3 +186,42 @@ def test_campaign_stops_on_a_side_whose_jobs_change_its_results(tmp_path):
     _edit(trees["change"] / "src" / "mtstreams" / "cli.py", write, write + append)
     with pytest.raises(RuntimeError, match="^change: test --jobs 1 and --jobs 2 wrote different results.jsonl bytes$"):
         bench_pairs.campaign(trees, 2, [0, 1])
+
+
+def _bench_record(tree: Path, workload: str, seed: int, steps: list) -> None:
+    results = tree / ".bench_run" / "results"
+    results.mkdir(parents=True, exist_ok=True)
+    (results / f"{workload}-seed{seed}-trace0.json").write_text(json.dumps({"steps": steps}), encoding="ascii")
+
+
+def test_cpu_per_wall_is_the_median_over_a_runs_test_steps(tmp_path):
+    # Per iteration: (command, wall s, CPU s, peak RSS MB); only the test steps count.
+    iterations = [[["gen", 0.1, 0.2, 20.0], ["test", 0.5, 0.5, 40.0]], [["test", 0.4, 0.56, 40.0]], [["test", 0.5, 0.7, 40.0]]]
+    _bench_record(tmp_path, "walkthrough", 3, iterations)
+    assert bench_pairs.cpu_per_wall(tmp_path, "walkthrough", 3) == 1.4
+    # A run whose first iteration failed recorded no steps.
+    (tmp_path / ".bench_run" / "results" / "walkthrough-seed3-trace0.json").write_text("{}", encoding="ascii")
+    assert bench_pairs.cpu_per_wall(tmp_path, "walkthrough", 3) is None
+
+
+def test_each_workload_records_every_runs_cpu_per_wall(tmp_path, monkeypatch):
+    def run_bench(tree, workload, seed, seconds):
+        # The parent's test steps run on one CPU, the change's on more.
+        ratio = {"parent": 1.0, "change": 1.3}[tree.name] + seed / 100
+        _bench_record(tree, workload, seed, [[["test", 0.5, 0.5 * ratio, 40.0]]])
+        metrics = {"wall_s": 1.0, "setup_s": 0.2, "peak_rss_mb": 40.0}
+        result = {"correct": True, "attempted": 5, "failed": 0,
+                  "metrics": {name: {"value": v, "unit": "x"} for name, v in metrics.items()}}
+        return result, {"workload": workload, "seed": seed, "python": "3", "numpy": "2", "scipy": "1"}
+
+    monkeypatch.setattr(bench_pairs, "build_tree", lambda rev, dest: dest.mkdir() or rev)
+    monkeypatch.setattr(bench_pairs, "source_tree", lambda rev: rev)
+    monkeypatch.setattr(bench_pairs, "run_bench", run_bench)
+    out = tmp_path / "bench.json"
+    monkeypatch.setattr(sys, "argv", ["bench_pairs.py", "--parent", "HEAD~1", "--seeds", "1-2", "--out", str(out)])
+    assert bench_pairs.main() == 0
+    workloads = json.loads(out.read_text(encoding="ascii"))["workloads"]
+    assert len(workloads) == 2
+    for workload in workloads.values():
+        assert workload["test_cpu_per_wall"] == {"parent_runs": [1.01, 1.02], "change_runs": [1.31, 1.32]}
+        assert "test_cpu_per_wall" not in workload["metrics"]  # informational, never gated

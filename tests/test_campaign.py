@@ -314,7 +314,66 @@ def test_pool_workers_ignore_sigint(monkeypatch):
 
     monkeypatch.setattr(campaign, "run_battery_on_status", disposition)
     work = [(e.state, ("int",), FAST, FAST.threshold) for e in _entries(2)]
-    assert campaign._run_in_workers(work, [{}, {}], 2) == [signal.SIG_IGN, signal.SIG_IGN]
+    assert list(campaign._run_in_workers(work, [{}, {}], 2)) == [signal.SIG_IGN, signal.SIG_IGN]
+
+
+@pytest.mark.skipif(
+    not hasattr(os, "fork") or not hasattr(os, "sched_setaffinity") or campaign.usable_cpus() < 2,
+    reason="the pool forks its workers and places them on 2 CPUs",
+)
+def test_pool_workers_start_on_cpus_of_their_own(tmp_path, monkeypatch):
+    # The forked workers inherit the recorder, which only writes down each call.
+    calls = tmp_path / "calls"
+
+    def record(pid, cpus):
+        with open(calls, "a") as fh:
+            fh.write(json.dumps([os.getpid(), sorted(cpus)]) + "\n")
+
+    usable = sorted(os.sched_getaffinity(0))
+    monkeypatch.setattr(campaign.os, "sched_setaffinity", record)
+    report = run_campaign(_entries(4), CampaignConfig(battery=FAST, modes=("int",), jobs=2))
+    assert len(report.reports) == 4
+    per_worker = {}
+    for pid, cpus in map(json.loads, calls.read_text().splitlines()):
+        per_worker.setdefault(pid, []).append(cpus)
+    assert len(per_worker) == 2
+    # Each worker asks first for one CPU, another than the other's, then for every usable one.
+    (first_a, rest_a), (first_b, rest_b) = per_worker.values()
+    assert len(first_a) == len(first_b) == 1 and first_a != first_b
+    assert rest_a == rest_b == usable
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="the pool forks its workers")
+def test_a_dead_worker_is_named_at_its_own_status(monkeypatch):
+    # One worker takes the statuses in order, so the first three finish.
+    import functools
+    import signal
+
+    unit = campaign.run_battery_on_status
+
+    @functools.wraps(unit)
+    def dying(state, *rest):
+        if state == init_genrand(3):
+            os.kill(os.getpid(), signal.SIGKILL)
+        return unit(state, *rest)
+
+    monkeypatch.setattr(campaign, "run_battery_on_status", dying)
+    entries = _entries(6)
+    work = [(e.state, ("int",), FAST, FAST.threshold) for e in entries]
+    statuses = [{"technique": e.technique, "index": e.index} for e in entries]
+    outcomes = campaign._run_in_workers(work, statuses, 1)
+    with pytest.raises(ChildProcessError, match="^a worker process died before status indexed/3 finished$"):
+        for _ in outcomes:
+            pass
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="the pool forks its workers")
+def test_a_pooled_campaign_returns_after_its_workers_exit(monkeypatch):
+    import multiprocessing
+
+    monkeypatch.setattr(campaign, "usable_cpus", lambda: 2)
+    run_campaign(_entries(3), CampaignConfig(battery=FAST, modes=("int",), jobs=2))
+    assert multiprocessing.active_children() == []
 
 
 def test_concurrent_campaigns_do_not_share_inputs():

@@ -15,7 +15,12 @@ workload, ``python3 bench/run.py --workload W --seed S --seconds T --trace
 0`` (about T s). T, the workloads and the end-to-end metrics are those
 ``BENCHMARK.json`` declares; the ``workloads`` block also records the
 failed operations and whether the change's median is worse than the
-parent's by more than the metric's ``bound`` (a fraction).
+parent's by more than the metric's ``bound`` (a fraction). It also
+records, ungated, each run's ``test_cpu_per_wall``: the median CPU/wall of
+its ``test`` steps, read from the run's own record in the tree
+(``.bench_run/results/W-seedS-trace0.json``). Near 1.0 for a ``--jobs 2``
+step, it marks a host that left the pool's workers on one CPU, whose
+figures are not comparable with those of a host that spreads them.
 
 With ``--campaign N``, each tree runs ``python -m mtstreams.cli`` on its own
 ``src``. Untimed, each tree makes ``gen --technique random --seed A --count
@@ -223,6 +228,15 @@ def campaign(trees: dict[str, Path], count: int, seeds: list[int]) -> dict:
     }
 
 
+def cpu_per_wall(tree: Path, workload: str, seed: int) -> float | None:
+    """The median CPU/wall of the ``test`` steps that bench/run.py recorded
+    for its last run of workload and seed in tree (raw, not corrected), or
+    None if the run recorded none."""
+    record = json.loads((tree / ".bench_run" / "results" / f"{workload}-seed{seed}-trace0.json").read_text(encoding="ascii"))
+    ratios = [cpu / wall for steps in record.get("steps", []) for command, wall, cpu, _ in steps if command == "test"]
+    return round(statistics.median(ratios), 4) if ratios else None
+
+
 def machine_record(machine: dict) -> dict:
     """A run's machine record, less its workload and seed, with this
     process's ``sys.flags.dont_write_bytecode``. Set by
@@ -262,15 +276,17 @@ def main() -> int:
         machine: dict = {}
         summaries = {}
         for workload in (w["name"] for w in spec["workloads"] if args.campaign is None):
-            pairs = []
+            pairs, placement = [], {side: [] for side in SIDES}
             for i, seed in enumerate(seeds):
                 pair = {}
                 for side in SIDES if i % 2 == 0 else SIDES[::-1]:
                     pair[side], machine = run_bench(trees[side], workload, seed, seconds)
+                    placement[side].append(cpu_per_wall(trees[side], workload, seed))
                     wall = pair[side]["metrics"]["wall_s"]["value"]
                     print(f"{workload} seed {seed} {side}: wall_s {wall:.3f}", file=sys.stderr)
                 pairs.append(pair)
             summaries[workload] = summarize(pairs, better, bounds)
+            summaries[workload]["test_cpu_per_wall"] = {f"{side}_runs": placement[side] for side in SIDES}
         if args.campaign is not None:
             summaries = campaign(trees, args.campaign, seeds)
             from importlib.metadata import version
