@@ -226,7 +226,7 @@ def _run_in_workers(work: list[tuple], statuses: list[dict], workers: int) -> It
     if hasattr(os, "sched_getaffinity") and hasattr(os, "sched_setaffinity"):
         usable = sorted(os.sched_getaffinity(0))
         cpus = context.SimpleQueue()
-        for i in range(workers):
+        for i in range(workers):  # cycled: a worker that found the queue empty would wait forever
             cpus.put(usable[i % len(usable)])
     pool = ProcessPoolExecutor(workers, mp_context=context, initializer=_start_worker, initargs=(cpus,))
     done = 0  # the outcomes yielded

@@ -361,10 +361,8 @@ def test_a_dead_worker_is_named_at_its_own_status(monkeypatch):
     entries = _entries(6)
     work = [(e.state, ("int",), FAST, FAST.threshold) for e in entries]
     statuses = [{"technique": e.technique, "index": e.index} for e in entries]
-    outcomes = campaign._run_in_workers(work, statuses, 1)
     with pytest.raises(ChildProcessError, match="^a worker process died before status indexed/3 finished$"):
-        for _ in outcomes:
-            pass
+        list(campaign._run_in_workers(work, statuses, 1))
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="the pool forks its workers")
