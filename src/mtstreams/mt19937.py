@@ -35,9 +35,6 @@ WORD_MASK = 0xFFFFFFFF
 # A status's words as its bytes: 624 little-endian uint32, 2496 bytes.
 _WORDS = struct.Struct(f"<{N}I")
 _ZERO_WORDS = bytes(_WORDS.size)
-# MtStream.take draws this many words at a time: NumPy's random_raw returns
-# uint64, so a chunk bounds that temporary at 512 KB.
-TAKE_CHUNK = 2**16
 # advance skips draws with NumPy's random_raw, whose count is an int64.
 ADVANCE_LIMIT = 2**63
 PHI_EXPONENTS = (
@@ -191,16 +188,13 @@ class MtStream:
     """
 
     def __init__(self, state: MtState) -> None:
-        self._engine = _engine(state)
+        from numpy.random import Generator
+
+        self._generator = Generator(_engine(state))
 
     def take(self, n: int) -> np.ndarray:
         """Next n tempered 32-bit outputs as a uint32 array."""
-        import numpy as np
-
         if n < 0:
             raise ValueError(f"draw count must be >= 0, got {n}")
-        out = np.empty(n, dtype=np.uint32)
-        for start in range(0, n, TAKE_CHUNK):
-            stop = min(start + TAKE_CHUNK, n)
-            out[start:stop] = self._engine.random_raw(stop - start)
-        return out
+        # Over the full 32-bit range, integers writes the engine's raw draws.
+        return self._generator.integers(0, 1 << 32, size=n, dtype="uint32")

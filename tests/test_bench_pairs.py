@@ -104,13 +104,21 @@ def test_summarize_flags_an_incorrect_run():
 @pytest.mark.parametrize("flag", [0, 1])
 def test_machine_record_says_whether_imports_write_bytecode(monkeypatch, flag):
     monkeypatch.setattr(bench_pairs, "sys", SimpleNamespace(flags=SimpleNamespace(dont_write_bytecode=flag)))
+    monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
     machine = {"workload": "spot-check", "seed": 7, "python": "3.11.7", "numpy": "2.4.6", "scipy": "1.17.1"}
     assert bench_pairs.machine_record(machine) == {
         "python": "3.11.7",
         "numpy": "2.4.6",
         "scipy": "1.17.1",
         "dont_write_bytecode": bool(flag),
+        "openblas_num_threads": None,
     }
+
+
+@pytest.mark.parametrize("value", ["1", "2"])
+def test_machine_record_keeps_the_inherited_openblas_threads(monkeypatch, value):
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", value)
+    assert bench_pairs.machine_record({"seed": 7})["openblas_num_threads"] == value
 
 
 @pytest.mark.parametrize("where", ["a directory", "in a missing directory"])

@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 
 from mtstreams.mt19937 import (
     N,
-    TAKE_CHUNK,
     MtState,
     MtStream,
     ZeroStateError,
@@ -244,9 +243,8 @@ def test_stream_take_matches_single_draws_across_block_boundary():
 
 
 def test_stream_take_matches_oracles_at_chunk_boundaries():
-    c = TAKE_CHUNK
     s = MtState(np.random.default_rng(31).integers(0, 2**32, size=N, dtype=np.uint32), 17)
-    for n in (0, 1, c - 1, c, c + 1, 3 * c + 5, 10**6):
+    for n in (0, 1, 2**16 - 1, 2**16, 2**16 + 1, 3 * 2**16 + 5, 10**6):
         raw, _, _ = untempered_draws(s.words, s.mti, n)
         out = MtStream(s).take(n)
         assert out.dtype == np.uint32 and out.shape == (n,), n
@@ -254,18 +252,18 @@ def test_stream_take_matches_oracles_at_chunk_boundaries():
 
 
 def test_stream_successive_takes_straddle_chunks():
-    c = TAKE_CHUNK
-    s = MtState(init_genrand(8).mt, 600)
-    sizes = (c - 3, 7, 2 * c, 0, 1, c + 2)
-    stream = MtStream(s)
-    parts = [stream.take(k) for k in sizes]
-    raw, _, _ = untempered_draws(s.words, s.mti, sum(sizes))
-    assert np.array_equal(untemper_words(np.concatenate(parts)), raw)
+    sizes = (2**16 - 3, 7, 2 * 2**16, 0, 1, 2**16 + 2)
+    for mti in (0, 1, 600, 623, 624):
+        s = MtState(init_genrand(8).mt, mti)
+        stream = MtStream(s)
+        parts = [stream.take(k) for k in sizes]
+        raw, _, _ = untempered_draws(s.words, s.mti, sum(sizes))
+        assert np.array_equal(untemper_words(np.concatenate(parts)), raw), mti
 
 
 def test_stream_take_peak_memory_is_result_plus_one_chunk():
-    # random_raw hands back uint64 words; only one chunk of them may be alive
-    # next to the uint32 result (64 KiB covers the interpreter's own objects).
+    # take fills its uint32 result in place: no uint64 temporary of the draws
+    # may be alive beside it (64 KiB covers the interpreter's own objects).
     stream = MtStream(init_genrand(1))
     tracemalloc.start()
     try:
@@ -274,7 +272,7 @@ def test_stream_take_peak_memory_is_result_plus_one_chunk():
     finally:
         tracemalloc.stop()
     assert out.nbytes == 4 * 10**6
-    assert peak < out.nbytes + 8 * TAKE_CHUNK + 2**16
+    assert peak < out.nbytes + 2**16
 
 
 def test_word_payload_is_2496_bytes():

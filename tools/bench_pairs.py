@@ -6,8 +6,13 @@ Builds a ``git archive`` tree of REV and of HEAD in a temporary directory,
 then runs one pair per seed, alternating which side runs first: the parent
 in even pairs, the change (HEAD) in odd ones. Per metric, the output
 records each side's runs and quartiles and how many pairs the change won
-and lost; it also records the machine, the versions, and whether the runs
-wrote bytecode caches. An ``--out`` that is a directory or lies in a
+and lost; it also records the machine, the versions, whether the runs
+wrote bytecode caches, and the ``OPENBLAS_NUM_THREADS`` they inherited
+(null if unset). ``bench/step.py`` imports NumPy before ``cli.main``, so a
+benchmarked ``test`` step never gets the process entry's default of 1:
+unset, OpenBLAS starts a worker thread for each further CPU, and where it
+shares the main thread's CPU, ``setup_s`` grows. Runs with and without the
+variable are not comparable. An ``--out`` that is a directory or lies in a
 missing one is refused (exit 2) before any tree is built.
 
 Without ``--campaign``, each pair runs, in each tree and for every
@@ -239,13 +244,15 @@ def cpu_per_wall(tree: Path, workload: str, seed: int) -> float | None:
 
 def machine_record(machine: dict) -> dict:
     """A run's machine record, less its workload and seed, with this
-    process's ``sys.flags.dont_write_bytecode``. Set by
-    PYTHONDONTWRITEBYTECODE, which the runs inherit, it means no import in
-    them writes a ``__pycache__``: every process compiles each module whose
-    cache is missing or stale, except those ``compileall`` writes before the
-    steps (``bench/run.py`` and ``--campaign`` both run it)."""
+    process's ``sys.flags.dont_write_bytecode`` and ``OPENBLAS_NUM_THREADS``
+    (None if unset), both of which the runs inherit. Set by
+    PYTHONDONTWRITEBYTECODE, the flag means no import in them writes a
+    ``__pycache__``: every process compiles each module whose cache is
+    missing or stale, except those ``compileall`` writes before the steps
+    (``bench/run.py`` and ``--campaign`` both run it)."""
     record = {k: v for k, v in machine.items() if k not in ("workload", "seed")}
     record["dont_write_bytecode"] = bool(sys.flags.dont_write_bytecode)
+    record["openblas_num_threads"] = os.environ.get("OPENBLAS_NUM_THREADS")
     return record
 
 
