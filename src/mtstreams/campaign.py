@@ -5,8 +5,8 @@ entry reads (the largest ``draws``) once, as a read-only array, and runs
 every battery test once on a view that reads a zero-copy prefix of it.
 The real map w * 2^-32 is exact for 32-bit words, and floor(u * 2^32)
 gives every word back (see README "Modes"), so the same results stand
-for the int and the real pathway: the unit yields one report, and the
-requested modes are recorded once, in the meta, which
+for the int and the real pathway: the unit yields one result list, and
+the status and the requested modes are recorded once, in the meta, which
 :func:`mtstreams.results.campaign_meta` builds before any unit runs.
 Units are pure computations, run and reported in the meta's (technique,
 index) order, so neither the worker count nor the order of the entries
@@ -31,7 +31,7 @@ import numpy.random  # noqa: F401  (loaded once here, before any fork, not in ea
 from mtstreams.mt19937 import MtState, MtStream
 from mtstreams.names import MODES
 from mtstreams.record import FrozenRecord, Record
-from mtstreams.results import CampaignReport, StatusReport, TestResult, campaign_meta
+from mtstreams.results import CampaignReport, TestResult, campaign_meta
 from mtstreams.stats.battery import Battery
 from mtstreams.stats.families import run_test
 from mtstreams.stats.stream import StreamView
@@ -162,7 +162,7 @@ def run_battery_on_status(
 
 def run_campaign(entries: list[StatusEntry], config: CampaignConfig) -> CampaignReport:
     """Test every status; ``config.jobs`` workers at most, and no more than
-    there are statuses or usable CPUs. The reports follow the meta's
+    there are statuses or usable CPUs. The result lists follow the meta's
     statuses, whatever the order of ``entries``.
 
     The meta record is built first, so entries that list a status twice or
@@ -176,10 +176,9 @@ def run_campaign(entries: list[StatusEntry], config: CampaignConfig) -> Campaign
     work = [(states[s["technique"], s["index"]], config.modes, config.battery, eps) for s in meta["statuses"]]
     workers = min(config.jobs, len(work), usable_cpus())
     outcomes = _run_in_workers(work, meta["statuses"], workers) if workers > 1 else (run_battery_on_status(*w) for w in work)
-    # strict: zip reads the outcomes to their end, where a pool shuts down; closing: an interrupt cancels the rest.
+    # list reads the outcomes to their end, where a pool shuts down; closing: an interrupt cancels the rest.
     with contextlib.closing(outcomes):
-        reports = [StatusReport(s["technique"], s["index"], r) for s, r in zip(meta["statuses"], outcomes, strict=True)]
-    return CampaignReport(meta=meta, reports=reports)
+        return CampaignReport(meta=meta, results=list(outcomes))
 
 
 def _start_worker(cpus) -> None:

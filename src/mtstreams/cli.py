@@ -204,11 +204,11 @@ def _cmd_test(args: argparse.Namespace) -> int:
     keep_freed_memory()
     creport = run_campaign(entries, config)
     write_results_jsonl(creport, args.out)
-    suspects = [r for r in creport.reports if classify_status(r, expected) == "Suspect"]
+    suspects = sum(classify_status(results, expected) == "Suspect" for results in creport.results)
     print(f"tested {len(entries)} statuses x {len(modes)} modes with {battery.name}")
     print(f"wrote {args.out}")
     print(f"fingerprint {creport.meta['fingerprint']}")
-    print(f"suspect statuses: {len(suspects)}")
+    print(f"suspect statuses: {suspects}")
     if args.strict and suspects:
         return EXIT_QUALITY
     return EXIT_OK

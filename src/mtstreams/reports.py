@@ -4,9 +4,10 @@ Three tables mirror the full-scale reference report shapes: `summary`
 (suspect counts per technique and mode), `histogram` (failed-test counts
 over suspect statuses), and `pertest` (per-test failure frequency, sorted
 descending). `build_tables` computes the rows of all three in one pass over
-the status reports, classifying each status once, and gives each row once
-per meta mode, since a status's results stand for every mode; every format
-renders those same rows, so the numbers agree across formats byte for byte.
+the (meta status, results) pairs of :func:`mtstreams.results.status_results`,
+classifying each status once, and gives each row once per meta mode, since
+a status's results stand for every mode; every format renders those same
+rows, so the numbers agree across formats byte for byte.
 """
 from __future__ import annotations
 
@@ -16,13 +17,14 @@ import json
 from collections import Counter
 
 from mtstreams.names import TABLES
-from mtstreams.results import CampaignReport, classify_status, resolve_expected_ids
+from mtstreams.results import CampaignReport, classify_status, resolve_expected_ids, status_results
 
 
 def build_tables(creport: CampaignReport, expected_fail_ids=None) -> dict[str, list[dict]]:
     """The summary, histogram and pertest rows, from one pass over the statuses.
 
     ``expected_fail_ids`` follows :func:`mtstreams.results.resolve_expected_ids`.
+    Raises ValueError unless there is one result list per meta status.
     """
     expected_fail_ids = resolve_expected_ids(creport.meta["test_ids"], expected_fail_ids)
     modes = creport.meta["modes"]
@@ -30,14 +32,14 @@ def build_tables(creport: CampaignReport, expected_fail_ids=None) -> dict[str, l
     suspects: Counter = Counter()  # technique
     histogram: Counter = Counter()  # (technique, n_failed)
     fails: Counter = Counter()  # (test_id, technique)
-    for r in creport.reports:
-        statuses[r.technique] += 1
-        if classify_status(r, expected_fail_ids) == "Suspect":
-            suspects[r.technique] += 1
-            histogram[r.technique, r.n_failed] += 1
-        for t in r.results:
-            fails[t.test_id, r.technique] += t.failed
-    test_ids = set(creport.meta["test_ids"]) | {test_id for test_id, _ in fails}
+    for s, results in status_results(creport):
+        technique = s["technique"]
+        statuses[technique] += 1
+        if classify_status(results, expected_fail_ids) == "Suspect":
+            suspects[technique] += 1
+            histogram[technique, sum(t.failed for t in results)] += 1
+        for t in results:
+            fails[t.test_id, technique] += t.failed
     pertest = [
         {
             "test_id": test_id,
@@ -45,7 +47,7 @@ def build_tables(creport: CampaignReport, expected_fail_ids=None) -> dict[str, l
             "mode": mode,
             "fraction": fails[test_id, technique] / n,
         }
-        for test_id in test_ids
+        for test_id in creport.meta["test_ids"]
         for technique, n in statuses.items()
         for mode in modes
     ]

@@ -1,9 +1,10 @@
 """Campaign records and their file formats, on the standard library alone.
 
 A campaign's outcome is a :class:`CampaignReport`: its meta record plus
-one :class:`StatusReport` per status, each a list of :class:`TestResult`.
-The modes live in the meta alone: the real map w * 2^-32 is lossless, so
-one status's results stand for every mode. This module holds those
+one list of :class:`TestResult` per meta status, which
+:func:`status_results` pairs them with. A status's identity and the modes
+live in the meta alone: the real map w * 2^-32 is lossless, so one
+status's results stand for every mode. This module holds those
 records, the two-sided verdict rule, the expected-fail rule, the
 Good/Suspect classifier, the registry of Good statuses, and the writers
 and readers of ``results.jsonl`` and the registry files.
@@ -65,33 +66,15 @@ def _verdict(p_values: dict[str, float], eps: float) -> str:
     return "Pass"
 
 
-class StatusReport(Record):
-    """Battery outcome for one status, in battery order, under every meta mode."""
-
-    __slots__ = _fields = ("technique", "index", "results")
-
-    def __init__(self, technique: str, index: int, results: list[TestResult]) -> None:
-        self.technique = technique
-        self.index = index
-        self.results = results
-
-    @property
-    def failed_ids(self) -> list[str]:
-        return [r.test_id for r in self.results if r.failed]
-
-    @property
-    def n_failed(self) -> int:
-        return len(self.failed_ids)
-
-
 class CampaignReport(Record):
-    """A campaign's meta record and one report per meta status, in meta order."""
+    """A campaign's meta record and one result list per meta status, in
+    meta order, each in battery order."""
 
-    __slots__ = _fields = ("meta", "reports")
+    __slots__ = _fields = ("meta", "results")
 
-    def __init__(self, meta: dict, reports: list[StatusReport]) -> None:
+    def __init__(self, meta: dict, results: list[list[TestResult]]) -> None:
         self.meta = meta
-        self.reports = reports
+        self.results = results
 
 
 class QualityRegistry(Record):
@@ -113,9 +96,9 @@ class QualityRegistry(Record):
         self.entries = entries
 
 
-def classify_status(report: StatusReport, expected_fail_ids) -> str:
-    """Good iff the failed ids are a subset of the expected-failure ids."""
-    return "Good" if set(report.failed_ids) <= set(expected_fail_ids) else "Suspect"
+def classify_status(results: list[TestResult], expected_fail_ids) -> str:
+    """Good iff the ids of the failed ``results`` are a subset of the expected-failure ids."""
+    return "Good" if {r.test_id for r in results if r.failed} <= set(expected_fail_ids) else "Suspect"
 
 
 def resolve_expected_ids(test_ids, expected_fail_ids=None) -> frozenset[str]:
@@ -129,12 +112,13 @@ def resolve_expected_ids(test_ids, expected_fail_ids=None) -> frozenset[str]:
     return frozenset(expected_fail_ids)
 
 
-def _meta_statuses_and_reports(creport: CampaignReport):
-    """(meta status, its report) pairs; ValueError unless in meta order."""
-    statuses, reports = creport.meta["statuses"], creport.reports
-    if [(s["technique"], s["index"]) for s in statuses] != [(r.technique, r.index) for r in reports]:
-        raise ValueError("the status reports are not one per meta status, in meta order")
-    return zip(statuses, reports)
+def status_results(creport: CampaignReport):
+    """(meta status, its results) pairs, in meta order; ValueError unless
+    there is exactly one result list per meta status."""
+    statuses, results = creport.meta["statuses"], creport.results
+    if len(statuses) != len(results):
+        raise ValueError(f"{len(results)} result lists for {len(statuses)} meta statuses")
+    return zip(statuses, results)
 
 
 def build_registry(creport: CampaignReport, expected_fail_ids=None) -> QualityRegistry:
@@ -142,8 +126,8 @@ def build_registry(creport: CampaignReport, expected_fail_ids=None) -> QualityRe
     expected_fail_ids = resolve_expected_ids(creport.meta["test_ids"], expected_fail_ids)
     entries = [
         (s["technique"], s["index"], s["sha256"])
-        for s, r in _meta_statuses_and_reports(creport)
-        if classify_status(r, expected_fail_ids) == "Good"
+        for s, results in status_results(creport)
+        if classify_status(results, expected_fail_ids) == "Good"
     ]
     return QualityRegistry(
         fingerprint=creport.meta["fingerprint"],
@@ -252,18 +236,20 @@ def _results_lines(creport: CampaignReport, battery: Battery) -> list[str]:
     status, meta mode and test, in meta order and tests sorted by id.
     ``battery`` is the meta's, as :func:`_meta_battery` gives it.
 
-    Raises ValueError for a report no file holds: reports and results out
-    of order, or results :func:`_row_line` refuses.
+    Raises ValueError for a report no file holds: not one result list per
+    meta status, results out of battery order, or results
+    :func:`_row_line` refuses.
     """
     meta = creport.meta
     tests = list(battery.tests)
     file_order = sorted(range(len(tests)), key=lambda i: tests[i].id)
     lines = [json.dumps(meta, sort_keys=True, separators=(",", ":"))]
     modes, eps = meta["modes"], meta["threshold"]
-    for _, r in _meta_statuses_and_reports(creport):
-        if [t.entry for t in r.results] != tests:
-            raise ValueError(f"{r.technique}/{r.index}: results are not the battery's entries, in order")
-        block = [_row_line(r.technique, r.index, modes[0], r.results[i], eps) for i in file_order]
+    for s, results in status_results(creport):
+        technique, index = s["technique"], s["index"]
+        if [t.entry for t in results] != tests:
+            raise ValueError(f"{technique}/{index}: results are not the battery's entries, in order")
+        block = [_row_line(technique, index, modes[0], results[i], eps) for i in file_order]
         lines.extend(block)
         # A later mode's line is the first mode's with the mode replaced: only a
         # slug and an int come before it, so its '"mode":"' is the line's first.
@@ -280,8 +266,8 @@ def write_results_jsonl(creport: CampaignReport, path: Path | str) -> None:
 
 
 def read_results_jsonl(path: Path | str) -> CampaignReport:
-    """The CampaignReport a results file holds: one report per meta status,
-    in meta order, its test results in battery order.
+    """The CampaignReport a results file holds: one result list per meta
+    status, in meta order, each in battery order.
 
     The report is built from the meta line and the ``p_values`` of each
     status's rows under the first meta mode, each result with the verdict
@@ -304,17 +290,16 @@ def read_results_jsonl(path: Path | str) -> CampaignReport:
         block = len(modes) * len(tests)
         if len(lines) - 1 != len(meta["statuses"]) * block:
             raise ValueError(f"{len(lines) - 1} rows, not one per meta status, mode and test")
-        reports = []
-        for s, status in enumerate(meta["statuses"]):
+        results = []
+        for s in range(len(meta["statuses"])):
             rows = {}
             for k, test in enumerate(tests):
                 lineno = 2 + s * block + k
                 p_values = json.loads(lines[lineno - 1])["p_values"]
                 rows[test.id] = TestResult(test, p_values, _verdict(p_values, eps))
-            results = [rows[t.id] for t in battery.tests]
-            reports.append(StatusReport(status["technique"], status["index"], results))
+            results.append([rows[t.id] for t in battery.tests])
         lineno = 0
-        creport = CampaignReport(meta=meta, reports=reports)
+        creport = CampaignReport(meta=meta, results=results)
         want = _results_lines(creport, battery)
         if lines != want:
             lineno = 1 + next(n for n, (got, line) in enumerate(zip(lines, want)) if got != line)

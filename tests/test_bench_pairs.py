@@ -4,6 +4,7 @@ each run's CPU/wall of its test steps."""
 import importlib.util
 import json
 import os
+import platform
 import shutil
 import subprocess
 import sys
@@ -233,3 +234,51 @@ def test_each_workload_records_every_runs_cpu_per_wall(tmp_path, monkeypatch):
     for workload in workloads.values():
         assert workload["test_cpu_per_wall"] == {"parent_runs": [1.01, 1.02], "change_runs": [1.31, 1.32]}
         assert "test_cpu_per_wall" not in workload["metrics"]  # informational, never gated
+
+
+def test_source_lines_counts_the_lines_of_every_python_file_under_src(tmp_path):
+    (tmp_path / "src" / "pkg" / "__pycache__").mkdir(parents=True)
+    (tmp_path / "src" / "a.py").write_text("x = 1\ny = 2\nz = 3\n", encoding="ascii")
+    (tmp_path / "src" / "pkg" / "b.py").write_text('"""b."""\n\nw = 4', encoding="ascii")  # no final line end, as wc -l
+    (tmp_path / "src" / "pkg" / "notes.txt").write_text("not\ncode\n", encoding="ascii")
+    (tmp_path / "src" / "pkg" / "__pycache__" / "b.cpython-311.pyc").write_bytes(b"\n" * 9)
+    (tmp_path / "tests").mkdir()
+    (tmp_path / "tests" / "test_a.py").write_text("assert True\n", encoding="ascii")
+    assert bench_pairs.source_lines(tmp_path) == 5
+
+
+def _tree_of_rev(rev, dest):
+    """A tree whose src holds one module with a line per character of REV."""
+    (dest / "src").mkdir(parents=True)
+    (dest / "src" / "m.py").write_text("x = 1\n" * len(rev), encoding="ascii")
+    return rev
+
+
+def test_campaign_looks_versions_up_before_the_first_pair_and_records_a_missing_one_as_null(tmp_path, monkeypatch):
+    import importlib.metadata
+
+    looked_up, real_version = [], importlib.metadata.version
+
+    def version(name):
+        looked_up.append(name)
+        if name == "scipy":
+            raise importlib.metadata.PackageNotFoundError(name)
+        return real_version(name)
+
+    def campaign(trees, count, seeds):
+        assert sorted(looked_up) == ["numpy", "scipy"]  # a lookup that fails loses no pair
+        return {"statuses": count}
+
+    monkeypatch.setattr(importlib.metadata, "version", version)
+    monkeypatch.setattr(bench_pairs, "build_tree", _tree_of_rev)
+    monkeypatch.setattr(bench_pairs, "source_tree", lambda rev: rev)
+    monkeypatch.setattr(bench_pairs, "campaign", campaign)
+    out = tmp_path / "bench.json"
+    argv = ["bench_pairs.py", "--parent", "HEAD~1", "--seeds", "1-2", "--campaign", "2", "--out", str(out)]
+    monkeypatch.setattr(sys, "argv", argv)
+    assert bench_pairs.main() == 0
+    record = json.loads(out.read_text(encoding="ascii"))
+    assert record["versions"] == {"python": platform.python_version(), "numpy": real_version("numpy"), "scipy": None}
+    assert record["campaign"] == {"statuses": 2}
+    assert record["src_trees"] == {"parent": "HEAD~1", "change": "HEAD"}
+    assert record["src_lines"] == {"parent": 6, "change": 4}

@@ -27,11 +27,10 @@ from mtstreams.campaign import (
 )
 from mtstreams.mt19937 import MtStream, init_genrand
 from mtstreams.partition import generate_indexed, generate_sequence_splitting, write_status_set
-from mtstreams.reports import build_tables
+from mtstreams.reports import TABLES, build_tables, render_report
 from mtstreams.results import (
     DEFAULT_EXPECTED_FAIL_IDS,
     CampaignReport,
-    StatusReport,
     TestResult,
     build_registry,
     campaign_fingerprint,
@@ -39,6 +38,7 @@ from mtstreams.results import (
     classify_status,
     read_results_jsonl,
     resolve_expected_ids,
+    status_results,
     write_registry,
     write_results_jsonl,
 )
@@ -101,26 +101,17 @@ def _pertest(tables):
 
 def _fabricated(rows):
     """CampaignReport from (technique, index, {test_id: verdict}) rows."""
+    rows = sorted(rows, key=lambda row: row[:2])  # meta order
     test_ids = sorted({tid for *_ , outcome in rows for tid in outcome})
-    reports = [
-        StatusReport(
-            technique,
-            index,
-            [_result(tid, verdict) for tid, verdict in sorted(outcome.items())],
-        )
-        for technique, index, outcome in rows
-    ]
     meta = {
         "type": "meta",
         "fingerprint": "f" * 64,
         "modes": ["int"],
         "test_ids": test_ids,
-        "statuses": [
-            {"technique": t, "index": i, "sha256": "0" * 64}
-            for t, i in sorted({(r.technique, r.index) for r in reports})
-        ],
+        "statuses": [{"technique": t, "index": i, "sha256": "0" * 64} for t, i, _ in rows],
     }
-    return CampaignReport(meta=meta, reports=reports)
+    results = [[_result(tid, verdict) for tid, verdict in sorted(outcome.items())] for *_, outcome in rows]
+    return CampaignReport(meta=meta, results=results)
 
 
 def test_status_entries_and_results_keep_value_semantics_through_pickle():
@@ -154,9 +145,10 @@ def test_run_campaign_meta_and_ordering():
     assert report.meta["fingerprint"] == campaign_fingerprint(FAST, 1e-10, ("int", "real"))
     assert report.meta["test_ids"] == ["serial.s", "collisionover.c", "closepairs.c"]
     assert report.meta["modes"] == ["int", "real"]
-    assert [(r.technique, r.index) for r in report.reports] == [("indexed", 0), ("indexed", 1)]
-    for r in report.reports:
-        assert [t.test_id for t in r.results] == list(FAST.test_ids)
+    assert [(s["technique"], s["index"]) for s in report.meta["statuses"]] == [("indexed", 0), ("indexed", 1)]
+    assert len(report.results) == 2
+    for results in report.results:
+        assert [t.test_id for t in results] == list(FAST.test_ids)
 
 
 @pytest.mark.parametrize("modes", [("int",), ("real",), ("int", "real")])
@@ -166,7 +158,8 @@ def test_one_report_per_status_in_every_mode_set(tmp_path, modes):
     write_results_jsonl(report, path)
     assert len(path.read_text().splitlines()) == 1 + 3 * len(modes) * len(FAST.tests)
     for creport in (report, read_results_jsonl(path)):
-        assert [(r.technique, r.index) for r in creport.reports] == [("indexed", i) for i in range(3)]
+        assert [(s["technique"], s["index"]) for s in creport.meta["statuses"]] == [("indexed", i) for i in range(3)]
+        assert len(creport.results) == 3
         assert creport.meta["modes"] == list(modes)
 
 
@@ -182,7 +175,7 @@ def test_threshold_override_changes_eps_and_fingerprint(tmp_path):
     report = run_campaign(_entries(1), CampaignConfig(battery=FAST, modes=("int",), threshold=0.49))
     path = tmp_path / "half.jsonl"
     write_results_jsonl(report, path)
-    assert read_results_jsonl(path).reports[0].n_failed == len(FAST.tests)
+    assert all(t.failed for t in read_results_jsonl(path).results[0])
 
 
 def test_config_validation():
@@ -228,28 +221,24 @@ def test_worker_count_does_not_change_output_bytes(tmp_path):
     assert len(set(blobs)) == 1
 
 
-def _extra_status(creport):
-    creport.reports.append(StatusReport("indexed", 3, creport.reports[0].results))
-
-
 def _swap_entry(creport):
     """The first result points at the battery's next entry."""
-    first, second = creport.reports[0].results[:2]
+    first, second = creport.results[0][:2]
     first.entry = second.entry
 
 
 def _flip_verdict(creport):
-    result = creport.reports[0].results[0]
+    result = creport.results[0][0]
     result.verdict = {"Pass": "Fail", "Fail": "Pass"}[result.verdict]
 
 
 # Edits of a run_campaign report, each giving a file that read_results_jsonl refuses.
 BAD_REPORTS = {
-    "result_missing": lambda creport: creport.reports[0].results.pop(),
-    "status_missing": lambda creport: creport.reports.pop(),
-    "status_extra": _extra_status,
+    "result_missing": lambda creport: creport.results[0].pop(),
+    "status_missing": lambda creport: creport.results.pop(),
+    "status_extra": lambda creport: creport.results.append(creport.results[0]),
     "entry_swapped": _swap_entry,
-    "substatistic_renamed": lambda creport: setattr(creport.reports[0].results[0], "p_values", {"x": 0.5}),
+    "substatistic_renamed": lambda creport: setattr(creport.results[0][0], "p_values", {"x": 0.5}),
     "meta_threshold_0.3": lambda creport: creport.meta.update(threshold=0.3),
     "verdict_flipped": _flip_verdict,
 }
@@ -269,7 +258,26 @@ def test_writer_refuses_a_report_the_reader_would_refuse(fast_report, tmp_path, 
         write_results_jsonl(creport, path)
     assert not path.exists()
     write_results_jsonl(fast_report, path)  # unedited, it writes and reads
-    assert len(read_results_jsonl(path).reports) == 3
+    assert len(read_results_jsonl(path).results) == 3
+
+
+# Every reader of a report's result lists, each given the report and a scratch directory.
+CONSUMERS = {
+    "write_results_jsonl": lambda creport, tmp_path: write_results_jsonl(creport, tmp_path / "results.jsonl"),
+    "build_registry": lambda creport, tmp_path: build_registry(creport),
+    "build_tables": lambda creport, tmp_path: build_tables(creport),
+    "render_report": lambda creport, tmp_path: render_report(creport, list(TABLES), "md"),
+}
+
+
+@pytest.mark.parametrize("edit", ["status_missing", "status_extra"])
+@pytest.mark.parametrize("consumer", sorted(CONSUMERS))
+def test_every_consumer_refuses_result_lists_that_are_not_one_per_meta_status(fast_report, tmp_path, consumer, edit):
+    creport = copy.deepcopy(fast_report)
+    BAD_REPORTS[edit](creport)
+    with pytest.raises(ValueError, match="result lists for 3 meta statuses"):
+        CONSUMERS[consumer](creport, tmp_path)
+    CONSUMERS[consumer](fast_report, tmp_path)  # unedited, it is taken
 
 
 def test_pool_has_no_more_workers_than_statuses(monkeypatch):
@@ -332,7 +340,7 @@ def test_pool_workers_start_on_cpus_of_their_own(tmp_path, monkeypatch):
     usable = sorted(os.sched_getaffinity(0))
     monkeypatch.setattr(campaign.os, "sched_setaffinity", record)
     report = run_campaign(_entries(4), CampaignConfig(battery=FAST, modes=("int",), jobs=2))
-    assert len(report.reports) == 4
+    assert len(report.results) == 4
     per_worker = {}
     for pid, cpus in map(json.loads, calls.read_text().splitlines()):
         per_worker.setdefault(pid, []).append(cpus)
@@ -397,11 +405,11 @@ def test_concurrent_campaigns_do_not_share_inputs():
 def test_one_pass_per_status_matches_a_fresh_stream_per_test_and_mode():
     entries = _entries(2)
     creport = run_campaign(entries, CampaignConfig(battery=FAST, modes=("int", "real")))
-    assert len(creport.reports) == 2
-    for report in creport.reports:
-        state = entries[report.index].state
+    assert len(creport.results) == 2
+    for status, results in status_results(creport):
+        state = entries[status["index"]].state
         for mode in ("int", "real"):
-            for definition, result in zip(FAST.tests, report.results):
+            for definition, result in zip(FAST.tests, results):
                 fresh = run_test(definition, StreamView(state, mode), FAST.threshold)
                 assert (result.test_id, result.p_values, result.draws) == (fresh.test_id, fresh.p_values, fresh.draws)
 
@@ -505,7 +513,7 @@ def test_a_mutated_results_file_is_refused_or_is_what_the_writer_gives(fast_resu
 
 def test_a_negative_zero_p_value_is_written_as_0_and_reads_back(tmp_path):
     creport = run_campaign(_entries(1), CampaignConfig(battery=FAST, modes=("int",)))
-    result = creport.reports[0].results[0]
+    result = creport.results[0][0]
     result.p_values = dict.fromkeys(result.p_values, -0.0)
     result.verdict = "Fail"
     path = tmp_path / "results.jsonl"
@@ -516,7 +524,7 @@ def test_a_negative_zero_p_value_is_written_as_0_and_reads_back(tmp_path):
 
 def test_results_files_keep_p_values_0_and_1_and_refuse_impossible_ones(tmp_path):
     creport = run_campaign(_entries(2), CampaignConfig(battery=FAST, modes=("int",)))
-    first, second = creport.reports[0].results[:2]
+    first, second = creport.results[0][:2]
     for result, p in ((first, 0.0), (second, 1.0)):
         result.p_values = dict.fromkeys(result.p_values, p)
         result.verdict = "Fail"
@@ -524,7 +532,7 @@ def test_results_files_keep_p_values_0_and_1_and_refuse_impossible_ones(tmp_path
     write_results_jsonl(creport, path)
     text = path.read_text()
     assert '":0}' in text and '":1}' in text  # %.17g prints 0.0 and 1.0 as ints
-    back = {t.test_id: t.p_values for t in read_results_jsonl(path).reports[0].results}
+    back = {t.test_id: t.p_values for t in read_results_jsonl(path).results[0]}
     assert (back[first.test_id], back[second.test_id]) == (first.p_values, second.p_values)
     for p in (float("nan"), float("inf"), True, 1.5, -0.5):
         first.p_values = dict.fromkeys(first.p_values, p)
@@ -554,12 +562,12 @@ def test_failed_writes_leave_existing_artifacts_intact(tmp_path, monkeypatch):
 
 
 def test_classify_subset_rule():
-    good = StatusReport("indexed", 0, [_result("linearcomp.r0", "Fail", 0.0)])
+    good = [_result("linearcomp.r0", "Fail", 0.0)]
     assert classify_status(good, DEFAULT_EXPECTED_FAIL_IDS) == "Good"
     assert classify_status(good, expected_fail_ids=frozenset()) == "Suspect"
-    clean = StatusReport("indexed", 0, [_result("x", "Pass")])
+    clean = [_result("x", "Pass")]
     assert classify_status(clean, expected_fail_ids=frozenset()) == "Good"
-    extra = StatusReport("indexed", 0, [_result("linearcomp.r0", "Fail", 0.0), _result("closepairs.c", "Fail", 0.0)])
+    extra = [_result("linearcomp.r0", "Fail", 0.0), _result("closepairs.c", "Fail", 0.0)]
     assert classify_status(extra, DEFAULT_EXPECTED_FAIL_IDS) == "Suspect"
 
 
@@ -600,8 +608,8 @@ def test_tables_give_each_status_once_per_meta_mode():
         ("indexed", 2, {"a": "Pass", "b": "Pass"}),
     ]
     creport = _fabricated(rows)
-    battery = Battery("fabricated", 1e-10, tuple(t.entry for t in creport.reports[0].results))
-    statuses = [(r.technique, r.index, "0" * 64) for r in creport.reports]
+    battery = Battery("fabricated", 1e-10, tuple(t.entry for t in creport.results[0]))
+    statuses = [(s["technique"], s["index"], s["sha256"]) for s in creport.meta["statuses"]]
     creport.meta = campaign_meta(battery, 1e-10, ("real", "int"), statuses)
     tables = build_tables(creport, expected_fail_ids=frozenset())
     assert [(r["mode"], r["statuses"], r["suspects"]) for r in tables["summary"]] == [
@@ -749,9 +757,9 @@ def test_saturating_campaign_end_to_end(tmp_path):
     write_status_set(generate_indexed(0, 2), tmp_path / "set")
     entries = load_status_entries([tmp_path / "set"])
     report = run_campaign(entries, CampaignConfig(battery=SATURATING, modes=("int", "real")))
-    for r in report.reports:
-        assert r.failed_ids == ["linearcomp.r0"]
-        assert classify_status(r, frozenset({"linearcomp.r0"})) == "Good"
+    for results in report.results:
+        assert [t.test_id for t in results if t.failed] == ["linearcomp.r0"]
+        assert classify_status(results, frozenset({"linearcomp.r0"})) == "Good"
     registry = build_registry(report, expected_fail_ids=frozenset({"linearcomp.r0"}))
     assert [(t, i) for t, i, _ in registry.entries] == [("indexed", 0), ("indexed", 1)]
     # Registry carries the real file checksums from the manifest stage.
@@ -766,7 +774,7 @@ def test_reconciliation_matches_independent_recomputation(tmp_path):
     report = run_campaign(
         entries, CampaignConfig(battery=FAST, modes=("int", "real"), threshold=0.2)
     )
-    verdicts = {t.verdict for r in report.reports for t in r.results}
+    verdicts = {t.verdict for results in report.results for t in results}
     assert verdicts == {"Pass", "Fail"}
     path = tmp_path / "results.jsonl"
     write_results_jsonl(report, path)

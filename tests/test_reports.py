@@ -6,7 +6,7 @@ import json
 import pytest
 
 from mtstreams.reports import TABLES, build_tables, render_report
-from mtstreams.results import CampaignReport, StatusReport, TestResult
+from mtstreams.results import CampaignReport, TestResult
 from mtstreams.stats.battery import TestDefinition
 
 
@@ -19,25 +19,21 @@ def _creport():
         ("split", 0, {"a": "Pass", "b": "Pass"}),
         ("split", 1, {"a": "Fail", "b": "Fail"}),
     ]
-    reports = [
-        StatusReport(
-            technique,
-            index,
-            [
-                TestResult(TestDefinition(tid, "SerialUniformity", {"n": 20, "cells": 2}), {"chi2": 0.5}, verdict)
-                for tid, verdict in sorted(outcome.items())
-            ],
-        )
-        for technique, index, outcome in rows
+    results = [
+        [
+            TestResult(TestDefinition(tid, "SerialUniformity", {"n": 20, "cells": 2}), {"chi2": 0.5}, verdict)
+            for tid, verdict in sorted(outcome.items())
+        ]
+        for *_, outcome in rows
     ]
     meta = {
         "type": "meta",
         "fingerprint": "f" * 64,
         "modes": ["int"],
         "test_ids": ["a", "b"],
-        "statuses": [],
+        "statuses": [{"technique": t, "index": i, "sha256": "0" * 64} for t, i, _ in rows],
     }
-    return CampaignReport(meta=meta, reports=reports)
+    return CampaignReport(meta=meta, results=results)
 
 
 EXPECTED = frozenset()
@@ -157,7 +153,7 @@ def test_unknown_table_or_format_raise():
 
 def test_empty_campaign_renders_headers_only():
     creport = CampaignReport(
-        meta={"type": "meta", "modes": [], "test_ids": [], "statuses": []}, reports=[]
+        meta={"type": "meta", "modes": [], "test_ids": [], "statuses": []}, results=[]
     )
     text = render_report(creport, ["summary"], "md", EXPECTED)
     assert "technique" in text

@@ -41,7 +41,13 @@ which a change may move on purpose. A failed step, or a side whose ``--jobs
 1`` and ``--jobs 2`` results differ or whose bytes change between pairs,
 stops the tool with an error naming it. A child's peak RSS starts at this
 process's, so this module imports neither NumPy nor the package. At N =
-2048 a pair takes about 2 min on 2 cores.
+2048 a pair takes about 2 min on 2 cores, so the versions it records are
+looked up before the first pair, null for a NumPy or SciPy that is not
+installed.
+
+Either way, ``src_trees`` holds each side's git tree hash of ``src`` and
+``src_lines`` the number of lines of its ``src/**/*.py``, so a change that
+deletes code shows it.
 
 The runs share the host with whatever else runs there; set TMPDIR to
 choose where the trees and their outputs go.
@@ -147,6 +153,26 @@ def source_tree(rev: str) -> str:
     return subprocess.run(
         ["git", "rev-parse", f"{rev}:src"], cwd=ROOT, capture_output=True, text=True, check=True
     ).stdout.strip()
+
+
+def source_lines(tree: Path) -> int:
+    """The line count of ``src/**/*.py`` in tree, as ``wc -l`` gives it."""
+    return sum(path.read_bytes().count(b"\n") for path in (tree / "src").rglob("*.py"))
+
+
+def campaign_machine() -> dict:
+    """This host's CPU count and Python version, and the NumPy and SciPy
+    versions installed (None for one that is not)."""
+    from importlib.metadata import PackageNotFoundError, version
+
+    def installed(name: str) -> str | None:
+        try:
+            return version(name)
+        except PackageNotFoundError:
+            return None
+
+    return {"nproc": os.cpu_count(), "python": platform.python_version(),
+            "numpy": installed("numpy"), "scipy": installed("scipy")}
 
 
 def run_bench(tree: Path, workload: str, seed: int, seconds: float) -> tuple[dict, dict]:
@@ -276,11 +302,12 @@ def main() -> int:
     if len(seeds) < 2:
         parser.error("quartiles need at least two seeds")
     revs = {"parent": args.parent, "change": "HEAD"}
+    machine = campaign_machine() if args.campaign is not None else {}
 
     with tempfile.TemporaryDirectory(prefix="bench_pairs.") as tmp:
         trees = {side: Path(tmp) / side for side in SIDES}
         hashes = {side: build_tree(revs[side], trees[side]) for side in SIDES}
-        machine: dict = {}
+        src_lines = {side: source_lines(trees[side]) for side in SIDES}
         summaries = {}
         for workload in (w["name"] for w in spec["workloads"] if args.campaign is None):
             pairs, placement = [], {side: [] for side in SIDES}
@@ -296,10 +323,6 @@ def main() -> int:
             summaries[workload]["test_cpu_per_wall"] = {f"{side}_runs": placement[side] for side in SIDES}
         if args.campaign is not None:
             summaries = campaign(trees, args.campaign, seeds)
-            from importlib.metadata import version
-
-            machine = {"nproc": os.cpu_count(), "python": platform.python_version(),
-                       "numpy": version("numpy"), "scipy": version("scipy")}
 
     machine = machine_record(machine)
     record = {
@@ -308,6 +331,7 @@ def main() -> int:
         "parent": hashes["parent"],
         "change": hashes["change"],
         "src_trees": {side: source_tree(revs[side]) for side in SIDES},
+        "src_lines": src_lines,
         "pairs_per_workload": len(seeds),
         "seeds": seeds,
         "order": "alternating: parent first in even pairs, change first in odd pairs",
