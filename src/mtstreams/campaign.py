@@ -21,6 +21,7 @@ from __future__ import annotations
 import contextlib
 import ctypes
 import os
+import pickle
 import signal
 from collections.abc import Iterator
 from pathlib import Path
@@ -105,7 +106,7 @@ def keep_freed_memory() -> bool:
     a ``mini-crush-v1`` unit stays far below 64 and 256 MiB. Setting
     either alone turns off glibc's adjustment of the other and costs more
     faults than setting neither, so the trim threshold is set only once
-    the mmap one is. Fork-pool workers inherit the setting.
+    the mmap one is. Forked workers inherit the setting.
 
     A process-wide setting: the ``test`` command calls this before
     :func:`run_campaign`, which leaves a library caller's allocator alone.
@@ -168,7 +169,7 @@ def run_campaign(entries: list[StatusEntry], config: CampaignConfig) -> Campaign
     The meta record is built first, so entries that list a status twice or
     carry a malformed ``sha256`` raise ValueError before any unit runs. A
     worker that dies mid-unit raises ChildProcessError naming the first
-    status that did not finish.
+    status, in meta order, whose results never came.
     """
     eps = config.eps
     meta = campaign_meta(config.battery, eps, config.modes, [(e.technique, e.index, e.sha256) for e in entries])
@@ -176,67 +177,64 @@ def run_campaign(entries: list[StatusEntry], config: CampaignConfig) -> Campaign
     work = [(states[s["technique"], s["index"]], config.modes, config.battery, eps) for s in meta["statuses"]]
     workers = min(config.jobs, len(work), usable_cpus())
     outcomes = _run_in_workers(work, meta["statuses"], workers) if workers > 1 else (run_battery_on_status(*w) for w in work)
-    # list reads the outcomes to their end, where a pool shuts down; closing: an interrupt cancels the rest.
+    # closing: an interrupt between two units still ends the workers.
     with contextlib.closing(outcomes):
         return CampaignReport(meta=meta, results=list(outcomes))
 
 
-def _start_worker(cpus) -> None:
-    """A pool worker's initializer: ignore SIGINT, then, if ``cpus`` is a
-    queue, move to the CPU taken from it and allow every usable CPU again.
-
-    A kernel that does not balance load leaves a forked worker on its
-    parent's CPU, and there it stays once its affinity is widened again;
-    a kernel that does may still move it. An OSError leaves it where it is.
-    """
-    signal.signal(signal.SIGINT, signal.SIG_IGN)
-    if cpus is None:
-        return
-    try:
-        usable = os.sched_getaffinity(0)
-        os.sched_setaffinity(0, {cpus.get()})
-        os.sched_setaffinity(0, usable)
-    except OSError:
-        pass
-
-
 def _run_in_workers(work: list[tuple], statuses: list[dict], workers: int) -> Iterator[list[TestResult]]:
-    """Run the units through the ``map`` of a pool of forked workers, which
-    ignore SIGINT and start on CPUs of their own where the platform lets
-    them; yield the outcomes in the order of ``work``.
+    """Run the units on ``workers`` forked processes; yield their results
+    in the order of ``work``.
 
-    If a worker dies, the pool fails every unit it had not finished, and
-    the first of them in ``work`` order is named. On an error, an
-    interrupt or the generator's close, a thread of its own shuts the pool
-    down, cancelling the units not yet queued for a worker, and the call
-    returns at once. That thread keeps the pool alive until the units are
-    cancelled (a pool collected sooner runs them all), and it alone waits
-    for the few the workers hold; the interpreter waits for it at exit. (A
-    join here could be cut short by a second interrupt, leaving the pool's
-    shutdown waiting forever.)
+    Worker w ignores SIGINT, runs ``work[w::workers]`` and writes each
+    unit's pickled (ok, results or exception) to a pipe of its own, so unit
+    k is read from pipe k % workers. It first moves to the w-th usable CPU,
+    cycled, and then allows them all again: a kernel that does not balance
+    load leaves a forked process on its parent's CPU, and one that does may
+    still move it. A unit's exception is raised again here, and a pipe that
+    ends early raises ChildProcessError naming the status it owed. After
+    the last unit, on an error, an interrupt or the generator's close,
+    every worker is killed and reaped.
     """
-    import threading
-    from concurrent.futures import ProcessPoolExecutor  # imports that one worker skips
-    from concurrent.futures.process import BrokenProcessPool
-    from multiprocessing import get_context
-
-    context = get_context("fork")
-    cpus = None
-    if hasattr(os, "sched_getaffinity") and hasattr(os, "sched_setaffinity"):
-        usable = sorted(os.sched_getaffinity(0))
-        cpus = context.SimpleQueue()
-        for i in range(workers):  # cycled: a worker that found the queue empty would wait forever
-            cpus.put(usable[i % len(usable)])
-    pool = ProcessPoolExecutor(workers, mp_context=context, initializer=_start_worker, initargs=(cpus,))
-    done = 0  # the outcomes yielded
+    pids, pipes = [], []
     try:
-        for done, results in enumerate(pool.map(run_battery_on_status, *zip(*work)), 1):
-            yield results
-    except BaseException as exc:
-        threading.Thread(target=pool.shutdown, kwargs={"cancel_futures": True}).start()
-        if isinstance(exc, BrokenProcessPool):
-            s = statuses[done]
-            name = f"{s['technique']}/{s['index']}"
-            raise ChildProcessError(f"a worker process died before status {name} finished") from exc
-        raise
-    pool.shutdown()
+        for w in range(workers):
+            read_end, write_end = os.pipe()
+            pipes.append(open(read_end, "rb"))
+            pid = os.fork()
+            if pid == 0:
+                try:
+                    signal.signal(signal.SIGINT, signal.SIG_IGN)  # a Ctrl-C reaches the group; the parent acts on it
+                    with contextlib.suppress(AttributeError, OSError):  # no affinity calls, or refused: stay put
+                        usable = sorted(os.sched_getaffinity(0))
+                        os.sched_setaffinity(0, {usable[w % len(usable)]})
+                        os.sched_setaffinity(0, usable)
+                    with open(write_end, "wb") as out:
+                        for args in work[w::workers]:
+                            try:
+                                outcome = (True, run_battery_on_status(*args))
+                            except Exception as exc:
+                                outcome = (False, exc)
+                            out.write(pickle.dumps(outcome))
+                            out.flush()
+                    os._exit(0)
+                finally:
+                    os._exit(1)  # the work raised: never back into the parent's code
+            pids.append(pid)
+            os.close(write_end)
+        for k, status in enumerate(statuses):
+            try:
+                ok, outcome = pickle.load(pipes[k % workers])
+            except (EOFError, pickle.UnpicklingError):  # the worker ended before writing it whole
+                name = f"{status['technique']}/{status['index']}"
+                raise ChildProcessError(f"a worker process died before status {name} finished") from None
+            if not ok:
+                raise outcome
+            yield outcome
+    finally:
+        for pid in pids:
+            os.kill(pid, signal.SIGKILL)
+        for pid in pids:
+            os.waitpid(pid, 0)
+        for pipe in pipes:
+            pipe.close()

@@ -18,9 +18,8 @@ Python and a random status's words come from the standard library's
 MT19937, while ``split`` imports NumPy to skip draws. ``report`` loads
 ``results`` and ``reports``, ``registry`` loads ``results``, and both read
 the battery module to rebuild a file's battery. ``test`` imports
-``campaign`` and the battery, which bring NumPy and the test families,
-and ``concurrent.futures`` with ``multiprocessing`` only when it forks
-workers. The families' chi-square and Poisson p-values compute the
+``campaign`` and the battery, which bring NumPy and the test families;
+its workers are plain ``os.fork`` children, with no pool module. The families' chi-square and Poisson p-values compute the
 incomplete gamma tails in the standard library's ``decimal``, which
 ``test`` loads with them; no command loads SciPy. The package's records
 are plain ``__slots__`` classes (:mod:`mtstreams.record`), whose
@@ -299,10 +298,9 @@ def entry() -> NoReturn:
     per stdlib-only command, 20 ms once NumPy was loaded.
 
     A SIGINT (Ctrl-C) prints one line on stderr in place of a traceback and
-    exits 130, the shell's code for it. ``test``'s pool workers ignore it,
-    and so does the process once interrupted, while its exit waits for them
-    to finish the units they hold. A results file is written whole or not
-    at all.
+    exits 130, the shell's code for it. ``test``'s workers ignore it and are
+    killed before the line is printed; the process ignores a second one. A
+    results file is written whole or not at all.
     """
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     try:
@@ -310,7 +308,7 @@ def entry() -> NoReturn:
     except KeyboardInterrupt:
         import signal
 
-        signal.signal(signal.SIGINT, signal.SIG_IGN)  # while the exit waits for any workers
+        signal.signal(signal.SIGINT, signal.SIG_IGN)  # a second Ctrl-C cannot cut the exit short
         print("interrupted", file=sys.stderr)
         rc = EXIT_INTERRUPTED
     gc.freeze()

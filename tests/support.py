@@ -153,22 +153,18 @@ class HalfWriteThenFail:
         raise OSError(28, "No space left on device")
 
 
-class RecordingContext:
-    """Stands in for ``ProcessPoolExecutor``: each pool it is asked for
-    records its worker count, starts no process and runs the work in this one."""
+def record_pool_sizes(monkeypatch, campaign) -> list[int]:
+    """Stand in for ``campaign._run_in_workers``: each call records its
+    worker count, forks no process and runs the work in this one. Returns
+    the list the counts go to."""
+    sizes: list[int] = []
 
-    def __init__(self) -> None:
-        self.sizes: list[int] = []
+    def in_process(work, statuses, workers):
+        sizes.append(workers)
+        return (campaign.run_battery_on_status(*w) for w in work)
 
-    def __call__(self, max_workers: int, **options) -> "RecordingContext":
-        self.sizes.append(max_workers)
-        return self
-
-    def map(self, fn, *iterables) -> list:
-        return list(map(fn, *iterables))
-
-    def shutdown(self, wait: bool = True, *, cancel_futures: bool = False) -> None:
-        pass
+    monkeypatch.setattr(campaign, "_run_in_workers", in_process)
+    return sizes
 
 
 def textbook_bm(bits) -> int:

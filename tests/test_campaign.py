@@ -1,5 +1,4 @@
 """Campaign orchestration: determinism, aggregation, registry, JSONL."""
-import concurrent.futures
 import copy
 import gc
 import hashlib
@@ -47,7 +46,7 @@ from mtstreams.stats.families import run_test
 from mtstreams.stats.stream import StreamView
 from mtstreams.statusfile import TECHNIQUES, StatusFormatError, parse_status_filename, status_filename
 
-from support import HalfWriteThenFail, RecordingContext, damaged_results, mutations, recompute_tables_from_jsonl
+from support import HalfWriteThenFail, damaged_results, mutations, recompute_tables_from_jsonl, record_pool_sizes
 
 FAST = Battery(
     name="fast-unit",
@@ -281,20 +280,18 @@ def test_every_consumer_refuses_result_lists_that_are_not_one_per_meta_status(fa
 
 
 def test_pool_has_no_more_workers_than_statuses(monkeypatch):
-    context = RecordingContext()
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", context)
+    sizes = record_pool_sizes(monkeypatch, campaign)
     monkeypatch.setattr(campaign, "usable_cpus", lambda: 64)
     entries = _entries(3)
     serial = run_campaign(entries, CampaignConfig(battery=FAST, modes=("int",)))
     for jobs in (2, 3, 64):
         report = run_campaign(entries, CampaignConfig(battery=FAST, modes=("int",), jobs=jobs))
         assert report == serial
-    assert context.sizes == [2, 3, 3]
+    assert sizes == [2, 3, 3]
 
 
 def test_pool_is_capped_at_the_usable_cpus(monkeypatch):
-    context = RecordingContext()
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", context)
+    sizes = record_pool_sizes(monkeypatch, campaign)
     config = CampaignConfig(battery=FAST, modes=("int",), jobs=5000)
     monkeypatch.setattr(campaign.os, "sched_getaffinity", lambda pid: {0, 3}, raising=False)
     assert campaign.usable_cpus() == 2
@@ -307,7 +304,7 @@ def test_pool_is_capped_at_the_usable_cpus(monkeypatch):
     run_campaign(_entries(4), config)
     monkeypatch.setattr(campaign.os, "cpu_count", lambda: None)
     assert campaign.usable_cpus() == 1
-    assert context.sizes == [2, 3]
+    assert sizes == [2, 3]
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="the pool forks its workers")
@@ -375,11 +372,18 @@ def test_a_dead_worker_is_named_at_its_own_status(monkeypatch):
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="the pool forks its workers")
 def test_a_pooled_campaign_returns_after_its_workers_exit(monkeypatch):
-    import multiprocessing
+    fork, pids = os.fork, []
 
+    def recorded_fork():
+        pids.append(fork())
+        return pids[-1]
+
+    monkeypatch.setattr(os, "fork", recorded_fork)
     monkeypatch.setattr(campaign, "usable_cpus", lambda: 2)
     run_campaign(_entries(3), CampaignConfig(battery=FAST, modes=("int",), jobs=2))
-    assert multiprocessing.active_children() == []
+    assert len(pids) == 2
+    with pytest.raises(ChildProcessError):  # every worker is reaped: no child is left to wait for
+        os.waitpid(-1, os.WNOHANG)
 
 
 def test_concurrent_campaigns_do_not_share_inputs():

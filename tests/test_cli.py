@@ -13,7 +13,7 @@ from mtstreams.cli import main
 from mtstreams.mt19937 import N
 from mtstreams.stats.battery import Battery, TestDefinition, dump_battery
 
-from support import INCONSISTENCIES, HalfWriteThenFail, RecordingContext, damaged_results, inconsistent_results
+from support import INCONSISTENCIES, HalfWriteThenFail, damaged_results, inconsistent_results, record_pool_sizes
 
 
 FAST_CLI = Battery(
@@ -258,10 +258,9 @@ def test_test_refuses_an_empty_battery_file(tmp_path, capsys):
 
 
 def test_test_caps_jobs_at_the_usable_cpus(tmp_path, fast_battery_file, capsys, monkeypatch):
-    import concurrent.futures
+    import mtstreams.campaign as campaign
 
-    context = RecordingContext()
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", context)
+    sizes = record_pool_sizes(monkeypatch, campaign)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     assert _gen(tmp_path / "set", count=3) == 0
     capsys.readouterr()
@@ -270,7 +269,7 @@ def test_test_caps_jobs_at_the_usable_cpus(tmp_path, fast_battery_file, capsys, 
         assert main(base + jobs + ["--out", str(tmp_path / f"r{i}.jsonl")]) == 0
         err = capsys.readouterr().err
         assert err == ("note: --jobs 5000 capped at 2, the usable CPUs\n" if jobs[1:] == ["5000"] else ""), jobs
-    assert context.sizes == [2, 2, 2]
+    assert sizes == [2, 2, 2]
     assert (tmp_path / "r0.jsonl").read_bytes() == (tmp_path / "r2.jsonl").read_bytes()
 
 
@@ -668,10 +667,12 @@ def test_stdlib_commands_load_no_numpy_or_scipy(campaign_results, tmp_path):
         assert _within(loaded[name], "mtstreams.partition") == [], name
 
 
-def test_test_at_one_worker_loads_no_multiprocessing(tmp_path):
-    assert _gen(tmp_path / "set", count=1) == 0
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_test_loads_no_multiprocessing(tmp_path, jobs):
+    # The workers are plain forks; threading is loaded anyway, by the standard library.
+    assert _gen(tmp_path / "set", count=2) == 0
     out = str(tmp_path / "results.jsonl")
-    argv = ["test", "--dir", str(tmp_path / "set"), "--mode", "int", "--jobs", "1", "--out", out]
+    argv = ["test", "--dir", str(tmp_path / "set"), "--mode", "int", "--jobs", jobs, "--out", out]
     rc, modules = _fresh_main(argv)
     assert rc == 0
     assert "mtstreams.campaign" in modules
@@ -831,15 +832,21 @@ def test_an_error_in_a_unit_ends_test_with_exit_2(tmp_path, fast_battery_file, j
 
 
 # Prepended to a script: records the pid of each process forked from it, one
-# a line, in the file that $PIDS names.
+# a line, in the file that $PIDS names. The parent records it, since a worker
+# may be killed before it runs a line of its own.
 _RECORD_FORKS = """
 import os
 
-def _record_pid():
-    with open(os.environ["PIDS"], "a") as fh:
-        fh.write(f"{os.getpid()}\\n")
+_fork = os.fork
 
-os.register_at_fork(after_in_child=_record_pid)
+def _recorded_fork():
+    pid = _fork()
+    if pid:
+        with open(os.environ["PIDS"], "a") as fh:
+            fh.write(f"{pid}\\n")
+    return pid
+
+os.fork = _recorded_fork
 """
 
 # Runs cli.main(argv) in a fresh interpreter on two workers, whatever the host.
@@ -918,31 +925,27 @@ def test_an_interrupt_exits_130_with_one_line(tmp_path, capsys, monkeypatch):
 
 
 # Runs cli.entry() in a fresh interpreter on two workers, whatever the host,
-# where a Ctrl-C arrives while the pool's map queues the 250th unit. Each unit
-# that runs writes a line to the file that $UNITS names, and takes 20 ms more.
-_INTERRUPT_THE_QUEUEING = """
-import functools, os, time
-from concurrent.futures import ProcessPoolExecutor
+# where the unit of status indexed/5 sends the parent a SIGINT, as a Ctrl-C
+# would. Each unit that runs writes a line to the file that $UNITS names, and
+# takes 20 ms more.
+_INTERRUPT_FROM_A_UNIT = """
+import functools, os, signal, time
 import mtstreams.campaign as campaign
 from mtstreams import cli
+from mtstreams.mt19937 import init_genrand
 
-unit, submit, queued = campaign.run_battery_on_status, ProcessPoolExecutor.submit, []
+unit = campaign.run_battery_on_status
 
 @functools.wraps(unit)
-def slow(*args):
+def slow(state, *rest):
     with open(os.environ["UNITS"], "a") as fh:
         fh.write("unit\\n")
+    if state == init_genrand(5):
+        os.kill(os.getppid(), signal.SIGINT)
     time.sleep(0.02)
-    return unit(*args)
-
-def interrupted(self, *args):
-    queued.append(args)
-    if len(queued) == 250:
-        raise KeyboardInterrupt
-    return submit(self, *args)
+    return unit(state, *rest)
 
 campaign.run_battery_on_status = slow
-ProcessPoolExecutor.submit = interrupted
 campaign.usable_cpus = lambda: 2
 cli.entry()
 """
@@ -955,15 +958,16 @@ def test_an_interrupt_while_units_are_queued_cancels_them(tmp_path, fast_battery
     argv = ["test", "--dir", str(tmp_path / "set"), "--battery", fast_battery_file, "--jobs", "2"]
     argv += ["--out", str(tmp_path / "r.jsonl")]
     run = subprocess.run(
-        [sys.executable, "-c", _INTERRUPT_THE_QUEUEING, *argv],
+        [sys.executable, "-c", _INTERRUPT_FROM_A_UNIT, *argv],
         env=dict(os.environ, PYTHONPATH=_SRC, UNITS=str(units)),
         capture_output=True,
         text=True,
         timeout=60,
     )
     assert (run.returncode, run.stderr) == (130, "interrupted\n")
-    # The workers end the few units they hold; the other 249 queued are cancelled.
+    # The workers are killed in the units they hold; the other ~290 never run.
     assert len(units.read_text().split()) < 20
+    assert not (tmp_path / "r.jsonl").exists()
 
 
 # Runs cli.entry() in a fresh interpreter with a main that loads NumPy and
