@@ -19,11 +19,12 @@ MT19937, while ``split`` imports NumPy to skip draws. ``report`` loads
 ``results`` and ``reports``, ``registry`` loads ``results``, and both read
 the battery module to rebuild a file's battery. ``test`` imports
 ``campaign`` and the battery, which bring NumPy and the test families;
-its workers are plain ``os.fork`` children, with no pool module. The families' chi-square and Poisson p-values compute the
-incomplete gamma tails in the standard library's ``decimal``, which
-``test`` loads with them; no command loads SciPy. The package's records
-are plain ``__slots__`` classes (:mod:`mtstreams.record`), whose
-definitions load no ``inspect``.
+its workers are plain ``os.fork`` children, with no pool module. The
+families' chi-square and Poisson p-values compute the incomplete gamma
+tails in the standard library's ``decimal``, which ``test`` loads with
+them; no command loads SciPy. The package's records are plain
+``__slots__`` classes (:mod:`mtstreams.record`), whose definitions load
+no ``inspect``.
 
 A process gives back no memory it is about to reuse or drop. ``test``
 calls :func:`mtstreams.campaign.keep_freed_memory` before the campaign, so
