@@ -186,15 +186,13 @@ def _run_in_workers(work: list[tuple], statuses: list[dict], workers: int) -> It
     """Run the units on ``workers`` forked processes; yield their results
     in the order of ``work``.
 
-    Worker w ignores SIGINT, runs ``work[w::workers]`` and writes each
-    unit's pickled (ok, results or exception) to a pipe of its own, so unit
-    k is read from pipe k % workers. It first moves to the w-th usable CPU,
-    cycled, and then allows them all again: a kernel that does not balance
-    load leaves a forked process on its parent's CPU, and one that does may
-    still move it. A unit's exception is raised again here, and a pipe that
-    ends early raises ChildProcessError naming the status it owed. After
-    the last unit, on an error, an interrupt or the generator's close,
-    every worker is killed and reaped.
+    Worker w ignores SIGINT, moves to the w-th usable CPU (cycled) and back
+    to them all, as a kernel that does not balance load would leave it on
+    its parent's CPU, then runs ``work[w::workers]`` and writes each unit's
+    pickled (ok, results or exception) to a pipe of its own: unit k is read
+    from pipe k % workers. A unit's exception is raised again here; a pipe
+    that ends early raises ChildProcessError naming the status it owed. The
+    workers are killed and reaped when the generator ends, raises or closes.
     """
     pids, pipes = [], []
     try:
@@ -204,6 +202,8 @@ def _run_in_workers(work: list[tuple], statuses: list[dict], workers: int) -> It
             pid = os.fork()
             if pid == 0:
                 try:
+                    for pipe in pipes:  # held here, a read end keeps a dead parent's full pipe blocking this worker
+                        pipe.close()
                     signal.signal(signal.SIGINT, signal.SIG_IGN)  # a Ctrl-C reaches the group; the parent acts on it
                     with contextlib.suppress(AttributeError, OSError):  # no affinity calls, or refused: stay put
                         usable = sorted(os.sched_getaffinity(0))

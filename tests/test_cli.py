@@ -894,6 +894,59 @@ def test_no_worker_outlives_test(tmp_path, fast_battery_file, script, rc):
     assert [pid for pid in workers if _running(pid)] == []
 
 
+# Runs cli.main(argv) in a fresh interpreter on two workers, whatever the
+# host, where the unit of status indexed/5 SIGKILLs the parent, as the OOM
+# killer might.
+_KILL_THE_PARENT = """
+import functools, os, signal, sys
+import mtstreams.campaign as campaign
+from mtstreams.cli import main
+from mtstreams.mt19937 import init_genrand
+
+unit = campaign.run_battery_on_status
+
+@functools.wraps(unit)
+def orphaning(state, *rest):
+    if state == init_genrand(5):
+        os.kill(os.getppid(), signal.SIGKILL)
+    return unit(state, *rest)
+
+campaign.run_battery_on_status = orphaning
+campaign.usable_cpus = lambda: 2
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="reads process states from /proc")
+def test_workers_end_when_test_is_killed(tmp_path, fast_battery_file):
+    # 150 units a worker fill a pipe: a worker that holds a read end of one
+    # would wait on it forever, where it should fail its next write and exit.
+    import signal
+    import time
+
+    assert _gen(tmp_path / "set", count=300) == 0
+    pids = tmp_path / "pids"
+    argv = ["test", "--dir", str(tmp_path / "set"), "--battery", fast_battery_file, "--jobs", "2"]
+    argv += ["--out", str(tmp_path / "r.jsonl")]
+    run = subprocess.run(
+        [sys.executable, "-c", _RECORD_FORKS + _KILL_THE_PARENT, *argv],
+        env=dict(os.environ, PYTHONPATH=_SRC, PIDS=str(pids)),
+        stdout=subprocess.DEVNULL,
+        stderr=subprocess.DEVNULL,
+        timeout=60,
+    )
+    assert run.returncode == -signal.SIGKILL
+    workers = [int(line) for line in pids.read_text().split()]
+    assert len(workers) == 2
+    deadline = time.monotonic() + 30
+    while (alive := [pid for pid in workers if _running(pid)]) and time.monotonic() < deadline:
+        time.sleep(0.05)
+    for pid in alive:  # leave no stray process behind a failure
+        os.kill(pid, signal.SIGKILL)
+    assert alive == []
+    assert not (tmp_path / "r.jsonl").exists()
+
+
 def test_an_interrupt_exits_130_with_one_line(tmp_path, capsys, monkeypatch):
     import signal
 
