@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import hashlib
 import math
+import os
+import shutil
 from itertools import islice
 from pathlib import Path
 
@@ -90,16 +92,39 @@ def generate_indexed(start: int, count: int) -> StatusSet:
 def write_status_set(sset: StatusSet, out_dir: Path | str) -> str:
     """Write status files plus a manifest; returns the set fingerprint.
 
-    Raises FileExistsError, before writing anything, when ``out_dir`` holds
-    a status file that the set does not write. Rewriting the same set, or
-    a superset of it, in place is allowed. However a rewrite ends, it leaves
-    no manifest that vouches for bytes the directory no longer holds: an
-    old manifest goes before the first file it lists gets other bytes.
+    A new ``out_dir`` appears whole: the files and the manifest are written
+    into a hidden sibling, ``.NAME.PID.tmp``, which is then renamed onto
+    ``out_dir``, and which any exception removes. So a failed or
+    interrupted write leaves no ``out_dir``; only a process killed outright
+    can leave the sibling behind.
+
+    An existing ``out_dir`` is written in place. This raises FileExistsError,
+    before writing anything, when ``out_dir`` holds a status file that the
+    set does not write. Rewriting the same set, or a superset of it, in
+    place is allowed. However a rewrite ends, it leaves no manifest that
+    vouches for bytes the directory no longer holds: an old manifest goes
+    before the first file it lists gets other bytes.
 
     The fingerprint is the SHA-256 of the manifest bytes, which in turn
     lists the SHA-256 of every status file, so it pins the whole set.
     """
     out_dir = Path(out_dir)
+    if out_dir.exists():
+        return _write_in_place(sset, out_dir)
+    out_dir.parent.mkdir(parents=True, exist_ok=True)
+    # A plain mkdir, so the set gets the mode any new directory gets.
+    tmp = out_dir.with_name(f".{out_dir.name}.{os.getpid()}.tmp")
+    tmp.mkdir()
+    try:
+        fingerprint = _write_in_place(sset, tmp)
+        os.replace(tmp, out_dir)
+    except BaseException:
+        shutil.rmtree(tmp, ignore_errors=True)
+        raise
+    return fingerprint
+
+
+def _write_in_place(sset: StatusSet, out_dir: Path) -> str:
     files = [(status_filename(sset.technique, index), index, state) for index, state in enumerate(sset.statuses)]
     if out_dir.is_dir():
         # A reader of the directory takes every status file in it, so one

@@ -40,39 +40,24 @@ def build_tables(creport: CampaignReport, expected_fail_ids=None) -> dict[str, l
             histogram[technique, sum(t.failed for t in results)] += 1
         for t in results:
             fails[t.test_id, technique] += t.failed
-    pertest = [
-        {
-            "test_id": test_id,
-            "technique": technique,
-            "mode": mode,
-            "fraction": fails[test_id, technique] / n,
-        }
-        for test_id in creport.meta["test_ids"]
-        for technique, n in statuses.items()
-        for mode in modes
-    ]
-    pertest.sort(key=lambda r: (-r["fraction"], r["test_id"], r["technique"], r["mode"]))
-    histogram_rows = [
-        {"technique": technique, "mode": mode, "n_failed": n_failed, "count": count}
-        for (technique, n_failed), count in histogram.items()
-        for mode in modes
-    ]
-    histogram_rows.sort(key=lambda r: (r["technique"], r["mode"], r["n_failed"]))
+    summary = [(technique, n, suspects[technique], suspects[technique] / n) for technique, n in statuses.items()]
+    pertest = [(test_id, technique, fails[test_id, technique] / n)
+               for test_id in creport.meta["test_ids"] for technique, n in statuses.items()]
     return {
-        "summary": [
-            {
-                "technique": technique,
-                "mode": mode,
-                "statuses": n,
-                "suspects": suspects[technique],
-                "fraction": suspects[technique] / n,
-            }
-            for technique, n in sorted(statuses.items())
-            for mode in modes
-        ],
-        "histogram": histogram_rows,
-        "pertest": pertest,
+        "summary": _per_mode("summary", summary, modes, lambda r: (r["technique"], r["mode"])),
+        "histogram": _per_mode("histogram", [(*cell, count) for cell, count in histogram.items()], modes,
+                               lambda r: (r["technique"], r["mode"], r["n_failed"])),
+        "pertest": _per_mode("pertest", pertest, modes,
+                             lambda r: (-r["fraction"], r["test_id"], r["technique"], r["mode"])),
     }
+
+
+def _per_mode(name: str, rows: list[tuple], modes: list[str], key) -> list[dict]:
+    """Table ``name``'s rows, each given as its values but the mode, once per
+    meta mode, as dicts in header order, sorted by ``key``."""
+    headers = _TABLE_HEADERS[name]
+    at = headers.index("mode")
+    return sorted((dict(zip(headers, (*row[:at], mode, *row[at:]))) for row in rows for mode in modes), key=key)
 
 
 def _display(row: dict) -> dict:

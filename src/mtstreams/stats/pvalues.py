@@ -138,10 +138,7 @@ def poisson_left_pvalue(observed: int, lam: float) -> float:
         raise ValueError(f"observed count must be >= 0, got {observed}")
     if not lam > 0:
         raise ValueError(f"mean must be > 0, got {lam}")
-    if lam == math.inf:
-        return 0.0
-    with localcontext(_CONTEXT):
-        return float(_exact_tails(2 * int(observed) + 2, Decimal(lam))[1])  # lam exact
+    return _gamma_tails(2 * int(observed) + 2, lam)[1]
 
 
 def merged_cells(expected: list[float]) -> tuple[list[int], list[float]]:

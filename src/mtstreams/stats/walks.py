@@ -23,14 +23,17 @@ integer true division. Distributions are cached per l.
 ``walk_statistics`` reads each walk 16 steps at a time, one 16-bit chunk
 per lookup. When 16 divides l, as for both walks of ``mini-crush-v1``, a
 walk's chunks are the big-endian 16-bit halves of its words; for other l
-each walk is packed into chunks first. 65 536-entry tables, composed from
-256-entry byte tables on first use, give each chunk's net step, its
-highest prefix level and, for each even entry level in [-16, 16], how many
-of its prefixes end at 0. Chunks start every 16 steps, so a walk enters
-each at an even level; levels beyond +-16 share one row of zeros, since a
-chunk moves at most 16 levels. Walks are read in blocks whose chunks are
-laid out chunk-major, so a block's entry levels are one vector add per
-chunk row. M is the largest
+each walk is packed into chunks first. 65 536-entry tables give each
+chunk's net step delta, its highest prefix level peak and, for each even
+entry level e in [-16, 16], the number zeros[e] of its prefixes that end at
+0. Chunks start every 16 steps, so a walk enters each at an even level;
+levels beyond +-16 share one row of zeros, since a chunk moves at most 16
+levels. One rule, applied four times from single steps, builds the tables
+on first use: a piece hi << w | lo moves delta[hi] + delta[lo], peaks at
+max(peak[hi], delta[hi] + peak[lo]), and has zeros[e][hi] +
+zeros[e + delta[hi]][lo], that level clipped to +-18.
+Walks are read in blocks whose chunks are laid out chunk-major, so a
+block's entry levels are one vector add per chunk row. M is the largest
 entry level plus highest prefix, and R sums the zero counts at each
 chunk's clipped entry level. H is (S_l + l) / 2. Packing pads each walk
 with pad = -l % 16 zero bits, that is, pad falling steps after S_l. They
@@ -99,45 +102,35 @@ def r_null(l: int) -> np.ndarray:
     return _law(counts, l)
 
 
-# A chunk moves at most 16 levels, so from an entry level beyond +-16 it
-# never reaches 0, and +-18 stands for all of those levels. A byte moves at
-# most 8, and +-9 does the same for it.
+# A piece of at most 16 steps never reaches 0 from an entry level beyond
+# +-16, and +-18 stands for all of those levels.
 _REACH = 18
-_BYTE_REACH = 9
 # Walks are read in blocks of about this many steps, the bits of 2^16
 # words, so that a block's temporaries stay in cache.
 _BLOCK_STEPS = 1 << 21
 
 
-def _byte_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """For each byte b, read MSB first as 8 steps: its net step, its highest
-    prefix level, and how many of its prefixes end at 0 when it enters at
-    level e in [-_BYTE_REACH, _BYTE_REACH], at [e + _BYTE_REACH, b].
-    """
-    steps = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1)
-    prefix = np.cumsum(steps.astype(np.int8) * 2 - 1, axis=1, dtype=np.int8)
-    entry = np.arange(-_BYTE_REACH, _BYTE_REACH + 1, dtype=np.int8)
-    zeros = np.count_nonzero(entry[:, None, None] + prefix == 0, axis=2)
-    return prefix[:, -1].copy(), prefix.max(axis=1), zeros.astype(np.int8)
-
-
 @lru_cache(maxsize=None)
 def _chunk_tables() -> tuple[np.ndarray, np.ndarray]:
-    """The byte tables composed over 16-step chunks c = hi << 8 | lo: each
-    chunk's net step and highest prefix level as the fields ``delta`` and
-    ``peak`` of one record, and its zero count when it enters at even level
-    e in [-_REACH, _REACH], at (e + _REACH) / 2 << 16 | c. Built on first
-    use, not at import.
+    """For each 16-step chunk c, read MSB first: its net step and highest
+    prefix level as the fields ``delta`` and ``peak`` of one record, and how
+    many of its prefixes end at 0 when it enters at even level e in
+    [-_REACH, _REACH], at (e + _REACH) / 2 << 16 | c. Built on first use, not
+    at import, by the module docstring's rule.
     """
-    delta, maxpref, zeros = _byte_tables()
-    chunk = np.empty((256, 256), dtype=[("delta", np.int8), ("peak", np.int8)])
-    chunk["delta"] = delta[:, None] + delta[None, :]
-    chunk["peak"] = np.maximum(maxpref[:, None], delta[:, None] + maxpref[None, :])
+    delta = peak = np.array([-1, 1], dtype=np.int8)
+    zeros = (np.arange(-_REACH, _REACH + 1)[:, None] + delta == 0).astype(np.int8)
     levels = np.arange(-_REACH, _REACH + 1, 2)
-    hi_entry = np.clip(levels, -_BYTE_REACH, _BYTE_REACH) + _BYTE_REACH
-    lo_entry = np.clip(levels[:, None] + delta, -_BYTE_REACH, _BYTE_REACH) + _BYTE_REACH
-    chunk_zeros = zeros[hi_entry][:, :, None] + zeros[lo_entry]
-    return chunk.ravel(), chunk_zeros.ravel()
+    # The rows of zeros are the entry levels -_REACH, -_REACH + stride, ...:
+    # every level for single steps, only the even ones from two steps on.
+    for stride in (1, 2, 2, 2):
+        lo = (np.clip(levels[:, None] + delta, -_REACH, _REACH) + _REACH) // stride
+        zeros = (zeros[(levels + _REACH) // stride][:, :, None] + zeros[lo]).reshape(len(levels), -1)
+        peak = np.maximum(peak[:, None], delta[:, None] + peak).ravel()
+        delta = (delta[:, None] + delta).ravel()
+    chunk = np.empty(delta.size, dtype=[("delta", np.int8), ("peak", np.int8)])
+    chunk["delta"], chunk["peak"] = delta, peak
+    return chunk, zeros.ravel()
 
 
 def walk_statistics(words: np.ndarray, walks: int, steps: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

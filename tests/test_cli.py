@@ -133,6 +133,67 @@ def test_gen_rewrites_the_same_set_or_a_superset_in_place(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_gen_writes_a_new_directory_whole_with_a_plain_mkdir_mode(tmp_path, capsys):
+    plain = tmp_path / "plain"
+    plain.mkdir()
+    assert _gen(tmp_path / "deep" / "set", count=8) == 0
+    # Frozen when gen wrote each file straight into the new directory.
+    fingerprint = "2e95a15e7d91a42757a3100e733f806d36d81a310a9bf6a86577d54cfe1723ef"
+    assert capsys.readouterr().out.splitlines()[1] == f"fingerprint {fingerprint}"
+    assert [p.name for p in (tmp_path / "deep").iterdir()] == ["set"]  # no hidden sibling left
+    assert (tmp_path / "deep" / "set").stat().st_mode == plain.stat().st_mode
+
+
+@pytest.mark.parametrize(
+    ("writer", "k"), [("save_status", 1), ("save_status", 4), ("save_status", 8), ("write_bytes_atomic", 1)]
+)
+def test_a_failed_gen_into_a_new_directory_leaves_nothing_to_test(tmp_path, capsys, monkeypatch, writer, k):
+    # The k-th of 8 status files, or the manifest, cannot be written.
+    import mtstreams.partition as partition
+
+    real, calls = getattr(partition, writer), []
+
+    def fail_on_kth(path, data):
+        calls.append(path)
+        if len(calls) == k:
+            raise OSError(28, "No space left on device")
+        return real(path, data)
+
+    monkeypatch.setattr(partition, writer, fail_on_kth)
+    assert _gen(tmp_path / "set", count=8) == 2
+    assert len(calls) == k
+    assert list(tmp_path.iterdir()) == []  # neither the set nor its hidden sibling
+    assert main(["test", "--dir", str(tmp_path / "set")]) == 2
+    capsys.readouterr()
+
+
+def test_a_killed_gen_leaves_no_directory(tmp_path):
+    import signal
+    import time
+
+    out = tmp_path / "set"
+    argv = ["gen", "--technique", "indexed", "--count", "20000", "--out", str(out)]
+    gen = subprocess.Popen(
+        [sys.executable, "-c", "import sys; from mtstreams.cli import main; sys.exit(main(sys.argv[1:]))", *argv],
+        env=dict(os.environ, PYTHONPATH=_SRC),
+        stdout=subprocess.DEVNULL,
+        stderr=subprocess.DEVNULL,
+    )
+    sibling = tmp_path / f".set.{gen.pid}.tmp"
+    deadline = time.monotonic() + 60
+    try:
+        # Killed once its first status file is written, long before its last.
+        while not (sibling.is_dir() and any(sibling.iterdir())) and gen.poll() is None:
+            assert time.monotonic() < deadline
+            time.sleep(0.01)
+    finally:
+        gen.kill()
+        gen.wait()
+    assert gen.returncode == -signal.SIGKILL
+    assert not out.exists()
+    assert [p.name for p in tmp_path.iterdir()] == [sibling.name]  # a SIGKILL leaves the sibling
+
+
 def test_gen_flag_validation(tmp_path, capsys):
     assert _gen(tmp_path / "x", count=0) == 1
     assert main(["gen", "--technique", "bogus", "--count", "1", "--out", str(tmp_path)]) == 1

@@ -151,6 +151,23 @@ def test_interrupted_rewrite_leaves_no_manifest_over_mixed_bytes(tmp_path, monke
     assert write_status_set(generate_indexed(100, 4), tmp_path) == fresh
 
 
+def test_an_interrupted_new_set_leaves_nothing(tmp_path, monkeypatch):
+    import mtstreams.partition as partition
+
+    save_status, calls = partition.save_status, []
+
+    def interrupt_on_third(path, state):
+        calls.append(path)
+        if len(calls) == 3:
+            raise KeyboardInterrupt
+        return save_status(path, state)
+
+    monkeypatch.setattr(partition, "save_status", interrupt_on_third)
+    with pytest.raises(KeyboardInterrupt):
+        write_status_set(generate_indexed(0, 8), tmp_path / "set")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_overlap_probability_edge_cases():
     assert overlap_probability(16, streams=1, length=10**6) == 0.0
     assert overlap_probability(16, streams=8, length=0) == 0.0

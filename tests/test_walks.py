@@ -149,6 +149,20 @@ def test_walk_statistics_shape_validation():
         walk_statistics(np.zeros(2**10, dtype=np.uint32), walks=1, steps=2**15)
 
 
+def test_chunk_tables_match_every_chunk_walked_directly():
+    # Each 16-bit chunk, read MSB first as 16 steps, and its prefix levels.
+    bits = np.unpackbits(np.arange(2**16, dtype=">u2").view(np.uint8)).reshape(2**16, 16)
+    prefix = np.cumsum(bits.astype(np.int64) * 2 - 1, axis=1)
+    chunk, zeros = walks_module._chunk_tables()
+    assert chunk.dtype == np.dtype([("delta", np.int8), ("peak", np.int8)]) and chunk.shape == (2**16,)
+    assert zeros.dtype == np.int8 and zeros.shape == (19 * 2**16,)
+    assert chunk["delta"].tolist() == prefix[:, -1].tolist()
+    assert chunk["peak"].tolist() == prefix.max(axis=1).tolist()
+    for row, level in enumerate(range(-18, 19, 2)):
+        expected = np.count_nonzero(level + prefix == 0, axis=1)
+        assert zeros[row << 16 : (row + 1) << 16].tolist() == expected.tolist(), level
+
+
 def _walk_ending_at(rng, steps, level):
     """A random walk of the given length whose last level is ``level``."""
     bits = np.zeros(steps, dtype=np.uint8)
