@@ -92,18 +92,13 @@ def generate_indexed(start: int, count: int) -> StatusSet:
 def write_status_set(sset: StatusSet, out_dir: Path | str) -> str:
     """Write status files plus a manifest; returns the set fingerprint.
 
-    A new ``out_dir`` appears whole: the files and the manifest are written
-    into a hidden sibling, ``.NAME.PID.tmp``, which is then renamed onto
-    ``out_dir``, and which any exception removes. So a failed or
-    interrupted write leaves no ``out_dir``; only a process killed outright
-    can leave the sibling behind.
-
-    An existing ``out_dir`` is written in place. This raises FileExistsError,
-    before writing anything, when ``out_dir`` holds a status file that the
-    set does not write. Rewriting the same set, or a superset of it, in
-    place is allowed. However a rewrite ends, it leaves no manifest that
-    vouches for bytes the directory no longer holds: an old manifest goes
-    before the first file it lists gets other bytes.
+    A new ``out_dir`` appears whole: the set is written into a hidden
+    sibling, ``.NAME.PID.tmp``, and renamed onto it; any exception removes
+    the sibling. An existing ``out_dir`` is rewritten in place, and this
+    raises FileExistsError, before writing anything, when it holds a status
+    file that the set does not write. However a rewrite ends, it leaves no
+    manifest that vouches for bytes the directory no longer holds: an old
+    manifest goes before the first file it lists gets other bytes.
 
     The fingerprint is the SHA-256 of the manifest bytes, which in turn
     lists the SHA-256 of every status file, so it pins the whole set.

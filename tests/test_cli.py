@@ -153,11 +153,11 @@ def test_a_failed_gen_into_a_new_directory_leaves_nothing_to_test(tmp_path, caps
 
     real, calls = getattr(partition, writer), []
 
-    def fail_on_kth(path, data):
+    def fail_on_kth(path, content):
         calls.append(path)
         if len(calls) == k:
             raise OSError(28, "No space left on device")
-        return real(path, data)
+        return real(path, content)
 
     monkeypatch.setattr(partition, writer, fail_on_kth)
     assert _gen(tmp_path / "set", count=8) == 2
